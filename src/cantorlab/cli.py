@@ -40,7 +40,9 @@ from .orientedgraphs import (
     FiniteOrientedGraph,
     duplicate,
     lemma42_suite,
+    max_set,
     p_to_max,
+    pred,
     validate_uogas,
 )
 from .sequences import (
@@ -145,20 +147,10 @@ def _forest_signature(g: FiniteOrientedGraph):
     Duplication along a canonical order commutes with vertex relabeling, so
     one development per shape certifies every graph of that shape.
     """
-    preds = {v: [] for v in g.vertices}
-    roots = []
-    succ_of = dict(g.edges)
-    for v in g.vertices:
-        t = succ_of.get(v)
-        if t is None:
-            roots.append(v)
-        else:
-            preds[t].append(v)
-
     def sig(v):
-        return tuple(sorted(sig(u) for u in preds[v]))
+        return tuple(sorted(sig(u) for u in pred(g, v)))
 
-    return tuple(sorted(sig(r) for r in roots))
+    return tuple(sorted(sig(r) for r in max_set(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +211,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
                         w = 1 << exp
                         for m in range(len(s) - 1, 0, -1):
                             w = stride_expand(L, s[m], w, budgets)
-                        if w != x.value():
+                        if w != x.value(budgets):
                             viol.append(f"(4) route mismatch: L={L} s={s} r={r}")
                     witnesses += 1
 

@@ -17,6 +17,7 @@ from .errors import (
     EmptySet,
     InvalidArgument,
     InvalidLevel,
+    InvariantBroken,
     NotFoundWithinBudget,
     PrefixTooShort,
     TooManyFreeCoordinates,
@@ -28,6 +29,7 @@ from .orientedgraphs import (
     LabeledVertex,
     M_of,
     p_to_max,
+    pred,
     validate_uogas,
 )
 from .sequences import BinWord, anchor_word, stride
@@ -602,17 +604,15 @@ def shrink_47(assignment: MappingTupleAssignment, d: int, budgets: Budgets = DEF
         for v, pn in zip(order, pins)
     }
 
-    pred_of = {v: set() for v in G.vertices}
-    for a, b in G.edges:
-        pred_of[b].add(a)
     U = {}
     for v in sorted(order, key=lambda t: (M_of(G, t), repr(t))):
         cell = O[v]
-        for y in sorted(pred_of[v], key=repr):
+        for y in sorted(pred(G, v), key=repr):
             cell = cell.intersect(inst.image(u[y], U[y]), budgets)
         if cell.is_empty():
             raise EmptyRefinement(f"predecessor images emptied the cell at {v!r}")
-        assert cell.contains(zpt[v])
+        if not cell.contains(zpt[v]):
+            raise InvariantBroken(f"the refined cell at {v!r} lost its chosen point")
         U[v] = cell
     return refine_45(MappingTupleAssignment(G, inst, u, U), budgets)
 
@@ -833,7 +833,8 @@ def build_scheme(instance, depth: int, budgets: Budgets = DEFAULT):
             done = shrink_47(part, d_lvl, budgets)
             new_cells.update(done.V)
         for x in st_n.X:
-            assert new_cells[x].subset(cells[parent[x]])
+            if not new_cells[x].subset(cells[parent[x]]):
+                raise InvariantBroken(f"level {l + 1} cell of {x} is not inside its parent's cell")
         cells = new_cells
         states.append(SchemeState(l + 1, cells, sphi))
     return states

@@ -69,3 +69,7 @@ class EmptyRefinement(CantorLabError):
 
 class PrefixTooShort(CantorLabError):
     """A point prefix is too short to select a cell at the requested depth."""
+
+
+class InvariantBroken(CantorLabError):
+    """An internal invariant of a construction failed: a bug, not bad input."""

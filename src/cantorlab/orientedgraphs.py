@@ -30,21 +30,29 @@ class LabeledVertex:
 
 
 class FiniteOrientedGraph:
-    """An irreflexive, antisymmetric edge set over a finite vertex set.
+    """A finite vertex set with a set of directed edges between its vertices.
 
-    Construction rejects malformed data (unknown endpoints, loops fed as
-    edges are kept and reported by validate_uogas instead of raised, since
-    violations are data for the validator).
+    An edge with an endpoint outside the vertex set raises InvalidArgument.
+    Loops and antiparallel pairs are kept: they are data that validate_uogas
+    reports as violated clauses.  The successor and predecessor indexes map a
+    vertex to the frozenset of its successors or predecessors, and a vertex
+    with none has no entry.  They are built once, here, and are read-only;
+    succ, pred and every walk below read them.
     """
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("vertices", "edges", "_succ", "_pred")
 
     def __init__(self, vertices, edges):
         self.vertices = frozenset(vertices)
         self.edges = frozenset((a, b) for a, b in edges)
+        outs, ins = {}, {}
         for a, b in self.edges:
             if a not in self.vertices or b not in self.vertices:
                 raise InvalidArgument(f"edge endpoint {a!r} or {b!r} not a vertex")
+            outs.setdefault(a, []).append(b)
+            ins.setdefault(b, []).append(a)
+        self._succ = {v: frozenset(out) for v, out in outs.items()}
+        self._pred = {v: frozenset(inc) for v, inc in ins.items()}
 
     def __eq__(self, other):
         if not isinstance(other, FiniteOrientedGraph):
@@ -62,33 +70,36 @@ def _vkey(v):
     return repr(v)
 
 
-def succ(G: FiniteOrientedGraph, x):
-    return {b for a, b in G.edges if a == x}
+def _edge_key(e):
+    return (_vkey(e[0]), _vkey(e[1]))
 
 
-def pred(G: FiniteOrientedGraph, x):
-    return {a for a, b in G.edges if b == x}
+_NONE = frozenset()
+
+
+def succ(G: FiniteOrientedGraph, x) -> frozenset:
+    return G._succ.get(x, _NONE)
+
+
+def pred(G: FiniteOrientedGraph, x) -> frozenset:
+    return G._pred.get(x, _NONE)
 
 
 def max_set(G: FiniteOrientedGraph):
-    return {x for x in G.vertices if not succ(G, x)}
+    return {x for x in G.vertices if x not in G._succ}
 
 
 def min_set(G: FiniteOrientedGraph):
-    return {x for x in G.vertices if not pred(G, x)}
+    return {x for x in G.vertices if x not in G._pred}
 
 
-def _sym_adj(G: FiniteOrientedGraph):
-    adj = {x: set() for x in G.vertices}
-    for a, b in G.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+def _sym_adj(G: FiniteOrientedGraph, x) -> frozenset:
+    """Neighbours of x in the symmetrization (x itself if it has a loop)."""
+    return succ(G, x) | pred(G, x)
 
 
 def components(G: FiniteOrientedGraph):
     """Connected components of the symmetrization, sorted for determinism."""
-    adj = _sym_adj(G)
     seen = set()
     out = []
     for start in sorted(G.vertices, key=_vkey):
@@ -98,7 +109,7 @@ def components(G: FiniteOrientedGraph):
         queue = [start]
         while queue:
             v = queue.pop()
-            for w in adj[v]:
+            for w in _sym_adj(G, v):
                 if w not in comp:
                     comp.add(w)
                     queue.append(w)
@@ -122,21 +133,51 @@ class CheckReport:
 
 
 def validate_uogas(G: FiniteOrientedGraph) -> CheckReport:
-    """Report every violated clause of the unique-successor acyclic contract."""
+    """Report every violated clause of the unique-successor acyclic contract.
+
+    One pass over the edges finds the loops and antiparallel pairs and runs a
+    union-find over the simple undirected edges; only the violations are
+    sorted, so a valid graph costs linear time.
+    """
     report = CheckReport()
-    for a, b in sorted(G.edges, key=lambda e: (_vkey(e[0]), _vkey(e[1]))):
+    ids = {v: i for i, v in enumerate(G.vertices)}
+    root = list(range(len(ids)))
+    succ_of = G._succ
+    bad = []
+    cyclic = False
+    for e in G.edges:
+        a, b = e
+        i, j = ids[a], ids[b]
+        if i == j or a in succ_of.get(b, _NONE):
+            bad.append(e)
+            if i <= j:  # skip loops; unite an antiparallel pair once, from i > j
+                continue
+        if not cyclic:
+            i, j = _uf_find(root, i), _uf_find(root, j)
+            if i == j:
+                cyclic = True
+            else:
+                root[i] = j
+    for a, b in sorted(bad, key=_edge_key):
         if a == b:
             report.add("irreflexive", (a, b))
-        elif (b, a) in G.edges and _vkey(a) < _vkey(b):
+        elif _vkey(a) < _vkey(b):
             report.add("antisymmetric", (a, b))
-    for x in sorted(G.vertices, key=_vkey):
-        out = succ(G, x)
-        if len(out) > 1:
-            report.add("unique-successor", (x, tuple(sorted(out, key=_vkey))))
-    cycle = _find_sym_cycle(G)
-    if cycle is not None:
-        report.add("acyclic-symmetrization", cycle)
+    # Vertices whose reprs tie keep their vertex-set order, as in a sort of
+    # the whole vertex set.
+    branching = [x for x, out in succ_of.items() if len(out) > 1]
+    for x in sorted(branching, key=lambda x: (_vkey(x), ids[x])):
+        report.add("unique-successor", (x, tuple(sorted(succ_of[x], key=_vkey))))
+    if cyclic:
+        report.add("acyclic-symmetrization", _find_sym_cycle(G))
     return report
+
+
+def _uf_find(root, i):
+    while root[i] != i:
+        root[i] = root[root[i]]
+        i = root[i]
+    return i
 
 
 def _find_sym_cycle(G: FiniteOrientedGraph):
@@ -145,7 +186,6 @@ def _find_sym_cycle(G: FiniteOrientedGraph):
     Parallel edge pairs are the antisymmetry clause's business, so the walk
     runs on the simple undirected graph.
     """
-    adj = _sym_adj(G)
     seen = set()
     for start in sorted(G.vertices, key=_vkey):
         if start in seen:
@@ -155,7 +195,7 @@ def _find_sym_cycle(G: FiniteOrientedGraph):
         while stack:
             v, par = stack.pop()
             seen.add(v)
-            for w in sorted(adj[v], key=_vkey):
+            for w in sorted(_sym_adj(G, v), key=_vkey):
                 if w == par or w == v:
                     continue
                 if w in parent:
@@ -183,13 +223,12 @@ def unique_path(G: FiniteOrientedGraph, x, y):
     """The unique injective symmetrized path from x to y, as a tuple."""
     if x not in G.vertices or y not in G.vertices:
         raise InvalidArgument("path endpoints must be vertices")
-    adj = _sym_adj(G)
     parent = {x: None}
     queue = [x]
     while queue and y not in parent:
         nxt = []
         for v in queue:
-            for w in adj[v]:
+            for w in _sym_adj(G, v):
                 if w not in parent:
                     parent[w] = v
                     nxt.append(w)
@@ -255,7 +294,7 @@ def lemma42_suite(G: FiniteOrientedGraph) -> CheckReport:
                 if (p[i], p[i + 1]) not in G.edges:
                     report.add("b-forward-edges", (y, p, i))
                     break
-    for a, b in sorted(G.edges, key=lambda e: (_vkey(e[0]), _vkey(e[1]))):
+    for a, b in sorted(G.edges, key=_edge_key):
         try:
             p = p_to_max(G, a)
         except InvalidArgument:
@@ -371,7 +410,7 @@ def to_dot(G: FiniteOrientedGraph, name: str = "G") -> str:
     lines = [f"digraph {name} {{"]
     for v in sorted(G.vertices, key=_vkey):
         lines.append(f'  "{_render(v)}";')
-    for a, b in sorted(G.edges, key=lambda e: (_vkey(e[0]), _vkey(e[1]))):
+    for a, b in sorted(G.edges, key=_edge_key):
         lines.append(f'  "{_render(a)}" -> "{_render(b)}";')
     lines.append("}")
     return "\n".join(lines)

@@ -361,8 +361,8 @@ class Pow23:
     def __hash__(self):
         return hash((self.a, self.b))
 
-    def value(self) -> int:
-        if self.a > DEFAULT.max_stride_bits:
+    def value(self, budgets: Budgets = DEFAULT) -> int:
+        if self.a > budgets.max_stride_bits:
             raise CapExceeded("value too large to materialize")
         return (1 << self.a) * 3**self.b
 

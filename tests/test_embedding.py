@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorlab.config import DEFAULT, Budgets
-from cantorlab.cylinders import FULL_SPACE, atom_const, cylinder, point_eval
+from cantorlab.cylinders import FULL_SPACE, SymbolicClopen, atom_const, cylinder, point_eval
 from cantorlab.embedding import (
     CantorInstance,
     MappingTupleAssignment,
@@ -32,6 +32,7 @@ from cantorlab.errors import (
     EmptySet,
     InvalidArgument,
     InvalidLevel,
+    InvariantBroken,
     NotFoundWithinBudget,
     PrefixTooShort,
     TooManyFreeCoordinates,
@@ -465,6 +466,13 @@ def test_build_scheme_validation():
         build_scheme(INST, -1)
     with pytest.raises(InvalidLevel):
         build_scheme(CantorInstance(2), 1)
+
+
+def test_build_scheme_nesting_is_a_typed_check(monkeypatch):
+    """A new cell outside its parent raises InvariantBroken, also under -O."""
+    monkeypatch.setattr(SymbolicClopen, "subset", lambda self, other, *args: False)
+    with pytest.raises(InvariantBroken):
+        build_scheme(INST, 2)
 
 
 def test_build_scheme_conditions_to_depth_five():

@@ -1,5 +1,6 @@
 """Oriented graph machinery against exhaustive and brute-force oracles."""
 
+import time
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cantorlab.errors import BadEnumeration, InvalidArgument, NotConnected
 from cantorlab.orientedgraphs import (
+    CheckReport,
     FiniteOrientedGraph,
     LabeledVertex,
     M_of,
@@ -56,6 +58,94 @@ def oracle_forest(vertices, edges):
                     seen.add(w)
                     stack.append(w)
     return len(und) == len(vertices) - comps
+
+
+def scan_succ(G, x):
+    return {b for a, b in G.edges if a == x}
+
+
+def scan_pred(G, x):
+    return {a for a, b in G.edges if b == x}
+
+
+def _scan_sym_adj(G):
+    adj = {x: set() for x in G.vertices}
+    for a, b in G.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _scan_root_path(parent, v):
+    out = []
+    while v is not None:
+        out.append(v)
+        v = parent[v]
+    return out
+
+
+def _scan_find_sym_cycle(G):
+    adj = _scan_sym_adj(G)
+    seen = set()
+    for start in sorted(G.vertices, key=repr):
+        if start in seen:
+            continue
+        parent = {start: None}
+        stack = [(start, None)]
+        while stack:
+            v, par = stack.pop()
+            seen.add(v)
+            for w in sorted(adj[v], key=repr):
+                if w == par or w == v:
+                    continue
+                if w in parent:
+                    path_v = _scan_root_path(parent, v)
+                    ancestors_w = set(_scan_root_path(parent, w))
+                    lca = next(u for u in path_v if u in ancestors_w)
+                    seg_v = path_v[: path_v.index(lca) + 1]
+                    path_w = _scan_root_path(parent, w)
+                    seg_w = path_w[: path_w.index(lca)]
+                    return tuple(seg_v + seg_w[::-1])
+                parent[w] = v
+                stack.append((w, v))
+    return None
+
+
+def scan_validate_uogas(G):
+    """The reference validator: every successor set by a scan of all edges,
+    and a sorted symmetrized walk for acyclicity (quadratic, small graphs only).
+    """
+    report = CheckReport()
+    for a, b in sorted(G.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
+        if a == b:
+            report.add("irreflexive", (a, b))
+        elif (b, a) in G.edges and repr(a) < repr(b):
+            report.add("antisymmetric", (a, b))
+    for x in sorted(G.vertices, key=repr):
+        out = scan_succ(G, x)
+        if len(out) > 1:
+            report.add("unique-successor", (x, tuple(sorted(out, key=repr))))
+    cycle = _scan_find_sym_cycle(G)
+    if cycle is not None:
+        report.add("acyclic-symmetrization", cycle)
+    return report
+
+
+def all_edge_graphs(names, loops):
+    """Every edge subset over the given vertices, loops included if asked."""
+    pairs = [(a, b) for a in names for b in names if loops or a != b]
+    for mask in range(1 << len(pairs)):
+        yield FiniteOrientedGraph(names, {e for k, e in enumerate(pairs) if mask >> k & 1})
+
+
+def validator_families():
+    """Successor choices on four vertices, every graph on three vertices
+    (loops, antiparallel pairs and branching included), and every loop-free
+    graph on four vertices.
+    """
+    yield from succ_choice_graphs("abcd")
+    yield from all_edge_graphs("abc", loops=True)
+    yield from all_edge_graphs("abcd", loops=False)
 
 
 def succ_choice_graphs(names):
@@ -121,11 +211,23 @@ def test_validate_frozen():
 
 
 def test_validate_matches_oracle_exhaustive():
-    """Over every successor-choice graph on four vertices."""
-    for g in succ_choice_graphs("abcd"):
-        want = oracle_antisymmetric(g.edges) and oracle_forest(g.vertices, g.edges)
+    """Over successor-choice graphs on four vertices and every graph on three
+    (with loops) and four (loop-free) vertices: the verdict matches the
+    oracles, and the violations, in order and with their witnesses, match the
+    edge-scan reference validator.
+    """
+    graphs = 0
+    for g in validator_families():
+        graphs += 1
+        want = (
+            all(a != b for a, b in g.edges)
+            and all(len(scan_succ(g, x)) <= 1 for x in g.vertices)
+            and oracle_antisymmetric(g.edges)
+            and oracle_forest(g.vertices, g.edges)
+        )
         report = validate_uogas(g)
         assert report.ok == want, (sorted(g.edges), report.violations)
+        assert report.violations == scan_validate_uogas(g).violations, sorted(g.edges)
         for clause, witness in report.violations:
             if clause == "acyclic-symmetrization":
                 k = len(witness)
@@ -133,6 +235,40 @@ def test_validate_matches_oracle_exhaustive():
                 ring = list(witness) + [witness[0]]
                 for a, b in zip(ring, ring[1:]):
                     assert (a, b) in g.edges or (b, a) in g.edges
+    assert graphs == 4**4 + 2**9 + 2**12
+
+
+def test_indexes_match_edge_scans_exhaustive():
+    """succ, pred, max_set and min_set read the indexes the constructor
+    builds; on every graph of the validator families they equal edge scans.
+    """
+    for g in validator_families():
+        for x in g.vertices:
+            assert succ(g, x) == scan_succ(g, x)
+            assert pred(g, x) == scan_pred(g, x)
+        assert max_set(g) == {x for x in g.vertices if not scan_succ(g, x)}
+        assert min_set(g) == {x for x in g.vertices if not scan_pred(g, x)}
+
+
+# A linear validator takes well under a second on either graph below; one edge
+# scan per vertex takes minutes.  The budget leaves room for a slow host.
+SCALE_BUDGET_S = 5.0
+
+
+def test_validate_scales_linearly():
+    """A 20,000-vertex path and a 19,609-vertex duplicate each validate
+    within the time budget.
+    """
+    path = FiniteOrientedGraph(range(20_000), {(i, i + 1) for i in range(19_999)})
+    chain = FiniteOrientedGraph("abcdefz", {(b, a) for a, b in zip("abcde", "bcdef")})
+    dup = duplicate(chain, "azbcdef", 6)
+    assert len(dup.vertices) == 19_609
+    for g in (path, dup):
+        t0 = time.perf_counter()
+        report = validate_uogas(g)
+        elapsed = time.perf_counter() - t0
+        assert report.ok
+        assert elapsed < SCALE_BUDGET_S, (g, elapsed)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,17 @@ def test_pow23_huge_exponent_arithmetic():
         Pow23(2**28, 0).value()
 
 
+def test_pow23_value_honours_stride_budget():
+    """value() reads max_stride_bits from the budgets it is passed."""
+    assert Pow23(4, 1).value(Budgets(max_stride_bits=4)) == 48
+    with pytest.raises(CapExceeded):
+        Pow23(5, 1).value(Budgets(max_stride_bits=4))
+    a = Budgets().max_stride_bits + 1
+    with pytest.raises(CapExceeded):
+        Pow23(a).value()
+    assert Pow23(a).value(Budgets(max_stride_bits=a)).bit_length() == a + 1
+
+
 def test_shift_base_is_configurable():
     alt = Budgets(shift_base=2**31)
     # 3 * 2**31 is the least element under the alternative base
