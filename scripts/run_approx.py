@@ -39,9 +39,9 @@ def main() -> int:
     print(f"{'l':>3} {'|X|':>9} {'|B|':>9} {'|E|':>9} {'|X| ratio':>10}")
     prev = None
     for st in states:
-        ratio = "" if prev is None else f"{len(st.X) / prev:.3f}"
-        print(f"{st.level:>3} {len(st.X):>9} {len(st.B):>9} {len(st.E):>9} {ratio:>10}")
-        prev = len(st.X)
+        ratio = "" if prev is None else f"{len(st.X_codes) / prev:.3f}"
+        print(f"{st.level:>3} {len(st.X_codes):>9} {len(st.phi_codes):>9} {len(st.E_codes):>9} {ratio:>10}")
+        prev = len(st.X_codes)
 
     detected = detect_L_n(states, budgets)
     print(f"detected map levels at depth {args.depth}: {detected}")

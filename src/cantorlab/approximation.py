@@ -7,6 +7,10 @@ relation picking one outgoing pair per word, and the set of words whose cells
 split before the next stage.  Stepping never carries the edge set forward:
 it is recomputed from joint satisfiability at every stage.
 
+Stages are computed and checked on raw word codes (see `sequences`); BinWord
+appears only in the public constructor, the BinWord views of a stage and the
+rendered witnesses.
+
 The stage interplay is tuned to family level 1, where every successor pair
 provably keeps a satisfiability witness.  Higher families run too, but a
 split can strand a successor pair outside the edge set (an inherited domain
@@ -17,101 +21,112 @@ of hiding them.
 
 from __future__ import annotations
 
-import threading
+import itertools
+from bisect import bisect_left
+from functools import cached_property
 from types import MappingProxyType
 
 from .config import DEFAULT, Budgets
 from .cylinders import SymbolicClopen
-from .errors import (
-    CapExceeded,
-    DecisionOverflow,
-    InvalidArgument,
-    InvalidLevel,
-    PrefixTooShort,
-    ResourceBoundary,
-)
+from .errors import (CapExceeded, DecisionOverflow, InvalidArgument, InvalidLevel,
+                     InvariantBroken, PrefixTooShort, ResourceBoundary, StageRelationCycle)
 from .maps import MapId, domain_D, graph_meets
 from .orientedgraphs import CheckReport
-from .sequences import BinWord, anchor_word, code_bit, code_len, stride, stride_expand
+from .sequences import (BinWord, anchor_word, code_bit, code_is_prefix, code_len, code_str,
+                        stride, stride_expand)
 
 
 class ApproxState:
     """One stage: the word antichain X, the edge set B with its witness map
     phi, the successor relation A, and the splitting set E.
 
-    Immutable once produced.  phi is read-only and its key set is exactly B.
+    A stage is stored as word codes: X_codes and E_codes are frozensets of
+    codes, A_codes is a frozenset of (source, target) code pairs, and
+    phi_codes is a read-only dict from code pairs to map indices whose key
+    set is B.  X, A, E, B and phi are read-only BinWord views of the same
+    data, each built on first read and then kept.  The constructor takes
+    BinWords; the stepper builds stages from codes.  Immutable once produced.
     """
 
-    __slots__ = ("family", "level", "X", "A", "E", "phi", "B")
-
     def __init__(self, family, level, X, A, E, phi):
-        self.family = family
-        self.level = level
-        self.X = frozenset(X)
-        self.A = frozenset(A)
-        self.E = frozenset(E)
-        self.phi = MappingProxyType(dict(phi))
-        self.B = frozenset(self.phi)
+        self._store(family, level, (w.code for w in X), ((y.code, x.code) for y, x in A),
+                    (w.code for w in E), {(y.code, x.code): n for (y, x), n in phi.items()})
+
+    @classmethod
+    def _from_codes(cls, *fields) -> "ApproxState":
+        state = cls.__new__(cls)
+        state._store(*fields)
+        return state
+
+    def _store(self, family, level, X, A, E, phi):
+        self.family, self.level = family, level
+        self.X_codes, self.A_codes, self.E_codes = frozenset(X), frozenset(A), frozenset(E)
+        self.phi_codes = MappingProxyType(phi)
+
+    X = cached_property(lambda self: frozenset(map(BinWord, self.X_codes)))
+    E = cached_property(lambda self: frozenset(map(BinWord, self.E_codes)))
+    A = cached_property(lambda self: frozenset(map(_word_pair, self.A_codes)))
+    phi = cached_property(lambda self: MappingProxyType(
+        {_word_pair(p): n for p, n in self.phi_codes.items()}))
+    B = cached_property(lambda self: frozenset(self.phi))
 
     def lOf(self, y: BinWord) -> int:
         """The resolved length of y: |y|, plus one exactly when y splits."""
-        if y not in self.X:
+        if y.code not in self.X_codes:
             raise InvalidArgument(f"{y!r} is not a word of this stage")
-        return len(y) + 1 if y in self.E else len(y)
+        return len(y) + 1 if y.code in self.E_codes else len(y)
+
+    def _fields(self):
+        return (self.family, self.level, self.X_codes, self.A_codes, self.E_codes, self.phi_codes)
 
     def __eq__(self, other):
         if not isinstance(other, ApproxState):
             return NotImplemented
-        return (
-            self.family == other.family
-            and self.level == other.level
-            and self.X == other.X
-            and self.A == other.A
-            and self.E == other.E
-            and dict(self.phi) == dict(other.phi)
-        )
+        return self._fields() == other._fields()
 
     __hash__ = None
 
     def __repr__(self):
         return (
-            f"ApproxState(level={self.level}, words={len(self.X)}, "
-            f"edges={len(self.B)}, chain={len(self.A)}, splitting={len(self.E)})"
+            f"ApproxState(level={self.level}, words={len(self.X_codes)}, "
+            f"edges={len(self.phi_codes)}, chain={len(self.A_codes)}, "
+            f"splitting={len(self.E_codes)})"
         )
+
+
+def _word_pair(pair) -> tuple:
+    return BinWord(pair[0]), BinWord(pair[1])
 
 
 def init(family: int = 1) -> ApproxState:
     """Stage zero: the lone empty-word cell, already marked as splitting."""
     if family < 1:
         raise InvalidLevel("the stage system needs a family level >= 1")
-    empty = BinWord(1)
-    return ApproxState(family, 0, (empty,), (), (empty,), {})
+    return ApproxState._from_codes(family, 0, (1,), (), (1,), {})
 
 
 # ---------------------------------------------------------------------------
 # anchor words (the zero-padded seed words, one per materializable stride)
 
 
-def _anchor_lengths(max_len: int, budgets: Budgets) -> dict:
-    """length -> map index, for every padded seed word that could fit."""
+def _anchor_codes(max_len: int, budgets: Budgets) -> dict:
+    """code -> map index, for every padded seed word of length <= max_len."""
     out = {}
     n = 0
-    while True:
-        st = stride(n, budgets)
-        if st > max_len:
-            return out
-        out[st] = n
+    while stride(n, budgets) <= max_len:
+        out[anchor_word(n, budgets).code] = n
         n += 1
+    return out
 
 
 def anchor_index(word: BinWord, budgets: Budgets = DEFAULT):
     """The map index whose padded seed word equals `word`, or None."""
-    if len(word) == 0:
-        return None
-    q = _anchor_lengths(len(word), budgets).get(len(word))
-    if q is None:
-        return None
-    return q if word == anchor_word(q, budgets) else None
+    return _anchor_codes(len(word), budgets).get(word.code)
+
+
+def _max_len(codes) -> int:
+    """Length of the longest word among codes (0 for none)."""
+    return code_len(max(codes, default=1))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +134,8 @@ def anchor_index(word: BinWord, budgets: Budgets = DEFAULT):
 
 
 def _stage_edges(family, words, level, budgets) -> dict:
-    """The stage edge set as a dict (source, target) -> witnessing map index.
+    """The stage edge set as a dict (source, target) -> witnessing map index,
+    on word codes.
 
     For each feasible map index the antichain is walked once per potential
     source: a partner bit is forced wherever the map reads inside the source
@@ -129,96 +145,85 @@ def _stage_edges(family, words, level, budgets) -> dict:
     branch the walk cannot see.
     """
     phi = {}
-    if not words:
-        return phi
-    member_codes = {w.code for w in words}
-    max_len = max(code_len(c) for c in member_codes)
-    n = 0
-    while stride(n, budgets) < level:
+    max_len = _max_len(words)
+    for n in itertools.count():
         st = stride(n, budgets)
-        seed0 = anchor_word(n, budgets).append(0)
+        if st >= level:
+            return phi
+        anchor = anchor_word(n, budgets).code
+        # Every walk first copies the padded seed word out of its source,
+        # and stops if a word of the stage is a prefix of that seed word.
+        if any((anchor >> j) in words for j in range(st + 1)):
+            continue
+        seed0, start = anchor << 1, (anchor << 1) | 1
         reads = [stride_expand(family, n, k, budgets) for k in range(max_len + 1)]
-        need_filter = family != 1
         ident = MapId(family, n)
         for y in words:
-            ylen = len(y)
-            if ylen <= st or not seed0.is_prefix_of(y):
+            ylen = y.bit_length() - 1
+            if ylen <= st or (y >> (ylen - st - 1)) != seed0:
                 continue
-            ycode = y.code
-            stack = [1]
+            top = ylen - 1
+            stack = [start]
+            pop, push = stack.pop, stack.append
             while stack:
-                c = stack.pop()
-                if c in member_codes:
-                    if code_len(c) > st:
-                        x = BinWord(c)
-                        if not need_filter or graph_meets(ident, y, x, budgets):
-                            phi[(y, x)] = n
+                c = pop()
+                if c in words:
+                    if family == 1 or graph_meets(ident, BinWord(y), BinWord(c), budgets):
+                        phi[(y, c)] = n
                     continue
-                k = code_len(c)
+                k = c.bit_length() - 1
                 if k >= max_len:
-                    continue
-                if k == st:
-                    stack.append((c << 1) | 1)
                     continue
                 r = reads[k]
                 if r < ylen:
-                    stack.append((c << 1) | code_bit(ycode, r))
+                    push((c << 1) | ((y >> (top - r)) & 1))
                 else:
-                    c2 = c << 1
-                    stack.append(c2)
-                    stack.append(c2 | 1)
-        n += 1
-    return phi
+                    push(c << 1)
+                    push((c << 1) | 1)
 
 
-def _advanced_chain(state: ApproxState, budgets: Budgets) -> frozenset:
+def _advanced_chain(state: ApproxState, budgets: Budgets) -> set:
     """The next stage's successor pairs, case by case on whether the two
     endpoints split, with the padded seed words handled by their own rule."""
     family = state.family
-    lengths = _anchor_lengths(max((len(w) for w in state.X), default=0), budgets)
-    anchors = set()
-    for w in state.X:
-        q = lengths.get(len(w))
-        if q is not None and w == anchor_word(q, budgets):
-            anchors.add(w)
-    sources = {y for y, _ in state.A}
+    E = state.E_codes
+    phi = state.phi_codes
+    anchors = _anchor_codes(_max_len(state.X_codes), budgets).keys() & state.X_codes
+    sources = {y for y, _ in state.A_codes}
     out = set()
     for w in anchors:
-        if w in state.E and w not in sources:
-            out.add((w.append(0), w.append(1)))
+        if w in E and w not in sources:
+            out.add((w << 1, (w << 1) | 1))
     theta = {}
-    for y, x in state.A:
-        if x not in state.E:
-            if y not in state.E:
+    for y, x in state.A_codes:
+        if x not in E:
+            if y not in E:
                 out.add((y, x))
             elif y not in anchors:
-                out.add((y.append(0), x))
-                out.add((y.append(1), x))
+                out.add((y << 1, x))
+                out.add(((y << 1) | 1, x))
             else:
-                y1 = y.append(1)
+                y1 = (y << 1) | 1
                 out.add((y1, x))
-                out.add((y.append(0), y1))
+                out.add((y << 1, y1))
+            continue
+        n = phi.get((y, x))
+        if n is None:
+            raise InvariantBroken("stage invariant broken: a successor pair with a "
+                                  "splitting target has no edge witness")
+        key = (n, code_len(x))
+        t = theta.get(key)
+        if t is None:
+            t = theta[key] = stride_expand(family, n, key[1], budgets)
+        if y in E:
+            for yy in (y << 1, (y << 1) | 1):
+                out.add((yy, (x << 1) | code_bit(yy, t)))
         else:
-            n = state.phi.get((y, x))
-            if n is None:
-                raise InvalidArgument(
-                    "stage invariant broken: a successor pair with a "
-                    "splitting target has no edge witness"
-                )
-            key = (n, len(x))
-            t = theta.get(key)
-            if t is None:
-                t = theta[key] = stride_expand(family, n, len(x), budgets)
-            if y in state.E:
-                for eta in (0, 1):
-                    yy = y.append(eta)
-                    out.add((yy, x.append(yy.bit(t))))
-            else:
-                out.add((y, x.append(y.bit(t))))
-    return frozenset(out)
+            out.add((y, (x << 1) | code_bit(y, t)))
+    return out
 
 
-def _splitting_set(family, words, chain_pairs, phi, budgets) -> frozenset:
+def _splitting_set(family, words, chain_pairs, phi, budgets) -> set:
     """Decide which stage words split, walking words by their longest known
     distance from a chain-minimal word.
 
@@ -226,7 +231,9 @@ def _splitting_set(family, words, chain_pairs, phi, budgets) -> frozenset:
     next coordinate strictly inside that predecessor's resolved length, and
     the word does not sit beyond the head of a padded-seed word's successor
     chain whose head splits at this same stage.  A pair that lost its edge
-    witness never certifies a split.
+    witness never certifies a split.  Every word's predecessors and every
+    word a chain head blocks lie at a strictly smaller, respectively larger,
+    distance, so the order among words at one distance does not matter.
     """
     succ = {}
     preds = {}
@@ -234,15 +241,18 @@ def _splitting_set(family, words, chain_pairs, phi, budgets) -> frozenset:
         succ[y] = x
         preds.setdefault(x, []).append(y)
 
+    # Words without predecessors sit at distance 1 and always split.
+    chosen = words.difference(preds)
+    later = [w for w in words if w in preds]
     position = {}
     budget = 4 * (len(words) + len(chain_pairs)) + 8
-    for w in words:
+    for w in later:
         stack = [w]
         spent = 0
         while stack:
             spent += 1
             if spent > budget:
-                raise InvalidArgument("stage relation cycles; split order undefined")
+                raise StageRelationCycle("stage relation cycles; split order undefined")
             v = stack[-1]
             if v in position:
                 stack.pop()
@@ -259,50 +269,45 @@ def _splitting_set(family, words, chain_pairs, phi, budgets) -> frozenset:
             position[v] = 1 + max(position[p] for p in ps)
             stack.pop()
 
-    lengths = _anchor_lengths(max((len(w) for w in words), default=0), budgets)
-    theta = {}
-    chosen = set()
+    anchors = _anchor_codes(_max_len(words), budgets)
     blocked = set()
-    for x in sorted(words, key=lambda w: (position[w], str(w))):
-        ps = preds.get(x)
-        if ps:
-            if x in blocked:
-                continue
-            ok = True
-            for y in ps:
-                n = phi.get((y, x))
-                if n is None:
-                    ok = False
-                    break
-                key = (n, len(x))
-                t = theta.get(key)
-                if t is None:
-                    t = theta[key] = stride_expand(family, n, len(x), budgets)
-                if t >= len(y) + (1 if y in chosen else 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-        chosen.add(x)
-        q = lengths.get(len(x))
-        if q is not None and x == anchor_word(q, budgets):
-            v = x
-            while v in succ:
-                v = succ[v]
-                blocked.add(v)
-    return frozenset(chosen)
+
+    def block_chain(head):
+        while head in succ:
+            head = succ[head]
+            blocked.add(head)
+
+    for x in chosen.intersection(anchors):
+        block_chain(x)
+    theta = {}
+    for x in sorted(later, key=position.__getitem__):
+        if x in blocked:
+            continue
+        xlen = code_len(x)
+        for y in preds[x]:
+            n = phi.get((y, x))
+            if n is None:
+                break
+            key = (n, xlen)
+            t = theta.get(key)
+            if t is None:
+                t = theta[key] = stride_expand(family, n, xlen, budgets)
+            if t >= code_len(y) + (y in chosen):
+                break
+        else:
+            chosen.add(x)
+            if x in anchors:
+                block_chain(x)
+    return chosen
 
 
 def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
     """The next stage: split every marked cell, recompute the edge set and
     its witnesses, advance the successor relation, re-decide the splits."""
-    next_words = set()
-    for w in state.X:
-        if w in state.E:
-            next_words.add(w.append(0))
-            next_words.add(w.append(1))
-        else:
-            next_words.add(w)
+    E = state.E_codes
+    next_words = set(state.X_codes - E)
+    for w in state.X_codes & E:
+        next_words.update((w << 1, (w << 1) | 1))
     if len(next_words) > budgets.max_words:
         raise CapExceeded(
             f"stage {state.level + 1} needs {len(next_words)} words, "
@@ -312,11 +317,11 @@ def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
     phi = _stage_edges(state.family, next_words, level, budgets)
     chain = _advanced_chain(state, budgets)
     splitting = _splitting_set(state.family, next_words, chain, phi, budgets)
-    return ApproxState(state.family, level, next_words, chain, splitting, phi)
+    return ApproxState._from_codes(state.family, level, next_words, chain, splitting, phi)
 
 
+# Stages per (family, shift constant), grown on demand and never emptied.
 _stage_cache: dict = {}
-_stage_lock = threading.Lock()
 
 
 def run(L: int, depth: int, budgets: Budgets = DEFAULT) -> list:
@@ -326,36 +331,29 @@ def run(L: int, depth: int, budgets: Budgets = DEFAULT) -> list:
     if depth < 0:
         raise InvalidArgument("depth must be a natural")
     if depth > budgets.max_depth:
-        raise DecisionOverflow(
-            f"depth {depth} is past the {budgets.max_depth}-stage budget"
-        )
-    key = (L, budgets.shift_base)
-    first = init(L)
-    with _stage_lock:
-        states = _stage_cache.setdefault(key, [first])
-        while len(states) <= depth:
-            try:
-                states.append(step(states[-1], budgets))
-            except ResourceBoundary as err:
-                raise type(err)(f"stage {len(states)}: {err}") from err
-        out = list(states[: depth + 1])
+        raise DecisionOverflow(f"depth {depth} is past the {budgets.max_depth}-stage budget")
+    states = _stage_cache.setdefault((L, budgets.shift_base), [init(L)])
+    while len(states) <= depth:
+        try:
+            states.append(step(states[-1], budgets))
+        except ResourceBoundary as err:
+            raise type(err)(f"stage {len(states)}: {err}") from err
+    out = states[: depth + 1]
     for st in out:
-        if len(st.X) > budgets.max_words:
+        if len(st.X_codes) > budgets.max_words:
             raise CapExceeded(
-                f"stage {st.level} holds {len(st.X)} words, cap is {budgets.max_words}"
+                f"stage {st.level} holds {len(st.X_codes)} words, cap is {budgets.max_words}"
             )
     return out
 
 
 def detect_L_n(states, budgets: Budgets = DEFAULT) -> dict:
     """First level whose splitting set contains each padded seed word."""
-    top = max((len(w) for st in states for w in st.X), default=0)
-    lengths = _anchor_lengths(top, budgets)
+    anchors = _anchor_codes(max((_max_len(st.X_codes) for st in states), default=0), budgets)
     found = {}
     for state in sorted(states, key=lambda s: s.level):
-        for w in state.E:
-            q = lengths.get(len(w))
-            if q is not None and q not in found and w == anchor_word(q, budgets):
+        for w, q in anchors.items():
+            if q not in found and w in state.E_codes:
                 found[q] = state.level
     return found
 
@@ -370,8 +368,8 @@ def check_lemma_53_54(states) -> CheckReport:
     report = CheckReport()
     for state in states:
         lvl = state.level
+        A = state.A_codes
         succ = {}
-        seen_undirected = set()
         parent = {}
 
         def find(c):
@@ -382,48 +380,42 @@ def check_lemma_53_54(states) -> CheckReport:
                 parent[c], c = root, parent[c]
             return root
 
-        for y, x in sorted(state.A, key=lambda p: (p[0].code, p[1].code)):
+        for y, x in sorted(A):
             if y == x:
-                report.add("irreflexive", (lvl, str(y)))
+                report.add("irreflexive", (lvl, code_str(y)))
                 continue
-            if (x, y) in state.A and y.code < x.code:
-                report.add("antisymmetric", (lvl, str(y), str(x)))
+            reverse = (x, y) in A
+            if reverse and y < x:
+                report.add("antisymmetric", (lvl, code_str(y), code_str(x)))
             prev = succ.get(y)
             if prev is not None and prev != x:
-                report.add("unique-successor", (lvl, str(y), str(prev), str(x)))
+                report.add("unique-successor", (lvl, code_str(y), code_str(prev), code_str(x)))
             succ[y] = x
-            if (y, x) not in state.B:
-                report.add("contained-in-edge-set", (lvl, str(y), str(x)))
-            key = (min(y.code, x.code), max(y.code, x.code))
-            if key in seen_undirected:
-                continue
-            seen_undirected.add(key)
-            ry, rx = find(y.code), find(x.code)
+            if (y, x) not in state.phi_codes:
+                report.add("contained-in-edge-set", (lvl, code_str(y), code_str(x)))
+            if reverse and x < y:
+                continue  # the undirected edge was joined from (x, y)
+            ry, rx = find(y), find(x)
             if ry == rx:
-                report.add("acyclic-symmetrization", (lvl, str(y), str(x)))
+                report.add("acyclic-symmetrization", (lvl, code_str(y), code_str(x)))
             else:
                 parent[ry] = rx
         depth = {}
         bound = max(lvl, 1)
-        for w in state.X:
-            path = []
-            v = w
-            broke = False
-            while v not in depth and v in succ:
+        limit = len(state.X_codes)
+        for w in state.X_codes:
+            path, v = [], w
+            while v not in depth and v in succ and len(path) <= limit:
                 path.append(v)
                 v = succ[v]
-                if len(path) > len(state.X):
-                    broke = True
-                    break
-            if broke:
+            if len(path) > limit:
                 continue
-            d = depth.get(v, 1)
-            depth.setdefault(v, d)
+            d = depth.setdefault(v, 1)
             for u in reversed(path):
                 d += 1
                 depth[u] = d
             if depth[w] > bound:
-                report.add("chain-length-bound", (lvl, str(w), depth[w]))
+                report.add("chain-length-bound", (lvl, code_str(w), depth[w]))
     return report
 
 
@@ -438,47 +430,40 @@ def check_lemma_57(states) -> CheckReport:
     report = CheckReport()
     for state in states:
         lvl = state.level
-        succ = {y: x for y, x in state.A}
+        phi = state.phi_codes
+        succ = dict(sorted(state.A_codes))  # the largest successor, as in check_lemma_53_54
+        limit = len(state.X_codes)
         chains = {}
-        for y, x in sorted(state.B, key=lambda p: (p[0].code, p[1].code)):
+        for (y, x), witness in sorted(phi.items()):
             chain = chains.get(y)
             if chain is None:
                 chain = [y]
                 v = y
-                while v in succ and len(chain) <= len(state.X):
+                while v in succ and len(chain) <= limit:
                     v = succ[v]
                     chain.append(v)
                 chains[y] = chain
             try:
                 j = chain.index(x)
             except ValueError:
-                report.add("target-on-chain", (lvl, str(y), str(x)))
-                continue
+                j = 0
             if j < 1:
-                report.add("target-on-chain", (lvl, str(y), str(x)))
+                report.add("target-on-chain", (lvl, code_str(y), code_str(x)))
                 continue
             walked = []
-            stranded = False
             for i in range(j):
-                value = state.phi.get((chain[i], chain[i + 1]))
+                value = phi.get((chain[i], chain[i + 1]))
                 if value is None:
-                    report.add(
-                        "chain-step-in-edge-set",
-                        (lvl, str(chain[i]), str(chain[i + 1])),
-                    )
-                    stranded = True
+                    report.add("chain-step-in-edge-set",
+                               (lvl, code_str(chain[i]), code_str(chain[i + 1])))
                     break
                 walked.append(value)
-            if stranded:
-                continue
-            witness = state.phi[(y, x)]
-            if walked[-1] != witness or min(walked) != witness:
-                report.add(
-                    "landing-index-minimal",
-                    (lvl, str(y), str(x), tuple(walked), witness),
-                )
-            if len(set(walked)) != len(walked):
-                report.add("index-injective", (lvl, str(y), str(x), tuple(walked)))
+            else:
+                if walked[-1] != witness or min(walked) != witness:
+                    report.add("landing-index-minimal",
+                               (lvl, code_str(y), code_str(x), tuple(walked), witness))
+                if len(set(walked)) != len(walked):
+                    report.add("index-injective", (lvl, code_str(y), code_str(x), tuple(walked)))
     return report
 
 
@@ -492,8 +477,8 @@ def check_lemma_58(states, n: int, alpha_prefix, budgets: Budgets = DEFAULT) -> 
         raise InvalidArgument("no stages to check against")
     family = states[0].family
     w = BinWord.from_str(alpha_prefix) if isinstance(alpha_prefix, str) else alpha_prefix
-    seed0 = anchor_word(n, budgets).append(0)
-    if not seed0.is_prefix_of(w):
+    anchor = anchor_word(n, budgets).code
+    if not code_is_prefix(anchor << 1, w.code):
         raise InvalidArgument("the probe prefix must extend the seed-then-0 word")
     probe = SymbolicClopen(w, (), budgets)
     if probe.intersect(domain_D(MapId(family, n), budgets), budgets).is_empty():
@@ -511,50 +496,44 @@ def check_lemma_58(states, n: int, alpha_prefix, budgets: Budgets = DEFAULT) -> 
         return None
 
     report = CheckReport()
-    prev_target = anchor_word(n, budgets).append(1)
+    prev_target = (anchor << 1) | 1
     prev_len = st_n + 1
     checks = 0
     for state in states[1:]:
-        codes = {x.code for x in state.X}
+        codes = state.X_codes
         source = None
         for m in range(min(wlen, state.level) + 1):
             pc = wcode >> (wlen - m)
             if pc in codes:
-                source = BinWord(pc)
+                source = pc
                 break
         if source is None:
             break
-        target_code = 1
-        tlen = 0
         target = None
-        while tlen <= state.level:
-            if target_code in codes:
-                target = BinWord(target_code)
+        tcode = 1
+        for tlen in range(state.level + 1):
+            if tcode in codes:
+                target = tcode
                 break
             bit = image_bit(tlen)
             if bit is None:
                 break
-            target_code = (target_code << 1) | bit
-            tlen += 1
+            tcode = (tcode << 1) | bit
         if target is None:
             break
-        k = len(source)
+        k = code_len(source)
         if k <= st_n + 1 or k <= prev_len:
             continue
         checks += 1
-        pair = (source, target)
-        if pair not in state.B:
-            report.add("prefix-pair-in-edge-set", (state.level, str(source), str(target)))
-        elif state.phi[pair] != n:
-            report.add(
-                "prefix-pair-witness",
-                (state.level, str(source), str(target), state.phi[pair]),
-            )
-        if not prev_target.is_prefix_of(target):
-            report.add(
-                "nested-image-prefixes",
-                (state.level, str(prev_target), str(target)),
-            )
+        witness = state.phi_codes.get((source, target))
+        pair = (state.level, code_str(source), code_str(target))
+        if witness is None:
+            report.add("prefix-pair-in-edge-set", pair)
+        elif witness != n:
+            report.add("prefix-pair-witness", pair + (witness,))
+        if not code_is_prefix(prev_target, target):
+            report.add("nested-image-prefixes",
+                       (state.level, code_str(prev_target), code_str(target)))
         prev_target = target
         prev_len = k
     if checks == 0:
@@ -569,31 +548,44 @@ def check_lemma_58(states, n: int, alpha_prefix, budgets: Budgets = DEFAULT) -> 
 # structural predicates and emission
 
 
+def is_maximal_antichain_codes(codes) -> bool:
+    """Prefix-freeness plus exact total measure one, on word codes.
+
+    Those hold exactly when the words are the leaves of a full binary tree:
+    merging sibling pairs into their parents, longest words first, must
+    always find both siblings, meet no word that is also a parent, and end
+    at the empty word.
+    """
+    cs = sorted(codes)
+    hi = len(cs)
+    parents = set()
+    for length in range(code_len(cs[-1]) if cs else 0, 0, -1):
+        lo = bisect_left(cs, 1 << length, 0, hi)
+        layer = set(cs[lo:hi])
+        if len(layer) != hi - lo or not layer.isdisjoint(parents):
+            return False
+        layer |= parents
+        parents = {c >> 1 for c in layer}
+        if 2 * len(parents) != len(layer):
+            return False
+        hi = lo
+    return cs[:hi] + list(parents) == [1]
+
+
 def is_maximal_antichain(words) -> bool:
     """Prefix-freeness plus exact total measure one."""
-    ws = sorted(str(w) for w in words)
-    if not ws:
-        return False
-    for a, b in zip(ws, ws[1:]):
-        if b.startswith(a):
-            return False
-    top = max(len(s) for s in ws)
-    return sum(1 << (top - len(s)) for s in ws) == 1 << top
+    return is_maximal_antichain_codes(w.code for w in words)
 
 
 def state_json(state: ApproxState) -> dict:
     """Plain-data snapshot of one stage, ready for json.dump."""
-    by_code = lambda w: w.code
-    by_pair = lambda p: (p[0].code, p[1].code)
+    phi = state.phi_codes
     return {
         "level": state.level,
-        "X": [str(w) for w in sorted(state.X, key=by_code)],
-        "B": [
-            [str(y), str(x), state.phi[(y, x)]]
-            for y, x in sorted(state.B, key=by_pair)
-        ],
-        "A": [[str(y), str(x)] for y, x in sorted(state.A, key=by_pair)],
-        "E": [str(w) for w in sorted(state.E, key=by_code)],
+        "X": [code_str(w) for w in sorted(state.X_codes)],
+        "B": [[code_str(y), code_str(x), phi[(y, x)]] for y, x in sorted(phi)],
+        "A": [[code_str(y), code_str(x)] for y, x in sorted(state.A_codes)],
+        "E": [code_str(w) for w in sorted(state.E_codes)],
     }
 
 
@@ -602,16 +594,19 @@ def state_dot(state: ApproxState, name=None) -> str:
     words), solid arrows for successor pairs, dashed for the other edges,
     every known arrow labeled by its witnessing map index."""
     gname = name if name is not None else f"stage{state.level}"
+
     def text(w):
-        return str(w) if len(w) else "<empty>"
+        return code_str(w) if w > 1 else "<empty>"
+
+    A, phi = state.A_codes, state.phi_codes
     lines = [f"digraph {gname} {{"]
-    for w in sorted(state.X, key=lambda v: v.code):
-        marker = " [peripheries=2]" if w in state.E else ""
+    for w in sorted(state.X_codes):
+        marker = " [peripheries=2]" if w in state.E_codes else ""
         lines.append(f'  "{text(w)}"{marker};')
-    for y, x in sorted(state.A | state.B, key=lambda p: (p[0].code, p[1].code)):
-        value = state.phi.get((y, x))
+    for y, x in sorted(A | phi.keys()):
+        value = phi.get((y, x))
         label = f'label="{value}"' if value is not None else 'label="?"'
-        style = "" if (y, x) in state.A else ", style=dashed"
+        style = "" if (y, x) in A else ", style=dashed"
         lines.append(f'  "{text(y)}" -> "{text(x)}" [{label}{style}];')
     lines.append("}")
     return "\n".join(lines)

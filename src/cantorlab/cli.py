@@ -16,7 +16,7 @@ from .approximation import (
     check_lemma_57,
     check_lemma_58,
     detect_L_n,
-    is_maximal_antichain,
+    is_maximal_antichain_codes,
     run,
     state_dot,
     state_json,
@@ -46,7 +46,6 @@ from .orientedgraphs import (
     validate_uogas,
 )
 from .sequences import (
-    BinWord,
     Pow23,
     in_stride_set,
     stride,
@@ -540,17 +539,16 @@ def suite_lemma53_54(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) ->
     states = run(L, depth, budgets)
     viol = [f"{clause}: {witness}" for clause, witness in check_lemma_53_54(states).violations]
     for st in states:
-        if not is_maximal_antichain(st.X):
+        if not is_maximal_antichain_codes(st.X_codes):
             viol.append(f"level {st.level}: X is not a maximal antichain")
-        if not st.A <= st.B:
+        if not st.A_codes <= st.phi_codes.keys():
             viol.append(f"level {st.level}: A is not contained in B")
     for before, after in zip(states, states[1:]):
-        if len(after.X) != len(before.X) + len(before.E):
+        if len(after.X_codes) != len(before.X_codes) + len(before.E_codes):
             viol.append(f"level {after.level}: |X| != |X_prev| + |E_prev|")
-    seen_words = {w for st in states for w in st.X}
     for ln in range(depth // 3 + 1):
         for code in range(1 << ln, 2 << ln):
-            if BinWord(code) not in seen_words:
+            if not any(code in st.X_codes for st in states):
                 viol.append(f"bounded coverage: word of length {ln} (code {code}) never appears")
     detected = detect_L_n(states, budgets)
     if depth >= 1 and detected.get(0) != 1:
@@ -562,7 +560,7 @@ def suite_lemma53_54(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) ->
         not viol,
         viol,
         time.perf_counter() - t0,
-        {"L": L, "depth": depth, "stage_sizes": [len(st.X) for st in states[-3:]], "detected": detected},
+        {"L": L, "depth": depth, "stage_sizes": [len(st.X_codes) for st in states[-3:]], "detected": detected},
     )
 
 
@@ -714,7 +712,7 @@ def cmd_approx(args) -> int:
             path = outdir / f"stage_{st.level:03d}.dot"
             path.write_text(state_dot(st))
     for st in states:
-        print(f"l={st.level} |X|={len(st.X)} |B|={len(st.B)} |E|={len(st.E)}")
+        print(f"l={st.level} |X|={len(st.X_codes)} |B|={len(st.phi_codes)} |E|={len(st.E_codes)}")
     detected = detect_L_n(states, budgets)
     print("detected map levels:", json.dumps({str(k): v for k, v in sorted(detected.items())}))
     print(f"wrote {len(states)} stage files to {outdir}")

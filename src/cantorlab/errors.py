@@ -73,3 +73,7 @@ class PrefixTooShort(CantorLabError):
 
 class InvariantBroken(CantorLabError):
     """An internal invariant of a construction failed: a bug, not bad input."""
+
+
+class StageRelationCycle(InvariantBroken):
+    """A stage's successor relation has a cycle, so its words have no split order."""

@@ -4,13 +4,12 @@ Binary words are wrapped by BinWord but internally carried as "codes": the
 natural number whose binary expansion is 1 followed by the word's bits.  The
 empty word is 1, "0" is 2, "1" is 3, "00" is 4, and so on; numeric order of
 codes is exactly length-then-lexicographic order of words, which is also the
-enumeration order used by lenlex_word.  Hot loops elsewhere work on raw codes
-through the code_* helpers.
+enumeration order used by lenlex_word.  The approximation stages are stored
+and computed as raw codes with the code_* helpers, and turn them into BinWords
+only at their API boundary.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .config import DEFAULT, Budgets
 from .errors import CapExceeded, InvalidArgument, InvalidLevel
@@ -169,7 +168,6 @@ def padded_word(n: int) -> BinWord:
 
 
 _tower_cache: dict[int, int] = {0: 0}
-_tower_lock = threading.Lock()
 
 
 def tower_exp(n: int, budgets: Budgets = DEFAULT) -> int:
@@ -181,21 +179,20 @@ def tower_exp(n: int, budgets: Budgets = DEFAULT) -> int:
     """
     if n < 0:
         raise InvalidArgument("sequence index must be >= 0")
-    with _tower_lock:
-        if n in _tower_cache:
-            return _tower_cache[n]
-        top = max(_tower_cache)
-        value = _tower_cache[top]
-        while top < n:
-            if value > budgets.max_stride_bits:
-                raise CapExceeded(
-                    f"tower exponent {top + 1} is a power tower past any materialization cap "
-                    f"(its exponent alone has {value.bit_length()} bits)"
-                )
-            value = 3 * (1 << value)
-            top += 1
-            _tower_cache[top] = value
-        return value
+    if n in _tower_cache:
+        return _tower_cache[n]
+    top = max(_tower_cache)
+    value = _tower_cache[top]
+    while top < n:
+        if value > budgets.max_stride_bits:
+            raise CapExceeded(
+                f"tower exponent {top + 1} is a power tower past any materialization cap "
+                f"(its exponent alone has {value.bit_length()} bits)"
+            )
+        value = 3 * (1 << value)
+        top += 1
+        _tower_cache[top] = value
+    return value
 
 
 _stride_cache: dict[int, int] = {}
@@ -211,7 +208,6 @@ def stride(n: int, budgets: Budgets = DEFAULT) -> int:
         )
     v = _stride_cache.get(n)
     if v is None:
-        # idempotent value; a racing duplicate insert is harmless
         v = _stride_cache[n] = 1 << e
     return v
 

@@ -1,6 +1,7 @@
 """Stage-system tests: a brute-force edge oracle, frozen small stages worked
 out by hand, structural invariants at depth, and the check suites."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from cantorlab.approximation import (
     detect_L_n,
     init,
     is_maximal_antichain,
+    is_maximal_antichain_codes,
     run,
     state_dot,
     state_json,
@@ -27,11 +29,20 @@ from cantorlab.errors import (
     DecisionOverflow,
     InvalidArgument,
     InvalidLevel,
+    InvariantBroken,
     PrefixTooShort,
+    StageRelationCycle,
 )
 from cantorlab.maps import MapId, graph_meets
 from cantorlab.orientedgraphs import FiniteOrientedGraph, validate_uogas
-from cantorlab.sequences import BinWord, anchor_word, stride
+from cantorlab.sequences import (
+    BinWord,
+    anchor_word,
+    code_bit,
+    code_len,
+    stride,
+    stride_expand,
+)
 
 W = BinWord.from_str
 
@@ -65,6 +76,204 @@ def oracle_edges(family, words):
 
 def words(*texts):
     return frozenset(W(t) for t in texts)
+
+
+# ---------------------------------------------------------------------------
+# the BinWord stepper the code stepper replaced, kept as a reference
+
+
+def _ref_anchor_lengths(max_len, budgets):
+    out = {}
+    n = 0
+    while True:
+        st = stride(n, budgets)
+        if st > max_len:
+            return out
+        out[st] = n
+        n += 1
+
+
+def _ref_stage_edges(family, words, level, budgets):
+    phi = {}
+    if not words:
+        return phi
+    member_codes = {w.code for w in words}
+    max_len = max(code_len(c) for c in member_codes)
+    n = 0
+    while stride(n, budgets) < level:
+        st = stride(n, budgets)
+        seed0 = anchor_word(n, budgets).append(0)
+        reads = [stride_expand(family, n, k, budgets) for k in range(max_len + 1)]
+        need_filter = family != 1
+        ident = MapId(family, n)
+        for y in words:
+            ylen = len(y)
+            if ylen <= st or not seed0.is_prefix_of(y):
+                continue
+            ycode = y.code
+            stack = [1]
+            while stack:
+                c = stack.pop()
+                if c in member_codes:
+                    if code_len(c) > st:
+                        x = BinWord(c)
+                        if not need_filter or graph_meets(ident, y, x, budgets):
+                            phi[(y, x)] = n
+                    continue
+                k = code_len(c)
+                if k >= max_len:
+                    continue
+                if k == st:
+                    stack.append((c << 1) | 1)
+                    continue
+                r = reads[k]
+                if r < ylen:
+                    stack.append((c << 1) | code_bit(ycode, r))
+                else:
+                    c2 = c << 1
+                    stack.append(c2)
+                    stack.append(c2 | 1)
+        n += 1
+    return phi
+
+
+def _ref_advanced_chain(state, budgets):
+    family = state.family
+    lengths = _ref_anchor_lengths(max((len(w) for w in state.X), default=0), budgets)
+    anchors = set()
+    for w in state.X:
+        q = lengths.get(len(w))
+        if q is not None and w == anchor_word(q, budgets):
+            anchors.add(w)
+    sources = {y for y, _ in state.A}
+    out = set()
+    for w in anchors:
+        if w in state.E and w not in sources:
+            out.add((w.append(0), w.append(1)))
+    theta = {}
+    for y, x in state.A:
+        if x not in state.E:
+            if y not in state.E:
+                out.add((y, x))
+            elif y not in anchors:
+                out.add((y.append(0), x))
+                out.add((y.append(1), x))
+            else:
+                y1 = y.append(1)
+                out.add((y1, x))
+                out.add((y.append(0), y1))
+        else:
+            n = state.phi.get((y, x))
+            if n is None:
+                raise InvalidArgument("a successor pair with a splitting target has no edge witness")
+            key = (n, len(x))
+            t = theta.get(key)
+            if t is None:
+                t = theta[key] = stride_expand(family, n, len(x), budgets)
+            if y in state.E:
+                for eta in (0, 1):
+                    yy = y.append(eta)
+                    out.add((yy, x.append(yy.bit(t))))
+            else:
+                out.add((y, x.append(y.bit(t))))
+    return frozenset(out)
+
+
+def _ref_splitting_set(family, words, chain_pairs, phi, budgets):
+    succ = {}
+    preds = {}
+    for y, x in chain_pairs:
+        succ[y] = x
+        preds.setdefault(x, []).append(y)
+
+    position = {}
+    budget = 4 * (len(words) + len(chain_pairs)) + 8
+    for w in words:
+        stack = [w]
+        spent = 0
+        while stack:
+            spent += 1
+            if spent > budget:
+                raise InvalidArgument("stage relation cycles; split order undefined")
+            v = stack[-1]
+            if v in position:
+                stack.pop()
+                continue
+            ps = preds.get(v)
+            if not ps:
+                position[v] = 1
+                stack.pop()
+                continue
+            todo = [p for p in ps if p not in position]
+            if todo:
+                stack.extend(todo)
+                continue
+            position[v] = 1 + max(position[p] for p in ps)
+            stack.pop()
+
+    lengths = _ref_anchor_lengths(max((len(w) for w in words), default=0), budgets)
+    theta = {}
+    chosen = set()
+    blocked = set()
+    for x in sorted(words, key=lambda w: (position[w], str(w))):
+        ps = preds.get(x)
+        if ps:
+            if x in blocked:
+                continue
+            ok = True
+            for y in ps:
+                n = phi.get((y, x))
+                if n is None:
+                    ok = False
+                    break
+                key = (n, len(x))
+                t = theta.get(key)
+                if t is None:
+                    t = theta[key] = stride_expand(family, n, len(x), budgets)
+                if t >= len(y) + (1 if y in chosen else 0):
+                    ok = False
+                    break
+            if not ok:
+                continue
+        chosen.add(x)
+        q = lengths.get(len(x))
+        if q is not None and x == anchor_word(q, budgets):
+            v = x
+            while v in succ:
+                v = succ[v]
+                blocked.add(v)
+    return frozenset(chosen)
+
+
+def binword_step(state, budgets=DEFAULT):
+    """One stage step on BinWord objects throughout, as the stepper did
+    before stages were stored as word codes."""
+    next_words = set()
+    for w in state.X:
+        if w in state.E:
+            next_words.add(w.append(0))
+            next_words.add(w.append(1))
+        else:
+            next_words.add(w)
+    if len(next_words) > budgets.max_words:
+        raise CapExceeded(f"stage {state.level + 1} needs {len(next_words)} words")
+    level = state.level + 1
+    phi = _ref_stage_edges(state.family, next_words, level, budgets)
+    chain = _ref_advanced_chain(state, budgets)
+    splitting = _ref_splitting_set(state.family, next_words, chain, phi, budgets)
+    return ApproxState(state.family, level, next_words, chain, splitting, phi)
+
+
+def string_maximal_antichain(words):
+    """Prefix-freeness plus measure one, decided on sorted word strings."""
+    ws = sorted(str(w) for w in words)
+    if not ws:
+        return False
+    for a, b in zip(ws, ws[1:]):
+        if b.startswith(a):
+            return False
+    top = max(len(s) for s in ws)
+    return sum(1 << (top - len(s)) for s in ws) == 1 << top
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +431,58 @@ def test_stage_chain_is_an_uogas(family):
     for state in run(family, 8):
         graph = FiniteOrientedGraph(state.X, state.A)
         assert validate_uogas(graph).ok, state.level
+
+
+@pytest.mark.parametrize("family,depth", [(1, 16), (2, 10), (3, 8)])
+def test_code_stepper_matches_the_binword_stepper(family, depth):
+    """X, A, E and phi of every stage equal those of the BinWord stepper,
+    each stepping from its own previous stage."""
+    states = run(family, depth)
+    ref = init(family)
+    for state in states[1:]:
+        ref = binword_step(ref)
+        assert state.level == ref.level
+        assert state.X == ref.X, state.level
+        assert state.A == ref.A, state.level
+        assert state.E == ref.E, state.level
+        assert dict(state.phi) == dict(ref.phi), state.level
+
+
+def test_code_stepper_matches_the_binword_stepper_on_a_foreign_stage():
+    """Stepping the same hand-made stage gives the same next stage."""
+    base = run(1, 9)[9]
+    for state in (base, ApproxState(1, 9, base.X, base.A, base.E - words("0100"), base.phi)):
+        assert step(state) == binword_step(state)
+
+
+def test_step_reports_a_chain_cycle_as_a_broken_invariant():
+    """A 2-cycle of non-splitting words in A has no split order."""
+    state = ApproxState(
+        1, 2, words("00", "01", "10", "11"), {(W("10"), W("11")), (W("11"), W("10"))},
+        words("00"), {}
+    )
+    with pytest.raises(StageRelationCycle) as err:
+        step(state)
+    assert isinstance(err.value, InvariantBroken)
+
+
+def test_step_reports_a_missing_witness_as_a_broken_invariant():
+    """A successor pair into a splitting word must carry its edge witness."""
+    base = run(1, 2)[2]
+    phi = dict(base.phi)
+    del phi[(W("00"), W("01"))]
+    state = ApproxState(1, 2, base.X, base.A, base.E | words("01"), phi)
+    with pytest.raises(InvariantBroken):
+        step(state)
+
+
+def test_state_dot_frozen_text_to_depth_ten():
+    """The DOT text of stages 0..10 stays byte for byte the same."""
+    text = "\n".join(state_dot(s) for s in run(1, 10))
+    assert len(text) == 67_448
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c74168c91711265751e212715cbcbc7a9ea688cf4cd22a976434d1389f7627df"
+    )
 
 
 def test_partition_every_stage():
@@ -410,6 +671,22 @@ def test_antichain_predicate():
     assert not is_maximal_antichain(words("0"))
     assert not is_maximal_antichain(words("", "0"))
     assert not is_maximal_antichain([])
+
+
+def test_antichain_predicate_matches_sorted_strings_exhaustive():
+    """Every set of words of length <= 3, plus lists with repeats, against
+    the sorted-string predicate."""
+    universe = [BinWord(c) for c in range(1, 16)]
+    count = 0
+    for mask in range(1 << len(universe)):
+        ws = [w for i, w in enumerate(universe) if mask >> i & 1]
+        expected = string_maximal_antichain(ws)
+        assert is_maximal_antichain(ws) == expected, [str(w) for w in ws]
+        assert is_maximal_antichain_codes(w.code for w in ws) == expected
+        count += expected
+    assert count == 26
+    for texts in (["", ""], ["0", "1", "1"], ["0", "0", "1"]):
+        assert not is_maximal_antichain([W(t) for t in texts])
 
 
 def test_antichain_predicate_rejects_the_measure_trick():
