@@ -21,7 +21,7 @@ import argparse
 import dataclasses
 import sys
 
-from cantorlab.cli import suite_lemma51
+from cantorlab.suites import suite_lemma51
 from cantorlab.config import DEFAULT
 
 CANDIDATES = (("8", 8), ("2**31", 2**31))

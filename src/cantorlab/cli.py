@@ -4,689 +4,18 @@ the scheme build with its condition report, and map evaluation at a coordinate.
 
 import argparse
 import dataclasses
-import itertools
 import json
-import random
 import sys
-import time
 from pathlib import Path
 
-from .approximation import (
-    check_lemma_53_54,
-    check_lemma_57,
-    check_lemma_58,
-    detect_L_n,
-    is_maximal_antichain_codes,
-    run,
-    state_dot,
-    state_json,
-)
-from .config import DEFAULT, Budgets
-from .cylinders import LazyPoint, point_eval
-from .embedding import (
-    CantorInstance,
-    build_scheme,
-    check_scheme_conditions,
-    scheme_state_json,
-)
-from .errors import (
-    CantorLabError,
-    InvalidArgument,
-    OutsideDomain,
-    ResourceBoundary,
-)
-from .maps import MapId, check_condition_d, domain_point, g_compose_eval
-from .orientedgraphs import (
-    FiniteOrientedGraph,
-    duplicate,
-    lemma42_suite,
-    max_set,
-    p_to_max,
-    pred,
-    validate_uogas,
-)
-from .sequences import (
-    Pow23,
-    in_stride_set,
-    stride,
-    stride_expand,
-    tower_exp,
-)
-
-# Scheme-scale work pins more coordinates than the conservative default
-# enumeration budget tolerates; values are unaffected by the raise.
-SCHEME_FREE_COORDS = 4096
-
-
-@dataclasses.dataclass
-class SuiteResult:
-    """Outcome of one named check suite: verdict, witnesses, timing, seed."""
-
-    suite: str
-    ok: bool
-    violations: list
-    seconds: float
-    params: dict
-    seed: int | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "ok": self.ok,
-            "violations": [str(v) for v in self.violations[:50]],
-            "violation_count": len(self.violations),
-            "seconds": round(self.seconds, 3),
-            "params": self.params,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
-
-def _fmt_coord(c: int) -> str:
-    if c.bit_length() <= 64:
-        return str(c)
-    return f"<{c.bit_length()}-bit integer>"
-
-
-# ---------------------------------------------------------------------------
-# finite oriented graph enumeration and sampling
-
-
-def _iter_uogas(nv: int):
-    """Every uogas on vertices 0..nv-1, via out-degree <= 1 successor choices."""
-    verts = tuple(range(nv))
-    for choice in itertools.product((None, *verts), repeat=nv):
-        if any(choice[v] == v for v in verts):
-            continue
-        edges = [(v, choice[v]) for v in verts if choice[v] is not None]
-        g = FiniteOrientedGraph(verts, edges)
-        if validate_uogas(g).ok:
-            yield g
-
-
-def _random_uogas(rng: random.Random, nv: int) -> FiniteOrientedGraph:
-    """A uniform successor-function sample, rejected until acyclic."""
-    verts = tuple(range(nv))
-    while True:
-        edges = []
-        for v in verts:
-            t = rng.randrange(nv + 1)
-            if t != nv and t != v:
-                edges.append((v, t))
-        g = FiniteOrientedGraph(verts, edges)
-        if validate_uogas(g).ok:
-            return g
-
-
-def _enumeration_of(g: FiniteOrientedGraph):
-    """A valid duplication order (path length to the maximum, then vertex id)
-    and the number of duplication steps it supports."""
-    lengths = {v: len(p_to_max(g, v)) for v in g.vertices}
-    order = tuple(sorted(g.vertices, key=lambda v: (lengths[v], str(v))))
-    steps = sum(1 for v in g.vertices if lengths[v] >= 2)
-    return order, steps, lengths
-
-
-def _all_enumerations_of(g: FiniteOrientedGraph):
-    """Every order compatible with nondecreasing path length (small graphs)."""
-    lengths = {v: len(p_to_max(g, v)) for v in g.vertices}
-    groups = {}
-    for v in g.vertices:
-        groups.setdefault(lengths[v], []).append(v)
-    pools = [groups[k] for k in sorted(groups)]
-    for perm_blocks in itertools.product(*[itertools.permutations(p) for p in pools]):
-        yield tuple(v for block in perm_blocks for v in block)
-
-
-def _forest_signature(g: FiniteOrientedGraph):
-    """Shape of the in-forest up to relabeling: a Merkle-style tuple built
-    from sorted predecessor signatures, rooted at the maxima.
-
-    Duplication along a canonical order commutes with vertex relabeling, so
-    one development per shape certifies every graph of that shape.
-    """
-    def sig(v):
-        return tuple(sorted(sig(u) for u in pred(g, v)))
-
-    return tuple(sorted(sig(r) for r in max_set(g)))
-
-
-# ---------------------------------------------------------------------------
-# suites over the index machinery
-
-
-def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT) -> SuiteResult:
-    """Exact checks of the six expansion-map properties on desk-scale ranges."""
-    t0 = time.perf_counter()
-    viol = []
-    lattice_points = 0
-    for L in range(1, L_max + 1):
-        for n in (0, 1, 2):
-            st = stride(n, budgets)
-            gap_bound = 6 * st
-            jmax = max(kmax // st, 32)
-            seen = set()
-            prev = None
-            for j in range(1, jmax + 1):
-                k = st * j
-                y = stride_expand(L, n, k, budgets)
-                if y == k:
-                    viol.append(f"(3) fixed point on the stride lattice: L={L} n={n} k={k}")
-                if in_stride_set(n, y, budgets) and (y & (y - 1)) == 0:
-                    viol.append(f"(1) power of two in the image: L={L} n={n} k={k} -> {y}")
-                if y in seen:
-                    viol.append(f"(2) image collision: L={L} n={n} k={k}")
-                seen.add(y)
-                if prev is not None and y - prev > gap_bound:
-                    viol.append(f"(6) gap {y - prev} exceeds {gap_bound}: L={L} n={n} j={j}")
-                prev = y
-            lattice_points += jmax
-            del seen
-            for k in range(1, min(kmax, 10_000) + 1):
-                if k % st and stride_expand(L, n, k, budgets) != k:
-                    viol.append(f"(3) moved a point off the lattice: L={L} n={n} k={k}")
-
-    # (4): the tail composition applied to stride-scale powers of two lands
-    # back on the head's lattice with one tripling per applied stage.  The
-    # small cases are cross-checked against the plain-integer route.
-    witnesses = 0
-    for L in range(2, L_max + 1):
-        for size in range(2, L + 1):
-            for combo in itertools.combinations(range(5), size):
-                s = tuple(sorted(combo, reverse=True))
-                for r in (0, 1, 2):
-                    exp = tower_exp(s[0], budgets) + r
-                    x = Pow23(exp)
-                    try:
-                        for m in range(len(s) - 1, 0, -1):
-                            x = x.stride_expand(L, s[m], budgets)
-                    except CantorLabError as err:
-                        viol.append(f"(4) closed form lost: L={L} s={s} r={r}: {err}")
-                        continue
-                    if not (x.a == exp and x.b == len(s) - 1 and x.in_stride_set(s[0], budgets)):
-                        viol.append(f"(4) wrong landing: L={L} s={s} r={r} -> 2^a*3^{x.b}")
-                    if s[0] <= 2:
-                        w = 1 << exp
-                        for m in range(len(s) - 1, 0, -1):
-                            w = stride_expand(L, s[m], w, budgets)
-                        if w != x.value(budgets):
-                            viol.append(f"(4) route mismatch: L={L} s={s} r={r}")
-                    witnesses += 1
-
-    # (5): one stage more than the level permits never lands on the head's
-    # lattice.  Stages whose stride dwarfs the argument act as the identity.
-    # Besides the dense small range, probe arguments sitting on the two
-    # materializable big lattices: pure tripling from those starting points
-    # would land back on the head lattice, so they are where a wrongly chosen
-    # shift multiplier shows up.
-    kcap5 = min(kmax, 10**5)
-    criticals = [stride(n, budgets) * j for n in (1, 2) for j in range(1, 65)]
-
-    def theta_small(L, n, x):
-        if tower_exp(n, budgets) > 64:
-            return x
-        return stride_expand(L, n, x, budgets)
-
-    for L in range(1, L_max + 1):
-        for combo in itertools.combinations(range(5), L + 1):
-            s = tuple(sorted(combo, reverse=True))
-            head_big = tower_exp(s[0], budgets) > 64
-            for k in itertools.chain(range(1, kcap5 + 1), criticals):
-                x = k
-                for m in range(len(s) - 1, 0, -1):
-                    x = theta_small(L, s[m], x)
-                if not head_big and in_stride_set(s[0], x, budgets):
-                    viol.append(f"(5) landed on the head lattice: L={L} s={s} k={k} -> {x}")
-    return SuiteResult(
-        "lemma5.1",
-        not viol,
-        viol,
-        time.perf_counter() - t0,
-        {
-            "L_max": L_max,
-            "kmax": kmax,
-            "lattice_points": lattice_points,
-            "(4)_witnesses": witnesses,
-            "(5)_critical_probes": len(criticals),
-        },
-    )
-
-
-def _anchor_prefix_bit(n: int, i: int, budgets: Budgets) -> int:
-    """Bit i of the level-n seed word without materializing it."""
-    from .sequences import anchor_bit
-
-    return anchor_bit(n, i, budgets)
-
-
-def _composable(outer: int, inner: int, budgets: Budgets) -> bool:
-    """Does the inner map's image cylinder sit inside the outer seed cylinder?
-
-    Both words are a short lenlex prefix padded with zeros, so comparing the
-    first few positions and the appended-bit position decides it.
-    """
-    st_out = stride(outer, budgets)
-    positions = list(range(min(st_out, 8)))
-    positions.append(st_out)
-    st_in = stride(inner, budgets)
-    for i in positions:
-        inner_bit = 1 if i == st_in else _anchor_prefix_bit(inner, i, budgets)
-        want = _anchor_prefix_bit(outer, i, budgets) if i < st_out else 0
-        if inner_bit != want:
-            return False
-    return True
-
-
-def _domain_nested(outer: int, inner: int, budgets: Budgets) -> bool:
-    """Does the inner seed-then-0 cylinder sit inside the outer one?"""
-    st_out = stride(outer, budgets)
-    positions = list(range(min(st_out, 8)))
-    positions.append(st_out)
-    st_in = stride(inner, budgets)
-    for i in positions:
-        inner_bit = 0 if i == st_in else _anchor_prefix_bit(inner, i, budgets)
-        want = _anchor_prefix_bit(outer, i, budgets) if i < st_out else 0
-        if inner_bit != want:
-            return False
-    return True
-
-
-def _chain_defined(s, budgets: Budgets) -> bool:
-    """Whether the composition along s is anywhere defined: every stage's
-    image must extend the next stage's seed, and the starting seed must
-    extend every outer seed for the dropped-stage composition too."""
-    for i in range(len(s) - 1):
-        if not _composable(s[i], s[i + 1], budgets):
-            return False
-    return all(_domain_nested(s[i], s[-1], budgets) for i in range(len(s) - 1))
-
-
-def _sample_domain_point(L, n, rng, budgets):
-    """A point of the map's domain with seeded free bits past the seed word
-    (only where the free zone is materializable)."""
-    extra = {}
-    st = stride(n, budgets)
-    if st <= 1 << 24 and rng is not None:
-        ladder = {st * 3**m for m in range(n + 2)}
-        lo, hi = st + 1, st * 3 ** (n + 2)
-        while len(extra) < 8:
-            c = rng.randrange(lo, hi)
-            if c not in ladder:
-                extra[c] = rng.randrange(2)
-    return domain_point(MapId(L, n), extra, budgets)
-
-
-def suite_lemma52(
-    L_max: int = 2,
-    grid: int = 10**4,
-    seed: int = 0,
-    budgets: Budgets = DEFAULT,
-) -> SuiteResult:
-    """The composition inequality at the witness coordinate and the dropped-
-    stage equality over a coordinate window, per tuple that is defined at all."""
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    viol = []
-    tested_b = tested_c = vacuous = 0
-
-    for L in range(2, L_max + 1):
-        for size in range(2, min(L, 3) + 1):
-            for s in itertools.combinations(range(4), size):
-                if not _chain_defined(s, budgets):
-                    vacuous += 1
-                    continue
-                p = _sample_domain_point(L, s[-1], rng, budgets)
-                k = stride(s[-1], budgets)
-                try:
-                    va = g_compose_eval(L, s, p, k, budgets)
-                    vb = g_compose_eval(L, s[:-1], p, k, budgets)
-                except OutsideDomain as err:
-                    viol.append(f"(b) composition undefined on a domain point: L={L} s={s}: {err}")
-                    continue
-                if va == vb:
-                    viol.append(f"(b) compositions agree at the witness coordinate: L={L} s={s}")
-                tested_b += 1
-
-    window = stride(2, budgets) * 9
-    criticals = []
-    for i in (0, 1, 2):
-        c = stride(i, budgets)
-        while c <= window:
-            criticals.append(c)
-            c *= 3
-    for L in range(1, L_max + 1):
-        for s in itertools.combinations(range(4), L + 1):
-            if not _chain_defined(s, budgets):
-                vacuous += 1
-                continue
-            p = _sample_domain_point(L, s[-1], rng, budgets)
-            # threading a stage whose stride is huge costs a big-integer seed
-            # check per call, so those tuples get a thinned grid
-            points = grid if all(stride(n, budgets) <= 1 << 24 for n in s) else min(grid, 100)
-            step = max(1, window // points)
-            for k in itertools.chain(range(0, window + 1, step), criticals):
-                try:
-                    va = g_compose_eval(L, s, p, k, budgets)
-                    vb = g_compose_eval(L, s[:-1], p, k, budgets)
-                except OutsideDomain as err:
-                    viol.append(f"(c) composition undefined on a domain point: L={L} s={s}: {err}")
-                    break
-                if va != vb:
-                    viol.append(f"(c) dropped-stage mismatch: L={L} s={s} k={_fmt_coord(k)}: {va} vs {vb}")
-            tested_c += 1
-
-    return SuiteResult(
-        "lemma5.2",
-        not viol,
-        viol,
-        time.perf_counter() - t0,
-        {
-            "L_max": L_max,
-            "grid": grid,
-            "window": window,
-            "tested_b": tested_b,
-            "tested_c": tested_c,
-            "vacuous_tuples": vacuous,
-        },
-        seed=seed,
-    )
-
-
-def suite_condition_d(
-    L: int = 1,
-    samples: int = 100,
-    seed: int = 0,
-    budgets: Budgets = DEFAULT,
-) -> SuiteResult:
-    """Two-step-equals-one-step agreement for the first two maps: an identity
-    at level 1, and the expected failure at the forced coordinate above."""
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    viol = []
-    coords = list(range(513)) + [rng.randrange(513, 10**9) for _ in range(1000)]
-    ladder = {8 * 3**m for m in range(4)}
-    for i in range(samples):
-        extra = {}
-        while len(extra) < 10:
-            c = rng.randrange(9, 2000)
-            if c not in ladder:
-                extra[c] = rng.randrange(2)
-        p = domain_point(MapId(L, 1), extra, budgets)
-        if L == 1:
-            if not check_condition_d(1, 0, 1, p, coords, budgets):
-                viol.append(f"two-step identity failed at level 1: sample {i}")
-        else:
-            if check_condition_d(L, 0, 1, p, [stride(1, budgets)], budgets):
-                viol.append(
-                    f"two-step identity unexpectedly held at the forced coordinate: "
-                    f"L={L} sample {i}"
-                )
-    return SuiteResult(
-        "condition-d",
-        not viol,
-        viol,
-        time.perf_counter() - t0,
-        {"L": L, "samples": samples, "expected": "identity" if L == 1 else "failure at the witness"},
-        seed=seed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# suites over finite oriented graphs
-
-
-def suite_lemma42(max_vertices: int = 6) -> SuiteResult:
-    """Validator and structure-lemma clauses over every small uogas."""
-    t0 = time.perf_counter()
-    viol = []
-    graphs = 0
-    for nv in range(1, max_vertices + 1):
-        for g in _iter_uogas(nv):
-            graphs += 1
-            rep = lemma42_suite(g)
-            if not rep.ok:
-                viol.append(f"{nv}-vertex graph {sorted(g.edges)}: {rep.violations[:2]}")
-    return SuiteResult(
-        "lemma4.2", not viol, viol, time.perf_counter() - t0, {"max_vertices": max_vertices, "graphs": graphs}
-    )
-
-
-def suite_lemma43(
-    max_vertices: int = 6,
-    random_vertices: int = 12,
-    samples: int = 1000,
-    seed: int = 0,
-    budgets: Budgets = DEFAULT,
-) -> SuiteResult:
-    """Full duplication stays a uogas: exhaustive on small graphs (all valid
-    orders up to 3 vertices, one canonical order above), sampled on larger ones."""
-    t0 = time.perf_counter()
-    viol = []
-    developed = covered = 0
-    seen_shapes = set()
-    for nv in range(1, max_vertices + 1):
-        for g in _iter_uogas(nv):
-            covered += 1
-            shape = _forest_signature(g)
-            if shape in seen_shapes:
-                continue
-            seen_shapes.add(shape)
-            if nv <= 3:
-                orders = list(_all_enumerations_of(g))
-            else:
-                orders = [_enumeration_of(g)[0]]
-            _, steps, _ = _enumeration_of(g)
-            for order in orders:
-                out = duplicate(g, order, steps, budgets=budgets)
-                developed += 1
-                rep = validate_uogas(out)
-                if not rep.ok:
-                    viol.append(f"{nv}-vertex {sorted(g.edges)} order {order}: {rep.violations[:2]}")
-
-    rng = random.Random(seed)
-    sampled = skipped = 0
-    attempts = 0
-    copy_count = random_vertices
-    while sampled < samples and attempts < samples * 20:
-        attempts += 1
-        g = _random_uogas(rng, random_vertices)
-        order, steps, lengths = _enumeration_of(g)
-        # two duplication steps keep randomized runs at desk scale; the full
-        # development is exercised by the exhaustive small graphs above
-        m = min(steps, 2)
-        projected = sum(copy_count ** (min(lengths[v], m + 1) - 1) for v in g.vertices)
-        if projected > budgets.duplication_cap:
-            skipped += 1
-            continue
-        out = duplicate(g, order, m, budgets=budgets)
-        sampled += 1
-        rep = validate_uogas(out)
-        if not rep.ok:
-            viol.append(f"random {random_vertices}-vertex {sorted(g.edges)}: {rep.violations[:2]}")
-    return SuiteResult(
-        "lemma4.3",
-        not viol,
-        viol,
-        time.perf_counter() - t0,
-        {
-            "max_vertices": max_vertices,
-            "graphs_covered": covered,
-            "shapes_developed": len(seen_shapes),
-            "developments": developed,
-            "random_vertices": random_vertices,
-            "random_steps": 2,
-            "sampled": sampled,
-            "skipped_over_cap": skipped,
-        },
-        seed=seed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# suites over the approximation stages
-
-
-def _approx_budgets(budgets: Budgets) -> Budgets:
-    return dataclasses.replace(budgets, max_words=max(budgets.max_words, 2_000_000))
-
-
-def suite_lemma53_54(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) -> SuiteResult:
-    """Stage-structure checks: edge/antichain lemmas, the partition invariant,
-    the stage-size recurrence, bounded word coverage, and event detection."""
-    t0 = time.perf_counter()
-    budgets = _approx_budgets(budgets)
-    states = run(L, depth, budgets)
-    viol = [f"{clause}: {witness}" for clause, witness in check_lemma_53_54(states).violations]
-    for st in states:
-        if not is_maximal_antichain_codes(st.X_codes):
-            viol.append(f"level {st.level}: X is not a maximal antichain")
-        if not st.A_codes <= st.phi_codes.keys():
-            viol.append(f"level {st.level}: A is not contained in B")
-    for before, after in zip(states, states[1:]):
-        if len(after.X_codes) != len(before.X_codes) + len(before.E_codes):
-            viol.append(f"level {after.level}: |X| != |X_prev| + |E_prev|")
-    for ln in range(depth // 3 + 1):
-        for code in range(1 << ln, 2 << ln):
-            if not any(code in st.X_codes for st in states):
-                viol.append(f"bounded coverage: word of length {ln} (code {code}) never appears")
-    detected = detect_L_n(states, budgets)
-    if depth >= 1 and detected.get(0) != 1:
-        viol.append(f"detected first-map level {detected.get(0)}, expected 1")
-    if depth >= 8 and detected.get(1) != 8:
-        viol.append(f"detected second-map level {detected.get(1)}, expected 8")
-    return SuiteResult(
-        "lemma5.3-4",
-        not viol,
-        viol,
-        time.perf_counter() - t0,
-        {"L": L, "depth": depth, "stage_sizes": [len(st.X_codes) for st in states[-3:]], "detected": detected},
-    )
-
-
-def suite_lemma57(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) -> SuiteResult:
-    """Chain-position bookkeeping for the first family over all stage edges."""
-    t0 = time.perf_counter()
-    budgets = _approx_budgets(budgets)
-    states = run(L, depth, budgets)
-    rep = check_lemma_57(states)
-    viol = [f"{clause}: {witness}" for clause, witness in rep.violations]
-    return SuiteResult(
-        "lemma5.7", not viol, viol, time.perf_counter() - t0, {"L": L, "depth": depth}
-    )
-
-
-def suite_lemma58(
-    L: int = 1,
-    depth: int = 20,
-    samples: int = 20,
-    seed: int = 0,
-    budgets: Budgets = DEFAULT,
-) -> SuiteResult:
-    """Follow random input prefixes through the stages and check the paired
-    image prefixes, their witnesses, and their nesting."""
-    t0 = time.perf_counter()
-    budgets = _approx_budgets(budgets)
-    states = run(L, depth, budgets)
-    rng = random.Random(seed)
-    viol = []
-    probes = 0
-    for n in (0, 1):
-        st = stride(n, budgets)
-        if st + 2 > depth:
-            continue
-        for _ in range(samples):
-            length = rng.randint(st + 2, depth)
-            prefix = "0" * (st + 1) + "".join(str(rng.randrange(2)) for _ in range(length - st - 1))
-            rep = check_lemma_58(states, n, prefix, budgets)
-            probes += 1
-            for clause, witness in rep.violations:
-                viol.append(f"n={n} prefix={prefix}: {clause}: {witness}")
-    return SuiteResult(
-        "lemma5.8",
-        not viol,
-        viol,
-        time.perf_counter() - t0,
-        {"L": L, "depth": depth, "probes": probes},
-        seed=seed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# scheme suite
-
-
-def suite_scheme_conditions(depth: int = 8, budgets: Budgets = DEFAULT) -> SuiteResult:
-    """Build the nested cell scheme and verify its six conditions."""
-    t0 = time.perf_counter()
-    budgets = dataclasses.replace(
-        budgets, max_free_coords=max(budgets.max_free_coords, SCHEME_FREE_COORDS)
-    )
-    inst = CantorInstance(1, budgets)
-    states = build_scheme(inst, depth, budgets)
-    rep = check_scheme_conditions(states, inst, budgets)
-    viol = [f"{clause}: {witness}" for clause, witness in rep.violations]
-    return SuiteResult(
-        "scheme-conditions",
-        not viol,
-        viol,
-        time.perf_counter() - t0,
-        {
-            "depth": depth,
-            "cells": len(states[-1].cells),
-            "strengths": dict(sorted(states[-1].phi.items())),
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def _suite_adapter(args) -> SuiteResult:
-    name = args.suite
-    L = args.L
-    if name == "lemma4.2":
-        return suite_lemma42(max_vertices=args.max_vertices or 6)
-    if name == "lemma4.3":
-        return suite_lemma43(
-            max_vertices=args.max_vertices or 6,
-            samples=args.samples or 1000,
-            seed=args.seed,
-        )
-    if name == "lemma5.1":
-        return suite_lemma51(L_max=L or 3, kmax=args.kmax or 10**6)
-    if name == "lemma5.2":
-        return suite_lemma52(L_max=L or 2, grid=args.kmax or 10**4, seed=args.seed)
-    if name == "lemma5.3-4":
-        return suite_lemma53_54(L=L or 1, depth=args.depth if args.depth is not None else 20)
-    if name == "lemma5.7":
-        return suite_lemma57(L=L or 1, depth=args.depth if args.depth is not None else 20)
-    if name == "lemma5.8":
-        return suite_lemma58(
-            L=L or 1,
-            depth=args.depth if args.depth is not None else 20,
-            samples=args.samples or 20,
-            seed=args.seed,
-        )
-    if name == "condition-d":
-        return suite_condition_d(L=L or 1, samples=args.samples or 100, seed=args.seed)
-    if name == "scheme-conditions":
-        return suite_scheme_conditions(depth=args.depth if args.depth is not None else 8)
-    raise InvalidArgument(f"unknown suite {name!r}")
-
-
-SUITE_NAMES = (
-    "lemma4.2",
-    "lemma4.3",
-    "lemma5.1",
-    "lemma5.2",
-    "lemma5.3-4",
-    "lemma5.7",
-    "lemma5.8",
-    "condition-d",
-    "scheme-conditions",
-)
+from .approximation import detect_L_n, run, state_dot, state_json
+from .config import DEFAULT
+from .cylinders import LazyPoint
+from .embedding import scheme_state_json
+from .errors import CantorLabError, InvalidArgument, OutsideDomain
+from .maps import g_compose_eval
+from .sequences import stride, stride_expand
+from .suites import SUITES, checked_scheme, fmt_coord
 
 
 def cmd_approx(args) -> int:
@@ -697,11 +26,7 @@ def cmd_approx(args) -> int:
         print("error: --depth must be >= 0", file=sys.stderr)
         return 2
     budgets = dataclasses.replace(DEFAULT, max_words=args.max_words)
-    try:
-        states = run(args.L, args.depth, budgets)
-    except ResourceBoundary as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    states = run(args.L, args.depth, budgets)
     outdir = Path(args.out or f"approx_L{args.L}_d{args.depth}")
     outdir.mkdir(parents=True, exist_ok=True)
     for st in states:
@@ -720,14 +45,13 @@ def cmd_approx(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.L is not None and args.L < 1:
-        print("error: --L must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        result = _suite_adapter(args)
-    except ResourceBoundary as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    suite = SUITES[args.suite]
+    kwargs = {}
+    for option, param in suite.options.items():
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is not None:
+            kwargs[param] = value
+    result = suite.fn(**kwargs)
     print(json.dumps(result.to_json(), indent=2))
     return 0 if result.ok else 1
 
@@ -736,18 +60,8 @@ def cmd_build_h(args) -> int:
     if args.depth < 0:
         print("error: --depth must be >= 0", file=sys.stderr)
         return 2
-    budgets = dataclasses.replace(
-        DEFAULT,
-        max_free_coords=max(DEFAULT.max_free_coords, SCHEME_FREE_COORDS),
-        duplication_cap=args.duplication_cap,
-    )
-    inst = CantorInstance(1, budgets)
-    try:
-        states = build_scheme(inst, args.depth, budgets)
-    except ResourceBoundary as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    rep = check_scheme_conditions(states, inst, budgets)
+    budgets = dataclasses.replace(DEFAULT, duplication_cap=args.duplication_cap)
+    states, rep = checked_scheme(args.depth, budgets)
     report = {
         "depth": args.depth,
         "strengths": {str(k): v for k, v in sorted(states[-1].phi.items())},
@@ -808,11 +122,11 @@ def cmd_eval_g(args) -> int:
     try:
         for i, n in enumerate(stages):
             if c == stride(n):
-                trace.append(f"stage {i} (map {n}): coordinate {_fmt_coord(c)} is the forced stride coordinate -> 1")
+                trace.append(f"stage {i} (map {n}): coordinate {fmt_coord(c)} is the forced stride coordinate -> 1")
                 c = None
                 break
             nxt = stride_expand(args.L, n, c)
-            trace.append(f"stage {i} (map {n}): coordinate {_fmt_coord(c)} reads input {_fmt_coord(nxt)}")
+            trace.append(f"stage {i} (map {n}): coordinate {fmt_coord(c)} reads input {fmt_coord(nxt)}")
             c = nxt
         value = g_compose_eval(args.L, stages, point, args.coord)
     except OutsideDomain as err:
@@ -821,17 +135,22 @@ def cmd_eval_g(args) -> int:
         stage = getattr(err, "stage", None)
         print(f"error: point outside the domain at stage {stage}: {err}", file=sys.stderr)
         return 1
-    except ResourceBoundary as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     for line in trace:
         print(line)
     if c is not None:
-        trace_tail = f"point bit {_fmt_coord(c)}"
+        trace_tail = f"point bit {fmt_coord(c)}"
     else:
         trace_tail = "forced"
     print(f"value: {value} ({trace_tail})")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """Argument type of the `check` options that count or bound work."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -850,13 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_approx.set_defaults(fn=cmd_approx)
 
     p_check = sub.add_parser("check", help="run a named property suite")
-    p_check.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p_check.add_argument("--L", type=int, default=None)
-    p_check.add_argument("--depth", type=int, default=None)
-    p_check.add_argument("--kmax", type=int, default=None)
-    p_check.add_argument("--max-vertices", type=int, default=None)
-    p_check.add_argument("--samples", type=int, default=None)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--suite", required=True, choices=SUITES)
+    p_check.add_argument("--L", type=_positive_int)
+    p_check.add_argument("--depth", type=int)
+    p_check.add_argument("--kmax", type=_positive_int)
+    p_check.add_argument("--max-vertices", type=_positive_int)
+    p_check.add_argument("--samples", type=_positive_int)
+    p_check.add_argument("--seed", type=int)
     p_check.set_defaults(fn=cmd_check)
 
     p_build = sub.add_parser("build-h", help="build the cell scheme and verify its conditions")

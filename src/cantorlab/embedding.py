@@ -36,7 +36,6 @@ from .sequences import BinWord, anchor_word, stride
 
 __all__ = [
     "CantorInstance",
-    "ComplexInstance",
     "MappingTupleAssignment",
     "SchemeState",
     "build_scheme",
@@ -57,58 +56,17 @@ __all__ = [
 # instances
 
 
-class ComplexInstance:
-    """A space carrying an indexed family of partial clopen-to-clopen maps.
+class CantorInstance:
+    """Binary sequence space carrying the stride maps: an indexed family of
+    partial clopen-to-clopen maps.
 
-    The surface is what the refinement passes and the splitting construction
-    consume: per-index domains, exact images and preimages of cells, a
-    supply of distinct preimages of a single point, diameter control, and
-    point membership.  point_preimage and cell_around extend the minimal
-    surface: the splitting construction needs to aim a preimage at a given
-    point and to carve a small cell around a given point, and neither is
-    expressible through the other six operations.
-    """
-
-    def domain(self, n) -> SymbolicClopen:
-        raise NotImplementedError
-
-    def image(self, n, C) -> SymbolicClopen:
-        raise NotImplementedError
-
-    def preimage(self, n, C) -> SymbolicClopen:
-        raise NotImplementedError
-
-    def pick_distinct_preimages(self, n, C, count):
-        """A target point with `count` distinct preimages inside C."""
-        raise NotImplementedError
-
-    def point_preimage(self, n, C, target) -> LazyPoint:
-        """A point of C mapping exactly to `target` under map n."""
-        raise NotImplementedError
-
-    def split_below_diameter(self, C, d) -> SymbolicClopen:
-        raise NotImplementedError
-
-    def cell_around(self, C, p, d) -> SymbolicClopen:
-        """A clopen neighbourhood of p inside C with diameter <= 2^-d."""
-        raise NotImplementedError
-
-    def cell_pinned(self, C, p, coords) -> SymbolicClopen:
-        """A clopen neighbourhood of p inside C fixing the given coordinates.
-
-        Sparse variant of cell_around: pinning only the listed coordinates
-        keeps the rest of the cell free, which the level scheme depends on
-        (a later pairing stage must still find room at the coordinate its
-        map forces).
-        """
-        raise NotImplementedError
-
-    def contains(self, C, p) -> bool:
-        raise NotImplementedError
-
-
-class CantorInstance(ComplexInstance):
-    """The reference instance: binary sequence space with the stride maps.
+    Its methods are what the refinement passes and the splitting
+    construction consume: per-index domains, exact images and preimages of
+    cells, a supply of distinct preimages of a single point, diameter
+    control, and point membership.  point_preimage and cell_around extend
+    that minimal surface: the splitting construction needs to aim a preimage
+    at a given point and to carve a small cell around a given point, and
+    neither is expressible through the other operations.
 
     Cells are SymbolicClopen values, points are LazyPoint values, and every
     operation is exact; nothing is sampled.  `family` picks the expansion
@@ -181,7 +139,9 @@ class CantorInstance(ComplexInstance):
         return g_point(ident, pts[0], b), pts
 
     def point_preimage(self, n, C, target) -> LazyPoint:
-        """Read coordinates come back from the target, unread ones from a
+        """A point of C mapping exactly to `target` under map n.
+
+        Read coordinates come back from the target, unread ones from a
         witness of C; the image of the result is the target, coordinate by
         coordinate, with no approximation.
         """
@@ -214,9 +174,17 @@ class CantorInstance(ComplexInstance):
         return self.cell_around(C, C.witness_point(), d)
 
     def cell_around(self, C, p, d) -> SymbolicClopen:
+        """A clopen neighbourhood of p inside C with diameter <= 2^-d."""
         return self.cell_pinned(C, p, range(d))
 
     def cell_pinned(self, C, p, coords) -> SymbolicClopen:
+        """A clopen neighbourhood of p inside C fixing the given coordinates.
+
+        Sparse variant of cell_around: pinning only the listed coordinates
+        keeps the rest of the cell free, which the level scheme depends on
+        (a later pairing stage must still find room at the coordinate its
+        map forces).
+        """
         atoms = []
         for i in sorted(set(coords)):
             bit = point_eval(p, i)
@@ -243,7 +211,7 @@ class MappingTupleAssignment:
 
     __slots__ = ("graph", "instance", "u", "V")
 
-    def __init__(self, graph: FiniteOrientedGraph, instance: ComplexInstance, u, V):
+    def __init__(self, graph: FiniteOrientedGraph, instance: CantorInstance, u, V):
         self.graph = graph
         self.instance = instance
         self.u = dict(u)

@@ -22,7 +22,7 @@ from test_orientedgraphs import brute_simple_paths
 import pytest
 
 from cantorlab.approximation import run
-from cantorlab.cli import (
+from cantorlab.suites import (
     suite_condition_d,
     suite_lemma42,
     suite_lemma43,

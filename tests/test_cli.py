@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, frozen output lines, and the JSON
 reports written by the approx, check, build-h, and eval-g subcommands."""
 
+import inspect
 import json
 
 import pytest
 
+from cantorlab import approximation
 from cantorlab.cli import main
+from cantorlab.suites import SUITES
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +47,14 @@ def test_approx_dot_emission(tmp_path):
 def test_approx_rejects_bad_level(capsys):
     assert main(["approx", "--L", "0", "--depth", "2"]) == 2
     assert "--L must be >= 1" in capsys.readouterr().err
+
+
+def test_approx_stage_cap_fails_cleanly(tmp_path, monkeypatch, capsys):
+    # an empty stage memo, so the cap trips while stepping
+    monkeypatch.setattr(approximation, "_stage_cache", {})
+    rc = main(["approx", "--depth", "3", "--max-words", "1", "--out", str(tmp_path / "stages")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: stage 1:")
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +96,59 @@ def test_check_small_index_suite(capsys):
     rc = main(["check", "--suite", "lemma5.1", "--L", "2", "--kmax", "2000"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+# A small run of every suite in the table, with stand-ins for the options a
+# report does not echo: lemma4.3 and lemma5.8 report how many graphs they
+# sampled and how many prefixes they probed (two per sample at depth 12),
+# not `samples` itself.
+SMALL_RUNS = {
+    "lemma4.2": (["--max-vertices", "3"], {}),
+    "lemma4.3": (["--max-vertices", "3", "--samples", "2", "--seed", "5"], {"samples": ("sampled", 2)}),
+    "lemma5.1": (["--L", "1", "--kmax", "100"], {}),
+    "lemma5.2": (["--kmax", "100", "--seed", "3"], {}),
+    "lemma5.3-4": (["--depth", "8"], {}),
+    "lemma5.7": (["--depth", "8"], {}),
+    "lemma5.8": (["--depth", "12", "--samples", "2"], {"samples": ("probes", 4)}),
+    "condition-d": (["--L", "2", "--samples", "2"], {}),
+    "scheme-conditions": (["--depth", "3"], {}),
+}
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_check_passes_options_to_every_suite(name, capsys):
+    argv, standins = SMALL_RUNS[name]
+    assert main(["check", "--suite", name, *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["suite"] == name
+    for option, text in zip(argv[::2], argv[1::2]):
+        param = SUITES[name].options[option]
+        if param == "seed":
+            assert report["seed"] == int(text)
+        else:
+            shown, value = standins.get(param, (param, int(text)))
+            assert report["params"][shown] == value
+
+
+def test_suite_table_names_real_parameters():
+    for name, suite in SUITES.items():
+        params = inspect.signature(suite.fn).parameters
+        for option, param in suite.options.items():
+            assert param in params, (name, option, param)
+
+
+def _must_not_run(**kwargs):
+    raise AssertionError("the suite ran")
+
+
+@pytest.mark.parametrize(
+    "suite, option, value",
+    [("lemma4.3", "--samples", "0"), ("lemma5.2", "--kmax", "-5"), ("lemma4.2", "--max-vertices", "0")],
+)
+def test_check_rejects_counts_below_one(suite, option, value, monkeypatch, capsys):
+    monkeypatch.setitem(SUITES, suite, SUITES[suite]._replace(fn=_must_not_run))
+    assert main(["check", "--suite", suite, option, value]) == 2
+    assert f"argument {option}: must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
