@@ -29,9 +29,9 @@ from types import MappingProxyType
 from .config import DEFAULT, Budgets
 from .cylinders import SymbolicClopen
 from .errors import (CapExceeded, DecisionOverflow, InvalidArgument, InvalidLevel,
-                     InvariantBroken, PrefixTooShort, ResourceBoundary, StageRelationCycle)
+                     InvariantBroken, PrefixTooShort, StageRelationCycle)
 from .maps import MapId, domain_D, graph_meets
-from .orientedgraphs import CheckReport
+from .orientedgraphs import CheckReport, FiniteOrientedGraph, validate_uogas
 from .sequences import (BinWord, anchor_word, code_bit, code_is_prefix, code_len, code_str,
                         stride, stride_expand)
 
@@ -301,6 +301,12 @@ def _splitting_set(family, words, chain_pairs, phi, budgets) -> set:
     return chosen
 
 
+def _check_word_cap(level: int, count: int, budgets: Budgets):
+    """One message for a stage over the word cap, stepped or memoized."""
+    if count > budgets.max_words:
+        raise CapExceeded(f"stage {level}: {count} words, cap is {budgets.max_words}")
+
+
 def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
     """The next stage: split every marked cell, recompute the edge set and
     its witnesses, advance the successor relation, re-decide the splits."""
@@ -308,12 +314,8 @@ def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
     next_words = set(state.X_codes - E)
     for w in state.X_codes & E:
         next_words.update((w << 1, (w << 1) | 1))
-    if len(next_words) > budgets.max_words:
-        raise CapExceeded(
-            f"stage {state.level + 1} needs {len(next_words)} words, "
-            f"cap is {budgets.max_words}"
-        )
     level = state.level + 1
+    _check_word_cap(level, len(next_words), budgets)
     phi = _stage_edges(state.family, next_words, level, budgets)
     chain = _advanced_chain(state, budgets)
     splitting = _splitting_set(state.family, next_words, chain, phi, budgets)
@@ -334,16 +336,10 @@ def run(L: int, depth: int, budgets: Budgets = DEFAULT) -> list:
         raise DecisionOverflow(f"depth {depth} is past the {budgets.max_depth}-stage budget")
     states = _stage_cache.setdefault((L, budgets.shift_base), [init(L)])
     while len(states) <= depth:
-        try:
-            states.append(step(states[-1], budgets))
-        except ResourceBoundary as err:
-            raise type(err)(f"stage {len(states)}: {err}") from err
+        states.append(step(states[-1], budgets))
     out = states[: depth + 1]
     for st in out:
-        if len(st.X_codes) > budgets.max_words:
-            raise CapExceeded(
-                f"stage {st.level} holds {len(st.X_codes)} words, cap is {budgets.max_words}"
-            )
+        _check_word_cap(st.level, len(st.X_codes), budgets)
     return out
 
 
@@ -362,44 +358,26 @@ def detect_L_n(states, budgets: Budgets = DEFAULT) -> dict:
 # check suites
 
 
+def _rendered(witness):
+    """A validator witness with each word code rendered as its word."""
+    if isinstance(witness, tuple):
+        return tuple(_rendered(w) for w in witness)
+    return code_str(witness)
+
+
 def check_lemma_53_54(states) -> CheckReport:
-    """Per stage: the successor relation is an uogas contained in the edge
-    set, and every successor chain fits inside the stage's length bound."""
+    """Per stage: the successor relation is an uogas (validate_uogas decides
+    its clauses), it lies inside the edge set, and every successor chain fits
+    inside the stage's length bound."""
     report = CheckReport()
     for state in states:
         lvl = state.level
-        A = state.A_codes
-        succ = {}
-        parent = {}
-
-        def find(c):
-            root = c
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(c, c) != c:
-                parent[c], c = root, parent[c]
-            return root
-
-        for y, x in sorted(A):
-            if y == x:
-                report.add("irreflexive", (lvl, code_str(y)))
-                continue
-            reverse = (x, y) in A
-            if reverse and y < x:
-                report.add("antisymmetric", (lvl, code_str(y), code_str(x)))
-            prev = succ.get(y)
-            if prev is not None and prev != x:
-                report.add("unique-successor", (lvl, code_str(y), code_str(prev), code_str(x)))
-            succ[y] = x
-            if (y, x) not in state.phi_codes:
-                report.add("contained-in-edge-set", (lvl, code_str(y), code_str(x)))
-            if reverse and x < y:
-                continue  # the undirected edge was joined from (x, y)
-            ry, rx = find(y), find(x)
-            if ry == rx:
-                report.add("acyclic-symmetrization", (lvl, code_str(y), code_str(x)))
-            else:
-                parent[ry] = rx
+        graph = FiniteOrientedGraph(state.X_codes, state.A_codes)
+        for clause, witness in validate_uogas(graph).violations:
+            report.add(clause, (lvl, *_rendered(witness)))
+        for y, x in sorted(state.A_codes - state.phi_codes.keys()):
+            report.add("contained-in-edge-set", (lvl, code_str(y), code_str(x)))
+        succ = dict(sorted(state.A_codes))  # a branching word follows its largest successor
         depth = {}
         bound = max(lvl, 1)
         limit = len(state.X_codes)

@@ -46,12 +46,16 @@ def cmd_approx(args) -> int:
 
 def cmd_check(args) -> int:
     suite = SUITES[args.suite]
-    kwargs = {}
-    for option, param in suite.options.items():
+    given = {}
+    for option in CHECK_OPTIONS:
         value = getattr(args, option[2:].replace("-", "_"))
         if value is not None:
-            kwargs[param] = value
-    result = suite.fn(**kwargs)
+            given[option] = value
+    foreign = [option for option in given if option not in suite.options]
+    if foreign:
+        print(f"error: suite {args.suite} takes no {', '.join(foreign)}", file=sys.stderr)
+        return 2
+    result = suite.fn(**{suite.options[option]: value for option, value in given.items()})
     print(json.dumps(result.to_json(), indent=2))
     return 0 if result.ok else 1
 
@@ -153,6 +157,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _natural(text: str) -> int:
+    """Argument type of `check --depth`."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+# Every `check` option and its argument type; each suite takes the ones its
+# SUITES entry maps.
+CHECK_OPTIONS = {
+    "--L": _positive_int,
+    "--depth": _natural,
+    "--kmax": _positive_int,
+    "--max-vertices": _positive_int,
+    "--samples": _positive_int,
+    "--seed": int,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantorlab",
@@ -170,12 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a named property suite")
     p_check.add_argument("--suite", required=True, choices=SUITES)
-    p_check.add_argument("--L", type=_positive_int)
-    p_check.add_argument("--depth", type=int)
-    p_check.add_argument("--kmax", type=_positive_int)
-    p_check.add_argument("--max-vertices", type=_positive_int)
-    p_check.add_argument("--samples", type=_positive_int)
-    p_check.add_argument("--seed", type=int)
+    for option, kind in CHECK_OPTIONS.items():
+        p_check.add_argument(option, type=kind)
     p_check.set_defaults(fn=cmd_check)
 
     p_build = sub.add_parser("build-h", help="build the cell scheme and verify its conditions")

@@ -13,10 +13,6 @@ class Budgets:
     # (length 2**24) fits, anchor_word(3) (length 2**50331648) never will.
     word_cap_bits: int = 1 << 26
 
-    # Emptiness / subset / image decisions on constraint sets enumerate at most
-    # this many constrained coordinates outside the base prefix.
-    max_free_coords: int = 24
-
     # Cap on |X| for approximation runs.  The default keeps casual runs safe;
     # the depth-20 acceptance run passes an explicit larger cap.
     max_words: int = 200_000

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .config import DEFAULT, Budgets
-from .errors import EmptySet, InvalidArgument, TooManyFreeCoordinates
+from .errors import EmptySet, InvalidArgument
 from .sequences import BinWord, code_bit, code_is_prefix, code_len, code_meet
 
 
@@ -100,7 +100,7 @@ class SymbolicClopen:
         self._const = {}  # root -> forced bit or None
         atoms = list(atoms)
         while True:
-            self._build(atoms, budgets)
+            self._build(atoms)
             if self.empty:
                 break
             # constraints pinning bits right after the base fold into it,
@@ -130,7 +130,7 @@ class SymbolicClopen:
 
     # -- construction ------------------------------------------------------
 
-    def _build(self, atoms, budgets):
+    def _build(self, atoms):
         blen = len(self.base)
         bcode = self.base.code
         parent = {}
@@ -212,10 +212,6 @@ class SymbolicClopen:
             if counts[r] == 1 and const.get(r) is None:
                 del link[x]
                 const.pop(r, None)
-        if len(link) > budgets.max_free_coords:
-            raise TooManyFreeCoordinates(
-                f"{len(link)} constrained coordinates exceed the budget {budgets.max_free_coords}"
-            )
         self._link = link
         self._const = const
 

@@ -13,6 +13,7 @@ from .config import DEFAULT, Budgets
 from .cylinders import LazyPoint, SymbolicClopen, atom_const, point_eval, FULL_SPACE
 from .errors import (
     BudgetExceeded,
+    CapExceeded,
     EmptyRefinement,
     EmptySet,
     InvalidArgument,
@@ -20,7 +21,6 @@ from .errors import (
     InvariantBroken,
     NotFoundWithinBudget,
     PrefixTooShort,
-    TooManyFreeCoordinates,
 )
 from .maps import MapId, _read_inverse, domain_D, g_point, image_clopen, preimage_clopen
 from .orientedgraphs import (
@@ -28,8 +28,10 @@ from .orientedgraphs import (
     FiniteOrientedGraph,
     LabeledVertex,
     M_of,
+    components,
     p_to_max,
     pred,
+    succ,
     validate_uogas,
 )
 from .sequences import BinWord, anchor_word, stride
@@ -108,12 +110,9 @@ class CantorInstance:
         C1 = C.intersect(domain_D(ident, b), b)
         if C1.is_empty():
             raise EmptySet("the cell misses the map's domain")
+        if count > b.duplication_cap:
+            raise CapExceeded(f"{count} preimages exceed the cap {b.duplication_cap}")
         need = (count - 1).bit_length()
-        if need > b.max_free_coords:
-            raise TooManyFreeCoordinates(
-                f"{count} preimages need {need} pattern coordinates, "
-                f"cap is {b.max_free_coords}"
-            )
         w = C1.witness_point()
         linked = set(C1.constrained_coords())
         avoid = _stride_coords(b)
@@ -311,22 +310,18 @@ def refine_46(assignment: MappingTupleAssignment, x0, W0, budgets: Budgets = DEF
     if not W0.subset(assignment.V[x0]):
         raise InvalidArgument("the refined cell must sit inside the pivot's cell")
     inst = assignment.instance
-    edges = assignment.graph.edges
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+    G = assignment.graph
     W = dict(assignment.V)
     W[x0] = W0
     seen = {x0}
     queue = [x0]
     while queue:
         y = queue.pop(0)
-        for v in sorted(adj.get(y, ()), key=repr):
+        for v in sorted(succ(G, y) | pred(G, y), key=repr):
             if v in seen:
                 continue
             seen.add(v)
-            if (y, v) in edges:
+            if (y, v) in G.edges:
                 W[v] = inst.image(assignment.u[y], W[y])
             else:
                 W[v] = assignment.V[v].intersect(
@@ -660,13 +655,6 @@ class SchemeState:
         return f"SchemeState(level={self.level}, cells={len(self.cells)}, phi={self.phi})"
 
 
-def _succ_map(pairs):
-    out = {}
-    for y, x in pairs:
-        out[y] = x
-    return out
-
-
 def _scheme_strengths(state, succ, sphi):
     """Strength per non-maximal level word, through the assigned table."""
     u = {}
@@ -727,8 +715,8 @@ def build_scheme(instance, depth: int, budgets: Budgets = DEFAULT):
     states = [SchemeState(0, cells, sphi)]
     for l in range(depth):
         st_l, st_n = approx[l], approx[l + 1]
-        succ_l = _succ_map(st_l.A)
-        succ_n = _succ_map(st_n.A)
+        succ_l = dict(st_l.A)
+        succ_n = dict(st_n.A)
         r = event_at.get(l)
         O0 = O1 = None
         qchain = ()
@@ -762,36 +750,16 @@ def build_scheme(instance, depth: int, budgets: Budgets = DEFAULT):
             u_n[x] = next_phi.get(x, 0)
 
         # group the level's components so that words sharing a parent are
-        # split inside one call; cross-group cells live in disjoint parents
-        comp = {x: x for x in st_n.X}
-
-        def find(x):
-            while comp[x] is not x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        def link(a, b):
-            ra, rb = find(a), find(b)
-            if ra is not rb:
-                comp[ra] = rb
-
-        for y, x in st_n.A:
-            link(y, x)
+        # split inside one call; cross-group cells live in disjoint parents,
+        # so the order of the calls changes no cell
         by_parent = {}
         for x in st_n.X:
             by_parent.setdefault(parent[x], []).append(x)
-        for sibs in by_parent.values():
-            for other in sibs[1:]:
-                link(sibs[0], other)
-
-        groups = {}
-        for x in st_n.X:
-            groups.setdefault(find(x), []).append(x)
+        sibling_links = {(sibs[0], other) for sibs in by_parent.values() for other in sibs[1:]}
+        groups = components(FiniteOrientedGraph(st_n.X, st_n.A | sibling_links))
         d_lvl = max(len(x) for x in st_n.X)
         new_cells = {}
-        for root in sorted(groups, key=lambda t: t.code):
-            members = set(groups[root])
+        for members in groups:
             sub = FiniteOrientedGraph(
                 members, {(y, x) for (y, x) in st_n.A if y in members}
             )
@@ -867,7 +835,7 @@ def check_scheme_conditions(states, instance=None, budgets: Budgets = DEFAULT):
             for y in words[i + 1 :]:
                 if not st.cells[x].intersect(st.cells[y], budgets).is_empty():
                     report.add("level-cells-pairwise-disjoint", (st.level, str(x), str(y)))
-        succ = _succ_map(ax.A)
+        succ = dict(ax.A)
         for y, x in sorted(ax.A, key=lambda p: (p[0].code, p[1].code)):
             idx = ax.phi.get((y, x))
             if idx is None or idx not in st.phi:

@@ -1,7 +1,7 @@
 """Error vocabulary shared by every cantorlab module.
 
 All errors that signal a desk-scale resource boundary rather than a bug
-(CapExceeded, TooManyFreeCoordinates, BudgetExceeded, NotFoundWithinBudget)
+(CapExceeded, BudgetExceeded, NotFoundWithinBudget)
 derive from ResourceBoundary so callers can distinguish "raise the budget"
 from "fix the input".
 """
@@ -17,10 +17,6 @@ class ResourceBoundary(CantorLabError):
 
 class CapExceeded(ResourceBoundary):
     """A word or state family would exceed its materialization cap."""
-
-
-class TooManyFreeCoordinates(ResourceBoundary):
-    """A constraint-set decision would need to enumerate too many coordinates."""
 
 
 class BudgetExceeded(ResourceBoundary):

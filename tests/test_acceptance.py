@@ -2,7 +2,6 @@
 at the stated scale and finishing inside the stated time budget, then printing
 a single pass line with the runtime and the checked counts."""
 
-import dataclasses
 import random
 import time
 
@@ -31,7 +30,6 @@ from cantorlab.suites import (
     suite_lemma53_54,
     suite_lemma57,
 )
-from cantorlab.config import DEFAULT
 from cantorlab.cylinders import LazyPoint, SymbolicClopen, intersect, subset, union
 from cantorlab.embedding import CantorInstance, build_scheme, check_scheme_conditions
 from cantorlab.errors import NotConnected
@@ -116,19 +114,18 @@ def test_criterion_5_approximation_system():
 
 def test_criterion_6_scheme_build():
     t0 = time.perf_counter()
-    budgets = dataclasses.replace(DEFAULT, max_free_coords=4096)
-    inst = CantorInstance(1, budgets)
-    states = build_scheme(inst, 8, budgets)
-    rep = check_scheme_conditions(states, inst, budgets)
+    inst = CantorInstance(1)
+    states = build_scheme(inst, 8)
+    rep = check_scheme_conditions(states, inst)
     assert rep.violations == []
 
     top = states[-1]
     words = sorted(top.cells, key=lambda t: t.code)
     for i, x in enumerate(words):
         for y in words[i + 1 :]:
-            assert top.cells[x].intersect(top.cells[y], budgets).is_empty()
+            assert top.cells[x].intersect(top.cells[y]).is_empty()
 
-    approx = run(1, 8, budgets)
+    approx = run(1, 8)
     containments = 0
     for st in states:
         ax = approx[st.level]

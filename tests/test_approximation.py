@@ -549,6 +549,36 @@ def test_check_53_54_flags_a_tampered_chain():
     assert "contained-in-edge-set" in clauses
 
 
+def test_check_53_54_reports_the_validator_clauses():
+    """A level-3 stage whose successor relation has a loop (111), an
+    antiparallel pair (100, 101), a branching word (110) and a symmetrized
+    cycle (01, 001, 110): validate_uogas decides the uogas clauses, with its
+    witnesses rendered as words, and every pair outside the edge set is
+    reported, the loop included."""
+    state = run(1, 3)[3]
+    pairs = {("000", "01"), ("001", "01"), ("110", "01"), ("110", "001"),
+             ("100", "101"), ("101", "100"), ("111", "111")}
+    bad = ApproxState(1, 3, state.X, {(W(y), W(x)) for y, x in pairs}, state.E, dict(state.phi))
+    assert check_lemma_53_54([bad]).violations == [
+        ("antisymmetric", (3, "100", "101")),
+        ("irreflexive", (3, "111", "111")),
+        ("unique-successor", (3, "110", ("01", "001"))),
+        ("acyclic-symmetrization", (3, "001", "110", "01")),
+        ("contained-in-edge-set", (3, "100", "101")),
+        ("contained-in-edge-set", (3, "101", "100")),
+        ("contained-in-edge-set", (3, "110", "01")),
+        ("contained-in-edge-set", (3, "110", "001")),
+        ("contained-in-edge-set", (3, "111", "111")),
+    ]
+
+
+def test_check_53_54_rejects_a_pair_off_the_stage():
+    state = run(1, 3)[3]
+    bad = ApproxState(1, 3, state.X, state.A | {(W("01"), W("0"))}, state.E, dict(state.phi))
+    with pytest.raises(InvalidArgument):
+        check_lemma_53_54([bad])
+
+
 def test_check_57_clean_at_depth_twelve():
     assert check_lemma_57(run(1, 12)).ok
 

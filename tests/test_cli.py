@@ -57,6 +57,17 @@ def test_approx_stage_cap_fails_cleanly(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: stage 1:")
 
 
+def test_approx_stage_cap_reads_the_same_when_memoized(tmp_path, monkeypatch, capsys):
+    argv = ["approx", "--depth", "3", "--max-words", "1", "--out", str(tmp_path / "stages")]
+    monkeypatch.setattr(approximation, "_stage_cache", {})
+    assert main(argv) == 1
+    fresh = capsys.readouterr().err
+    assert main(["approx", "--depth", "3", "--out", str(tmp_path / "full")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == fresh == "error: stage 1: 2 words, cap is 1\n"
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -149,6 +160,33 @@ def test_check_rejects_counts_below_one(suite, option, value, monkeypatch, capsy
     monkeypatch.setitem(SUITES, suite, SUITES[suite]._replace(fn=_must_not_run))
     assert main(["check", "--suite", suite, option, value]) == 2
     assert f"argument {option}: must be >= 1" in capsys.readouterr().err
+
+
+def test_check_rejects_an_option_the_suite_does_not_take(monkeypatch, capsys):
+    monkeypatch.setitem(SUITES, "lemma4.2", SUITES["lemma4.2"]._replace(fn=_must_not_run))
+    assert main(["check", "--suite", "lemma4.2", "--seed", "9"]) == 2
+    assert "lemma4.2 takes no --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["lemma5.3-4", "scheme-conditions"])
+def test_check_rejects_a_negative_depth(suite, monkeypatch, capsys):
+    monkeypatch.setitem(SUITES, suite, SUITES[suite]._replace(fn=_must_not_run))
+    assert main(["check", "--suite", suite, "--depth", "-1"]) == 2
+    assert "argument --depth: must be >= 0" in capsys.readouterr().err
+
+
+def test_check_stage_suite_reports_each_stranded_pair_once(capsys):
+    """At family level 2 the successor pairs stranded outside the edge set
+    are reported once each, as contained-in-edge-set entries."""
+    assert main(["check", "--suite", "lemma5.3-4", "--L", "2", "--depth", "6"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    stranded = {4: ["0000", "0010"], 5: ["00000", "00001", "00100", "00101"],
+                6: ["000000", "000001", "000010", "000011", "001000", "001001", "001010", "001011"]}
+    assert report["violation_count"] == 14
+    assert report["violations"] == [
+        f"contained-in-edge-set: ({level}, '{word}', '01')"
+        for level, words in stranded.items() for word in words
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from cantorlab.cylinders import (
     subset,
     union,
 )
-from cantorlab.errors import EmptySet, TooManyFreeCoordinates
+from cantorlab.errors import EmptySet
+from cantorlab.sequences import BinWord
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +146,29 @@ def test_render_format():
     assert EMPTY_SET.render() == "EMPTY"
 
 
-def test_too_many_free_coordinates():
-    atoms = [atom_ne(2 * i, 2 * i + 1) for i in range(30)]
-    with pytest.raises(TooManyFreeCoordinates):
-        SymbolicClopen("", atoms)
+def test_thousands_of_linked_coordinates_decide_exactly():
+    """Linked coordinates carry no budget: a class of 5,001 alternating
+    coordinates and 3,000 disjoint unequal pairs build, and intersect and
+    subset decide them exactly."""
+    n = 5000
+    chain = SymbolicClopen("", [atom_ne(i, i + 1) for i in range(n)])
+    assert len(chain.constrained_coords()) == n + 1
+    # n is even, so bit(n) = bit(0) on every point of the chain
+    assert chain.intersect(SymbolicClopen("", [atom_ne(0, n)])).is_empty()
+    same = chain.intersect(SymbolicClopen("", [atom_eq(1, n - 1)]))
+    assert same == chain and chain.subset(same) and same.subset(chain)
+    pinned = chain.intersect(cylinder("0"))
+    assert pinned.base == BinWord.from_str("01" * (n // 2) + "0")
+    assert pinned.subset(chain) and not chain.subset(pinned)
+    assert chain.contains(pinned.witness_point())
+
+    pairs = SymbolicClopen("", [atom_ne(2 * i, 2 * i + 1) for i in range(3000)])
+    assert len(pairs.atoms) == 3000
+    assert pairs.intersect(SymbolicClopen("", [atom_eq(5998, 5999)])).is_empty()
+    assert pairs.subset(SymbolicClopen("", [atom_ne(2, 3)]))
+    assert not SymbolicClopen("", [atom_ne(2, 3)]).subset(pairs)
+    assert not pairs.intersect(chain).is_empty()
+    assert pairs.contains(pairs.intersect(chain).witness_point())
 
 
 # ---------------------------------------------------------------------------

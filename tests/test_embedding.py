@@ -2,14 +2,12 @@
 the clopen transport oracle, randomized postcondition suites for the
 splitting construction, and the level scheme checked against hand traces."""
 
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorlab.config import DEFAULT, Budgets
 from cantorlab.cylinders import FULL_SPACE, SymbolicClopen, atom_const, cylinder, point_eval
 from cantorlab.embedding import (
     CantorInstance,
@@ -28,6 +26,7 @@ from cantorlab.embedding import (
     shrink_47,
 )
 from cantorlab.errors import (
+    CapExceeded,
     EmptyRefinement,
     EmptySet,
     InvalidArgument,
@@ -35,16 +34,13 @@ from cantorlab.errors import (
     InvariantBroken,
     NotFoundWithinBudget,
     PrefixTooShort,
-    TooManyFreeCoordinates,
 )
 from cantorlab.maps import MapId, domain_D, g_point, image_clopen
 from cantorlab.orientedgraphs import FiniteOrientedGraph
 from cantorlab.sequences import BinWord
 
 W = BinWord.from_str
-SCHEME_BUDGETS = dataclasses.replace(DEFAULT, max_free_coords=4096)
 INST = CantorInstance()
-BIG_INST = CantorInstance(1, SCHEME_BUDGETS)
 
 
 def edge_graph():
@@ -73,7 +69,7 @@ def test_pick_distinct_preimages_errors():
         INST.pick_distinct_preimages(0, cylinder("00"), 0)
     with pytest.raises(EmptySet):
         INST.pick_distinct_preimages(0, cylinder("1"), 2)
-    with pytest.raises(TooManyFreeCoordinates):
+    with pytest.raises(CapExceeded):
         INST.pick_distinct_preimages(0, cylinder("00"), 1 << 25)
 
 
@@ -170,7 +166,7 @@ def test_membership_needs_domain():
 # random contained-image assignments
 
 
-def random_in_u(rng, inst=BIG_INST):
+def random_in_u(rng, inst=INST):
     """A random assignment with contained images: cells are seeded at the
     minimal vertices and pushed forward, targets optionally shrunk at a free
     coordinate so that exactness fails while containment survives."""
@@ -347,7 +343,7 @@ def test_shrink_47_validation():
 
 
 def check_shrink_postconditions(asg, d):
-    out = shrink_47(asg, d, SCHEME_BUDGETS)
+    out = shrink_47(asg, d)
     assert in_E(out)
     vs = sorted(asg.graph.vertices)
     for v in vs:
@@ -477,13 +473,13 @@ def test_build_scheme_nesting_is_a_typed_check(monkeypatch):
 
 def test_build_scheme_conditions_to_depth_five():
     """Every per-level clause of the condition report holds to depth 5."""
-    states = build_scheme(INST, 5, SCHEME_BUDGETS)
-    report = check_scheme_conditions(states, INST, SCHEME_BUDGETS)
+    states = build_scheme(INST, 5)
+    report = check_scheme_conditions(states, INST)
     assert report.ok, report.violations[:5]
 
 
 def test_build_scheme_diameters_shrink():
-    states = build_scheme(INST, 4, SCHEME_BUDGETS)
+    states = build_scheme(INST, 4)
     for st_ in states:
         for cell in st_.cells.values():
             assert cell.first_free_coord() >= st_.level
@@ -492,7 +488,7 @@ def test_build_scheme_diameters_shrink():
 def test_scheme_edge_containment_frozen():
     """The level-3 branch cells of 0^inf and its image satisfy the edge
     containment through map 0 exactly."""
-    states = build_scheme(INST, 3, SCHEME_BUDGETS)
+    states = build_scheme(INST, 3)
     src = states[3].cells[W("000")]
     tgt = states[3].cells[W("01")]
     img = INST.image(0, src)
@@ -500,7 +496,7 @@ def test_scheme_edge_containment_frozen():
 
 
 def test_h_eval_chain_nested():
-    states = build_scheme(INST, 3, SCHEME_BUDGETS)
+    states = build_scheme(INST, 3)
     chain = h_eval(states, "000")
     assert [str(w) for w, _ in chain] == ["", "0", "00", "000"]
     for (_, outer), (_, inner) in zip(chain, chain[1:]):
@@ -508,7 +504,7 @@ def test_h_eval_chain_nested():
 
 
 def test_h_eval_distinct_branches_disjoint():
-    states = build_scheme(INST, 3, SCHEME_BUDGETS)
+    states = build_scheme(INST, 3)
     a = h_eval(states, "000")[-1][1]
     b = h_eval(states, "100")[-1][1]
     assert a.intersect(b).is_empty()
