@@ -458,8 +458,8 @@ def check_lemma_58(states, n: int, alpha_prefix, budgets: Budgets = DEFAULT) -> 
     anchor = anchor_word(n, budgets).code
     if not code_is_prefix(anchor << 1, w.code):
         raise InvalidArgument("the probe prefix must extend the seed-then-0 word")
-    probe = SymbolicClopen(w, (), budgets)
-    if probe.intersect(domain_D(MapId(family, n), budgets), budgets).is_empty():
+    probe = SymbolicClopen(w)
+    if probe.intersect(domain_D(MapId(family, n), budgets)).is_empty():
         raise InvalidArgument("the probe prefix already leaves the map's domain")
     st_n = stride(n, budgets)
     wlen = len(w)

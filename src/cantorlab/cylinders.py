@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .config import DEFAULT, Budgets
 from .errors import EmptySet, InvalidArgument
 from .sequences import BinWord, code_bit, code_is_prefix, code_len, code_meet
 
@@ -65,10 +64,6 @@ class LazyPoint:
         return f"LazyPoint({shown}, default={self.default}{', rule' if self.rule else ''})"
 
 
-def point_eval(p: LazyPoint, k) -> int:
-    return p.eval(k)
-
-
 # ---------------------------------------------------------------------------
 # constraint atoms
 #
@@ -91,7 +86,7 @@ def atom_const(a, v):
 class SymbolicClopen:
     __slots__ = ("base", "empty", "_link", "_const", "_atoms", "_hash")
 
-    def __init__(self, base=None, atoms=(), budgets: Budgets = DEFAULT):
+    def __init__(self, base=None, atoms=()):
         if isinstance(base, str):
             base = BinWord.from_str(base)
         self.base = base if base is not None else BinWord(1)
@@ -160,29 +155,26 @@ class SymbolicClopen:
         # the virtual node -1 is pinned to 0; bit(a)=v becomes a ~ -1 with parity v
         for atom in atoms:
             if atom[0] == "const":
-                _, a, v = atom
-                pairs = [(a, -1, v & 1)]
+                a, b, parity = atom[1], -1, atom[2] & 1
             else:
-                _, a, b, parity = atom
-                pairs = [(a, b, parity & 1)]
-            for a, b, parity in pairs:
-                if a < -1 or b < -1:
-                    raise InvalidArgument("negative coordinate in constraint")
-                # fold coordinates that the base already pins
-                if 0 <= a < blen:
-                    parity ^= code_bit(bcode, a)
-                    a = -1
-                if 0 <= b < blen:
-                    parity ^= code_bit(bcode, b)
-                    b = -1
-                if a == b:
-                    if parity:
-                        self.empty = True
-                        return
-                    continue
-                if not union(a, b, parity):
+                a, b, parity = atom[1], atom[2], atom[3] & 1
+            if a < -1 or b < -1:
+                raise InvalidArgument("negative coordinate in constraint")
+            # fold coordinates that the base already pins
+            if 0 <= a < blen:
+                parity ^= code_bit(bcode, a)
+                a = -1
+            if 0 <= b < blen:
+                parity ^= code_bit(bcode, b)
+                b = -1
+            if a == b:
+                if parity:
                     self.empty = True
                     return
+                continue
+            if not union(a, b, parity):
+                self.empty = True
+                return
 
         # compress into (root, parity) links and per-root constants
         roots = {}
@@ -337,12 +329,12 @@ class SymbolicClopen:
 
     # -- algebra -----------------------------------------------------------
 
-    def with_atoms(self, extra, budgets: Budgets = DEFAULT) -> "SymbolicClopen":
+    def with_atoms(self, extra) -> "SymbolicClopen":
         if self.empty:
             return self
-        return SymbolicClopen(self.base, list(self._atoms) + list(extra), budgets)
+        return SymbolicClopen(self.base, list(self._atoms) + list(extra))
 
-    def intersect(self, other: "SymbolicClopen", budgets: Budgets = DEFAULT) -> "SymbolicClopen":
+    def intersect(self, other: "SymbolicClopen") -> "SymbolicClopen":
         if self.empty:
             return self
         if other.empty:
@@ -354,7 +346,7 @@ class SymbolicClopen:
             base = self.base
         else:
             return EMPTY_SET
-        return SymbolicClopen(base, list(self._atoms) + list(other._atoms), budgets)
+        return SymbolicClopen(base, list(self._atoms) + list(other._atoms))
 
     def implies_const(self, a, v) -> bool:
         """Does every member have bit(a) = v?"""
@@ -400,7 +392,7 @@ class SymbolicClopen:
         lits.extend(self._atoms)
         return lits
 
-    def minus(self, other: "SymbolicClopen", budgets: Budgets = DEFAULT):
+    def minus(self, other: "SymbolicClopen"):
         """self \\ other as a list of pairwise-disjoint SymbolicClopen."""
         if self.empty or other.empty:
             return [] if self.empty else [self]
@@ -411,7 +403,7 @@ class SymbolicClopen:
                 neg = ("const", lit[1], lit[2] ^ 1)
             else:
                 neg = ("rel", lit[1], lit[2], lit[3] ^ 1)
-            piece = self.with_atoms(kept + [neg], budgets)
+            piece = self.with_atoms(kept + [neg])
             if not piece.empty:
                 parts.append(piece)
             kept.append(lit)
@@ -431,7 +423,7 @@ class ClopenUnion:
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts=(), already_disjoint=False, budgets: Budgets = DEFAULT):
+    def __init__(self, parts=(), already_disjoint=False):
         nonempty = [p for p in parts if not p.empty]
         if not already_disjoint:
             acc = []
@@ -440,7 +432,7 @@ class ClopenUnion:
                 for q in acc:
                     nxt = []
                     for piece in pieces:
-                        nxt.extend(piece.minus(q, budgets))
+                        nxt.extend(piece.minus(q))
                     pieces = nxt
                 acc.extend(pieces)
             nonempty = acc
@@ -490,45 +482,3 @@ class ClopenUnion:
     def __repr__(self):
         return f"ClopenUnion({self.render()!r})"
 
-
-# ---------------------------------------------------------------------------
-# functional facade
-
-
-def contains(C, p: LazyPoint) -> bool:
-    return C.contains(p)
-
-
-def intersect(C, D) -> ClopenUnion:
-    return _as_union(C).intersect(_as_union(D))
-
-
-def union(C, D) -> ClopenUnion:
-    return _as_union(C).union(_as_union(D))
-
-
-def subset(C, D) -> bool:
-    if isinstance(C, SymbolicClopen) and isinstance(D, SymbolicClopen):
-        return C.subset(D)
-    return _as_union(C).subset(_as_union(D))
-
-
-def is_empty(C) -> bool:
-    return C.is_empty()
-
-
-def complement_within(C, D) -> ClopenUnion:
-    """D \\ C."""
-    return _as_union(D).minus(_as_union(C))
-
-
-def diameter(C: SymbolicClopen) -> Fraction:
-    if C.is_empty():
-        raise EmptySet("diameter of the empty set")
-    return C.diameter()
-
-
-def _as_union(C) -> ClopenUnion:
-    if isinstance(C, ClopenUnion):
-        return C
-    return ClopenUnion((C,), already_disjoint=True)

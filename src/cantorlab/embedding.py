@@ -10,7 +10,7 @@ evaluate a point embedding.
 
 from .approximation import detect_L_n, run
 from .config import DEFAULT, Budgets
-from .cylinders import LazyPoint, SymbolicClopen, atom_const, point_eval, FULL_SPACE
+from .cylinders import LazyPoint, SymbolicClopen, atom_const, FULL_SPACE
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -64,11 +64,11 @@ class CantorInstance:
 
     Its methods are what the refinement passes and the splitting
     construction consume: per-index domains, exact images and preimages of
-    cells, a supply of distinct preimages of a single point, diameter
-    control, and point membership.  point_preimage and cell_around extend
-    that minimal surface: the splitting construction needs to aim a preimage
-    at a given point and to carve a small cell around a given point, and
-    neither is expressible through the other operations.
+    cells, a supply of distinct preimages of a single point, and diameter
+    control.  point_preimage and cell_around extend that minimal surface: the
+    splitting construction needs to aim a preimage at a given point and to
+    carve a small cell around a given point, and neither is expressible
+    through the other operations.
 
     Cells are SymbolicClopen values, points are LazyPoint values, and every
     operation is exact; nothing is sampled.  `family` picks the expansion
@@ -107,7 +107,7 @@ class CantorInstance:
             raise InvalidArgument("count must be positive")
         b = self.budgets
         ident = self._ident(n)
-        C1 = C.intersect(domain_D(ident, b), b)
+        C1 = C.intersect(domain_D(ident, b))
         if C1.is_empty():
             raise EmptySet("the cell misses the map's domain")
         if count > b.duplication_cap:
@@ -146,12 +146,12 @@ class CantorInstance:
         """
         b = self.budgets
         ident = self._ident(n)
-        C1 = C.intersect(domain_D(ident, b), b)
+        C1 = C.intersect(domain_D(ident, b))
         if C1.is_empty():
             raise EmptySet("the cell misses the map's domain")
         out_base = anchor_word(n, b).append(1)
         for i in range(len(out_base)):
-            if point_eval(target, i) != out_base.bit(i):
+            if target.eval(i) != out_base.bit(i):
                 raise InvalidArgument("the target is not an image of the cell")
         w = C1.witness_point()
         fam = self.family
@@ -159,8 +159,8 @@ class CantorInstance:
         def pull(c):
             k = _read_inverse(fam, n, c, b)
             if k is not None:
-                return point_eval(target, k)
-            return point_eval(w, c)
+                return target.eval(k)
+            return w.eval(c)
 
         p = LazyPoint({}, 0, pull)
         if not C.contains(p):
@@ -186,19 +186,16 @@ class CantorInstance:
         """
         atoms = []
         for i in sorted(set(coords)):
-            bit = point_eval(p, i)
+            bit = p.eval(i)
             f = C.forced(i)
             if f is None:
                 atoms.append(atom_const(i, bit))
             elif f != bit:
                 raise InvalidArgument("the point is not in the cell")
-        out = C.with_atoms(atoms, self.budgets)
+        out = C.with_atoms(atoms)
         if out.is_empty():
             raise InvalidArgument("the point is not in the cell")
         return out
-
-    def contains(self, C, p) -> bool:
-        return C.contains(p)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +230,7 @@ class MappingTupleAssignment:
         )
 
 
-def in_E(assignment: MappingTupleAssignment, budgets: Budgets = DEFAULT) -> bool:
+def in_E(assignment: MappingTupleAssignment) -> bool:
     """Exact-image membership: every edge's source cell sits in its map's
     domain and pushes forward onto the target cell with equality.
     """
@@ -249,7 +246,7 @@ def in_E(assignment: MappingTupleAssignment, budgets: Budgets = DEFAULT) -> bool
     return True
 
 
-def in_U(assignment: MappingTupleAssignment, budgets: Budgets = DEFAULT) -> bool:
+def in_U(assignment: MappingTupleAssignment) -> bool:
     """Contained-image membership: target cells sit inside the pushforward."""
     inst = assignment.instance
     for y, x in assignment.graph.edges:
@@ -270,7 +267,7 @@ def _chains(G: FiniteOrientedGraph):
     return {v: p_to_max(G, v) for v in G.vertices}
 
 
-def refine_45(assignment: MappingTupleAssignment, budgets: Budgets = DEFAULT):
+def refine_45(assignment: MappingTupleAssignment):
     """Pull every cell back along its successor chain.
 
     Maximal vertices keep their cells; below, each cell is cut to the
@@ -286,16 +283,14 @@ def refine_45(assignment: MappingTupleAssignment, budgets: Budgets = DEFAULT):
         if len(ch) == 1:
             W[v] = assignment.V[v]
             continue
-        cut = assignment.V[v].intersect(
-            inst.preimage(assignment.u[v], W[ch[1]]), budgets
-        )
+        cut = assignment.V[v].intersect(inst.preimage(assignment.u[v], W[ch[1]]))
         if cut.is_empty():
             raise EmptyRefinement(f"chain refinement emptied the cell at {v!r}")
         W[v] = cut
     return MappingTupleAssignment(assignment.graph, inst, assignment.u, W)
 
 
-def refine_46(assignment: MappingTupleAssignment, x0, W0, budgets: Budgets = DEFAULT):
+def refine_46(assignment: MappingTupleAssignment, x0, W0):
     """Propagate a refined pivot cell through the pivot's component.
 
     Away from the pivot the new cell is the image of the refined neighbour
@@ -324,9 +319,7 @@ def refine_46(assignment: MappingTupleAssignment, x0, W0, budgets: Budgets = DEF
             if (y, v) in G.edges:
                 W[v] = inst.image(assignment.u[y], W[y])
             else:
-                W[v] = assignment.V[v].intersect(
-                    inst.preimage(assignment.u[v], W[y]), budgets
-                )
+                W[v] = assignment.V[v].intersect(inst.preimage(assignment.u[v], W[y]))
             if W[v].is_empty():
                 raise EmptyRefinement(f"component refinement emptied the cell at {v!r}")
             queue.append(v)
@@ -357,7 +350,7 @@ def _stride_coords(budgets: Budgets) -> frozenset:
 
 def _first_difference(p: LazyPoint, q: LazyPoint, budgets: Budgets) -> int:
     for c in range(budgets.point_probe_bits):
-        if point_eval(p, c) != point_eval(q, c):
+        if p.eval(c) != q.eval(c):
             return c
     raise NotFoundWithinBudget(
         f"no separating coordinate below {budgets.point_probe_bits}"
@@ -394,11 +387,11 @@ def _point_avoiding(cell: SymbolicClopen, placed, budgets: Budgets) -> LazyPoint
             c += 1
             if c > budgets.point_probe_bits:
                 raise NotFoundWithinBudget("ran out of free coordinates to flip")
-        bits[c] = 1 - point_eval(q, c)
+        bits[c] = 1 - q.eval(c)
     return w.with_bits(bits)
 
 
-def _settle(cells, succ, preds, pos, ubase, inst, changed, budgets):
+def _settle(cells, succ, preds, pos, ubase, inst, changed):
     """Restore exact images after a batch of cells moved.
 
     `changed` maps the moved vertices to their new cells, already exact along
@@ -424,7 +417,7 @@ def _settle(cells, succ, preds, pos, ubase, inst, changed, budgets):
         if nxt not in really:
             continue
         old = cells[w]
-        cut = old.intersect(inst.preimage(ubase[w.base], cells[nxt]), budgets)
+        cut = old.intersect(inst.preimage(ubase[w.base], cells[nxt]))
         if cut.is_empty():
             raise EmptyRefinement(f"settling emptied the cell at {w!r}")
         if old.subset(cut):
@@ -433,7 +426,7 @@ def _settle(cells, succ, preds, pos, ubase, inst, changed, budgets):
         really.add(w)
 
 
-def shrink_47(assignment: MappingTupleAssignment, d: int, budgets: Budgets = DEFAULT):
+def shrink_47(assignment: MappingTupleAssignment, d: int):
     """Shrink a contained-image assignment to exact images on pairwise
     disjoint cells of diameter at most 2^-d.
 
@@ -450,6 +443,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int, budgets: Budgets = DEF
         raise InvalidArgument("diameter exponent must be a natural number")
     G = assignment.graph
     inst = assignment.instance
+    budgets = inst.budgets
     u = assignment.u
     report = validate_uogas(G)
     if not report.ok:
@@ -459,7 +453,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int, budgets: Budgets = DEF
     L = len(order)
     if L == 0:
         return assignment
-    seed = refine_45(assignment, budgets)
+    seed = refine_45(assignment)
 
     cells = {}
     succ = {}
@@ -491,7 +485,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int, budgets: Budgets = DEF
             ]
             shrunk = cells[s]
             for c in disj:
-                shrunk = shrunk.intersect(inst.image(u[top], c), budgets)
+                shrunk = shrunk.intersect(inst.image(u[top], c))
             if shrunk.is_empty():
                 raise EmptyRefinement("the preimage cells share no image")
             changed = {}
@@ -532,7 +526,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int, budgets: Budgets = DEF
                     f"splitting needs {len(cells)} labeled vertices, "
                     f"cap is {budgets.duplication_cap}"
                 )
-            _settle(cells, succ, preds, pos, u, inst, changed, budgets)
+            _settle(cells, succ, preds, pos, u, inst, changed)
 
     # choose one copy per vertex, from the maxima down, avoiding placed points
     chosen = {}
@@ -571,20 +565,20 @@ def shrink_47(assignment: MappingTupleAssignment, d: int, budgets: Budgets = DEF
     for v in sorted(order, key=lambda t: (M_of(G, t), repr(t))):
         cell = O[v]
         for y in sorted(pred(G, v), key=repr):
-            cell = cell.intersect(inst.image(u[y], U[y]), budgets)
+            cell = cell.intersect(inst.image(u[y], U[y]))
         if cell.is_empty():
             raise EmptyRefinement(f"predecessor images emptied the cell at {v!r}")
         if not cell.contains(zpt[v]):
             raise InvariantBroken(f"the refined cell at {v!r} lost its chosen point")
         U[v] = cell
-    return refine_45(MappingTupleAssignment(G, inst, u, U), budgets)
+    return refine_45(MappingTupleAssignment(G, inst, u, U))
 
 
 # ---------------------------------------------------------------------------
 # the two pairing facts
 
 
-def lemma25_check(instance, V0, V1, m, n, budgets: Budgets = DEFAULT) -> bool:
+def lemma25_check(instance, V0, V1, m, n) -> bool:
     """Weaker-map image comparison: with V0 in both domains and V1 caught
     between the stronger image and the weaker domain, does the weaker image
     of V1 land inside the weaker image of V0?
@@ -600,30 +594,29 @@ def lemma25_check(instance, V0, V1, m, n, budgets: Budgets = DEFAULT) -> bool:
     return instance.image(m, V1).subset(instance.image(m, V0))
 
 
-def lemma26_find(instance, V, m=None, budgets: Budgets = DEFAULT):
+def lemma26_find(instance, V, m=None):
     """A map strength above m whose graph meets V x V, with witnessing cells.
 
     Returns (n, V0, V1) with V0 inside V and the n-th domain and V1 inside V
-    and the image of V0.  The search stops at budgets.map_search_max; running
-    past it raises NotFoundWithinBudget rather than pretending exhaustion.
+    and the image of V0.  The search stops at the instance's map_search_max
+    budget; running past it raises NotFoundWithinBudget rather than
+    pretending exhaustion.
     """
     if V.is_empty():
         raise EmptySet("the empty set pairs with nothing")
     if m is not None and m < 0:
         raise InvalidArgument("the lower bound is a natural number or None")
     start = 0 if m is None else m + 1
-    for n in range(start, budgets.map_search_max + 1):
-        V0 = V.intersect(instance.domain(n), budgets)
+    last = instance.budgets.map_search_max
+    for n in range(start, last + 1):
+        V0 = V.intersect(instance.domain(n))
         if V0.is_empty():
             continue
-        V1 = V.intersect(instance.image(n, V0), budgets)
+        V1 = V.intersect(instance.image(n, V0))
         if V1.is_empty():
             continue
         return n, V0, V1
-    raise NotFoundWithinBudget(
-        f"no strength in [{start}, {budgets.map_search_max}] pairs the cell "
-        f"with itself"
-    )
+    raise NotFoundWithinBudget(f"no strength in [{start}, {last}] pairs the cell with itself")
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +662,7 @@ def _scheme_strengths(state, succ, sphi):
     return u
 
 
-def _chain_cells(state, succ, u, cells, inst, budgets):
+def _chain_cells(state, succ, u, cells, inst):
     """Cells cut back along the level's successor chains (maxima fixed)."""
     depth = {}
 
@@ -685,14 +678,14 @@ def _chain_cells(state, succ, u, cells, inst, budgets):
         if y not in succ:
             W[y] = cells[y]
             continue
-        cut = cells[y].intersect(inst.preimage(u[y], W[succ[y]]), budgets)
+        cut = cells[y].intersect(inst.preimage(u[y], W[succ[y]]))
         if cut.is_empty():
             raise EmptyRefinement(f"level {state.level}: chain cut emptied {y}")
         W[y] = cut
     return W
 
 
-def build_scheme(instance, depth: int, budgets: Budgets = DEFAULT):
+def build_scheme(instance, depth: int):
     """Grow the nested cell scheme level by level.
 
     Level 0 assigns the full space to the empty word.  Each step cuts the
@@ -702,12 +695,14 @@ def build_scheme(instance, depth: int, budgets: Budgets = DEFAULT):
     parents (anchor children take the freshly paired cells, chain words
     behind the new anchor pair take transported images), and runs the
     splitting construction groupwise so that all postconditions hold with
-    cells cut below 2^-(level word length).
+    cells cut below 2^-(level word length).  Every budget comes from the
+    instance.
     """
     if depth < 0:
         raise InvalidLevel("depth must be a natural number")
-    if getattr(instance, "family", 1) != 1:
+    if instance.family != 1:
         raise InvalidLevel("the scheme is built over the family-1 maps")
+    budgets = instance.budgets
     approx = run(1, depth, budgets)
     event_at = {lvl: n for n, lvl in detect_L_n(approx, budgets).items()}
     sphi = {}
@@ -722,10 +717,10 @@ def build_scheme(instance, depth: int, budgets: Budgets = DEFAULT):
         qchain = ()
         if r is not None:
             u_l = _scheme_strengths(st_l, succ_l, sphi)
-            W = _chain_cells(st_l, succ_l, u_l, cells, instance, budgets)
+            W = _chain_cells(st_l, succ_l, u_l, cells, instance)
             tr = anchor_word(r, budgets)
             prev = max(sphi.values()) if sphi else None
-            found, O0, O1 = lemma26_find(instance, W[tr], prev, budgets)
+            found, O0, O1 = lemma26_find(instance, W[tr], prev)
             sphi[r] = found
             t0, t1 = tr.append(0), tr.append(1)
             qchain = [t1]
@@ -766,7 +761,7 @@ def build_scheme(instance, depth: int, budgets: Budgets = DEFAULT):
             part = MappingTupleAssignment(
                 sub, instance, {x: u_n[x] for x in members}, {x: V[x] for x in members}
             )
-            done = shrink_47(part, d_lvl, budgets)
+            done = shrink_47(part, d_lvl)
             new_cells.update(done.V)
         for x in st_n.X:
             if not new_cells[x].subset(cells[parent[x]]):
@@ -798,7 +793,7 @@ def h_eval(states, alpha_prefix):
     return chain
 
 
-def check_scheme_conditions(states, instance=None, budgets: Budgets = DEFAULT):
+def check_scheme_conditions(states, instance):
     """Every per-level invariant of the scheme, reported clause by clause.
 
     Clauses: cells match the level words; nesting into the parent cell;
@@ -807,13 +802,11 @@ def check_scheme_conditions(states, instance=None, budgets: Budgets = DEFAULT):
     containments; edge pairs and their chain prefixes sitting in the paired
     map's domain; strengths strictly increasing.
     """
-    if instance is None:
-        instance = CantorInstance(1, budgets)
     report = CheckReport()
     if not states:
         return report
     top = states[-1].level
-    approx = run(1, top, budgets)
+    approx = run(1, top, instance.budgets)
     for st in states:
         ax = approx[st.level]
         if set(st.cells) != set(ax.X):
@@ -833,7 +826,7 @@ def check_scheme_conditions(states, instance=None, budgets: Budgets = DEFAULT):
         words = sorted(st.cells, key=lambda t: t.code)
         for i, x in enumerate(words):
             for y in words[i + 1 :]:
-                if not st.cells[x].intersect(st.cells[y], budgets).is_empty():
+                if not st.cells[x].intersect(st.cells[y]).is_empty():
                     report.add("level-cells-pairwise-disjoint", (st.level, str(x), str(y)))
         succ = dict(ax.A)
         for y, x in sorted(ax.A, key=lambda p: (p[0].code, p[1].code)):

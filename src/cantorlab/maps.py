@@ -24,7 +24,6 @@ from .cylinders import (
     SymbolicClopen,
     atom_const,
     atom_ne,
-    point_eval,
 )
 from .errors import InvalidArgument, OutsideDomain
 from .sequences import (
@@ -121,10 +120,10 @@ def domain_D(ident: MapId, budgets: Budgets = DEFAULT) -> SymbolicClopen:
     """
     base = anchor_word(ident.n, budgets).append(0)
     if ident.L == 1:
-        return SymbolicClopen(base, (), budgets)
+        return SymbolicClopen(base)
     st = stride(ident.n, budgets)
     atoms = [atom_ne(st * 3**m, st * 3 ** (m + 1)) for m in range(ident.n + 1)]
-    return SymbolicClopen(base, atoms, budgets)
+    return SymbolicClopen(base, atoms)
 
 
 def _point_in_seed(n: int, p: LazyPoint, budgets: Budgets) -> bool:
@@ -155,7 +154,7 @@ def _point_in_seed(n: int, p: LazyPoint, budgets: Budgets) -> bool:
     for i in range(limit):
         if p.eval(i) != (anchor_bit(n, i, budgets) if i < st else 0):
             return False
-    if point_eval(p, st) != 0:
+    if p.eval(st) != 0:
         return False
     for k in p.explicit:
         if 0 <= k <= st and p.eval(k) != (anchor_bit(n, k, budgets) if k < st else 0):
@@ -171,7 +170,7 @@ def point_in_domain(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> b
         return False
     if ident.L >= 2:
         st = stride(ident.n, budgets)
-        vals = [point_eval(p, st * 3**m) for m in range(ident.n + 2)]
+        vals = [p.eval(st * 3**m) for m in range(ident.n + 2)]
         if any(vals[m] == vals[m + 1] for m in range(ident.n + 1)):
             return False
     return True
@@ -210,7 +209,7 @@ def g_eval_coord(ident: MapId, p: LazyPoint, k: int, budgets: Budgets = DEFAULT)
     st = stride(ident.n, budgets)
     if k == st:
         return 1
-    return point_eval(p, stride_expand(ident.L, ident.n, k, budgets))
+    return p.eval(stride_expand(ident.L, ident.n, k, budgets))
 
 
 def g_point(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> LazyPoint:
@@ -225,7 +224,7 @@ def g_point(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> LazyPoint
     def derived(k):
         if k == st:
             return 1
-        return point_eval(p, stride_expand(L, n, k, budgets))
+        return p.eval(stride_expand(L, n, k, budgets))
 
     return LazyPoint({}, 0, derived)
 
@@ -236,7 +235,7 @@ def _virtual_eval(L, stages, p, c, budgets):
         if c == stride(n, budgets):
             return 1
         c = stride_expand(L, n, c, budgets)
-    return point_eval(p, c)
+    return p.eval(c)
 
 
 def _seed_check_positions(n, budgets):
@@ -290,7 +289,7 @@ def g_compose_eval(L: int, s, p: LazyPoint, k: int, budgets: Budgets = DEFAULT) 
         if k == stride(n, budgets):
             return 1
         k = stride_expand(L, n, k, budgets)
-    return point_eval(p, k)
+    return p.eval(k)
 
 
 def check_condition_d(
@@ -339,7 +338,7 @@ def image_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) ->
     project member by member, so derived equalities carry over.
     """
     D = domain_D(ident, budgets)
-    C1 = C.intersect(D, budgets)
+    C1 = C.intersect(D)
     if C1.is_empty():
         return EMPTY_SET
     L, n = ident.L, ident.n
@@ -362,7 +361,7 @@ def image_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) ->
         else:
             k0, p0 = kept[0]
             atoms.extend(("rel", k0, k, p0 ^ parity) for k, parity in kept[1:])
-    return SymbolicClopen(anchor_word(n, budgets).append(1), atoms, budgets)
+    return SymbolicClopen(anchor_word(n, budgets).append(1), atoms)
 
 
 def preimage_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) -> SymbolicClopen:
@@ -374,8 +373,8 @@ def preimage_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT)
     """
     L, n = ident.L, ident.n
     st = stride(n, budgets)
-    range_cyl = SymbolicClopen(anchor_word(n, budgets).append(1), (), budgets)
-    C1 = C.intersect(range_cyl, budgets)
+    range_cyl = SymbolicClopen(anchor_word(n, budgets).append(1))
+    C1 = C.intersect(range_cyl)
     if C1.is_empty():
         return EMPTY_SET
     atoms = []
@@ -388,8 +387,8 @@ def preimage_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT)
         else:
             k0, p0 = mapped[0]
             atoms.extend(("rel", k0, k, p0 ^ parity) for k, parity in mapped[1:])
-    pre = SymbolicClopen(anchor_word(n, budgets).append(0), atoms, budgets)
-    return pre.intersect(domain_D(ident, budgets), budgets)
+    pre = SymbolicClopen(anchor_word(n, budgets).append(0), atoms)
+    return pre.intersect(domain_D(ident, budgets))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def graph_meets(ident: MapId, y, x, budgets: Budgets = DEFAULT) -> bool:
     st = stride(n, budgets)
     if st < len(x) and x.bit(st) == 0:
         return False
-    yset = SymbolicClopen(y, (), budgets).intersect(domain_D(ident, budgets), budgets)
+    yset = SymbolicClopen(y).intersect(domain_D(ident, budgets))
     if yset.is_empty():
         return False
     atoms = []
@@ -416,7 +415,7 @@ def graph_meets(ident: MapId, y, x, budgets: Budgets = DEFAULT) -> bool:
         if k == st:
             continue
         atoms.append(atom_const(stride_expand(L, n, k, budgets), x.bit(k)))
-    return not yset.with_atoms(atoms, budgets).is_empty()
+    return not yset.with_atoms(atoms).is_empty()
 
 
 def is_G0_edge(a, b) -> str:

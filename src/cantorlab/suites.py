@@ -581,8 +581,8 @@ def checked_scheme(depth: int, budgets: Budgets = DEFAULT):
     """Build the first family's nested cell scheme down to `depth` and check
     its six conditions; returns the level states and the condition report."""
     inst = CantorInstance(1, budgets)
-    states = build_scheme(inst, depth, budgets)
-    return states, check_scheme_conditions(states, inst, budgets)
+    states = build_scheme(inst, depth)
+    return states, check_scheme_conditions(states, inst)
 
 
 def suite_scheme_conditions(depth: int = 8, budgets: Budgets = DEFAULT) -> SuiteResult:

@@ -30,7 +30,7 @@ from cantorlab.suites import (
     suite_lemma53_54,
     suite_lemma57,
 )
-from cantorlab.cylinders import LazyPoint, SymbolicClopen, intersect, subset, union
+from cantorlab.cylinders import ClopenUnion, LazyPoint, SymbolicClopen
 from cantorlab.embedding import CantorInstance, build_scheme, check_scheme_conditions
 from cantorlab.errors import NotConnected
 from cantorlab.maps import MapId, g_compose_eval, graph_meets
@@ -185,8 +185,8 @@ def test_criterion_8_oracle_agreements():
         raw_c, raw_d = _random_clopen_raw(rng), _random_clopen_raw(rng)
         C, D = SymbolicClopen(*raw_c), SymbolicClopen(*raw_d)
         coords = mentioned_coords(*raw_c) | mentioned_coords(*raw_d)
-        inter, uni = intersect(C, D), union(C, D)
-        got_sub = subset(C, D)
+        inter, uni = C.intersect(D), ClopenUnion((C, D))
+        got_sub = C.subset(D)
         want_sub = True
         for bits in coord_assignments(coords):
             p = LazyPoint(bits)

@@ -16,15 +16,7 @@ from cantorlab.cylinders import (
     atom_const,
     atom_eq,
     atom_ne,
-    complement_within,
-    contains,
     cylinder,
-    diameter,
-    intersect,
-    is_empty,
-    point_eval,
-    subset,
-    union,
 )
 from cantorlab.errors import EmptySet
 from cantorlab.sequences import BinWord
@@ -77,10 +69,10 @@ clopen_raw_st = st.tuples(st.text(alphabet="01", max_size=3), st.lists(atom_st, 
 
 
 def test_point_eval_frozen_values():
-    assert point_eval(LazyPoint.zeros(), 10**9) == 0
+    assert LazyPoint.zeros().eval(10**9) == 0
     p = LazyPoint({5: 1})
-    assert point_eval(p, 5) == 1
-    assert point_eval(p, 6) == 0
+    assert p.eval(5) == 1
+    assert p.eval(6) == 0
 
 
 def test_point_rule_layering():
@@ -93,10 +85,10 @@ def test_point_rule_layering():
 
 def test_contains_frozen_values():
     n01 = cylinder("01")
-    assert contains(n01, LazyPoint({0: 0, 1: 1, 2: 0, 3: 0}))
-    assert not contains(n01, LazyPoint.zeros())
+    assert n01.contains(LazyPoint({0: 0, 1: 1, 2: 0, 3: 0}))
+    assert not n01.contains(LazyPoint.zeros())
     c = SymbolicClopen("0", [atom_ne(3, 9)])
-    assert not contains(c, LazyPoint.zeros())
+    assert not c.contains(LazyPoint.zeros())
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +173,10 @@ def test_set_ops_match_oracle(raw_c, raw_d):
     C = SymbolicClopen(*raw_c)
     D = SymbolicClopen(*raw_d)
     coords = mentioned_coords(*raw_c) | mentioned_coords(*raw_d)
-    inter = intersect(C, D)
-    uni = union(C, D)
-    diff = complement_within(D, C)  # C \ D
-    sub_cd = subset(C, D)
+    inter = C.intersect(D)
+    uni = ClopenUnion((C, D))
+    diff = ClopenUnion((C,)).minus(D)
+    sub_cd = C.subset(D)
     oracle_sub = True
     for bits in all_assignments(coords):
         p = LazyPoint(bits)
@@ -201,7 +193,7 @@ def test_set_ops_match_oracle(raw_c, raw_d):
 @given(clopen_raw_st, clopen_raw_st)
 @settings(max_examples=40)
 def test_union_parts_pairwise_disjoint(raw_c, raw_d):
-    u = union(SymbolicClopen(*raw_c), SymbolicClopen(*raw_d))
+    u = ClopenUnion((SymbolicClopen(*raw_c), SymbolicClopen(*raw_d)))
     for i, a in enumerate(u.parts):
         for b in u.parts[i + 1 :]:
             assert a.intersect(b).empty
@@ -209,9 +201,9 @@ def test_union_parts_pairwise_disjoint(raw_c, raw_d):
 
 def test_set_ops_frozen_values():
     full = ClopenUnion((FULL_SPACE,), already_disjoint=True)
-    assert union(cylinder("0"), cylinder("1")) == full
-    assert intersect(cylinder("01"), cylinder("0")) == ClopenUnion((cylinder("01"),), already_disjoint=True)
-    assert is_empty(intersect(cylinder("00"), cylinder("1")))
+    assert ClopenUnion((cylinder("0"), cylinder("1"))) == full
+    assert cylinder("01").intersect(cylinder("0")) == cylinder("01")
+    assert cylinder("00").intersect(cylinder("1")).is_empty()
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +211,11 @@ def test_set_ops_frozen_values():
 
 
 def test_diameter_frozen_values():
-    assert diameter(cylinder("010")) == Fraction(1, 8)
-    assert diameter(FULL_SPACE) == 1
-    assert diameter(SymbolicClopen("0", [atom_const(1, 0)])) == Fraction(1, 4)
+    assert cylinder("010").diameter() == Fraction(1, 8)
+    assert FULL_SPACE.diameter() == 1
+    assert SymbolicClopen("0", [atom_const(1, 0)]).diameter() == Fraction(1, 4)
     with pytest.raises(EmptySet):
-        diameter(EMPTY_SET)
+        EMPTY_SET.diameter()
 
 
 @given(clopen_raw_st)

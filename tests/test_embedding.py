@@ -3,12 +3,14 @@ the clopen transport oracle, randomized postcondition suites for the
 splitting construction, and the level scheme checked against hand traces."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorlab.cylinders import FULL_SPACE, SymbolicClopen, atom_const, cylinder, point_eval
+from cantorlab.config import DEFAULT
+from cantorlab.cylinders import FULL_SPACE, SymbolicClopen, atom_const, cylinder
 from cantorlab.embedding import (
     CantorInstance,
     MappingTupleAssignment,
@@ -57,10 +59,10 @@ def test_pick_distinct_preimages_shares_image():
     assert len(pts) == 5
     for i in range(5):
         for j in range(i + 1, 5):
-            assert any(point_eval(pts[i], c) != point_eval(pts[j], c) for c in range(24))
+            assert any(pts[i].eval(c) != pts[j].eval(c) for c in range(24))
     for p in pts:
         q = g_point(MapId(1, 0), p)
-        assert all(point_eval(q, c) == point_eval(target, c) for c in range(40))
+        assert all(q.eval(c) == target.eval(c) for c in range(40))
 
 
 def test_pick_distinct_preimages_errors():
@@ -78,7 +80,7 @@ def test_point_preimage_is_exact():
     target = g_point(MapId(1, 0), cylinder("001").witness_point())
     p = INST.point_preimage(0, cylinder("00"), target)
     q = g_point(MapId(1, 0), p)
-    assert all(point_eval(q, c) == point_eval(target, c) for c in range(50))
+    assert all(q.eval(c) == target.eval(c) for c in range(50))
     assert cylinder("00").contains(p)
 
 
@@ -113,7 +115,6 @@ def test_instance_validation():
     with pytest.raises(InvalidLevel):
         CantorInstance(0)
     assert INST.domain(0).render() == "N=00"
-    assert INST.contains(cylinder("01"), cylinder("01").witness_point())
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +417,13 @@ def test_lemma26_errors():
         lemma26_find(INST, cylinder("1"))
 
 
+def test_lemma26_reads_the_instance_search_budget():
+    """The search stops at the instance's own map_search_max."""
+    inst = CantorInstance(1, replace(DEFAULT, map_search_max=0))
+    with pytest.raises(NotFoundWithinBudget, match=r"no strength in \[1, 0\]"):
+        lemma26_find(inst, FULL_SPACE, 0)
+
+
 # ---------------------------------------------------------------------------
 # the level scheme
 
@@ -462,6 +470,13 @@ def test_build_scheme_validation():
         build_scheme(INST, -1)
     with pytest.raises(InvalidLevel):
         build_scheme(CantorInstance(2), 1)
+
+
+def test_build_scheme_reads_the_instance_word_cap():
+    """The approximation stages under the scheme obey the instance's cap."""
+    inst = CantorInstance(1, replace(DEFAULT, max_words=1))
+    with pytest.raises(CapExceeded, match="^stage 1: 2 words, cap is 1$"):
+        build_scheme(inst, 3)
 
 
 def test_build_scheme_nesting_is_a_typed_check(monkeypatch):
