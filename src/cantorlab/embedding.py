@@ -8,6 +8,8 @@ them build_scheme grows the level-by-level cell system whose nested chains
 evaluate a point embedding.
 """
 
+import functools
+
 from .approximation import detect_L_n, run
 from .config import DEFAULT, Budgets
 from .cylinders import LazyPoint, SymbolicClopen, atom_const, FULL_SPACE
@@ -348,25 +350,34 @@ def _stride_coords(budgets: Budgets) -> frozenset:
     return frozenset(out)
 
 
-def _first_difference(p: LazyPoint, q: LazyPoint, budgets: Budgets) -> int:
-    for c in range(budgets.point_probe_bits):
-        if p.eval(c) != q.eval(c):
-            return c
-    raise NotFoundWithinBudget(
-        f"no separating coordinate below {budgets.point_probe_bits}"
-    )
-
-
 def _separators(points, d, budgets: Budgets):
     """Per-point pin sets making the listed points' cells pairwise disjoint:
-    coordinates 0..d-1 plus the first differing coordinate of every pair."""
-    k = len(points)
-    pins = [set(range(d)) for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            c = _first_difference(points[i], points[j], budgets)
-            pins[i].add(c)
-            pins[j].add(c)
+    coordinates 0..d-1 plus the first differing coordinate of every pair.
+
+    Those first differences are the branch points of the points' binary
+    trie, so the points are split group by group, one coordinate at a time:
+    a group that meets both bits at c adds c to each member's pins, and a
+    group of one drops out.
+    """
+    pins = [set(range(d)) for _ in points]
+    groups = [list(range(len(points)))] if len(points) > 1 else []
+    for c in range(budgets.point_probe_bits):
+        if not groups:
+            break
+        split = []
+        for group in groups:
+            halves = ([], [])
+            for i in group:
+                halves[points[i].eval(c)].append(i)
+            if halves[0] and halves[1]:
+                for i in group:
+                    pins[i].add(c)
+            split.extend(h for h in halves if len(h) > 1)
+        groups = split
+    if groups:
+        raise NotFoundWithinBudget(
+            f"no separating coordinate below {budgets.point_probe_bits}"
+        )
     return pins
 
 
@@ -391,13 +402,22 @@ def _point_avoiding(cell: SymbolicClopen, placed, budgets: Budgets) -> LazyPoint
     return w.with_bits(bits)
 
 
-def _settle(cells, succ, preds, pos, ubase, inst, changed):
+_UNCHANGED = object()
+
+
+def _settle(cells, succ, preds, rank, ubase, preimage, changed, recuts):
     """Restore exact images after a batch of cells moved.
 
     `changed` maps the moved vertices to their new cells, already exact along
     their own chain.  Everything whose chain passes through a moved vertex is
-    recut against its successor, walking from the maxima downward; cuts that
-    reproduce the old cell keep the old object so the cascade dies out.
+    recut against its successor, walking from the maxima downward in `rank`
+    order; cuts that reproduce the old cell keep the old object so the
+    cascade dies out.
+
+    A recut is a function of the strength, the old cell and the successor's
+    cell alone, and equal clopen sets have equal normal forms, so `recuts`
+    memoizes it under that triple: the new cut, or _UNCHANGED.  `preimage`
+    is the instance's, memoized the same way by the caller.
     """
     affected = set(changed)
     stack = list(changed)
@@ -408,7 +428,7 @@ def _settle(cells, succ, preds, pos, ubase, inst, changed):
                 affected.add(p)
                 stack.append(p)
     really = set()
-    for w in sorted(affected, key=lambda t: (pos[t], repr(t))):
+    for w in sorted(affected, key=rank.__getitem__):
         if w in changed:
             cells[w] = changed[w]
             really.add(w)
@@ -417,10 +437,17 @@ def _settle(cells, succ, preds, pos, ubase, inst, changed):
         if nxt not in really:
             continue
         old = cells[w]
-        cut = old.intersect(inst.preimage(ubase[w.base], cells[nxt]))
-        if cut.is_empty():
-            raise EmptyRefinement(f"settling emptied the cell at {w!r}")
-        if old.subset(cut):
+        n, target = ubase[w.base], cells[nxt]
+        key = (n, old, target)
+        cut = recuts.get(key)
+        if cut is None:
+            cut = old.intersect(preimage(n, target))
+            if cut.is_empty():
+                raise EmptyRefinement(f"settling emptied the cell at {w!r}")
+            if old.subset(cut):
+                cut = _UNCHANGED
+            recuts[key] = cut
+        if cut is _UNCHANGED:
             continue
         cells[w] = cut
         really.add(w)
@@ -458,16 +485,18 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     cells = {}
     succ = {}
     preds = {}
-    pos = {}
+    rank = {}  # settle order: chain length, then repr, fixed at creation
+    recuts = {}
+    preimage = functools.cache(inst.preimage)
     copies = {v: [] for v in G.vertices}
     for v in G.vertices:
         lv = LabeledVertex(v, (0,))
         cells[lv] = seed.V[v]
         preds[lv] = set()
-        pos[lv] = len(chains[v])
+        rank[lv] = (len(chains[v]), repr(lv))
         copies[v].append(lv)
     for a, b in G.edges:
-        la, lb = LabeledVertex(a, (0,)), LabeledVertex(b, (0,))
+        la, lb = copies[a][0], copies[b][0]
         succ[la] = lb
         preds[lb].add(la)
 
@@ -499,6 +528,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
                 cur = nxt
 
             # replace the sigma-labeled cone copy by L labeled copies
+            fresh = {}
             for x in cone:
                 old = LabeledVertex(x, sigma)
                 old_succ = succ.pop(old)
@@ -507,18 +537,16 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
                 old_cell = cells.pop(old)
                 preds.pop(old)
                 copies[x].remove(old)
-                pos_x = pos.pop(old)
-                for j in range(L):
-                    new = LabeledVertex(x, sigma + (j,))
+                pos_x = rank.pop(old)[0]
+                fresh[x] = [LabeledVertex(x, sigma + (j,)) for j in range(L)]
+                for j, new in enumerate(fresh[x]):
                     cells[new] = disj[j] if x == top else old_cell
                     preds[new] = set()
-                    pos[new] = pos_x
-                    copies[x].append(new)
+                    rank[new] = (pos_x, repr(new))
+                copies[x].extend(fresh[x])
             for x in cone:
-                tgt_base = chains[x][1]
-                for j in range(L):
-                    new = LabeledVertex(x, sigma + (j,))
-                    tgt = s if x == top else LabeledVertex(tgt_base, sigma + (j,))
+                for j, new in enumerate(fresh[x]):
+                    tgt = s if x == top else fresh[chains[x][1]][j]
                     succ[new] = tgt
                     preds[tgt].add(new)
             if len(cells) > budgets.duplication_cap:
@@ -526,7 +554,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
                     f"splitting needs {len(cells)} labeled vertices, "
                     f"cap is {budgets.duplication_cap}"
                 )
-            _settle(cells, succ, preds, pos, u, inst, changed)
+            _settle(cells, succ, preds, rank, u, preimage, changed, recuts)
 
     # choose one copy per vertex, from the maxima down, avoiding placed points
     chosen = {}

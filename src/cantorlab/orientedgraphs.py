@@ -16,13 +16,22 @@ from .errors import BadEnumeration, CapExceeded, InvalidArgument, NotConnected
 
 @dataclass(frozen=True)
 class LabeledVertex:
-    """A base vertex id together with a finite label sequence."""
+    """A base vertex id together with a finite label sequence.
+
+    The hash is computed once, at construction: labeled vertices key the
+    duplication and splitting dicts, which look them up many times each.
+    """
 
     base: object
     label: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "label", tuple(self.label))
+        object.__setattr__(self, "_hash", hash((self.base, self.label)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         tail = ".".join(str(j) for j in self.label)

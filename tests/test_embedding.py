@@ -2,6 +2,8 @@
 the clopen transport oracle, randomized postcondition suites for the
 splitting construction, and the level scheme checked against hand traces."""
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorlab.config import DEFAULT
-from cantorlab.cylinders import FULL_SPACE, SymbolicClopen, atom_const, cylinder
+from cantorlab.cylinders import FULL_SPACE, LazyPoint, SymbolicClopen, atom_const, cylinder
 from cantorlab.embedding import (
     CantorInstance,
     MappingTupleAssignment,
@@ -27,6 +29,7 @@ from cantorlab.embedding import (
     scheme_state_json,
     shrink_47,
 )
+from cantorlab.embedding import _separators
 from cantorlab.errors import (
     CapExceeded,
     EmptyRefinement,
@@ -363,6 +366,78 @@ def test_shrink_47_postconditions(seed, d):
 
 
 # ---------------------------------------------------------------------------
+# separators: the pairwise scan, one per pair, is the oracle for the trie split
+
+
+def first_difference_oracle(p, q, budgets):
+    for c in range(budgets.point_probe_bits):
+        if p.eval(c) != q.eval(c):
+            return c
+    raise NotFoundWithinBudget(
+        f"no separating coordinate below {budgets.point_probe_bits}"
+    )
+
+
+def separators_oracle(points, d, budgets):
+    k = len(points)
+    pins = [set(range(d)) for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            c = first_difference_oracle(points[i], points[j], budgets)
+            pins[i].add(c)
+            pins[j].add(c)
+    return pins
+
+
+PROBE = replace(DEFAULT, point_probe_bits=24)
+
+
+def random_point(rng):
+    """Explicit bits over a default-0 or default-1 tail, or over a rule."""
+    top = PROBE.point_probe_bits + 4
+    explicit = {c: rng.randrange(2) for c in rng.sample(range(top), rng.randrange(1, 10))}
+    kind = rng.randrange(3)
+    if kind < 2:
+        return LazyPoint(explicit, kind)
+    table = [rng.randrange(2) for _ in range(top)]
+    return LazyPoint(explicit, 0, table.__getitem__)
+
+
+def test_separators_match_the_pairwise_oracle():
+    """Equal pin sets on random point sets, or NotFoundWithinBudget from
+    both when two points agree below the probe budget."""
+    rng = random.Random(7)
+    outcomes = {"pins": 0, "raised": 0}
+    for _ in range(400):
+        points = [random_point(rng) for _ in range(rng.randrange(41))]
+        d = rng.randrange(4)
+        try:
+            want = separators_oracle(points, d, PROBE)
+        except NotFoundWithinBudget as err:
+            with pytest.raises(NotFoundWithinBudget, match=f"^{err}$"):
+                _separators(points, d, PROBE)
+            outcomes["raised"] += 1
+            continue
+        assert _separators(points, d, PROBE) == want
+        outcomes["pins"] += 1
+    assert outcomes["pins"] >= 200 and outcomes["raised"] >= 20, outcomes
+
+
+def test_separators_need_a_difference_below_the_probe_budget():
+    """Two points that first differ at the budget are not separable."""
+    p = LazyPoint({}, 0)
+    q = LazyPoint({PROBE.point_probe_bits: 1}, 0)
+    r = LazyPoint({0: 1}, 0)
+    for points in ([p, q], [r, p, q]):
+        for fn in (separators_oracle, _separators):
+            with pytest.raises(NotFoundWithinBudget, match="^no separating coordinate below 24$"):
+                fn(points, 2, PROBE)
+    assert _separators([p, r], 2, PROBE) == [{0, 1}, {0, 1}]
+    assert _separators([q], 3, PROBE) == [{0, 1, 2}]
+    assert _separators([], 3, PROBE) == []
+
+
+# ---------------------------------------------------------------------------
 # the two pairing facts
 
 
@@ -556,3 +631,33 @@ def test_check_scheme_conditions_flags_tampering():
     clauses = {v[0] for v in report.violations}
     assert "cell-nesting" in clauses
     assert not check_scheme_conditions(states, INST).violations
+
+
+def test_build_scheme_frozen_depth_nine():
+    """The depth-9 scheme: cells per level, strengths, a clean condition
+    report, and the SHA-256 of every level's rendered cells as `build-h
+    --depth 9` writes them to its report."""
+    states = build_scheme(INST, 9)
+    assert [len(st_.cells) for st_ in states] == [1, 2, 4, 7, 13, 25, 50, 98, 196, 388]
+    assert states[-1].phi == {0: 0, 1: 1}
+    assert check_scheme_conditions(states, INST).violations == []
+    cells = [scheme_state_json(st_)["cells"] for st_ in states]
+    blob = json.dumps(cells, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "1544cb2560be8bbb63e6f4353ff03c9e9b0a1a678e3b14c241ec1e3287136413"
+    )
+
+
+def test_build_scheme_memoizes_preimages(monkeypatch):
+    """Settling reuses its recuts and preimages: depth 7 asks the instance
+    for at most 1,000 preimages (6,762 with a fresh preimage per recut)."""
+    calls = []
+    real = CantorInstance.preimage
+
+    def counted(self, n, C):
+        calls.append(n)
+        return real(self, n, C)
+
+    monkeypatch.setattr(CantorInstance, "preimage", counted)
+    build_scheme(INST, 7)
+    assert len(calls) <= 1000

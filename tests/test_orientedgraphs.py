@@ -362,6 +362,16 @@ def test_duplicate_frozen_example():
     }
 
 
+def test_labeled_vertex_list_and_tuple_labels_agree():
+    """The hash is cached after the label becomes a tuple, so a list label
+    and a tuple label give one vertex."""
+    a, b = LabeledVertex("a", [0, 1]), LabeledVertex("a", (0, 1))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert repr(a) == repr(b) == "a:0.1"
+    assert a != LabeledVertex("a", (1, 0))
+
+
 def test_duplicate_early_and_partial_stages():
     """Stages before duplication copy the graph; p=0 duplicates nothing."""
     g = FiniteOrientedGraph("ab", {("a", "b")})
