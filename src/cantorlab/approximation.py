@@ -411,31 +411,22 @@ def check_lemma_57(states) -> CheckReport:
         phi = state.phi_codes
         succ = dict(sorted(state.A_codes))  # the largest successor, as in check_lemma_53_54
         limit = len(state.X_codes)
-        chains = {}
         for (y, x), witness in sorted(phi.items()):
-            chain = chains.get(y)
-            if chain is None:
-                chain = [y]
-                v = y
-                while v in succ and len(chain) <= limit:
-                    v = succ[v]
-                    chain.append(v)
-                chains[y] = chain
-            try:
-                j = chain.index(x)
-            except ValueError:
-                j = 0
-            if j < 1:
-                report.add("target-on-chain", (lvl, code_str(y), code_str(x)))
-                continue
-            walked = []
-            for i in range(j):
-                value = phi.get((chain[i], chain[i + 1]))
-                if value is None:
-                    report.add("chain-step-in-edge-set",
-                               (lvl, code_str(chain[i]), code_str(chain[i + 1])))
-                    break
+            # Walk at most |X| steps from y until x; the first step outside
+            # the edge set counts only if the walk reaches x.
+            walked, gap, v = [], None, y
+            while x != y and v in succ and len(walked) < limit:
+                u, v = v, succ[v]
+                value = phi.get((u, v))
+                if value is None and gap is None:
+                    gap = (u, v)
                 walked.append(value)
+                if v == x:
+                    break
+            if x == y or v != x:
+                report.add("target-on-chain", (lvl, code_str(y), code_str(x)))
+            elif gap is not None:
+                report.add("chain-step-in-edge-set", (lvl, code_str(gap[0]), code_str(gap[1])))
             else:
                 if walked[-1] != witness or min(walked) != witness:
                     report.add("landing-index-minimal",
@@ -565,6 +556,27 @@ def state_json(state: ApproxState) -> dict:
         "A": [[code_str(y), code_str(x)] for y, x in sorted(state.A_codes)],
         "E": [code_str(w) for w in sorted(state.E_codes)],
     }
+
+
+def _json_list(items: list) -> str:
+    """A list of already rendered items inside the stage object, laid out as
+    `json.dumps(..., indent=2)` lays it out."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def state_text(state: ApproxState) -> str:
+    """`json.dumps(state_json(state), indent=2)`, written straight from the
+    code sets.  Words are 0/1 strings and witnesses ints, so no item needs
+    escaping, and json's pure-Python indent encoder is skipped."""
+    phi = state.phi_codes
+    X = _json_list([f'"{bin(w)[3:]}"' for w in sorted(state.X_codes)])
+    B = _json_list([f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}",\n      {n}\n    ]'
+                    for (y, x), n in sorted(phi.items())])
+    A = _json_list([f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}"\n    ]'
+                    for y, x in sorted(state.A_codes)])
+    E = _json_list([f'"{bin(w)[3:]}"' for w in sorted(state.E_codes)])
+    return (f'{{\n  "level": {state.level},\n  "X": {X},\n  "B": {B},\n  "A": {A},\n'
+            f'  "E": {E}\n}}')
 
 
 def state_dot(state: ApproxState, name=None) -> str:

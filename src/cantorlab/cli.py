@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .approximation import detect_L_n, run, state_dot, state_json
+from .approximation import detect_L_n, run, state_dot, state_text
 from .config import DEFAULT
 from .cylinders import LazyPoint
 from .embedding import scheme_state_json
@@ -32,7 +32,7 @@ def cmd_approx(args) -> int:
     for st in states:
         if args.emit == "json":
             path = outdir / f"stage_{st.level:03d}.json"
-            path.write_text(json.dumps(state_json(st), indent=2) + "\n")
+            path.write_text(state_text(st) + "\n")
         else:
             path = outdir / f"stage_{st.level:03d}.dot"
             path.write_text(state_dot(st))

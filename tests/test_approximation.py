@@ -3,6 +3,7 @@ out by hand, structural invariants at depth, and the check suites."""
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from cantorlab.approximation import (
     run,
     state_dot,
     state_json,
+    state_text,
     step,
 )
 from cantorlab.config import DEFAULT, Budgets
@@ -34,12 +36,13 @@ from cantorlab.errors import (
     StageRelationCycle,
 )
 from cantorlab.maps import MapId, graph_meets
-from cantorlab.orientedgraphs import FiniteOrientedGraph, validate_uogas
+from cantorlab.orientedgraphs import CheckReport, FiniteOrientedGraph, validate_uogas
 from cantorlab.sequences import (
     BinWord,
     anchor_word,
     code_bit,
     code_len,
+    code_str,
     stride,
     stride_expand,
 )
@@ -599,6 +602,111 @@ def test_check_57_rejects_other_families():
         check_lemma_57(run(2, 2))
 
 
+def ref_check_lemma_57(states):
+    """check_lemma_57 as it was before its walk stopped at each edge's
+    target: one whole successor chain per source, then a list search."""
+    report = CheckReport()
+    for state in states:
+        lvl = state.level
+        phi = state.phi_codes
+        succ = dict(sorted(state.A_codes))
+        limit = len(state.X_codes)
+        chains = {}
+        for (y, x), witness in sorted(phi.items()):
+            chain = chains.get(y)
+            if chain is None:
+                chain = [y]
+                v = y
+                while v in succ and len(chain) <= limit:
+                    v = succ[v]
+                    chain.append(v)
+                chains[y] = chain
+            try:
+                j = chain.index(x)
+            except ValueError:
+                j = 0
+            if j < 1:
+                report.add("target-on-chain", (lvl, code_str(y), code_str(x)))
+                continue
+            walked = []
+            for i in range(j):
+                value = phi.get((chain[i], chain[i + 1]))
+                if value is None:
+                    report.add("chain-step-in-edge-set",
+                               (lvl, code_str(chain[i]), code_str(chain[i + 1])))
+                    break
+                walked.append(value)
+            else:
+                if walked[-1] != witness or min(walked) != witness:
+                    report.add("landing-index-minimal",
+                               (lvl, code_str(y), code_str(x), tuple(walked), witness))
+                if len(set(walked)) != len(walked):
+                    report.add("index-injective", (lvl, code_str(y), code_str(x), tuple(walked)))
+    return report
+
+
+def test_check_57_matches_the_whole_chain_reference_to_depth_sixteen():
+    states = run(1, 16)
+    assert check_lemma_57(states).violations == ref_check_lemma_57(states).violations == []
+
+
+def _tampered_stage(rng, state):
+    """A family-1 stage with loops, 2-cycles and branching words added to its
+    successor relation, and pairs dropped from, rewitnessed in and added to
+    its edge set; added successor pairs sometimes get a witness too."""
+    words = sorted(state.X_codes)
+    A = set(state.A_codes)
+    phi = dict(state.phi_codes)
+
+    def add_pair(y, x):
+        A.add((y, x))
+        if rng.random() < 0.5:
+            phi[(y, x)] = rng.randrange(4)
+
+    for _ in range(rng.randrange(3)):
+        w = rng.choice(words)
+        add_pair(w, w)
+    for _ in range(rng.randrange(3)):
+        a, b = rng.sample(words, 2)
+        add_pair(a, b)
+        add_pair(b, a)
+    for _ in range(rng.randrange(3)):
+        add_pair(rng.choice(sorted(A))[0], rng.choice(words))
+    for key in rng.sample(sorted(phi), min(len(phi), rng.randrange(4))):
+        del phi[key]
+    for key in rng.sample(sorted(phi), min(len(phi), rng.randrange(3))):
+        phi[key] = rng.randrange(4)
+    for _ in range(rng.randrange(4)):
+        phi[(rng.choice(words), rng.choice(words))] = rng.randrange(4)
+    return ApproxState._from_codes(1, state.level, state.X_codes, A, state.E_codes, phi)
+
+
+def test_check_57_matches_the_whole_chain_reference_on_tampered_stages():
+    """Equal reports, in the same order, on 300 randomly tampered stages of
+    levels 3 to 10; between them the stages break every clause."""
+    rng = random.Random(57)
+    stages = run(1, 10)[3:]
+    clauses = set()
+    for _ in range(300):
+        bad = [_tampered_stage(rng, rng.choice(stages))]
+        report = check_lemma_57(bad)
+        assert report.violations == ref_check_lemma_57(bad).violations
+        clauses.update(clause for clause, _ in report.violations)
+    assert clauses == {"target-on-chain", "chain-step-in-edge-set",
+                       "landing-index-minimal", "index-injective"}
+
+
+def test_check_57_reports_an_edge_from_a_word_to_itself_off_chain():
+    """An edge (w, w) is off the chain even when w's successors cycle back."""
+    state = run(1, 3)[3]
+    pairs = {(W("100"), W("101")), (W("101"), W("100"))}
+    phi = {(W("100"), W("100")): 0, (W("100"), W("101")): 0, (W("101"), W("100")): 1}
+    bad = ApproxState(1, 3, state.X, pairs, state.E, phi)
+    assert check_lemma_57([bad]).violations == ref_check_lemma_57([bad]).violations == [
+        ("target-on-chain", (3, "100", "100")),
+    ]
+
+
 def test_check_58_first_map_short_probe():
     """The worked probe: the image stream of anything in the 001 cell is
     pinned to the 01 cell, and the stage pairs reflect it."""
@@ -734,6 +842,24 @@ def test_state_json_frozen_stage_two():
         "E": ["00", "10", "11"],
     }
     json.dumps(snap)
+
+
+@pytest.mark.parametrize("family,depth", [(1, 12), (2, 10), (3, 8)])
+def test_state_text_is_the_indented_json_of_state_json(family, depth):
+    for state in run(family, depth):
+        assert state_text(state) == json.dumps(state_json(state), indent=2), state.level
+
+
+def test_state_text_writes_empty_lists_as_json_does():
+    """init() has empty A and B; a stage stripped of its splitting set has an
+    empty E."""
+    base = run(1, 9)[9]
+    for state in (init(), ApproxState(1, 9, base.X, base.A, (), base.phi)):
+        assert state_text(state) == json.dumps(state_json(state), indent=2)
+    assert state_text(init()).splitlines() == [
+        "{", '  "level": 0,', '  "X": [', '    ""', "  ],", '  "B": [],', '  "A": [],',
+        '  "E": [', '    ""', "  ]", "}",
+    ]
 
 
 def test_state_dot_mentions_every_piece():

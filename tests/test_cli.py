@@ -44,6 +44,23 @@ def test_approx_dot_emission(tmp_path):
     assert body.startswith("digraph")
 
 
+def test_approx_stage_files_hold_the_stage_text(tmp_path):
+    """JSON files are state_json indented as json.dumps does it, plus a
+    newline; DOT files are state_dot."""
+    states = approximation.run(1, 6)
+    for emit, render in [
+        ("json", lambda st: json.dumps(approximation.state_json(st), indent=2) + "\n"),
+        ("dot", approximation.state_dot),
+    ]:
+        out = tmp_path / emit
+        assert main(["approx", "--L", "1", "--depth", "6", "--emit", emit, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"stage_{st.level:03d}.{emit}" for st in states
+        ]
+        for st in states:
+            assert (out / f"stage_{st.level:03d}.{emit}").read_bytes() == render(st).encode()
+
+
 def test_approx_rejects_bad_level(capsys):
     assert main(["approx", "--L", "0", "--depth", "2"]) == 2
     assert "--L must be >= 1" in capsys.readouterr().err
