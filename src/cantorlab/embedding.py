@@ -14,7 +14,6 @@ from .approximation import detect_L_n, run
 from .config import DEFAULT, Budgets
 from .cylinders import LazyPoint, SymbolicClopen, atom_const, FULL_SPACE
 from .errors import (
-    BudgetExceeded,
     CapExceeded,
     EmptyRefinement,
     EmptySet,
@@ -27,14 +26,13 @@ from .errors import (
 from .maps import MapId, _read_inverse, domain_D, g_point, image_clopen, preimage_clopen
 from .orientedgraphs import (
     CheckReport,
+    Duplication,
     FiniteOrientedGraph,
-    LabeledVertex,
     M_of,
     components,
     p_to_max,
     pred,
     succ,
-    validate_uogas,
 )
 from .sequences import BinWord, anchor_word, stride
 
@@ -461,10 +459,12 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     processed by chain length; each non-maximal vertex's labeled copies are
     split into |X| fresh copies around distinct preimages of a common target
     point, the shared image shrink is pushed up the chain, and exactness is
-    restored below.  A branch of copies is then chosen point by point, from
-    the maxima down, so that every chosen cell avoids all previously placed
-    points; separating neighbourhoods around the chosen points and a final
-    chain refinement give the result.
+    restored below.  The copies and their edges are kept by the duplication
+    engine, orientedgraphs.Duplication, which also enforces the cap.  A
+    branch of copies is then chosen point by point, from the maxima down, so
+    that every chosen cell avoids all previously placed points; separating
+    neighbourhoods around the chosen points and a final chain refinement give
+    the result.
     """
     if d < 0:
         raise InvalidArgument("diameter exponent must be a natural number")
@@ -472,9 +472,6 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     inst = assignment.instance
     budgets = inst.budgets
     u = assignment.u
-    report = validate_uogas(G)
-    if not report.ok:
-        raise InvalidArgument(f"not a successor graph: {report.violations[:3]}")
     chains = _chains(G)
     order = sorted(G.vertices, key=lambda t: (len(chains[t]), repr(t)))
     L = len(order)
@@ -482,31 +479,19 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
         return assignment
     seed = refine_45(assignment)
 
+    dup = Duplication(G, order, budgets)
     cells = {}
-    succ = {}
-    preds = {}
     rank = {}  # settle order: chain length, then repr, fixed at creation
     recuts = {}
     preimage = functools.cache(inst.preimage)
-    copies = {v: [] for v in G.vertices}
     for v in G.vertices:
-        lv = LabeledVertex(v, (0,))
+        (lv,) = dup.copies[v]
         cells[lv] = seed.V[v]
-        preds[lv] = set()
         rank[lv] = (len(chains[v]), repr(lv))
-        copies[v].append(lv)
-    for a, b in G.edges:
-        la, lb = copies[a][0], copies[b][0]
-        succ[la] = lb
-        preds[lb].add(la)
 
-    L0 = sum(1 for v in order if len(chains[v]) == 1)
-    for mi in range(L0, L):
-        top = order[mi]
-        cone = [x for x in order if top in chains[x]]
-        for sigma in sorted(lv.label for lv in copies[top]):
-            vp = LabeledVertex(top, sigma)
-            s = succ[vp]
+    for top in order[dup.first :]:
+        for vp in sorted(dup.copies[top], key=lambda lv: lv.label):
+            s = dup.succ[vp]
             target, pts = inst.pick_distinct_preimages(u[top], cells[vp], L)
             pins = _separators(pts, 0, budgets)
             disj = [
@@ -521,40 +506,19 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
             cur, val = s, shrunk
             while True:
                 changed[cur] = val
-                nxt = succ.get(cur)
+                nxt = dup.succ.get(cur)
                 if nxt is None:
                     break
                 val = inst.image(u[cur.base], val)
                 cur = nxt
 
-            # replace the sigma-labeled cone copy by L labeled copies
-            fresh = {}
-            for x in cone:
-                old = LabeledVertex(x, sigma)
-                old_succ = succ.pop(old)
-                if old_succ in preds:
-                    preds[old_succ].discard(old)
+            for x, old, fresh in dup.split(top, vp.label):
                 old_cell = cells.pop(old)
-                preds.pop(old)
-                copies[x].remove(old)
                 pos_x = rank.pop(old)[0]
-                fresh[x] = [LabeledVertex(x, sigma + (j,)) for j in range(L)]
-                for j, new in enumerate(fresh[x]):
+                for j, new in enumerate(fresh):
                     cells[new] = disj[j] if x == top else old_cell
-                    preds[new] = set()
                     rank[new] = (pos_x, repr(new))
-                copies[x].extend(fresh[x])
-            for x in cone:
-                for j, new in enumerate(fresh[x]):
-                    tgt = s if x == top else fresh[chains[x][1]][j]
-                    succ[new] = tgt
-                    preds[tgt].add(new)
-            if len(cells) > budgets.duplication_cap:
-                raise BudgetExceeded(
-                    f"splitting needs {len(cells)} labeled vertices, "
-                    f"cap is {budgets.duplication_cap}"
-                )
-            _settle(cells, succ, preds, rank, u, preimage, changed, recuts)
+            _settle(cells, dup.succ, dup.preds, rank, u, preimage, changed, recuts)
 
     # choose one copy per vertex, from the maxima down, avoiding placed points
     chosen = {}
@@ -563,12 +527,12 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     for v in order:
         ch = chains[v]
         if len(ch) == 1:
-            lv = copies[v][0]
+            (lv,) = dup.copies[v]
             z = _point_avoiding(cells[lv], placed, budgets)
         else:
             sv = chosen[ch[1]]
             cands = sorted(
-                (p for p in preds[sv] if p.base == v), key=lambda t: t.label
+                (p for p in dup.preds[sv] if p.base == v), key=lambda t: t.label
             )
             lv = None
             for cand in cands:
@@ -690,29 +654,6 @@ def _scheme_strengths(state, succ, sphi):
     return u
 
 
-def _chain_cells(state, succ, u, cells, inst):
-    """Cells cut back along the level's successor chains (maxima fixed)."""
-    depth = {}
-
-    def dist(y):
-        if y in depth:
-            return depth[y]
-        d = 0 if y not in succ else dist(succ[y]) + 1
-        depth[y] = d
-        return d
-
-    W = {}
-    for y in sorted(state.X, key=lambda t: (dist(t), t.code)):
-        if y not in succ:
-            W[y] = cells[y]
-            continue
-        cut = cells[y].intersect(inst.preimage(u[y], W[succ[y]]))
-        if cut.is_empty():
-            raise EmptyRefinement(f"level {state.level}: chain cut emptied {y}")
-        W[y] = cut
-    return W
-
-
 def build_scheme(instance, depth: int):
     """Grow the nested cell scheme level by level.
 
@@ -745,7 +686,14 @@ def build_scheme(instance, depth: int):
         qchain = ()
         if r is not None:
             u_l = _scheme_strengths(st_l, succ_l, sphi)
-            W = _chain_cells(st_l, succ_l, u_l, cells, instance)
+            W = refine_45(
+                MappingTupleAssignment(
+                    FiniteOrientedGraph(st_l.X, st_l.A),
+                    instance,
+                    {x: u_l.get(x, 0) for x in st_l.X},
+                    cells,
+                )
+            ).V
             tr = anchor_word(r, budgets)
             prev = max(sphi.values()) if sphi else None
             found, O0, O1 = lemma26_find(instance, W[tr], prev)

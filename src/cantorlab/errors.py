@@ -1,7 +1,7 @@
 """Error vocabulary shared by every cantorlab module.
 
 All errors that signal a desk-scale resource boundary rather than a bug
-(CapExceeded, BudgetExceeded, NotFoundWithinBudget)
+(CapExceeded, NotFoundWithinBudget)
 derive from ResourceBoundary so callers can distinguish "raise the budget"
 from "fix the input".
 """
@@ -17,10 +17,6 @@ class ResourceBoundary(CantorLabError):
 
 class CapExceeded(ResourceBoundary):
     """A word or state family would exceed its materialization cap."""
-
-
-class BudgetExceeded(ResourceBoundary):
-    """An iterative construction ran past its configured work budget."""
 
 
 class NotFoundWithinBudget(ResourceBoundary):

@@ -3,7 +3,9 @@
 Everything here is finite and order-insensitive except the duplication
 construction, which consumes a caller-supplied vertex enumeration and makes
 label copies of one vertex's predecessor cone per stage.  Vertex ids are
-opaque hashable values; duplication wraps them in LabeledVertex.
+opaque hashable values; duplication wraps them in LabeledVertex.  The
+construction exists once, as the Duplication engine: `duplicate` builds its
+stages with it, and embedding.shrink_47 runs it with a cell on each copy.
 """
 
 from __future__ import annotations
@@ -325,6 +327,76 @@ def _check_enumeration(G, order, paths):
         raise BadEnumeration("enumeration must have nondecreasing chain lengths")
 
 
+class Duplication:
+    """The labeled copies of a uogas under the duplication construction,
+    kept incrementally.
+
+    The constructor validates the graph and the enumeration, which lists
+    every vertex once in nondecreasing chain length; splitting starts at its
+    index `first`, the first non-maximal vertex.  Each vertex x starts with
+    the one copy x:0.  `copies` maps a base vertex to the set of its live
+    copies, `succ` maps a copy to its successor copy, and `preds` maps every
+    live copy to the set of its predecessor copies; only `split` changes them.
+    """
+
+    __slots__ = ("order", "paths", "first", "copies", "succ", "preds", "_cap")
+
+    def __init__(self, G: FiniteOrientedGraph, enumeration, budgets: Budgets = DEFAULT):
+        report = validate_uogas(G)
+        if not report.ok:
+            raise InvalidArgument(f"not an uogas: {report.violations[:3]}")
+        self.order = tuple(enumeration)
+        self.paths = {x: p_to_max(G, x) for x in G.vertices}
+        _check_enumeration(G, self.order, self.paths)
+        self.first = sum(1 for x in self.order if len(self.paths[x]) == 1)
+        self._cap = budgets.duplication_cap
+        zero = {x: LabeledVertex(x, (0,)) for x in G.vertices}
+        self.copies = {x: {lv} for x, lv in zero.items()}
+        self.succ = {zero[a]: zero[b] for a, b in G.edges}
+        self.preds = {lv: set() for lv in zero.values()}
+        for a, b in G.edges:
+            self.preds[zero[b]].add(zero[a])
+
+    def split(self, top, sigma) -> list:
+        """Replace the sigma-labeled copy of top's predecessor cone by one
+        block per enumerated vertex, labeled sigma.j.
+
+        Edges inside the cone are copied into each block and the edge out of
+        top keeps its target.  Returns (base, old copy, fresh copies in label
+        order) per cone vertex, in enumeration order.  Raises CapExceeded,
+        before changing anything, when the copies would outgrow the cap.
+        """
+        cone = [x for x in self.order if top in self.paths[x]]
+        n = len(self.order)
+        succ, preds = self.succ, self.preds
+        olds = [LabeledVertex(x, sigma) for x in cone]
+        if not all(old in preds for old in olds):
+            raise InvalidArgument(f"no live copy of {top!r}'s cone at {sigma}")
+        size = len(preds) + len(cone) * (n - 1)
+        if size > self._cap:
+            raise CapExceeded(f"duplication needs {size} labeled vertices, cap is {self._cap}")
+        target = succ.get(olds[0])
+        if target is not None:
+            preds[target].discard(olds[0])
+        out = []
+        made = {}
+        for x, old in zip(cone, olds):
+            del preds[old]
+            succ.pop(old, None)
+            fresh = made[x] = [LabeledVertex(x, sigma + (j,)) for j in range(n)]
+            self.copies[x].discard(old)
+            self.copies[x].update(fresh)
+            # x's successor precedes it in the cone, so its copies exist
+            for j, new in enumerate(fresh):
+                preds[new] = set()
+                tgt = target if x == top else made[self.paths[x][1]][j]
+                if tgt is not None:
+                    succ[new] = tgt
+                    preds[tgt].add(new)
+            out.append((x, old, fresh))
+        return out
+
+
 def duplicate(
     G: FiniteOrientedGraph,
     enumeration,
@@ -341,69 +413,27 @@ def duplicate(
     each later step replaces the predecessor cone of the step's vertex by
     copyCount labeled copies, keeping edges as follows: edges outside the
     cone survive, edges inside are copied into each block, and the one edge
-    out of the cone's top keeps its target.
+    out of the cone's top keeps its target.  Each block is one
+    Duplication.split.
     """
-    report = validate_uogas(G)
-    if not report.ok:
-        raise InvalidArgument(f"not an uogas: {report.violations[:3]}")
-    order = tuple(enumeration)
-    paths = {x: p_to_max(G, x) for x in G.vertices}
-    _check_enumeration(G, order, paths)
-    L = len(order)
-    if L == 0:
+    dup = Duplication(G, enumeration, budgets)
+    order = dup.order
+    if not order:
         return FiniteOrientedGraph((), ())
-    if not 0 <= m < L:
+    if not 0 <= m < len(order):
         raise InvalidArgument("stage index out of range")
-    L0 = sum(1 for x in order if len(paths[x]) == 1)
-    if p is not None and m < L0:
+    if p is not None and m < dup.first:
         raise InvalidArgument("partial stages exist only once duplication starts")
-
-    verts = {LabeledVertex(x, (0,)) for x in G.vertices}
-    edges = {(LabeledVertex(a, (0,)), LabeledVertex(b, (0,))) for a, b in G.edges}
-    for step in range(L0, m + 1):
+    for step in range(dup.first, m + 1):
         top = order[step]
-        cone = {x for x in G.vertices if top in paths[x]}
-        block_labels = sorted(v.label for v in verts if v.base == top)
+        labels = sorted(v.label for v in dup.copies[top])
         if step == m and p is not None:
-            if not 0 <= p <= len(block_labels):
+            if not 0 <= p <= len(labels):
                 raise InvalidArgument("partial block count out of range")
-            blocks = set(block_labels[:p])
-        else:
-            blocks = set(block_labels)
-
-        def dup(v):
-            return v.base in cone and v.label in blocks
-
-        new_verts = set()
-        for v in verts:
-            if dup(v):
-                new_verts.update(LabeledVertex(v.base, v.label + (j,)) for j in range(L))
-            else:
-                new_verts.add(v)
-        if len(new_verts) > budgets.duplication_cap:
-            raise CapExceeded(
-                f"duplication stage {step} needs {len(new_verts)} vertices, "
-                f"cap is {budgets.duplication_cap}"
-            )
-        new_edges = set()
-        for a, b in edges:
-            if dup(b) and not dup(a):
-                raise InvalidArgument("cone invariant broken; enumeration unusable")
-            if not dup(a):
-                new_edges.add((a, b))
-            elif dup(b):
-                for j in range(L):
-                    new_edges.add(
-                        (
-                            LabeledVertex(a.base, a.label + (j,)),
-                            LabeledVertex(b.base, b.label + (j,)),
-                        )
-                    )
-            else:
-                for j in range(L):
-                    new_edges.add((LabeledVertex(a.base, a.label + (j,)), b))
-        verts, edges = new_verts, new_edges
-    return FiniteOrientedGraph(verts, edges)
+            labels = labels[:p]
+        for sigma in labels:
+            dup.split(top, sigma)
+    return FiniteOrientedGraph(dup.preds, dup.succ.items())
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,17 @@ def test_shrink_47_validation():
         shrink_47(bad, 2)
 
 
+def test_shrink_47_stops_at_the_duplication_cap():
+    """Splitting the edge's source needs three labeled vertices; a cap of two
+    admits the two preimages but not the copies, and raises CapExceeded."""
+    inst = CantorInstance(1, replace(DEFAULT, duplication_cap=2))
+    asg = MappingTupleAssignment(
+        edge_graph(), inst, {"a": 0, "b": 0}, {"a": cylinder("00"), "b": cylinder("01")}
+    )
+    with pytest.raises(CapExceeded, match="^duplication needs 3 labeled vertices, cap is 2$"):
+        shrink_47(asg, 2)
+
+
 def check_shrink_postconditions(asg, d):
     out = shrink_47(asg, d)
     assert in_E(out)

@@ -1,15 +1,24 @@
 """Oriented graph machinery against exhaustive and brute-force oracles."""
 
 import time
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorlab.errors import BadEnumeration, InvalidArgument, NotConnected
+from cantorlab.config import DEFAULT
+from cantorlab.errors import (
+    BadEnumeration,
+    CantorLabError,
+    CapExceeded,
+    InvalidArgument,
+    NotConnected,
+)
 from cantorlab.orientedgraphs import (
     CheckReport,
+    Duplication,
     FiniteOrientedGraph,
     LabeledVertex,
     M_of,
@@ -182,6 +191,84 @@ def sorted_enumeration(G):
     return sorted(G.vertices, key=lambda v: (len(chains[v]), repr(v)))
 
 
+def rescan_duplicate(G, enumeration, m, p=None, budgets=DEFAULT):
+    """The reference duplication: every step rescans all vertices and edges
+    of the stage so far (quadratic, small graphs only)."""
+    report = validate_uogas(G)
+    if not report.ok:
+        raise InvalidArgument(f"not an uogas: {report.violations[:3]}")
+    order = tuple(enumeration)
+    paths = {x: p_to_max(G, x) for x in G.vertices}
+    if len(order) != len(G.vertices) or set(order) != G.vertices:
+        raise BadEnumeration("enumeration must list every vertex exactly once")
+    lengths = [len(paths[x]) for x in order]
+    if any(lengths[i] > lengths[i + 1] for i in range(len(lengths) - 1)):
+        raise BadEnumeration("enumeration must have nondecreasing chain lengths")
+    L = len(order)
+    if L == 0:
+        return FiniteOrientedGraph((), ())
+    if not 0 <= m < L:
+        raise InvalidArgument("stage index out of range")
+    L0 = sum(1 for x in order if len(paths[x]) == 1)
+    if p is not None and m < L0:
+        raise InvalidArgument("partial stages exist only once duplication starts")
+
+    verts = {LabeledVertex(x, (0,)) for x in G.vertices}
+    edges = {(LabeledVertex(a, (0,)), LabeledVertex(b, (0,))) for a, b in G.edges}
+    for step in range(L0, m + 1):
+        top = order[step]
+        cone = {x for x in G.vertices if top in paths[x]}
+        block_labels = sorted(v.label for v in verts if v.base == top)
+        if step == m and p is not None:
+            if not 0 <= p <= len(block_labels):
+                raise InvalidArgument("partial block count out of range")
+            blocks = set(block_labels[:p])
+        else:
+            blocks = set(block_labels)
+
+        def dup(v):
+            return v.base in cone and v.label in blocks
+
+        new_verts = set()
+        for v in verts:
+            if dup(v):
+                new_verts.update(LabeledVertex(v.base, v.label + (j,)) for j in range(L))
+            else:
+                new_verts.add(v)
+        if len(new_verts) > budgets.duplication_cap:
+            raise CapExceeded(
+                f"duplication stage {step} needs {len(new_verts)} vertices, "
+                f"cap is {budgets.duplication_cap}"
+            )
+        new_edges = set()
+        for a, b in edges:
+            if dup(b) and not dup(a):
+                raise InvalidArgument("cone invariant broken; enumeration unusable")
+            if not dup(a):
+                new_edges.add((a, b))
+            elif dup(b):
+                for j in range(L):
+                    new_edges.add(
+                        (
+                            LabeledVertex(a.base, a.label + (j,)),
+                            LabeledVertex(b.base, b.label + (j,)),
+                        )
+                    )
+            else:
+                for j in range(L):
+                    new_edges.add((LabeledVertex(a.base, a.label + (j,)), b))
+        verts, edges = new_verts, new_edges
+    return FiniteOrientedGraph(verts, edges)
+
+
+def uogas_up_to(n):
+    """Every uogas on the first k of the letters abcd..., for k = 1..n."""
+    for k in range(1, n + 1):
+        for g in succ_choice_graphs("abcdefgh"[:k]):
+            if validate_uogas(g).ok:
+                yield g
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 
@@ -253,6 +340,17 @@ def test_indexes_match_edge_scans_exhaustive():
 # A linear validator takes well under a second on either graph below; one edge
 # scan per vertex takes minutes.  The budget leaves room for a slow host.
 SCALE_BUDGET_S = 5.0
+
+
+def test_duplicate_scales_linearly():
+    """Full duplication of a 201-vertex star, 200 leaves on one root, makes
+    40,201 labeled vertices within the time budget."""
+    star = FiniteOrientedGraph(range(201), {(i, 0) for i in range(1, 201)})
+    t0 = time.perf_counter()
+    out = duplicate(star, range(201), 200)
+    elapsed = time.perf_counter() - t0
+    assert len(out.vertices) == 40_201 and len(out.edges) == 40_200
+    assert elapsed < SCALE_BUDGET_S, elapsed
 
 
 def test_validate_scales_linearly():
@@ -445,6 +543,71 @@ def test_duplicate_output_always_uogas_exhaustive():
                     assert a.label == b.label
             for p in range(len([v for v in prev.vertices if v.base == top]) + 1):
                 assert validate_uogas(duplicate(g, order, m, p=p)).ok
+
+
+def test_duplication_split_that_fails_changes_nothing():
+    """A split past the cap, or of a copy that is gone, raises before it
+    touches the copies and their edges."""
+    g = FiniteOrientedGraph("abc", {("c", "b"), ("b", "a")})
+    dup = Duplication(g, "abc", replace(DEFAULT, duplication_cap=7))
+    made = dup.split("b", (0,))
+    assert [(x, old) for x, old, _ in made] == [
+        ("b", LabeledVertex("b", (0,))),
+        ("c", LabeledVertex("c", (0,))),
+    ]
+    state = (
+        dict(dup.succ),
+        {v: set(ps) for v, ps in dup.preds.items()},
+        {x: set(c) for x, c in dup.copies.items()},
+    )
+    with pytest.raises(CapExceeded, match="^duplication needs 9 labeled vertices, cap is 7$"):
+        dup.split("c", (0, 0))
+    with pytest.raises(InvalidArgument):
+        dup.split("c", (0,))
+    assert state == (dup.succ, dup.preds, dup.copies)
+
+
+def outcome(f, *args, **kwargs):
+    """The graph f returns, or the type of the error it raises."""
+    try:
+        return f(*args, **kwargs)
+    except CantorLabError as err:
+        return type(err)
+
+
+def test_duplicate_matches_rescan_oracle_exhaustive():
+    """On every uogas up to four vertices, every stage and partial stage, in
+    range or one block past it, equals the rescanning oracle's, or raises
+    the same error type, under the default cap and under small caps.
+
+    The one exception is checked on its own: a partial stage with p=0 at the
+    first splitting step splits nothing, so it passes a cap that the unsplit
+    graph already exceeds, as stage m - 1 does; the oracle counted the
+    vertices once more there and raised.
+    """
+    caps = (DEFAULT.duplication_cap, 1, 2, 3, 5, 8, 13, 21, 40)
+    cases = 0
+    for g in uogas_up_to(4):
+        order = sorted_enumeration(g)
+        L0 = len(max_set(g))
+        for m in range(len(order)):
+            parts = [None]
+            if m >= L0:
+                before = rescan_duplicate(g, order, m, p=0)
+                blocks = sum(1 for v in before.vertices if v.base == order[m])
+                parts += range(blocks + 2)
+            for cap in caps:
+                budgets = replace(DEFAULT, duplication_cap=cap)
+                for p in parts:
+                    got = outcome(duplicate, g, order, m, p, budgets)
+                    want = outcome(rescan_duplicate, g, order, m, p, budgets)
+                    if p == 0 and m == L0 and len(g.vertices) > cap:
+                        assert want is CapExceeded
+                        assert got == rescan_duplicate(g, order, m - 1)
+                    else:
+                        assert got == want, (sorted(g.edges), m, p, cap)
+                    cases += cap == DEFAULT.duplication_cap
+    assert cases == 2_193
 
 
 @settings(max_examples=60, deadline=None)
