@@ -7,10 +7,14 @@ coordinate transport the maps need, and satisfiability, subset, and projection
 are all decidable through a parity union-find with no assignment enumeration.
 
 Normal form: constraints whose coordinates fall inside the base prefix are
-folded into the prefix (or produce the empty set); singleton classes with no
-forced value are dropped; each remaining class is keyed by its least
-coordinate.  Two sets denote the same family of points iff their normal forms
-are equal.
+folded into the prefix (or produce the empty set), and forced bits right after
+the base extend it; each remaining class is keyed by its least coordinate.
+Two sets denote the same family of points iff their normal forms are equal.
+
+The classes are built in one pass: each coordinate links straight to its
+class with a parity, and a union relabels the smaller class into the larger
+(weighted union with parity, Tarjan 1975).  intersect and with_atoms start
+from an operand's normalized classes and merge in only the other constraints.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EmptySet, InvalidArgument
-from .sequences import BinWord, code_bit, code_is_prefix, code_len, code_meet
+from .sequences import BinWord, code_bit, code_is_prefix
 
 
 class LazyPoint:
@@ -87,138 +91,108 @@ class SymbolicClopen:
     __slots__ = ("base", "empty", "_link", "_const", "_atoms", "_hash")
 
     def __init__(self, base=None, atoms=()):
-        if isinstance(base, str):
+        """The cylinder of `base` cut by `atoms`.
+
+        `base` is a BinWord, its text, None for the whole space, or a
+        SymbolicClopen, whose normalized classes are then loaded as they stand
+        so that only `atoms` are merged in.
+        """
+        # link: coord -> (class id, parity to the class root); members lists
+        # each class.  Class -1 is pinned to 0, so its members carry their
+        # forced bits.  A union relabels the smaller class into the larger,
+        # and the pinned class keeps its id.
+        link, members = {-1: (-1, 0)}, {-1: []}
+        empty = False
+        if isinstance(base, SymbolicClopen):
+            empty, seed, base = base.empty, base, base.base
+            for x, (r, p) in seed._link.items():
+                v = seed._const[r]
+                c = r if v is None else -1
+                link[x] = (c, p if v is None else v)
+                members.setdefault(c, []).append(x)
+        elif isinstance(base, str):
             base = BinWord.from_str(base)
-        self.base = base if base is not None else BinWord(1)
-        self.empty = False
-        self._link = {}   # coord -> (root, parity to root)
-        self._const = {}  # root -> forced bit or None
-        atoms = list(atoms)
-        while True:
-            self._build(atoms)
-            if self.empty:
-                break
-            # constraints pinning bits right after the base fold into it,
-            # so equal sets built along different routes normalize alike
-            ext = []
-            i = len(self.base)
-            while True:
-                v = self._forced_beyond_base(i)
-                if v is None:
-                    break
-                ext.append(v)
-                i += 1
-            if not ext:
-                break
-            for b in ext:
-                self.base = self.base.append(b)
-        self._atoms = self._canonical_atoms()
-        self._hash = hash((self.empty, self.base.code if not self.empty else 0, self._atoms))
-
-    def _forced_beyond_base(self, i):
-        if i in self._link:
-            r, p = self._link[i]
-            v = self._const.get(r)
-            if v is not None:
-                return v ^ p
-        return None
-
-    # -- construction ------------------------------------------------------
-
-    def _build(self, atoms):
-        blen = len(self.base)
-        bcode = self.base.code
-        parent = {}
-
-        def find(x):
-            # returns (root, parity of x relative to root)
-            path = []
-            p = 0
-            while x in parent:
-                path.append((x, p))
-                x, q = parent[x]
-                p ^= q
-            for y, py in path:
-                parent[y] = (x, p ^ py)
-            return x, p
-
-        def union(a, b, parity):
-            ra, pa = find(a)
-            rb, pb = find(b)
-            if ra == rb:
-                return pa ^ pb == parity
-            if ra > rb:
-                ra, rb, pa, pb = rb, ra, pb, pa
-            parent[rb] = (ra, pa ^ pb ^ parity)
-            return True
-
-        # the virtual node -1 is pinned to 0; bit(a)=v becomes a ~ -1 with parity v
+        elif base is None:
+            base = BinWord(1)
+        blen, bcode = len(base), base.code
         for atom in atoms:
             if atom[0] == "const":
                 a, b, parity = atom[1], -1, atom[2] & 1
+                if a < 0:
+                    raise InvalidArgument("negative coordinate in constraint")
             else:
                 a, b, parity = atom[1], atom[2], atom[3] & 1
-            if a < -1 or b < -1:
-                raise InvalidArgument("negative coordinate in constraint")
-            # fold coordinates that the base already pins
-            if 0 <= a < blen:
+                if a < 0 or b < 0:
+                    raise InvalidArgument("negative coordinate in constraint")
+                # fold coordinates that the base already pins
+                if b < blen:
+                    parity ^= code_bit(bcode, b)
+                    b = -1
+            if empty:
+                continue  # a contradiction is final; the rest is only checked
+            if a < blen:
                 parity ^= code_bit(bcode, a)
                 a = -1
-            if 0 <= b < blen:
-                parity ^= code_bit(bcode, b)
-                b = -1
             if a == b:
-                if parity:
-                    self.empty = True
-                    return
+                empty = parity == 1
                 continue
-            if not union(a, b, parity):
-                self.empty = True
-                return
-
-        # compress into (root, parity) links and per-root constants
-        roots = {}
-        for x in list(parent):
-            r, p = find(x)
-            roots.setdefault(r, []).append((x, p))
-        link = {}
-        const = {}
-        for r, members in roots.items():
-            if r == -1:
-                for x, p in members:
-                    link[x] = (x, 0)
-                    const[x] = p
+            la, lb = link.get(a), link.get(b)
+            if la is None and lb is None:
+                link[a], link[b] = (a, 0), (a, parity)
+                members[a] = [a, b]
+            elif lb is None:
+                link[b] = (la[0], la[1] ^ parity)
+                members[la[0]].append(b)
+            elif la is None:
+                link[a] = (lb[0], lb[1] ^ parity)
+                members[lb[0]].append(a)
             else:
+                flip = la[1] ^ lb[1] ^ parity
+                src, dst = la[0], lb[0]
+                if src == dst:
+                    empty = flip == 1
+                    continue
+                if src == -1 or (dst != -1 and len(members[src]) > len(members[dst])):
+                    src, dst = dst, src
+                moved = members.pop(src)
+                for x in moved:
+                    link[x] = (dst, link[x][1] ^ flip)
+                members[dst].extend(moved)
+        self.empty = empty
+        if empty:
+            self.base, self._link, self._const, self._atoms = base, {}, {}, ()
+            self._hash = hash((True, 0, ()))
+            return
+        del link[-1]
+        # forced bits right after the base fold into it, so equal sets built
+        # along different routes normalize alike
+        code = bcode
+        nxt = link.get(blen)
+        while nxt is not None and nxt[0] == -1:
+            del link[blen]
+            code = (code << 1) | nxt[1]
+            blen += 1
+            nxt = link.get(blen)
+        self.base = base if code == bcode else BinWord(code)
+        # each free class is rooted at its least coordinate
+        roots = {c: min(ms) for c, ms in members.items() if c != -1}
+        out, const, keys = {}, {}, []
+        for x, (c, p) in link.items():
+            if c == -1:
+                out[x] = (x, 0)
+                const[x] = p
+                keys.append((x, -1, p))
+            else:
+                r = roots[c]
+                p ^= link[r][1]
+                out[x] = (r, p)
                 const[r] = None
-                link[r] = (r, 0)
-                for x, p in members:
-                    link[x] = (r, p)
-        link.pop(-1, None)
-        const.pop(-1, None)
-        # drop singleton classes with nothing forced
-        counts = {}
-        for x, (r, _) in link.items():
-            counts[r] = counts.get(r, 0) + 1
-        for x in list(link):
-            r, _ = link[x]
-            if counts[r] == 1 and const.get(r) is None:
-                del link[x]
-                const.pop(r, None)
-        self._link = link
-        self._const = const
-
-    def _canonical_atoms(self):
-        if self.empty:
-            return ()
-        out = []
-        for x in self._link:
-            r, p = self._link[x]
-            v = self._const.get(r)
-            if v is not None:
-                out.append(("const", x, v ^ p))
-            elif x != r:
-                out.append(("rel", r, x, p))
-        return tuple(sorted(out, key=lambda t: (t[1], t[2] if t[0] == "rel" else -1, t[0])))
+                if x != r:
+                    keys.append((r, x, p))
+        keys.sort()
+        self._link, self._const = out, const
+        self._atoms = tuple(("const", x, p) if y < 0 else ("rel", x, y, p) for x, y, p in keys)
+        self._hash = hash((False, code, self._atoms))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -261,6 +235,8 @@ class SymbolicClopen:
 
     def forced(self, i):
         """The bit every member has at coordinate i, or None if both occur."""
+        if i < 0:
+            raise InvalidArgument("coordinates are natural numbers")
         if self.empty:
             raise EmptySet("no forced bits in the empty set")
         if i < len(self.base):
@@ -330,23 +306,21 @@ class SymbolicClopen:
     # -- algebra -----------------------------------------------------------
 
     def with_atoms(self, extra) -> "SymbolicClopen":
-        if self.empty:
-            return self
-        return SymbolicClopen(self.base, list(self._atoms) + list(extra))
+        return SymbolicClopen(self, extra)
 
     def intersect(self, other: "SymbolicClopen") -> "SymbolicClopen":
         if self.empty:
             return self
         if other.empty:
             return other
-        a, b = self.base.code, other.base.code
-        if code_is_prefix(a, b):
-            base = other.base
-        elif code_is_prefix(b, a):
-            base = self.base
-        else:
+        # seed from the operand with the longer base, on a tie the one with
+        # more atoms; the other's base is then a prefix or the sets are disjoint
+        seed, rest = self, other
+        if (len(seed.base), len(seed._atoms)) < (len(rest.base), len(rest._atoms)):
+            seed, rest = rest, seed
+        if not code_is_prefix(rest.base.code, seed.base.code):
             return EMPTY_SET
-        return SymbolicClopen(base, list(self._atoms) + list(other._atoms))
+        return SymbolicClopen(seed, rest._atoms)
 
     def implies_const(self, a, v) -> bool:
         """Does every member have bit(a) = v?"""
@@ -372,11 +346,11 @@ class SymbolicClopen:
             return True
         if other.empty:
             return False
-        # every constraint defining `other` must be implied here
-        obase = other.base
-        for i, bit in enumerate(obase.bits()):
-            if self.forced(i) != bit:
-                return False
+        # every constraint defining `other` must be implied here; a normalized
+        # base takes in every bit forced right after it, so other's base must
+        # be a prefix of it
+        if not code_is_prefix(other.base.code, self.base.code):
+            return False
         for atom in other._atoms:
             if atom[0] == "const":
                 if not self.implies_const(atom[1], atom[2]):

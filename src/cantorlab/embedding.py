@@ -483,6 +483,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     cells = {}
     rank = {}  # settle order: chain length, then repr, fixed at creation
     recuts = {}
+    image = functools.cache(inst.image)
     preimage = functools.cache(inst.preimage)
     for v in G.vertices:
         (lv,) = dup.copies[v]
@@ -499,7 +500,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
             ]
             shrunk = cells[s]
             for c in disj:
-                shrunk = shrunk.intersect(inst.image(u[top], c))
+                shrunk = shrunk.intersect(image(u[top], c))
             if shrunk.is_empty():
                 raise EmptyRefinement("the preimage cells share no image")
             changed = {}
@@ -509,7 +510,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
                 nxt = dup.succ.get(cur)
                 if nxt is None:
                     break
-                val = inst.image(u[cur.base], val)
+                val = image(u[cur.base], val)
                 cur = nxt
 
             for x, old, fresh in dup.split(top, vp.label):
@@ -557,7 +558,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     for v in sorted(order, key=lambda t: (M_of(G, t), repr(t))):
         cell = O[v]
         for y in sorted(pred(G, v), key=repr):
-            cell = cell.intersect(inst.image(u[y], U[y]))
+            cell = cell.intersect(image(u[y], U[y]))
         if cell.is_empty():
             raise EmptyRefinement(f"predecessor images emptied the cell at {v!r}")
         if not cell.contains(zpt[v]):

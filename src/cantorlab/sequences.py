@@ -111,8 +111,8 @@ class BinWord:
         return code_bit(self.code, i)
 
     def bits(self):
-        c, n = self.code, len(self)
-        return [(c >> (n - 1 - i)) & 1 for i in range(n)]
+        # one pass over the binary text, linear in the length
+        return list(bin(self.code)[3:].encode().translate(_DIGIT_BITS))
 
     def append(self, bit: int) -> "BinWord":
         return BinWord((self.code << 1) | (bit & 1))
@@ -139,6 +139,7 @@ class BinWord:
         return str(self) < str(other)
 
 
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 EMPTY = BinWord(1)
 
 

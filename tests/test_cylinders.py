@@ -18,8 +18,8 @@ from cantorlab.cylinders import (
     atom_ne,
     cylinder,
 )
-from cantorlab.errors import EmptySet
-from cantorlab.sequences import BinWord
+from cantorlab.errors import EmptySet, InvalidArgument
+from cantorlab.sequences import BinWord, code_bit
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +257,279 @@ def test_witness_point_is_member(raw):
     if not C.empty:
         assert C.contains(C.witness_point())
         assert C.contains(C.witness_point({r: 1 for r in C.constrained_coords()}))
+
+
+# ---------------------------------------------------------------------------
+# coordinates are natural numbers
+
+
+@pytest.mark.parametrize("atom", [("const", -1, 1), ("const", -1, 0), ("const", -3, 0),
+                                  ("rel", -1, 2, 0), ("rel", 2, -1, 1)])
+def test_negative_coordinate_in_atom_is_rejected(atom):
+    with pytest.raises(InvalidArgument):
+        SymbolicClopen("0", [atom])
+    with pytest.raises(InvalidArgument):
+        cylinder("0").with_atoms([atom])
+    # also after a contradiction has already emptied the set
+    with pytest.raises(InvalidArgument):
+        SymbolicClopen("0", [atom_const(0, 1), atom])
+    with pytest.raises(InvalidArgument):
+        EMPTY_SET.with_atoms([atom])
+
+
+def test_negative_coordinate_query_is_rejected():
+    C = cylinder("01")
+    with pytest.raises(InvalidArgument):
+        C.forced(-1)
+    with pytest.raises(InvalidArgument):
+        C.implies_const(-1, 1)
+    with pytest.raises(InvalidArgument):
+        C.implies_rel(-1, 0, 1)
+    with pytest.raises(InvalidArgument):
+        C.implies_rel(0, -2, 0)
+
+
+# ---------------------------------------------------------------------------
+# the normal form against the rebuild-until-stable constructor it replaces
+
+
+class ReferenceClopen:
+    """The earlier constructor: a path-compressing parity union-find over the
+    whole atom list, rebuilt from scratch after each extension of the base by
+    bits forced right after it."""
+
+    def __init__(self, base, atoms):
+        self.base = BinWord.from_str(base) if isinstance(base, str) else base
+        self.empty = False
+        self._link = {}
+        self._const = {}
+        atoms = list(atoms)
+        while True:
+            self._build(atoms)
+            if self.empty:
+                break
+            ext = []
+            i = len(self.base)
+            while True:
+                v = self._forced_beyond_base(i)
+                if v is None:
+                    break
+                ext.append(v)
+                i += 1
+            if not ext:
+                break
+            for b in ext:
+                self.base = self.base.append(b)
+        self.atoms = self._atoms = self._canonical_atoms()
+
+    def _forced_beyond_base(self, i):
+        if i in self._link:
+            r, p = self._link[i]
+            v = self._const.get(r)
+            if v is not None:
+                return v ^ p
+        return None
+
+    def _build(self, atoms):
+        blen = len(self.base)
+        bcode = self.base.code
+        parent = {}
+
+        def find(x):
+            path = []
+            p = 0
+            while x in parent:
+                path.append((x, p))
+                x, q = parent[x]
+                p ^= q
+            for y, py in path:
+                parent[y] = (x, p ^ py)
+            return x, p
+
+        def union(a, b, parity):
+            ra, pa = find(a)
+            rb, pb = find(b)
+            if ra == rb:
+                return pa ^ pb == parity
+            if ra > rb:
+                ra, rb, pa, pb = rb, ra, pb, pa
+            parent[rb] = (ra, pa ^ pb ^ parity)
+            return True
+
+        for atom in atoms:
+            if atom[0] == "const":
+                a, b, parity = atom[1], -1, atom[2] & 1
+            else:
+                a, b, parity = atom[1], atom[2], atom[3] & 1
+            if 0 <= a < blen:
+                parity ^= code_bit(bcode, a)
+                a = -1
+            if 0 <= b < blen:
+                parity ^= code_bit(bcode, b)
+                b = -1
+            if a == b:
+                if parity:
+                    self.empty = True
+                    return
+                continue
+            if not union(a, b, parity):
+                self.empty = True
+                return
+
+        roots = {}
+        for x in list(parent):
+            r, p = find(x)
+            roots.setdefault(r, []).append((x, p))
+        link = {}
+        const = {}
+        for r, members in roots.items():
+            if r == -1:
+                for x, p in members:
+                    link[x] = (x, 0)
+                    const[x] = p
+            else:
+                const[r] = None
+                link[r] = (r, 0)
+                for x, p in members:
+                    link[x] = (r, p)
+        link.pop(-1, None)
+        const.pop(-1, None)
+        counts = {}
+        for x, (r, _) in link.items():
+            counts[r] = counts.get(r, 0) + 1
+        for x in list(link):
+            r, _ = link[x]
+            if counts[r] == 1 and const.get(r) is None:
+                del link[x]
+                const.pop(r, None)
+        self._link = link
+        self._const = const
+
+    def _canonical_atoms(self):
+        if self.empty:
+            return ()
+        out = []
+        for x in self._link:
+            r, p = self._link[x]
+            v = self._const.get(r)
+            if v is not None:
+                out.append(("const", x, v ^ p))
+            elif x != r:
+                out.append(("rel", r, x, p))
+        return tuple(sorted(out, key=lambda t: (t[1], t[2] if t[0] == "rel" else -1, t[0])))
+
+    def render(self):
+        return SymbolicClopen.render(self)
+
+    def classes(self):
+        return SymbolicClopen.classes(self)
+
+
+def normal_form(C):
+    return (C.empty, C.base, C.atoms, C.render(), C.classes())
+
+
+def assert_matches_reference(base, atoms):
+    C = SymbolicClopen(base, atoms)
+    assert normal_form(C) == normal_form(ReferenceClopen(base, atoms)), (base, atoms)
+    return C
+
+
+@given(st.tuples(st.text(alphabet="01", max_size=3), st.lists(atom_st, max_size=10)))
+@settings(max_examples=300)
+def test_normal_form_matches_reference(raw):
+    assert_matches_reference(*raw)
+
+
+SMALL_ATOMS = [atom_const(a, v) for a in range(4) for v in (0, 1)] + [
+    (kind, a, b, p) for a in range(4) for b in range(4) if a != b
+    for kind, p in (("rel", 0), ("rel", 1))
+]
+
+
+def test_normal_form_matches_reference_exhaustive():
+    """Every base of length <= 2 with every ordered pair of atoms over
+    coordinates 0-3, and every chain of three atoms over 1-4 from base 0."""
+    bases = ["", "0", "1", "00", "01", "10", "11"]
+    for base in bases:
+        for pair in product(SMALL_ATOMS, repeat=2):
+            assert_matches_reference(base, pair)
+    rels = [(kind, a + 1, b + 1, p) for kind, a, b, p in SMALL_ATOMS[8:]]
+    for triple in product(rels, repeat=3):
+        assert_matches_reference("0", triple + (atom_const(4, 1),))
+
+
+def test_clopen_as_base_cuts_that_set():
+    C = SymbolicClopen("0", [atom_ne(2, 5)])
+    assert SymbolicClopen(C, [atom_const(1, 1)]) == SymbolicClopen("01", [atom_ne(2, 5)])
+    assert SymbolicClopen(C, [atom_eq(2, 5)]).empty
+    assert SymbolicClopen(EMPTY_SET, [atom_const(3, 0)]).empty
+
+
+def scratch_intersect(C, D):
+    """C and D as one from-scratch build on the longer base."""
+    if C.empty or D.empty:
+        return C if C.empty else D
+    if D.base.extends(C.base):
+        return SymbolicClopen(D.base, C.atoms + D.atoms)
+    if C.base.extends(D.base):
+        return SymbolicClopen(C.base, C.atoms + D.atoms)
+    return EMPTY_SET
+
+
+def scratch_minus(C, D):
+    if C.empty or D.empty:
+        return [] if C.empty else [C]
+    parts, kept = [], []
+    for lit in D.literals():
+        neg = ("const", lit[1], lit[2] ^ 1) if lit[0] == "const" else lit[:3] + (lit[3] ^ 1,)
+        piece = SymbolicClopen(C.base, list(C.atoms) + kept + [neg])
+        if not piece.empty:
+            parts.append(piece)
+        kept.append(lit)
+    return parts
+
+
+@given(clopen_raw_st, clopen_raw_st, st.lists(atom_st, max_size=6))
+@settings(max_examples=300)
+def test_seeded_algebra_matches_scratch_build(raw_c, raw_d, extra):
+    C = assert_matches_reference(*raw_c)
+    D = assert_matches_reference(*raw_d)
+    for X, Y in ((C, D), (D, C)):
+        assert normal_form(X.intersect(Y)) == normal_form(scratch_intersect(X, Y))
+        got, want = X.minus(Y), scratch_minus(X, Y)
+        assert [normal_form(p) for p in got] == [normal_form(p) for p in want]
+    if not C.empty:
+        want = SymbolicClopen(C.base, list(C.atoms) + extra)
+        assert normal_form(C.with_atoms(extra)) == normal_form(want)
+
+
+def test_seeded_algebra_matches_scratch_build_exhaustive():
+    """Seeding across bases of length 0-2, each cut by one or two atoms."""
+    cells = [SymbolicClopen(b, [a]) for b in ("", "0", "01") for a in SMALL_ATOMS]
+    cells += [SymbolicClopen("", pair) for pair in product(SMALL_ATOMS[::3], repeat=2)]
+    for C in cells:
+        for D in cells:
+            assert normal_form(C.intersect(D)) == normal_form(scratch_intersect(C, D))
+
+
+def per_bit_subset(C, D):
+    """subset with the base compared one forced bit at a time."""
+    if C.empty:
+        return True
+    if D.empty:
+        return False
+    if any(C.forced(i) != bit for i, bit in enumerate(D.base.bits())):
+        return False
+    return all(
+        C.implies_const(a[1], a[2]) if a[0] == "const" else C.implies_rel(*a[1:])
+        for a in D.atoms
+    )
+
+
+@given(clopen_raw_st, clopen_raw_st)
+@settings(max_examples=300)
+def test_subset_prefix_check_matches_per_bit_check(raw_c, raw_d):
+    C, D = SymbolicClopen(*raw_c), SymbolicClopen(*raw_d)
+    for X, Y in ((C, D), (D, C), (C, C.intersect(D)), (C.intersect(D), D)):
+        assert X.subset(Y) == per_bit_subset(X, Y)

@@ -659,6 +659,35 @@ def test_build_scheme_frozen_depth_nine():
     )
 
 
+def test_build_scheme_frozen_depth_ten():
+    """The depth-10 scheme, pinned like depth 9 above; the digest is that of
+    the `build-h --depth 10` report's cells."""
+    states = build_scheme(INST, 10)
+    assert [len(st_.cells) for st_ in states] == [1, 2, 4, 7, 13, 25, 50, 98, 196, 388, 776]
+    assert states[-1].phi == {0: 0, 1: 1}
+    assert check_scheme_conditions(states, INST).violations == []
+    cells = [scheme_state_json(st_)["cells"] for st_ in states]
+    blob = json.dumps(cells, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "a40ef6baefb6920cb9d264a3c023c51e40aca06c86a45b5be5c9e285fb91a537"
+    )
+
+
+def test_build_scheme_memoizes_images(monkeypatch):
+    """shrink_47 asks for each distinct image once: depth 7 asks the instance
+    for at most 700 images (1,122 with a fresh image per call)."""
+    calls = []
+    real = CantorInstance.image
+
+    def counted(self, n, C):
+        calls.append(n)
+        return real(self, n, C)
+
+    monkeypatch.setattr(CantorInstance, "image", counted)
+    build_scheme(INST, 7)
+    assert len(calls) <= 700
+
+
 def test_build_scheme_memoizes_preimages(monkeypatch):
     """Settling reuses its recuts and preimages: depth 7 asks the instance
     for at most 1,000 preimages (6,762 with a fresh preimage per recut)."""

@@ -1,5 +1,6 @@
 """Index sequences and index maps: frozen values plus independent oracles."""
 
+import time
 from itertools import product
 
 import pytest
@@ -328,3 +329,23 @@ def test_shift_base_is_configurable():
     assert in_shift_set(2, 3 * 2**31, alt)
     assert not in_shift_set(2, 24, alt)
     assert expand_index(2, 24, alt) == 72  # plain triple, no shift correction
+
+
+def test_bits_match_shift_reads():
+    """bits() reads the binary text in one pass; on every word of length
+    <= 12 it equals one shift per bit."""
+    for code in range(1, 1 << 13):
+        n = code.bit_length() - 1
+        assert BinWord(code).bits() == [(code >> (n - 1 - i)) & 1 for i in range(n)]
+
+
+def test_bits_of_a_long_word_take_linear_time():
+    from test_orientedgraphs import SCALE_BUDGET_S
+
+    n = 1 << 22
+    w = BinWord((1 << n) | (1 << (n - 1)) | 5)
+    t0 = time.perf_counter()
+    bits = w.bits()
+    elapsed = time.perf_counter() - t0
+    assert len(bits) == n and bits[0] == 1 and sum(bits) == 3 and bits[-3:] == [1, 0, 1]
+    assert elapsed < SCALE_BUDGET_S, elapsed
