@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 
 from .config import DEFAULT, Budgets
@@ -31,7 +32,8 @@ from .cylinders import SymbolicClopen
 from .errors import (CapExceeded, DecisionOverflow, InvalidArgument, InvalidLevel,
                      InvariantBroken, PrefixTooShort, StageRelationCycle)
 from .maps import MapId, domain_D, graph_meets
-from .orientedgraphs import CheckReport, FiniteOrientedGraph, validate_uogas
+from .orientedgraphs import (CheckReport, FiniteOrientedGraph, functional_chain_depths,
+                             validate_uogas)
 from .sequences import (BinWord, anchor_word, code_bit, code_is_prefix, code_len, code_str,
                         stride, stride_expand)
 
@@ -366,35 +368,52 @@ def _rendered(witness):
 
 
 def check_lemma_53_54(states) -> CheckReport:
-    """Per stage: the successor relation is an uogas (validate_uogas decides
-    its clauses), it lies inside the edge set, and every successor chain fits
-    inside the stage's length bound."""
+    """Per stage: the successor relation is an uogas, it lies inside the edge
+    set, and every successor chain fits inside the stage's length bound.
+
+    A stage whose successor relation is a cycle-free function on its words is
+    an uogas (functional_chain_depths says why), and that one walk also gives
+    every word's chain depth.  Only a stage it rejects builds its graph, for
+    validate_uogas to decide and report the uogas clauses."""
     report = CheckReport()
     for state in states:
         lvl = state.level
-        graph = FiniteOrientedGraph(state.X_codes, state.A_codes)
-        for clause, witness in validate_uogas(graph).violations:
-            report.add(clause, (lvl, *_rendered(witness)))
+        depth = functional_chain_depths(state.X_codes, state.A_codes)
+        if depth is None:
+            graph = FiniteOrientedGraph(state.X_codes, state.A_codes)
+            for clause, witness in validate_uogas(graph).violations:
+                report.add(clause, (lvl, *_rendered(witness)))
+            depth = _branching_chain_depths(state)
         for y, x in sorted(state.A_codes - state.phi_codes.keys()):
             report.add("contained-in-edge-set", (lvl, code_str(y), code_str(x)))
-        succ = dict(sorted(state.A_codes))  # a branching word follows its largest successor
-        depth = {}
         bound = max(lvl, 1)
-        limit = len(state.X_codes)
-        for w in state.X_codes:
-            path, v = [], w
-            while v not in depth and v in succ and len(path) <= limit:
-                path.append(v)
-                v = succ[v]
-            if len(path) > limit:
-                continue
-            d = depth.setdefault(v, 1)
-            for u in reversed(path):
-                d += 1
-                depth[u] = d
-            if depth[w] > bound:
-                report.add("chain-length-bound", (lvl, code_str(w), depth[w]))
+        if depth and max(depth.values()) > bound:
+            for w in state.X_codes:
+                d = depth.get(w)
+                if d is not None and d > bound:
+                    report.add("chain-length-bound", (lvl, code_str(w), d))
     return report
+
+
+def _branching_chain_depths(state) -> dict:
+    """Chain depths where a word may branch or a chain may cycle: a
+    branching word follows its largest successor, and a word whose walk runs
+    past |X| steps (it enters a cycle) gets no depth."""
+    succ = dict(sorted(state.A_codes))
+    depth = {}
+    limit = len(state.X_codes)
+    for w in state.X_codes:
+        path, v = [], w
+        while v not in depth and v in succ and len(path) <= limit:
+            path.append(v)
+            v = succ[v]
+        if len(path) > limit:
+            continue
+        d = depth.setdefault(v, 1)
+        for u in reversed(path):
+            d += 1
+            depth[u] = d
+    return depth
 
 
 def check_lemma_57(states) -> CheckReport:
@@ -409,9 +428,12 @@ def check_lemma_57(states) -> CheckReport:
     for state in states:
         lvl = state.level
         phi = state.phi_codes
-        succ = dict(sorted(state.A_codes))  # the largest successor, as in check_lemma_53_54
+        succ = dict(state.A_codes)
+        if len(succ) != len(state.A_codes):
+            succ = dict(sorted(state.A_codes))  # the largest successor, as in check_lemma_53_54
         limit = len(state.X_codes)
-        for (y, x), witness in sorted(phi.items()):
+        found = []  # (edge, clause, witness), sorted by edge at the end
+        for (y, x), witness in phi.items():
             # Walk at most |X| steps from y until x; the first step outside
             # the edge set counts only if the walk reaches x.
             walked, gap, v = [], None, y
@@ -424,15 +446,20 @@ def check_lemma_57(states) -> CheckReport:
                 if v == x:
                     break
             if x == y or v != x:
-                report.add("target-on-chain", (lvl, code_str(y), code_str(x)))
+                found.append(((y, x), "target-on-chain", (lvl, code_str(y), code_str(x))))
             elif gap is not None:
-                report.add("chain-step-in-edge-set", (lvl, code_str(gap[0]), code_str(gap[1])))
+                found.append(((y, x), "chain-step-in-edge-set",
+                              (lvl, code_str(gap[0]), code_str(gap[1]))))
             else:
                 if walked[-1] != witness or min(walked) != witness:
-                    report.add("landing-index-minimal",
-                               (lvl, code_str(y), code_str(x), tuple(walked), witness))
+                    found.append(((y, x), "landing-index-minimal",
+                                  (lvl, code_str(y), code_str(x), tuple(walked), witness)))
                 if len(set(walked)) != len(walked):
-                    report.add("index-injective", (lvl, code_str(y), code_str(x), tuple(walked)))
+                    found.append(((y, x), "index-injective",
+                                  (lvl, code_str(y), code_str(x), tuple(walked))))
+        found.sort(key=itemgetter(0))  # stable: an edge keeps its clause order
+        for _, clause, witness in found:
+            report.add(clause, witness)
     return report
 
 

@@ -41,10 +41,6 @@ class LazyPoint:
     def zeros(cls):
         return cls()
 
-    @classmethod
-    def from_word(cls, w: BinWord, default=0, rule=None):
-        return cls({i: b for i, b in enumerate(w.bits())}, default, rule)
-
     def eval(self, k) -> int:
         if k < 0:
             raise InvalidArgument("coordinates are natural numbers")

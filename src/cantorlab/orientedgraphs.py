@@ -184,6 +184,50 @@ def validate_uogas(G: FiniteOrientedGraph) -> CheckReport:
     return report
 
 
+def functional_chain_depths(vertices, edges):
+    """The chain depth of every vertex when `edges` is a cycle-free function
+    on `vertices`, else None.
+
+    This is the functional-graph case of validate_uogas.  When every vertex
+    has at most one successor, a directed cycle is the only way to break the
+    remaining clauses: a loop is a 1-cycle and an antiparallel pair a 2-cycle.
+    Without a directed cycle, every successor walk ends at a vertex with no
+    successor.  A symmetrized component of n vertices with k such ends has
+    n - k edges, and being connected it has at least n - 1, so k = 1: the
+    component is a tree and the symmetrization is acyclic.  None means
+    validate_uogas must decide: some vertex branches, an endpoint is not a
+    vertex, or a directed cycle exists.
+
+    One walk with three colours over the successor table decides this in
+    linear time: a vertex is unseen, on the current walk (depth 0) or done.
+    A done vertex's depth is the number of vertices on its successor chain,
+    itself included, so a vertex with no successor has depth 1.  `vertices`
+    is a set and `edges` a set of pairs.
+    """
+    succ = dict(edges)
+    depth = dict.fromkeys(vertices.difference(succ), 1)
+    if len(succ) != len(edges) or len(depth) + len(succ) != len(vertices):
+        return None  # a vertex branches, or a source is not a vertex
+    for w, v in succ.items():
+        if w in depth:
+            continue
+        path = [w]
+        depth[w] = 0
+        while v not in depth:
+            if v not in succ:
+                return None  # a target that is not a vertex
+            depth[v] = 0
+            path.append(v)
+            v = succ[v]
+        d = depth[v]
+        if not d:
+            return None  # the walk came back to itself: a directed cycle
+        for u in reversed(path):
+            d += 1
+            depth[u] = d
+    return depth
+
+
 def _uf_find(root, i):
     while root[i] != i:
         root[i] = root[root[i]]

@@ -134,10 +134,6 @@ class BinWord:
             raise InvalidArgument("prefix longer than word")
         return BinWord(self.code >> (len(self) - n))
 
-    def lex_less(self, other: "BinWord") -> bool:
-        """Plain string lexicographic order (a proper prefix precedes its extensions)."""
-        return str(self) < str(other)
-
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 EMPTY = BinWord(1)
@@ -200,14 +196,18 @@ _stride_cache: dict[int, int] = {}
 
 
 def stride(n: int, budgets: Budgets = DEFAULT) -> int:
-    """2 ** tower_exp(n): the coordinate stride of the n-th map."""
-    e = tower_exp(n, budgets)
+    """2 ** tower_exp(n): the coordinate stride of the n-th map.
+
+    The cache is read first; a cached stride still meets the cap of `budgets`
+    through its exponent, so a smaller cap raises the same CapExceeded.
+    """
+    v = _stride_cache.get(n)
+    e = tower_exp(n, budgets) if v is None else v.bit_length() - 1
     if e > budgets.max_stride_bits:
         raise CapExceeded(
             f"stride {n} needs more bits than the cap {budgets.max_stride_bits} "
             f"(the exponent itself has {e.bit_length()} bits)"
         )
-    v = _stride_cache.get(n)
     if v is None:
         v = _stride_cache[n] = 1 << e
     return v

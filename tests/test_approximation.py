@@ -547,6 +547,7 @@ def test_check_53_54_flags_a_tampered_chain():
         dict(state.phi),
     )
     report = check_lemma_53_54([bad])
+    assert report.violations == ref_check_lemma_53_54([bad]).violations
     assert not report.ok
     clauses = {c for c, _ in report.violations}
     assert "contained-in-edge-set" in clauses
@@ -562,7 +563,7 @@ def test_check_53_54_reports_the_validator_clauses():
     pairs = {("000", "01"), ("001", "01"), ("110", "01"), ("110", "001"),
              ("100", "101"), ("101", "100"), ("111", "111")}
     bad = ApproxState(1, 3, state.X, {(W(y), W(x)) for y, x in pairs}, state.E, dict(state.phi))
-    assert check_lemma_53_54([bad]).violations == [
+    assert check_lemma_53_54([bad]).violations == ref_check_lemma_53_54([bad]).violations == [
         ("antisymmetric", (3, "100", "101")),
         ("irreflexive", (3, "111", "111")),
         ("unique-successor", (3, "110", ("01", "001"))),
@@ -578,8 +579,95 @@ def test_check_53_54_reports_the_validator_clauses():
 def test_check_53_54_rejects_a_pair_off_the_stage():
     state = run(1, 3)[3]
     bad = ApproxState(1, 3, state.X, state.A | {(W("01"), W("0"))}, state.E, dict(state.phi))
-    with pytest.raises(InvalidArgument):
-        check_lemma_53_54([bad])
+    for check in (check_lemma_53_54, ref_check_lemma_53_54):
+        with pytest.raises(InvalidArgument):
+            check([bad])
+
+
+def _ref_rendered(witness):
+    if isinstance(witness, tuple):
+        return tuple(_ref_rendered(w) for w in witness)
+    return code_str(witness)
+
+
+def ref_check_lemma_53_54(states):
+    """check_lemma_53_54 as it was before clean stages were decided on the
+    successor table: every stage builds its graph and runs validate_uogas."""
+    report = CheckReport()
+    for state in states:
+        lvl = state.level
+        graph = FiniteOrientedGraph(state.X_codes, state.A_codes)
+        for clause, witness in validate_uogas(graph).violations:
+            report.add(clause, (lvl, *_ref_rendered(witness)))
+        for y, x in sorted(state.A_codes - state.phi_codes.keys()):
+            report.add("contained-in-edge-set", (lvl, code_str(y), code_str(x)))
+        succ = dict(sorted(state.A_codes))
+        depth = {}
+        bound = max(lvl, 1)
+        limit = len(state.X_codes)
+        for w in state.X_codes:
+            path, v = [], w
+            while v not in depth and v in succ and len(path) <= limit:
+                path.append(v)
+                v = succ[v]
+            if len(path) > limit:
+                continue
+            d = depth.setdefault(v, 1)
+            for u in reversed(path):
+                d += 1
+                depth[u] = d
+            if depth[w] > bound:
+                report.add("chain-length-bound", (lvl, code_str(w), depth[w]))
+    return report
+
+
+@pytest.mark.parametrize("family,depth", [(1, 16), (2, 12), (3, 10)])
+def test_check_53_54_matches_the_always_build_reference(family, depth):
+    """Equal reports, in the same order, on every stage of three families;
+    families 2 and 3 break the edge-set containment."""
+    states = run(family, depth)
+    found = check_lemma_53_54(states).violations
+    assert found == ref_check_lemma_53_54(states).violations
+    assert len(found) == {1: 0, 2: 1007, 3: 251}[family]
+
+
+def _rewired(state, pairs):
+    """The stage with each source of `pairs` (word texts) sent to its new
+    target instead of its old successor; the edge set is unchanged."""
+    new = {W(y).code: W(x).code for y, x in pairs}
+    A = {(y, x) for y, x in state.A_codes if y not in new} | set(new.items())
+    return ApproxState._from_codes(state.family, state.level, state.X_codes, A,
+                                   state.E_codes, dict(state.phi_codes))
+
+
+FUNCTIONAL_TAMPERS = {
+    "3-cycle": ([("100", "101"), ("101", "110"), ("110", "100")],
+                {"acyclic-symmetrization", "contained-in-edge-set"}),
+    "2-cycle": ([("100", "101"), ("101", "100")], {"antisymmetric", "contained-in-edge-set"}),
+    "loop": ([("111", "111")], {"irreflexive", "contained-in-edge-set"}),
+    "long chain": ([("100", "101"), ("101", "110"), ("110", "111"), ("111", "000")],
+                   {"chain-length-bound", "contained-in-edge-set"}),
+}
+
+
+@pytest.mark.parametrize("name", FUNCTIONAL_TAMPERS)
+def test_check_53_54_matches_the_reference_on_functional_tampers(name):
+    """A level-3 successor relation that stays a function but gains a cycle,
+    a loop or a chain past the bound gets the reference's report."""
+    pairs, clauses = FUNCTIONAL_TAMPERS[name]
+    bad = [_rewired(run(1, 3)[3], pairs)]
+    report = check_lemma_53_54(bad)
+    assert report.violations == ref_check_lemma_53_54(bad).violations
+    assert {clause for clause, _ in report.violations} == clauses
+
+
+def test_check_53_54_rejects_a_source_off_the_stage():
+    """The successor relation stays a function, but its new source 0 is not
+    a word of the stage (the test above sends 01 to 0 instead)."""
+    bad = [_rewired(run(1, 3)[3], [("0", "01")])]
+    for check in (check_lemma_53_54, ref_check_lemma_53_54):
+        with pytest.raises(InvalidArgument):
+            check(bad)
 
 
 def test_check_57_clean_at_depth_twelve():
@@ -683,7 +771,9 @@ def _tampered_stage(rng, state):
 
 def test_check_57_matches_the_whole_chain_reference_on_tampered_stages():
     """Equal reports, in the same order, on 300 randomly tampered stages of
-    levels 3 to 10; between them the stages break every clause."""
+    levels 3 to 10; between them the stages break every clause.  The stages
+    branch, loop and cycle, so lemmas 5.3-5.4 take the validate_uogas path
+    and must match their reference too."""
     rng = random.Random(57)
     stages = run(1, 10)[3:]
     clauses = set()
@@ -691,6 +781,7 @@ def test_check_57_matches_the_whole_chain_reference_on_tampered_stages():
         bad = [_tampered_stage(rng, rng.choice(stages))]
         report = check_lemma_57(bad)
         assert report.violations == ref_check_lemma_57(bad).violations
+        assert check_lemma_53_54(bad).violations == ref_check_lemma_53_54(bad).violations
         clauses.update(clause for clause, _ in report.violations)
     assert clauses == {"target-on-chain", "chain-step-in-edge-set",
                        "landing-index-minimal", "index-injective"}
@@ -704,6 +795,58 @@ def test_check_57_reports_an_edge_from_a_word_to_itself_off_chain():
     bad = ApproxState(1, 3, state.X, pairs, state.E, phi)
     assert check_lemma_57([bad]).violations == ref_check_lemma_57([bad]).violations == [
         ("target-on-chain", (3, "100", "100")),
+    ]
+
+
+def _functional_tampered_stage(rng, state):
+    """A family-1 stage whose successor relation stays a function: a few
+    words get a new successor (any word of the stage, themselves included),
+    a few witnesses change and a few edges are added at the end of phi."""
+    words = sorted(state.X_codes)
+    succ = dict(state.A_codes)
+    for _ in range(rng.randrange(1, 4)):
+        succ[rng.choice(words)] = rng.choice(words)
+    phi = dict(state.phi_codes)
+    for key in rng.sample(sorted(phi), min(len(phi), rng.randrange(4))):
+        phi[key] = rng.randrange(4)
+    for _ in range(rng.randrange(4)):
+        phi[(rng.choice(words), rng.choice(words))] = rng.randrange(4)
+    return ApproxState._from_codes(1, state.level, state.X_codes, succ.items(), state.E_codes, phi)
+
+
+def test_checks_match_the_references_on_functional_tampered_stages():
+    """Equal reports, in the same order, on 300 tampered stages whose
+    successor relation is still a function; most break several clauses, so
+    the order of the violations is checked too."""
+    rng = random.Random(5354)
+    stages = run(1, 10)[3:]
+    several = 0
+    for _ in range(300):
+        bad = [_functional_tampered_stage(rng, rng.choice(stages))]
+        assert len(dict(bad[0].A_codes)) == len(bad[0].A_codes)
+        assert check_lemma_53_54(bad).violations == ref_check_lemma_53_54(bad).violations
+        found = check_lemma_57(bad).violations
+        assert found == ref_check_lemma_57(bad).violations
+        several += len(found) >= 2
+    assert several >= 100
+
+
+def test_check_57_keeps_the_clause_order_of_one_edge():
+    """The edge (100, 111) walks 100 -> 101 -> 110 -> 111 over witnesses
+    1, 0, 1: it breaks both minimality and injectivity, in that order, and
+    sorts after the edges of smaller codes whatever phi's order."""
+    state = run(1, 3)[3]
+    bad = _rewired(state, [("100", "101"), ("101", "110"), ("110", "111")])
+    phi = {(W(y).code, W(x).code): n for y, x, n in [
+        ("100", "111", 1), ("100", "101", 1), ("101", "110", 0), ("110", "111", 1),
+        ("000", "111", 0), ("01", "01", 2)]}
+    phi.update(state.phi_codes)
+    bad = [ApproxState._from_codes(1, 3, bad.X_codes, bad.A_codes, bad.E_codes, phi)]
+    assert check_lemma_57(bad).violations == ref_check_lemma_57(bad).violations == [
+        ("target-on-chain", (3, "01", "01")),
+        ("target-on-chain", (3, "000", "111")),
+        ("landing-index-minimal", (3, "100", "111", (1, 0, 1), 1)),
+        ("index-injective", (3, "100", "111", (1, 0, 1))),
     ]
 
 

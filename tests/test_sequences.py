@@ -168,6 +168,22 @@ def test_stride_values_and_cap():
         stride(4)
 
 
+def test_cached_stride_still_meets_a_lower_cap():
+    """A stride already in the cache raises the same CapExceeded under a cap
+    its exponent exceeds, and still passes under a cap it meets."""
+    assert stride(2) == 2**24  # cached from here on
+    assert stride(2, Budgets(max_stride_bits=24)) == 2**24
+    with pytest.raises(CapExceeded) as caught:
+        stride(2, Budgets(max_stride_bits=23))
+    assert str(caught.value) == (
+        "stride 2 needs more bits than the cap 23 (the exponent itself has 5 bits)"
+    )
+    with pytest.raises(CapExceeded):
+        stride(1, Budgets(max_stride_bits=2))
+    with pytest.raises(InvalidArgument):
+        stride(-1)
+
+
 def test_anchor_words():
     assert str(anchor_word(0)) == "0"
     assert str(anchor_word(1)) == "00000000"
