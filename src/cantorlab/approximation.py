@@ -111,19 +111,19 @@ def init(family: int = 1) -> ApproxState:
 # anchor words (the zero-padded seed words, one per materializable stride)
 
 
-def _anchor_codes(max_len: int, budgets: Budgets) -> dict:
+def _anchor_codes(max_len: int) -> dict:
     """code -> map index, for every padded seed word of length <= max_len."""
     out = {}
     n = 0
-    while stride(n, budgets) <= max_len:
-        out[anchor_word(n, budgets).code] = n
+    while stride(n) <= max_len:
+        out[anchor_word(n).code] = n
         n += 1
     return out
 
 
-def anchor_index(word: BinWord, budgets: Budgets = DEFAULT):
+def anchor_index(word: BinWord):
     """The map index whose padded seed word equals `word`, or None."""
-    return _anchor_codes(len(word), budgets).get(word.code)
+    return _anchor_codes(len(word)).get(word.code)
 
 
 def _max_len(codes) -> int:
@@ -149,10 +149,10 @@ def _stage_edges(family, words, level, budgets) -> dict:
     phi = {}
     max_len = _max_len(words)
     for n in itertools.count():
-        st = stride(n, budgets)
+        st = stride(n)
         if st >= level:
             return phi
-        anchor = anchor_word(n, budgets).code
+        anchor = anchor_word(n).code
         # Every walk first copies the padded seed word out of its source,
         # and stops if a word of the stage is a prefix of that seed word.
         if any((anchor >> j) in words for j in range(st + 1)):
@@ -190,7 +190,7 @@ def _advanced_chain(state: ApproxState, budgets: Budgets) -> set:
     family = state.family
     E = state.E_codes
     phi = state.phi_codes
-    anchors = _anchor_codes(_max_len(state.X_codes), budgets).keys() & state.X_codes
+    anchors = _anchor_codes(_max_len(state.X_codes)).keys() & state.X_codes
     sources = {y for y, _ in state.A_codes}
     out = set()
     for w in anchors:
@@ -271,7 +271,7 @@ def _splitting_set(family, words, chain_pairs, phi, budgets) -> set:
             position[v] = 1 + max(position[p] for p in ps)
             stack.pop()
 
-    anchors = _anchor_codes(_max_len(words), budgets)
+    anchors = _anchor_codes(_max_len(words))
     blocked = set()
 
     def block_chain(head):
@@ -324,18 +324,21 @@ def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
     return ApproxState._from_codes(state.family, level, next_words, chain, splitting, phi)
 
 
+# Maximum approximation depth.
+MAX_DEPTH = 64
+
 # Stages per (family, shift constant), grown on demand and never emptied.
 _stage_cache: dict = {}
 
 
 def run(L: int, depth: int, budgets: Budgets = DEFAULT) -> list:
     """Stages 0..depth for family L, memoized per family and shift constant
-    (budgets only bound what may be materialized, they never change values).
+    (max_words only bounds what may be materialized, it never changes values).
     """
     if depth < 0:
         raise InvalidArgument("depth must be a natural")
-    if depth > budgets.max_depth:
-        raise DecisionOverflow(f"depth {depth} is past the {budgets.max_depth}-stage budget")
+    if depth > MAX_DEPTH:
+        raise DecisionOverflow(f"depth {depth} is past the {MAX_DEPTH}-stage budget")
     states = _stage_cache.setdefault((L, budgets.shift_base), [init(L)])
     while len(states) <= depth:
         states.append(step(states[-1], budgets))
@@ -345,9 +348,9 @@ def run(L: int, depth: int, budgets: Budgets = DEFAULT) -> list:
     return out
 
 
-def detect_L_n(states, budgets: Budgets = DEFAULT) -> dict:
+def detect_L_n(states) -> dict:
     """First level whose splitting set contains each padded seed word."""
-    anchors = _anchor_codes(max((_max_len(st.X_codes) for st in states), default=0), budgets)
+    anchors = _anchor_codes(max((_max_len(st.X_codes) for st in states), default=0))
     found = {}
     for state in sorted(states, key=lambda s: s.level):
         for w, q in anchors.items():
@@ -473,13 +476,13 @@ def check_lemma_58(states, n: int, alpha_prefix, budgets: Budgets = DEFAULT) -> 
         raise InvalidArgument("no stages to check against")
     family = states[0].family
     w = BinWord.from_str(alpha_prefix) if isinstance(alpha_prefix, str) else alpha_prefix
-    anchor = anchor_word(n, budgets).code
+    anchor = anchor_word(n).code
     if not code_is_prefix(anchor << 1, w.code):
         raise InvalidArgument("the probe prefix must extend the seed-then-0 word")
     probe = SymbolicClopen(w)
-    if probe.intersect(domain_D(MapId(family, n), budgets)).is_empty():
+    if probe.intersect(domain_D(MapId(family, n))).is_empty():
         raise InvalidArgument("the probe prefix already leaves the map's domain")
-    st_n = stride(n, budgets)
+    st_n = stride(n)
     wlen = len(w)
     wcode = w.code
 

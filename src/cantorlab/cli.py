@@ -19,12 +19,6 @@ from .suites import SUITES, checked_scheme, fmt_coord
 
 
 def cmd_approx(args) -> int:
-    if args.L < 1:
-        print("error: --L must be >= 1", file=sys.stderr)
-        return 2
-    if args.depth < 0:
-        print("error: --depth must be >= 0", file=sys.stderr)
-        return 2
     budgets = dataclasses.replace(DEFAULT, max_words=args.max_words)
     states = run(args.L, args.depth, budgets)
     outdir = Path(args.out or f"approx_L{args.L}_d{args.depth}")
@@ -38,7 +32,7 @@ def cmd_approx(args) -> int:
             path.write_text(state_dot(st))
     for st in states:
         print(f"l={st.level} |X|={len(st.X_codes)} |B|={len(st.phi_codes)} |E|={len(st.E_codes)}")
-    detected = detect_L_n(states, budgets)
+    detected = detect_L_n(states)
     print("detected map levels:", json.dumps({str(k): v for k, v in sorted(detected.items())}))
     print(f"wrote {len(states)} stage files to {outdir}")
     return 0
@@ -61,9 +55,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_build_h(args) -> int:
-    if args.depth < 0:
-        print("error: --depth must be >= 0", file=sys.stderr)
-        return 2
     budgets = dataclasses.replace(DEFAULT, duplication_cap=args.duplication_cap)
     states, rep = checked_scheme(args.depth, budgets)
     report = {
@@ -105,15 +96,12 @@ def _parse_point(spec: str) -> LazyPoint:
 
 
 def cmd_eval_g(args) -> int:
-    if args.L < 1:
-        print("error: --L must be >= 1", file=sys.stderr)
-        return 2
     try:
         stages = tuple(int(x) for x in args.s.split(",") if x.strip() != "")
     except ValueError:
         print(f"error: bad stage list {args.s!r}", file=sys.stderr)
         return 2
-    if not stages or any(n < 0 for n in stages) or args.coord < 0:
+    if not stages or any(n < 0 for n in stages):
         print("error: stages and coordinate must be naturals", file=sys.stderr)
         return 2
     try:
@@ -150,7 +138,7 @@ def cmd_eval_g(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Argument type of the `check` options that count or bound work."""
+    """Argument type of the options that count or bound work, and of --L."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -158,7 +146,7 @@ def _positive_int(text: str) -> int:
 
 
 def _natural(text: str) -> int:
-    """Argument type of `check --depth`."""
+    """Argument type of the --depth and --coord options."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -185,8 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_approx = sub.add_parser("approx", help="run approximation stages and dump them")
-    p_approx.add_argument("--L", type=int, default=1, help="family level (>= 1)")
-    p_approx.add_argument("--depth", type=int, default=8, help="last stage to compute")
+    p_approx.add_argument("--L", type=_positive_int, default=1, help="family level (>= 1)")
+    p_approx.add_argument("--depth", type=_natural, default=8, help="last stage to compute")
     p_approx.add_argument("--emit", choices=("json", "dot"), default="json")
     p_approx.add_argument("--out", default=None, help="output directory")
     p_approx.add_argument("--max-words", type=int, default=DEFAULT.max_words, help="stage size cap")
@@ -199,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_build = sub.add_parser("build-h", help="build the cell scheme and verify its conditions")
-    p_build.add_argument("--depth", type=int, default=8)
+    p_build.add_argument("--depth", type=_natural, default=8)
     p_build.add_argument("--report", default="scheme_report.json")
     p_build.add_argument(
         "--duplication-cap", type=int, default=DEFAULT.duplication_cap,
@@ -208,9 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.set_defaults(fn=cmd_build_h)
 
     p_eval = sub.add_parser("eval-g", help="evaluate a map composition at one coordinate")
-    p_eval.add_argument("--L", type=int, default=1)
+    p_eval.add_argument("--L", type=_positive_int, default=1)
     p_eval.add_argument("--s", required=True, help="comma-separated map indices, outermost first")
-    p_eval.add_argument("--coord", type=int, required=True)
+    p_eval.add_argument("--coord", type=_natural, required=True)
     p_eval.add_argument("--point", default="zeros-in-N00")
     p_eval.set_defaults(fn=cmd_eval_g)
     return parser

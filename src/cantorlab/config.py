@@ -1,7 +1,22 @@
-"""Tunable size and search budgets.
+"""Size and search budgets that a caller sets.
 
-Everything here is a desk-scale knob, not mathematics: raising a budget never
-changes a computed value, it only lets more of them be computed.
+Each field has a caller that sets it:
+
+- `shift_base`, by scripts/resolve_shift_constant.py;
+- `max_words`, by `approx --max-words` and the stage suites;
+- `point_probe_bits`, by the separator tests of the scheme construction;
+- `duplication_cap`, by `build-h --duplication-cap`.
+
+Raising `max_words` or `duplication_cap` never changes a computed value, it
+only lets more of them be computed.  Raising `point_probe_bits` also lets the
+domain check of a rule-carrying point look further, so a check that trusted
+the point's tail can come out False.  `shift_base` is mathematics, not a
+size: it picks the shift set, and the property suite fails under the
+alternative 2**31.
+
+The caps no caller varies are module constants: `sequences.MAX_STRIDE_BITS`
+and `sequences.MAX_WORD_BITS`, `approximation.MAX_DEPTH` and
+`embedding.MAP_SEARCH_MAX`.
 """
 
 from dataclasses import dataclass
@@ -9,28 +24,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Budgets:
-    # Longest binary word that may be materialized, in bits.  anchor_word(2)
-    # (length 2**24) fits, anchor_word(3) (length 2**50331648) never will.
-    word_cap_bits: int = 1 << 26
-
     # Cap on |X| for approximation runs.  The default keeps casual runs safe;
     # the depth-20 acceptance run passes an explicit larger cap.
     max_words: int = 200_000
-
-    # Default maximum approximation depth.
-    max_depth: int = 64
 
     # Multiplier c in the shift set {c*3*k | k >= 1, k not in skip set}.
     # The value is settled by the property suite (see scripts/resolve_shift_constant.py);
     # both the winning 8 and the losing alternative 2**31 can be injected here.
     shift_base: int = 8
-
-    # Largest stride exponent (bit count) we will turn into a concrete integer.
-    # stride(3) = 2**50331648 is a ~6 MB integer and still allowed; stride(4) is not.
-    max_stride_bits: int = 1 << 27
-
-    # Bounded search over map indices (only maps 0 and 1 act on materializable words).
-    map_search_max: int = 1
 
     # For point-domain checks against a huge seed word when the point carries a
     # rule: probe this many leading coordinates (plus every explicit bit and the

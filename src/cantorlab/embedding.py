@@ -87,7 +87,7 @@ class CantorInstance:
         return MapId(self.family, n)
 
     def domain(self, n) -> SymbolicClopen:
-        return domain_D(self._ident(n), self.budgets)
+        return domain_D(self._ident(n))
 
     def image(self, n, C) -> SymbolicClopen:
         return image_clopen(self._ident(n), C, self.budgets)
@@ -107,7 +107,7 @@ class CantorInstance:
             raise InvalidArgument("count must be positive")
         b = self.budgets
         ident = self._ident(n)
-        C1 = C.intersect(domain_D(ident, b))
+        C1 = C.intersect(domain_D(ident))
         if C1.is_empty():
             raise EmptySet("the cell misses the map's domain")
         if count > b.duplication_cap:
@@ -146,10 +146,10 @@ class CantorInstance:
         """
         b = self.budgets
         ident = self._ident(n)
-        C1 = C.intersect(domain_D(ident, b))
+        C1 = C.intersect(domain_D(ident))
         if C1.is_empty():
             raise EmptySet("the cell misses the map's domain")
-        out_base = anchor_word(n, b).append(1)
+        out_base = anchor_word(n).append(1)
         for i in range(len(out_base)):
             if target.eval(i) != out_base.bit(i):
                 raise InvalidArgument("the target is not an image of the cell")
@@ -168,6 +168,8 @@ class CantorInstance:
         return p
 
     def split_below_diameter(self, C, d) -> SymbolicClopen:
+        """A nonempty clopen subset of C with diameter <= 2^-d: the diameter
+        control of the instance's minimal surface."""
         if C.is_empty():
             raise EmptySet("cannot shrink the empty set")
         return self.cell_around(C, C.witness_point(), d)
@@ -340,7 +342,7 @@ def _stride_coords(budgets: Budgets) -> frozenset:
     out = []
     n = 0
     while True:
-        s = stride(n, budgets)
+        s = stride(n)
         if s > budgets.point_probe_bits:
             break
         out.append(s)
@@ -587,21 +589,24 @@ def lemma25_check(instance, V0, V1, m, n) -> bool:
     return instance.image(m, V1).subset(instance.image(m, V0))
 
 
+# Bounded search over map indices (only maps 0 and 1 act on materializable words).
+MAP_SEARCH_MAX = 1
+
+
 def lemma26_find(instance, V, m=None):
     """A map strength above m whose graph meets V x V, with witnessing cells.
 
     Returns (n, V0, V1) with V0 inside V and the n-th domain and V1 inside V
-    and the image of V0.  The search stops at the instance's map_search_max
-    budget; running past it raises NotFoundWithinBudget rather than
-    pretending exhaustion.
+    and the image of V0.  The search stops at strength MAP_SEARCH_MAX;
+    running past it raises NotFoundWithinBudget rather than pretending
+    exhaustion.
     """
     if V.is_empty():
         raise EmptySet("the empty set pairs with nothing")
     if m is not None and m < 0:
         raise InvalidArgument("the lower bound is a natural number or None")
     start = 0 if m is None else m + 1
-    last = instance.budgets.map_search_max
-    for n in range(start, last + 1):
+    for n in range(start, MAP_SEARCH_MAX + 1):
         V0 = V.intersect(instance.domain(n))
         if V0.is_empty():
             continue
@@ -609,7 +614,9 @@ def lemma26_find(instance, V, m=None):
         if V1.is_empty():
             continue
         return n, V0, V1
-    raise NotFoundWithinBudget(f"no strength in [{start}, {last}] pairs the cell with itself")
+    raise NotFoundWithinBudget(
+        f"no strength in [{start}, {MAP_SEARCH_MAX}] pairs the cell with itself"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +679,8 @@ def build_scheme(instance, depth: int):
         raise InvalidLevel("depth must be a natural number")
     if instance.family != 1:
         raise InvalidLevel("the scheme is built over the family-1 maps")
-    budgets = instance.budgets
-    approx = run(1, depth, budgets)
-    event_at = {lvl: n for n, lvl in detect_L_n(approx, budgets).items()}
+    approx = run(1, depth, instance.budgets)
+    event_at = {lvl: n for n, lvl in detect_L_n(approx).items()}
     sphi = {}
     cells = {BinWord(): FULL_SPACE}
     states = [SchemeState(0, cells, sphi)]
@@ -695,7 +701,7 @@ def build_scheme(instance, depth: int):
                     cells,
                 )
             ).V
-            tr = anchor_word(r, budgets)
+            tr = anchor_word(r)
             prev = max(sphi.values()) if sphi else None
             found, O0, O1 = lemma26_find(instance, W[tr], prev)
             sphi[r] = found

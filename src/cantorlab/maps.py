@@ -84,12 +84,6 @@ class PathSpec:
             raise InvalidArgument("tail of an empty path")
         return PathSpec(self.stages[1:])
 
-    def drop_last(self) -> "PathSpec":
-        """Drop the innermost stage."""
-        if not self.stages:
-            raise InvalidArgument("drop_last of an empty path")
-        return PathSpec(self.stages[:-1])
-
     def reverse(self) -> "PathSpec":
         if not self.stages:
             raise InvalidArgument("reverse of an empty path")
@@ -114,14 +108,14 @@ def _stages_of(s):
 # domains
 
 
-def domain_D(ident: MapId, budgets: Budgets = DEFAULT) -> SymbolicClopen:
+def domain_D(ident: MapId) -> SymbolicClopen:
     """The clopen domain of map (L, n): the seed-word-then-0 cylinder, plus at
     levels >= 2 the n+1 inequality atoms along the powers-of-three ladder.
     """
-    base = anchor_word(ident.n, budgets).append(0)
+    base = anchor_word(ident.n).append(0)
     if ident.L == 1:
         return SymbolicClopen(base)
-    st = stride(ident.n, budgets)
+    st = stride(ident.n)
     atoms = [atom_ne(st * 3**m, st * 3 ** (m + 1)) for m in range(ident.n + 1)]
     return SymbolicClopen(base, atoms)
 
@@ -132,7 +126,7 @@ def _point_in_seed(n: int, p: LazyPoint, budgets: Budgets) -> bool:
     Exact for rule-free points.  For a point with a rule the check covers the
     leading probe window, all explicit bits, and the final 0 position.
     """
-    st = stride(n, budgets)
+    st = stride(n)
     w = lenlex_word(n)
     if p.rule is None:
         if p.default == 0:
@@ -140,24 +134,24 @@ def _point_in_seed(n: int, p: LazyPoint, budgets: Budgets) -> bool:
                 if p.eval(i) != b:
                     return False
             for k, v in p.explicit.items():
-                if 0 <= k <= st and v != (anchor_bit(n, k, budgets) if k < st else 0):
+                if 0 <= k <= st and v != (anchor_bit(n, k) if k < st else 0):
                     return False
             return True
         pinned = sum(1 for k in p.explicit if 0 <= k <= st)
         if st + 1 - pinned > sum(w.bits()):
             return False
         return all(
-            p.eval(i) == (anchor_bit(n, i, budgets) if i < st else 0)
+            p.eval(i) == (anchor_bit(n, i) if i < st else 0)
             for i in range(st + 1)
         )
     limit = min(st + 1, budgets.point_probe_bits)
     for i in range(limit):
-        if p.eval(i) != (anchor_bit(n, i, budgets) if i < st else 0):
+        if p.eval(i) != (anchor_bit(n, i) if i < st else 0):
             return False
     if p.eval(st) != 0:
         return False
     for k in p.explicit:
-        if 0 <= k <= st and p.eval(k) != (anchor_bit(n, k, budgets) if k < st else 0):
+        if 0 <= k <= st and p.eval(k) != (anchor_bit(n, k) if k < st else 0):
             return False
     return True
 
@@ -169,14 +163,14 @@ def point_in_domain(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> b
     if not _point_in_seed(ident.n, p, budgets):
         return False
     if ident.L >= 2:
-        st = stride(ident.n, budgets)
+        st = stride(ident.n)
         vals = [p.eval(st * 3**m) for m in range(ident.n + 2)]
         if any(vals[m] == vals[m + 1] for m in range(ident.n + 1)):
             return False
     return True
 
 
-def domain_point(ident: MapId, extra=None, budgets: Budgets = DEFAULT) -> LazyPoint:
+def domain_point(ident: MapId, extra=None) -> LazyPoint:
     """A rule-free member of the map's domain: the seed bits, alternating bits
     on the powers-of-three ladder when the level asks for them, and any extra
     explicit bits merged last (the caller keeps membership when overriding).
@@ -184,7 +178,7 @@ def domain_point(ident: MapId, extra=None, budgets: Budgets = DEFAULT) -> LazyPo
     w = lenlex_word(ident.n)
     bits = {i: 1 for i, b in enumerate(w.bits()) if b}
     if ident.L >= 2:
-        st = stride(ident.n, budgets)
+        st = stride(ident.n)
         for m in range(ident.n + 1):
             bits[st * 3 ** (m + 1)] = (m + 1) % 2
     if extra:
@@ -206,7 +200,7 @@ def g_eval_coord(ident: MapId, p: LazyPoint, k: int, budgets: Budgets = DEFAULT)
         raise OutsideDomain(
             f"point does not extend the seed word of map ({ident.L},{ident.n})"
         )
-    st = stride(ident.n, budgets)
+    st = stride(ident.n)
     if k == st:
         return 1
     return p.eval(stride_expand(ident.L, ident.n, k, budgets))
@@ -218,7 +212,7 @@ def g_point(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> LazyPoint
         raise OutsideDomain(
             f"point does not extend the seed word of map ({ident.L},{ident.n})"
         )
-    st = stride(ident.n, budgets)
+    st = stride(ident.n)
     L, n = ident.L, ident.n
 
     def derived(k):
@@ -232,17 +226,17 @@ def g_point(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> LazyPoint
 def _virtual_eval(L, stages, p, c, budgets):
     """Coordinate c of the composition of `stages` applied to p (no checks)."""
     for n in stages:
-        if c == stride(n, budgets):
+        if c == stride(n):
             return 1
         c = stride_expand(L, n, c, budgets)
     return p.eval(c)
 
 
-def _seed_check_positions(n, budgets):
+def _seed_check_positions(n):
     """(coordinate, expected bit) pairs that distinguish the seed-then-0 word."""
-    st = stride(n, budgets)
+    st = stride(n)
     if st <= 64:
-        return [(i, anchor_bit(n, i, budgets)) for i in range(st)] + [(st, 0)]
+        return [(i, anchor_bit(n, i)) for i in range(st)] + [(st, 0)]
     w = lenlex_word(n)
     out = [(i, w.bit(i)) for i in range(len(w))]
     out.append((len(w), 0))
@@ -264,7 +258,7 @@ def _check_composition_stages(L, stages, p, budgets):
             suffix = stages[i + 1 :]
             ok = all(
                 _virtual_eval(L, suffix, p, c, budgets) == want
-                for c, want in _seed_check_positions(n, budgets)
+                for c, want in _seed_check_positions(n)
             )
         if not ok:
             raise OutsideDomain(
@@ -286,7 +280,7 @@ def g_compose_eval(L: int, s, p: LazyPoint, k: int, budgets: Budgets = DEFAULT) 
         raise InvalidArgument("coordinates are natural numbers")
     _check_composition_stages(L, stages, p, budgets)
     for n in stages:
-        if k == stride(n, budgets):
+        if k == stride(n):
             return 1
         k = stride_expand(L, n, k, budgets)
     return p.eval(k)
@@ -318,7 +312,7 @@ def _read_inverse(L, n, c, budgets):
     stride coordinate never counts: its output bit is forced to 1, so the
     input bit at its expansion target is forgotten by the map.
     """
-    st = stride(n, budgets)
+    st = stride(n)
     if c == 0 or c % st:
         return c
     i = expand_index_inverse(L, c // st, budgets)
@@ -337,12 +331,12 @@ def image_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) ->
     coordinate, and transport along the inverse expansion; constraint classes
     project member by member, so derived equalities carry over.
     """
-    D = domain_D(ident, budgets)
+    D = domain_D(ident)
     C1 = C.intersect(D)
     if C1.is_empty():
         return EMPTY_SET
     L, n = ident.L, ident.n
-    st = stride(n, budgets)
+    st = stride(n)
     atoms = []
     for c in range(st, len(C1.base)):
         k = _read_inverse(L, n, c, budgets)
@@ -361,7 +355,7 @@ def image_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) ->
         else:
             k0, p0 = kept[0]
             atoms.extend(("rel", k0, k, p0 ^ parity) for k, parity in kept[1:])
-    return SymbolicClopen(anchor_word(n, budgets).append(1), atoms)
+    return SymbolicClopen(anchor_word(n).append(1), atoms)
 
 
 def preimage_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) -> SymbolicClopen:
@@ -372,8 +366,8 @@ def preimage_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT)
     preimage outright.
     """
     L, n = ident.L, ident.n
-    st = stride(n, budgets)
-    range_cyl = SymbolicClopen(anchor_word(n, budgets).append(1))
+    st = stride(n)
+    range_cyl = SymbolicClopen(anchor_word(n).append(1))
     C1 = C.intersect(range_cyl)
     if C1.is_empty():
         return EMPTY_SET
@@ -387,8 +381,8 @@ def preimage_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT)
         else:
             k0, p0 = mapped[0]
             atoms.extend(("rel", k0, k, p0 ^ parity) for k, parity in mapped[1:])
-    pre = SymbolicClopen(anchor_word(n, budgets).append(0), atoms)
-    return pre.intersect(domain_D(ident, budgets))
+    pre = SymbolicClopen(anchor_word(n).append(0), atoms)
+    return pre.intersect(domain_D(ident))
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +398,10 @@ def graph_meets(ident: MapId, y, x, budgets: Budgets = DEFAULT) -> bool:
     y = _as_word(y)
     x = _as_word(x)
     L, n = ident.L, ident.n
-    st = stride(n, budgets)
+    st = stride(n)
     if st < len(x) and x.bit(st) == 0:
         return False
-    yset = SymbolicClopen(y).intersect(domain_D(ident, budgets))
+    yset = SymbolicClopen(y).intersect(domain_D(ident))
     if yset.is_empty():
         return False
     atoms = []
@@ -527,7 +521,7 @@ class TaggedSumSpace:
             return EDGE_YES
         bound = max(len(y), len(x), 1)
         n = 0
-        while tower_exp(n, budgets) < bound.bit_length():
+        while tower_exp(n) < bound.bit_length():
             if graph_meets(MapId(tag_y, n), y, x, budgets):
                 return EDGE_YES
             n += 1

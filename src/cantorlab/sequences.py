@@ -14,6 +14,14 @@ from __future__ import annotations
 from .config import DEFAULT, Budgets
 from .errors import CapExceeded, InvalidArgument, InvalidLevel
 
+# Largest stride exponent (bit count) we will turn into a concrete integer.
+# stride(3) = 2**50331648 is a ~6 MB integer and still allowed; stride(4) is not.
+MAX_STRIDE_BITS = 1 << 27
+
+# Longest binary word that may be materialized, in bits.  anchor_word(2)
+# (length 2**24) fits, anchor_word(3) (length 2**50331648) never will.
+MAX_WORD_BITS = 1 << 26
+
 
 # ---------------------------------------------------------------------------
 # word codes
@@ -38,10 +46,6 @@ def code_bit(code: int, i: int) -> int:
     return (code >> (code.bit_length() - 2 - i)) & 1
 
 
-def code_append(code: int, bit: int) -> int:
-    return (code << 1) | bit
-
-
 def code_is_prefix(p: int, code: int) -> bool:
     shift = code.bit_length() - p.bit_length()
     return shift >= 0 and (code >> shift) == p
@@ -60,15 +64,10 @@ def code_meet(a: int, b: int) -> int:
     return a
 
 
-def code_concat(a: int, b: int) -> int:
-    lb = b.bit_length() - 1
-    return (a << lb) | (b ^ (1 << lb))
-
-
 class BinWord:
     """Immutable finite binary word.
 
-    Supports the usual prefix/concat/compare operations; equality and hashing
+    Supports the usual prefix/append/compare operations; equality and hashing
     go through the code, so words are usable as dict keys and set members.
     """
 
@@ -117,14 +116,8 @@ class BinWord:
     def append(self, bit: int) -> "BinWord":
         return BinWord((self.code << 1) | (bit & 1))
 
-    def concat(self, other: "BinWord") -> "BinWord":
-        return BinWord(code_concat(self.code, other.code))
-
     def is_prefix_of(self, other: "BinWord") -> bool:
         return code_is_prefix(self.code, other.code)
-
-    def extends(self, other: "BinWord") -> bool:
-        return code_is_prefix(other.code, self.code)
 
     def meet(self, other: "BinWord") -> "BinWord":
         return BinWord(code_meet(self.code, other.code))
@@ -167,11 +160,11 @@ def padded_word(n: int) -> BinWord:
 _tower_cache: dict[int, int] = {0: 0}
 
 
-def tower_exp(n: int, budgets: Budgets = DEFAULT) -> int:
+def tower_exp(n: int) -> int:
     """Iterated-exponential exponent sequence: 0, 3, 24, 50331648, 3*2**50331648, ...
 
     Each value is exact.  Values whose *successor* could never be formed
-    (the next stride would need more bits than max_stride_bits) still compute;
+    (the next stride would need more bits than MAX_STRIDE_BITS) still compute;
     only genuinely unformable entries raise CapExceeded.
     """
     if n < 0:
@@ -181,7 +174,7 @@ def tower_exp(n: int, budgets: Budgets = DEFAULT) -> int:
     top = max(_tower_cache)
     value = _tower_cache[top]
     while top < n:
-        if value > budgets.max_stride_bits:
+        if value > MAX_STRIDE_BITS:
             raise CapExceeded(
                 f"tower exponent {top + 1} is a power tower past any materialization cap "
                 f"(its exponent alone has {value.bit_length()} bits)"
@@ -195,43 +188,39 @@ def tower_exp(n: int, budgets: Budgets = DEFAULT) -> int:
 _stride_cache: dict[int, int] = {}
 
 
-def stride(n: int, budgets: Budgets = DEFAULT) -> int:
-    """2 ** tower_exp(n): the coordinate stride of the n-th map.
-
-    The cache is read first; a cached stride still meets the cap of `budgets`
-    through its exponent, so a smaller cap raises the same CapExceeded.
-    """
+def stride(n: int) -> int:
+    """2 ** tower_exp(n): the coordinate stride of the n-th map."""
     v = _stride_cache.get(n)
-    e = tower_exp(n, budgets) if v is None else v.bit_length() - 1
-    if e > budgets.max_stride_bits:
-        raise CapExceeded(
-            f"stride {n} needs more bits than the cap {budgets.max_stride_bits} "
-            f"(the exponent itself has {e.bit_length()} bits)"
-        )
     if v is None:
+        e = tower_exp(n)
+        if e > MAX_STRIDE_BITS:
+            raise CapExceeded(
+                f"stride {n} needs more bits than the cap {MAX_STRIDE_BITS} "
+                f"(the exponent itself has {e.bit_length()} bits)"
+            )
         v = _stride_cache[n] = 1 << e
     return v
 
 
-def anchor_word(n: int, budgets: Budgets = DEFAULT) -> BinWord:
+def anchor_word(n: int) -> BinWord:
     """The length-stride(n) word with lenlex_word(n) as prefix, zero-padded.
 
     anchor_word(0) = "0", anchor_word(1) = "00000000"; anchor_word(2) has
     length 2**24 and still materializes; anchor_word(3) never will.
     """
-    e = tower_exp(n, budgets)
-    if e > 62 or (1 << e) > budgets.word_cap_bits:
+    e = tower_exp(n)
+    if e > 62 or (1 << e) > MAX_WORD_BITS:
         raise CapExceeded(
-            f"anchor word {n} has length 2**{e}, beyond the {budgets.word_cap_bits}-bit word cap"
+            f"anchor word {n} has length 2**{e}, beyond the {MAX_WORD_BITS}-bit word cap"
         )
     length = 1 << e
     w = lenlex_word(n)
     return BinWord(w.code << (length - len(w)))
 
 
-def anchor_bit(n: int, i, budgets: Budgets = DEFAULT) -> int:
+def anchor_bit(n: int, i) -> int:
     """Bit i of the (possibly unmaterializable) anchor word, computed directly."""
-    e = tower_exp(n, budgets)
+    e = tower_exp(n)
     if i < 0 or i.bit_length() > e:
         raise InvalidArgument(f"position {i} outside anchor word {n} (length 2**{e})")
     w = lenlex_word(n)
@@ -244,11 +233,11 @@ def anchor_bit(n: int, i, budgets: Budgets = DEFAULT) -> int:
 # stride multiples, the skip and shift sets, and the index expansions
 
 
-def in_stride_set(n: int, k: int, budgets: Budgets = DEFAULT) -> bool:
+def in_stride_set(n: int, k: int) -> bool:
     """True iff k is a positive multiple of stride(n)."""
     if k < 1:
         return False
-    return k % stride(n, budgets) == 0
+    return k % stride(n) == 0
 
 
 def _split_pow23(k: int):
@@ -301,7 +290,7 @@ def stride_expand(L: int, n: int, k: int, budgets: Budgets = DEFAULT) -> int:
     """Expansion localized to the stride-n lattice: identity off it, conjugated expansion on it."""
     if k < 1:
         return k
-    st = stride(n, budgets)
+    st = stride(n)
     j, r = divmod(k, st)
     if r:
         return k
@@ -358,13 +347,13 @@ class Pow23:
     def __hash__(self):
         return hash((self.a, self.b))
 
-    def value(self, budgets: Budgets = DEFAULT) -> int:
-        if self.a > budgets.max_stride_bits:
+    def value(self) -> int:
+        if self.a > MAX_STRIDE_BITS:
             raise CapExceeded("value too large to materialize")
         return (1 << self.a) * 3**self.b
 
-    def in_stride_set(self, n: int, budgets: Budgets = DEFAULT) -> bool:
-        return self.a >= tower_exp(n, budgets)
+    def in_stride_set(self, n: int) -> bool:
+        return self.a >= tower_exp(n)
 
     def in_shift_set(self, L: int, budgets: Budgets = DEFAULT) -> bool:
         if L < 2:
@@ -374,14 +363,6 @@ class Pow23:
             raise InvalidArgument("closed-form shift test needs a power-of-two shift base")
         return self.a >= gamma and self.b >= L - 1
 
-    def in_shift_set_succ(self, L: int, budgets: Budgets = DEFAULT) -> bool:
-        """True iff self-1 lies in the shift set; never happens for pure 2-3 values."""
-        if L < 2:
-            raise InvalidLevel("shift set is defined for family levels >= 2")
-        # 2**a * 3**b == 1 (mod 3*c) forces b = 0 and a = 0, i.e. the value 1,
-        # whose predecessor 0 is not in the set.
-        return False
-
     def expand_index(self, L: int, budgets: Budgets = DEFAULT) -> "Pow23":
         if L == 1:
             raise InvalidArgument("level-1 expansion leaves the 2-3 closed form")
@@ -390,8 +371,8 @@ class Pow23:
         return Pow23(self.a, self.b + 1)
 
     def stride_expand(self, L: int, n: int, budgets: Budgets = DEFAULT) -> "Pow23":
-        if not self.in_stride_set(n, budgets):
+        if not self.in_stride_set(n):
             return self
-        e = tower_exp(n, budgets)
+        e = tower_exp(n)
         expanded = Pow23(self.a - e, self.b).expand_index(L, budgets)
         return Pow23(expanded.a + e, expanded.b)

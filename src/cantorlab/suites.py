@@ -148,7 +148,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
     lattice_points = 0
     for L in range(1, L_max + 1):
         for n in (0, 1, 2):
-            st = stride(n, budgets)
+            st = stride(n)
             gap_bound = 6 * st
             jmax = max(kmax // st, 32)
             seen = set()
@@ -158,7 +158,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
                 y = stride_expand(L, n, k, budgets)
                 if y == k:
                     viol.append(f"(3) fixed point on the stride lattice: L={L} n={n} k={k}")
-                if in_stride_set(n, y, budgets) and (y & (y - 1)) == 0:
+                if in_stride_set(n, y) and (y & (y - 1)) == 0:
                     viol.append(f"(1) power of two in the image: L={L} n={n} k={k} -> {y}")
                 if y in seen:
                     viol.append(f"(2) image collision: L={L} n={n} k={k}")
@@ -181,7 +181,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
             for combo in itertools.combinations(range(5), size):
                 s = tuple(sorted(combo, reverse=True))
                 for r in (0, 1, 2):
-                    exp = tower_exp(s[0], budgets) + r
+                    exp = tower_exp(s[0]) + r
                     x = Pow23(exp)
                     try:
                         for m in range(len(s) - 1, 0, -1):
@@ -189,13 +189,13 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
                     except CantorLabError as err:
                         viol.append(f"(4) closed form lost: L={L} s={s} r={r}: {err}")
                         continue
-                    if not (x.a == exp and x.b == len(s) - 1 and x.in_stride_set(s[0], budgets)):
+                    if not (x.a == exp and x.b == len(s) - 1 and x.in_stride_set(s[0])):
                         viol.append(f"(4) wrong landing: L={L} s={s} r={r} -> 2^a*3^{x.b}")
                     if s[0] <= 2:
                         w = 1 << exp
                         for m in range(len(s) - 1, 0, -1):
                             w = stride_expand(L, s[m], w, budgets)
-                        if w != x.value(budgets):
+                        if w != x.value():
                             viol.append(f"(4) route mismatch: L={L} s={s} r={r}")
                     witnesses += 1
 
@@ -206,22 +206,22 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
     # would land back on the head lattice, so they are where a wrongly chosen
     # shift multiplier shows up.
     kcap5 = min(kmax, 10**5)
-    criticals = [stride(n, budgets) * j for n in (1, 2) for j in range(1, 65)]
+    criticals = [stride(n) * j for n in (1, 2) for j in range(1, 65)]
 
     def theta_small(L, n, x):
-        if tower_exp(n, budgets) > 64:
+        if tower_exp(n) > 64:
             return x
         return stride_expand(L, n, x, budgets)
 
     for L in range(1, L_max + 1):
         for combo in itertools.combinations(range(5), L + 1):
             s = tuple(sorted(combo, reverse=True))
-            head_big = tower_exp(s[0], budgets) > 64
+            head_big = tower_exp(s[0]) > 64
             for k in itertools.chain(range(1, kcap5 + 1), criticals):
                 x = k
                 for m in range(len(s) - 1, 0, -1):
                     x = theta_small(L, s[m], x)
-                if not head_big and in_stride_set(s[0], x, budgets):
+                if not head_big and in_stride_set(s[0], x):
                     viol.append(f"(5) landed on the head lattice: L={L} s={s} k={k} -> {x}")
     return SuiteResult(
         "lemma5.1",
@@ -238,7 +238,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
     )
 
 
-def _seed_nested(outer: int, inner: int, inner_stride_bit: int, budgets: Budgets) -> bool:
+def _seed_nested(outer: int, inner: int, inner_stride_bit: int) -> bool:
     """Does the inner seed word followed by `inner_stride_bit` give a cylinder
     inside the outer seed-then-0 cylinder?
 
@@ -246,33 +246,33 @@ def _seed_nested(outer: int, inner: int, inner_stride_bit: int, budgets: Budgets
     domain.  Both words are a short lenlex prefix padded with zeros, so
     comparing the first few positions and the appended-bit position decides it.
     """
-    st_out = stride(outer, budgets)
+    st_out = stride(outer)
     positions = list(range(min(st_out, 8)))
     positions.append(st_out)
-    st_in = stride(inner, budgets)
+    st_in = stride(inner)
     for i in positions:
-        inner_bit = inner_stride_bit if i == st_in else anchor_bit(inner, i, budgets)
-        want = anchor_bit(outer, i, budgets) if i < st_out else 0
+        inner_bit = inner_stride_bit if i == st_in else anchor_bit(inner, i)
+        want = anchor_bit(outer, i) if i < st_out else 0
         if inner_bit != want:
             return False
     return True
 
 
-def _chain_defined(s, budgets: Budgets) -> bool:
+def _chain_defined(s) -> bool:
     """Whether the composition along s is anywhere defined: every stage's
     image must extend the next stage's seed, and the starting seed must
     extend every outer seed for the dropped-stage composition too."""
     for i in range(len(s) - 1):
-        if not _seed_nested(s[i], s[i + 1], 1, budgets):
+        if not _seed_nested(s[i], s[i + 1], 1):
             return False
-    return all(_seed_nested(s[i], s[-1], 0, budgets) for i in range(len(s) - 1))
+    return all(_seed_nested(s[i], s[-1], 0) for i in range(len(s) - 1))
 
 
-def _sample_domain_point(L, n, rng, budgets):
+def _sample_domain_point(L, n, rng):
     """A point of the map's domain with seeded free bits past the seed word
     (only where the free zone is materializable)."""
     extra = {}
-    st = stride(n, budgets)
+    st = stride(n)
     if st <= 1 << 24 and rng is not None:
         ladder = {st * 3**m for m in range(n + 2)}
         lo, hi = st + 1, st * 3 ** (n + 2)
@@ -280,7 +280,7 @@ def _sample_domain_point(L, n, rng, budgets):
             c = rng.randrange(lo, hi)
             if c not in ladder:
                 extra[c] = rng.randrange(2)
-    return domain_point(MapId(L, n), extra, budgets)
+    return domain_point(MapId(L, n), extra)
 
 
 def suite_lemma52(
@@ -299,11 +299,11 @@ def suite_lemma52(
     for L in range(2, L_max + 1):
         for size in range(2, min(L, 3) + 1):
             for s in itertools.combinations(range(4), size):
-                if not _chain_defined(s, budgets):
+                if not _chain_defined(s):
                     vacuous += 1
                     continue
-                p = _sample_domain_point(L, s[-1], rng, budgets)
-                k = stride(s[-1], budgets)
+                p = _sample_domain_point(L, s[-1], rng)
+                k = stride(s[-1])
                 try:
                     va = g_compose_eval(L, s, p, k, budgets)
                     vb = g_compose_eval(L, s[:-1], p, k, budgets)
@@ -314,22 +314,22 @@ def suite_lemma52(
                     viol.append(f"(b) compositions agree at the witness coordinate: L={L} s={s}")
                 tested_b += 1
 
-    window = stride(2, budgets) * 9
+    window = stride(2) * 9
     criticals = []
     for i in (0, 1, 2):
-        c = stride(i, budgets)
+        c = stride(i)
         while c <= window:
             criticals.append(c)
             c *= 3
     for L in range(1, L_max + 1):
         for s in itertools.combinations(range(4), L + 1):
-            if not _chain_defined(s, budgets):
+            if not _chain_defined(s):
                 vacuous += 1
                 continue
-            p = _sample_domain_point(L, s[-1], rng, budgets)
+            p = _sample_domain_point(L, s[-1], rng)
             # threading a stage whose stride is huge costs a big-integer seed
             # check per call, so those tuples get a thinned grid
-            points = grid if all(stride(n, budgets) <= 1 << 24 for n in s) else min(grid, 100)
+            points = grid if all(stride(n) <= 1 << 24 for n in s) else min(grid, 100)
             step = max(1, window // points)
             for k in itertools.chain(range(0, window + 1, step), criticals):
                 try:
@@ -378,12 +378,12 @@ def suite_condition_d(
             c = rng.randrange(9, 2000)
             if c not in ladder:
                 extra[c] = rng.randrange(2)
-        p = domain_point(MapId(L, 1), extra, budgets)
+        p = domain_point(MapId(L, 1), extra)
         if L == 1:
             if not check_condition_d(1, 0, 1, p, coords, budgets):
                 viol.append(f"two-step identity failed at level 1: sample {i}")
         else:
-            if check_condition_d(L, 0, 1, p, [stride(1, budgets)], budgets):
+            if check_condition_d(L, 0, 1, p, [stride(1)], budgets):
                 viol.append(
                     f"two-step identity unexpectedly held at the forced coordinate: "
                     f"L={L} sample {i}"
@@ -511,7 +511,7 @@ def suite_lemma53_54(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) ->
         for code in range(1 << ln, 2 << ln):
             if not any(code in st.X_codes for st in states):
                 viol.append(f"bounded coverage: word of length {ln} (code {code}) never appears")
-    detected = detect_L_n(states, budgets)
+    detected = detect_L_n(states)
     if depth >= 1 and detected.get(0) != 1:
         viol.append(f"detected first-map level {detected.get(0)}, expected 1")
     if depth >= 8 and detected.get(1) != 8:
@@ -553,7 +553,7 @@ def suite_lemma58(
     viol = []
     probes = 0
     for n in (0, 1):
-        st = stride(n, budgets)
+        st = stride(n)
         if st + 2 > depth:
             continue
         for _ in range(samples):

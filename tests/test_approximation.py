@@ -85,11 +85,11 @@ def words(*texts):
 # the BinWord stepper the code stepper replaced, kept as a reference
 
 
-def _ref_anchor_lengths(max_len, budgets):
+def _ref_anchor_lengths(max_len):
     out = {}
     n = 0
     while True:
-        st = stride(n, budgets)
+        st = stride(n)
         if st > max_len:
             return out
         out[st] = n
@@ -103,9 +103,9 @@ def _ref_stage_edges(family, words, level, budgets):
     member_codes = {w.code for w in words}
     max_len = max(code_len(c) for c in member_codes)
     n = 0
-    while stride(n, budgets) < level:
-        st = stride(n, budgets)
-        seed0 = anchor_word(n, budgets).append(0)
+    while stride(n) < level:
+        st = stride(n)
+        seed0 = anchor_word(n).append(0)
         reads = [stride_expand(family, n, k, budgets) for k in range(max_len + 1)]
         need_filter = family != 1
         ident = MapId(family, n)
@@ -142,11 +142,11 @@ def _ref_stage_edges(family, words, level, budgets):
 
 def _ref_advanced_chain(state, budgets):
     family = state.family
-    lengths = _ref_anchor_lengths(max((len(w) for w in state.X), default=0), budgets)
+    lengths = _ref_anchor_lengths(max((len(w) for w in state.X), default=0))
     anchors = set()
     for w in state.X:
         q = lengths.get(len(w))
-        if q is not None and w == anchor_word(q, budgets):
+        if q is not None and w == anchor_word(q):
             anchors.add(w)
     sources = {y for y, _ in state.A}
     out = set()
@@ -214,7 +214,7 @@ def _ref_splitting_set(family, words, chain_pairs, phi, budgets):
             position[v] = 1 + max(position[p] for p in ps)
             stack.pop()
 
-    lengths = _ref_anchor_lengths(max((len(w) for w in words), default=0), budgets)
+    lengths = _ref_anchor_lengths(max((len(w) for w in words), default=0))
     theta = {}
     chosen = set()
     blocked = set()
@@ -240,7 +240,7 @@ def _ref_splitting_set(family, words, chain_pairs, phi, budgets):
                 continue
         chosen.add(x)
         q = lengths.get(len(x))
-        if q is not None and x == anchor_word(q, budgets):
+        if q is not None and x == anchor_word(q):
             v = x
             while v in succ:
                 v = succ[v]

@@ -63,7 +63,9 @@ def test_approx_stage_files_hold_the_stage_text(tmp_path):
 
 def test_approx_rejects_bad_level(capsys):
     assert main(["approx", "--L", "0", "--depth", "2"]) == 2
-    assert "--L must be >= 1" in capsys.readouterr().err
+    assert "argument --L: must be >= 1, got 0" in capsys.readouterr().err
+    assert main(["approx", "--depth", "-1"]) == 2
+    assert "argument --depth: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_approx_stage_cap_fails_cleanly(tmp_path, monkeypatch, capsys):
@@ -235,6 +237,7 @@ def test_build_h_zero_cap_fails_cleanly(tmp_path, capsys):
 
 def test_build_h_rejects_negative_depth(capsys):
     assert main(["build-h", "--depth", "-1"]) == 2
+    assert "argument --depth: must be >= 0, got -1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,9 @@ def test_eval_g_two_stage_trace(capsys):
 def test_eval_g_usage_errors(capsys):
     assert main(["eval-g", "--L", "1", "--s", "", "--coord", "1"]) == 2
     assert main(["eval-g", "--L", "1", "--s", "0", "--coord", "-3"]) == 2
+    assert "argument --coord: must be >= 0, got -3" in capsys.readouterr().err
     assert main(["eval-g", "--L", "0", "--s", "0", "--coord", "1"]) == 2
+    assert "argument --L: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_eval_g_bad_point_spec(capsys):

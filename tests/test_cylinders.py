@@ -470,9 +470,9 @@ def scratch_intersect(C, D):
     """C and D as one from-scratch build on the longer base."""
     if C.empty or D.empty:
         return C if C.empty else D
-    if D.base.extends(C.base):
+    if C.base.is_prefix_of(D.base):
         return SymbolicClopen(D.base, C.atoms + D.atoms)
-    if C.base.extends(D.base):
+    if D.base.is_prefix_of(C.base):
         return SymbolicClopen(C.base, C.atoms + D.atoms)
     return EMPTY_SET
 

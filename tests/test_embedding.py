@@ -497,17 +497,11 @@ def test_lemma26_errors():
 
     with pytest.raises(EmptySet):
         lemma26_find(INST, EMPTY_SET)
-    with pytest.raises(NotFoundWithinBudget):
+    # the search stops at MAP_SEARCH_MAX
+    with pytest.raises(NotFoundWithinBudget, match=r"no strength in \[2, 1\]"):
         lemma26_find(INST, FULL_SPACE, 1)
     with pytest.raises(NotFoundWithinBudget):
         lemma26_find(INST, cylinder("1"))
-
-
-def test_lemma26_reads_the_instance_search_budget():
-    """The search stops at the instance's own map_search_max."""
-    inst = CantorInstance(1, replace(DEFAULT, map_search_max=0))
-    with pytest.raises(NotFoundWithinBudget, match=r"no strength in \[1, 0\]"):
-        lemma26_find(inst, FULL_SPACE, 0)
 
 
 # ---------------------------------------------------------------------------

