@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cantorlab.embedding as embedding_mod
 from cantorlab.config import DEFAULT
 from cantorlab.cylinders import FULL_SPACE, LazyPoint, SymbolicClopen, atom_const, cylinder
 from cantorlab.embedding import (
@@ -497,11 +498,17 @@ def test_lemma26_errors():
 
     with pytest.raises(EmptySet):
         lemma26_find(INST, EMPTY_SET)
-    # the search stops at MAP_SEARCH_MAX
-    with pytest.raises(NotFoundWithinBudget, match=r"no strength in \[2, 1\]"):
-        lemma26_find(INST, FULL_SPACE, 1)
     with pytest.raises(NotFoundWithinBudget):
         lemma26_find(INST, cylinder("1"))
+
+
+def test_lemma26_reads_the_instance_search_budget(monkeypatch):
+    """The search stops at MAP_SEARCH_MAX, read at call time."""
+    with pytest.raises(NotFoundWithinBudget, match=r"no strength in \[2, 1\]"):
+        lemma26_find(INST, FULL_SPACE, 1)
+    monkeypatch.setattr(embedding_mod, "MAP_SEARCH_MAX", 0)
+    with pytest.raises(NotFoundWithinBudget, match=r"no strength in \[1, 0\]"):
+        lemma26_find(INST, FULL_SPACE, 0)
 
 
 # ---------------------------------------------------------------------------
