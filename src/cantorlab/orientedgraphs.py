@@ -329,16 +329,18 @@ def lemma42_suite(G: FiniteOrientedGraph) -> CheckReport:
     first-step agreement, each checked exhaustively with witnesses.
     """
     report = CheckReport()
+    chains = {}
     for y in sorted(G.vertices, key=_vkey):
         try:
-            chain = p_to_max(G, y)
+            chain = chains[y] = p_to_max(G, y)
         except InvalidArgument as err:
             report.add("a-injective-chain", (y, str(err)))
             continue
         if chain != unique_path(G, y, chain[-1]):
             report.add("a-chain-is-the-path", (y, chain))
+    maxima = max_set(G)
     for comp in components(G):
-        tops = sorted(comp & max_set(G), key=_vkey)
+        tops = sorted(comp & maxima, key=_vkey)
         if len(tops) != 1:
             report.add("c-single-maximum", (tuple(sorted(comp, key=_vkey)), tuple(tops)))
             continue
@@ -349,10 +351,10 @@ def lemma42_suite(G: FiniteOrientedGraph) -> CheckReport:
                 if (p[i], p[i + 1]) not in G.edges:
                     report.add("b-forward-edges", (y, p, i))
                     break
+    # a vertex whose chain raised in (a) has no first step to compare
     for a, b in sorted(G.edges, key=_edge_key):
-        try:
-            p = p_to_max(G, a)
-        except InvalidArgument:
+        p = chains.get(a)
+        if p is None:
             continue
         if len(p) < 2 or p[1] != b:
             report.add("d-first-step", ((a, b), p))

@@ -28,10 +28,9 @@ from .maps import MapId, check_condition_d, domain_point, g_compose_eval
 from .orientedgraphs import (
     FiniteOrientedGraph,
     duplicate,
+    functional_chain_depths,
     lemma42_suite,
-    max_set,
     p_to_max,
-    pred,
     validate_uogas,
 )
 from .sequences import (
@@ -79,29 +78,59 @@ def fmt_coord(c: int) -> str:
 
 
 def _iter_uogas(nv: int):
-    """Every uogas on vertices 0..nv-1, via out-degree <= 1 successor choices."""
-    verts = tuple(range(nv))
-    for choice in itertools.product((None, *verts), repeat=nv):
-        if any(choice[v] == v for v in verts):
-            continue
-        edges = [(v, choice[v]) for v in verts if choice[v] is not None]
-        g = FiniteOrientedGraph(verts, edges)
-        if validate_uogas(g).ok:
-            yield g
+    """Every uogas on vertices 0..nv-1 with out-degree <= 1, as its successor
+    table: a fresh tuple whose entry v is v's successor or None.  The tables
+    come in `itertools.product` order over (None, 0, ..., nv-1).
+
+    The entries are assigned depth first, choice[0] first.  Vertices before v
+    hold no cycle, so a cycle that v's successor t closes passes through v:
+    the walk from t through the assigned vertices gets back to v (a loop is
+    t == v), and the branch is cut with every way of completing it.  A walk
+    stops at None or at a vertex not yet assigned.  The tables left are the
+    (nv+1)^(nv-1) labeled rooted forests (Cayley), and a cycle-free table is
+    an uogas (functional_chain_depths says why), so no graph is built or
+    validated here.
+    """
+    choice = [None] * nv
+    options = (None, *range(nv))
+
+    def assign(v):
+        if v == nv:
+            yield tuple(choice)
+            return
+        for t in options:
+            u = t
+            while u is not None and u < v:
+                u = choice[u]
+            if u != v:
+                choice[v] = t
+                yield from assign(v + 1)
+
+    return assign(0)
+
+
+def _table_graph(choice) -> FiniteOrientedGraph:
+    return FiniteOrientedGraph(
+        range(len(choice)), [(v, t) for v, t in enumerate(choice) if t is not None]
+    )
 
 
 def _random_uogas(rng: random.Random, nv: int) -> FiniteOrientedGraph:
-    """A uniform successor-function sample, rejected until acyclic."""
-    verts = tuple(range(nv))
+    """A uniform successor-function sample, drawn again until acyclic.
+
+    Each vertex draws one of nv+1 values: nv, or a draw of the vertex itself,
+    means no successor.  A draw is decided on its successor list, and only
+    the one accepted becomes a graph.
+    """
+    verts = frozenset(range(nv))
     while True:
         edges = []
-        for v in verts:
+        for v in range(nv):
             t = rng.randrange(nv + 1)
             if t != nv and t != v:
                 edges.append((v, t))
-        g = FiniteOrientedGraph(verts, edges)
-        if validate_uogas(g).ok:
-            return g
+        if functional_chain_depths(verts, edges) is not None:
+            return FiniteOrientedGraph(verts, edges)
 
 
 def _enumeration_of(g: FiniteOrientedGraph):
@@ -124,17 +153,26 @@ def _all_enumerations_of(g: FiniteOrientedGraph):
         yield tuple(v for block in perm_blocks for v in block)
 
 
-def _forest_signature(g: FiniteOrientedGraph):
-    """Shape of the in-forest up to relabeling: a Merkle-style tuple built
-    from sorted predecessor signatures, rooted at the maxima.
+def _table_signature(choice):
+    """Shape of a successor table's in-forest up to relabeling: a
+    Merkle-style tuple built from sorted predecessor signatures, rooted at
+    the vertices with no successor.
 
     Duplication along a canonical order commutes with vertex relabeling, so
     one development per shape certifies every graph of that shape.
     """
-    def sig(v):
-        return tuple(sorted(sig(u) for u in pred(g, v)))
+    preds = [[] for _ in choice]
+    roots = []
+    for v, t in enumerate(choice):
+        if t is None:
+            roots.append(v)
+        else:
+            preds[t].append(v)
 
-    return tuple(sorted(sig(r) for r in max_set(g)))
+    def sig(v):
+        return tuple(sorted(sig(u) for u in preds[v]))
+
+    return tuple(sorted(sig(r) for r in roots))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +446,9 @@ def suite_lemma42(max_vertices: int = 6) -> SuiteResult:
     viol = []
     graphs = 0
     for nv in range(1, max_vertices + 1):
-        for g in _iter_uogas(nv):
+        for choice in _iter_uogas(nv):
             graphs += 1
+            g = _table_graph(choice)
             rep = lemma42_suite(g)
             if not rep.ok:
                 viol.append(f"{nv}-vertex graph {sorted(g.edges)}: {rep.violations[:2]}")
@@ -432,12 +471,13 @@ def suite_lemma43(
     developed = covered = 0
     seen_shapes = set()
     for nv in range(1, max_vertices + 1):
-        for g in _iter_uogas(nv):
+        for choice in _iter_uogas(nv):
             covered += 1
-            shape = _forest_signature(g)
+            shape = _table_signature(choice)
             if shape in seen_shapes:
                 continue
             seen_shapes.add(shape)
+            g = _table_graph(choice)
             canonical, steps, _ = _enumeration_of(g)
             orders = list(_all_enumerations_of(g)) if nv <= 3 else [canonical]
             for order in orders:

@@ -87,6 +87,11 @@ def test_criterion_4_oriented_graph_suites():
     res_b = suite_lemma43(6, 12, 1000, seed=0)
     assert res_a.violations == []
     assert res_b.violations == []
+    assert res_a.params["graphs"] == 18248
+    assert res_b.params["graphs_covered"] == 18248
+    assert res_b.params["shapes_developed"] == 84
+    assert res_b.params["developments"] == 92
+    assert res_b.params["sampled"] == 1000
     _pass_line(
         4,
         time.perf_counter() - t0,

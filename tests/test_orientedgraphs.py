@@ -31,6 +31,8 @@ from cantorlab.orientedgraphs import (
     p_to_max,
     pred,
     succ,
+    _edge_key,
+    _vkey,
     to_dot,
     unique_path,
     validate_uogas,
@@ -470,6 +472,57 @@ def test_lemma42_passes_on_all_valid_exhaustive():
             count += 1
             assert lemma42_suite(g).ok
     assert count > 100  # the filter keeps a substantial family
+
+
+def oracle_lemma42_suite(G):
+    """lemma42_suite with max_set read per component and every chain walked
+    again for clause (d)."""
+    report = CheckReport()
+    for y in sorted(G.vertices, key=_vkey):
+        try:
+            chain = p_to_max(G, y)
+        except InvalidArgument as err:
+            report.add("a-injective-chain", (y, str(err)))
+            continue
+        if chain != unique_path(G, y, chain[-1]):
+            report.add("a-chain-is-the-path", (y, chain))
+    for comp in components(G):
+        tops = sorted(comp & max_set(G), key=_vkey)
+        if len(tops) != 1:
+            report.add("c-single-maximum", (tuple(sorted(comp, key=_vkey)), tuple(tops)))
+            continue
+        top = tops[0]
+        for y in sorted(comp, key=_vkey):
+            p = unique_path(G, y, top)
+            for i in range(len(p) - 1):
+                if (p[i], p[i + 1]) not in G.edges:
+                    report.add("b-forward-edges", (y, p, i))
+                    break
+    for a, b in sorted(G.edges, key=_edge_key):
+        try:
+            p = p_to_max(G, a)
+        except InvalidArgument:
+            continue
+        if len(p) < 2 or p[1] != b:
+            report.add("d-first-step", ((a, b), p))
+    return report
+
+
+BRANCHING = (
+    FiniteOrientedGraph("abc", {("a", "b"), ("a", "c")}),
+    FiniteOrientedGraph("xabc", {("x", "a"), ("a", "b"), ("a", "c")}),
+    FiniteOrientedGraph("abcd", {("a", "b"), ("b", "a"), ("b", "c"), ("d", "c")}),
+)
+
+
+def test_lemma42_matches_oracle():
+    """Every successor choice on four vertices, loops and cycles included,
+    and graphs that branch, where clause (a) raises and (d) skips."""
+    for g in (*succ_choice_graphs("abcd", loops=True), *BRANCHING):
+        assert lemma42_suite(g).violations == oracle_lemma42_suite(g).violations
+    for g in BRANCHING:
+        clauses = {clause for clause, _ in lemma42_suite(g).violations}
+        assert "a-injective-chain" in clauses and "d-first-step" not in clauses
 
 
 # ---------------------------------------------------------------------------
