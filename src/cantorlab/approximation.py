@@ -4,8 +4,12 @@ Each stage carries a maximal antichain of binary words (one cell per member,
 jointly covering sequence space), the set of cell pairs whose cylinders meet
 some map's graph together with the witnessing map index, a unique-successor
 relation picking one outgoing pair per word, and the set of words whose cells
-split before the next stage.  Stepping never carries the edge set forward:
-it is recomputed from joint satisfiability at every stage.
+split before the next stage.  Stepping carries the edge set forward: every
+pair of the next stage is a child pair of a pair of this one, with the same
+witness, so each map index already feasible here has its next pairs derived
+from its pairs here by at most two forced-bit reads.  Only an index that has
+just become feasible, or a stage built by hand, is walked afresh on the
+antichain.
 
 Stages are computed and checked on raw word codes (see `sequences`); BinWord
 appears only in the public constructor, the BinWord views of a stage and the
@@ -34,7 +38,7 @@ from .errors import (CapExceeded, DecisionOverflow, InvalidArgument, InvalidLeve
 from .maps import MapId, domain_D, graph_meets
 from .orientedgraphs import (CheckReport, FiniteOrientedGraph, functional_chain_depths,
                              validate_uogas)
-from .sequences import (BinWord, anchor_word, code_bit, code_is_prefix, code_len, code_str,
+from .sequences import (BinWord, anchor_word, code_is_prefix, code_len, code_str,
                         stride, stride_expand)
 
 
@@ -64,6 +68,10 @@ class ApproxState:
         self.family, self.level = family, level
         self.X_codes, self.A_codes, self.E_codes = frozenset(X), frozenset(A), frozenset(E)
         self.phi_codes = MappingProxyType(phi)
+
+    # Set on the stages init and step return: only their edge sets are
+    # carried forward by the next step.
+    _stepped = False
 
     X = cached_property(lambda self: frozenset(map(BinWord, self.X_codes)))
     E = cached_property(lambda self: frozenset(map(BinWord, self.E_codes)))
@@ -104,7 +112,9 @@ def init(family: int = 1) -> ApproxState:
     """Stage zero: the lone empty-word cell, already marked as splitting."""
     if family < 1:
         raise InvalidLevel("the stage system needs a family level >= 1")
-    return ApproxState._from_codes(family, 0, (1,), (), (1,), {})
+    state = ApproxState._from_codes(family, 0, (1,), (), (1,), {})
+    state._stepped = True
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -135,79 +145,147 @@ def _max_len(codes) -> int:
 # the three stage computations: edges, successor advancement, splitting
 
 
-def _stage_edges(family, words, level, budgets) -> dict:
-    """The stage edge set as a dict (source, target) -> witnessing map index,
-    on word codes.
+def _feasible(n, words) -> bool:
+    """Whether map index n has pairs on a stage with these words: no word
+    may be a prefix of n's padded seed word (the seed word included)."""
+    anchor = anchor_word(n).code
+    return not any((anchor >> j) in words for j in range(stride(n) + 1))
 
-    For each feasible map index the antichain is walked once per potential
-    source: a partner bit is forced wherever the map reads inside the source
-    word (and at the stride coordinate), and branches freely beyond it.  At
-    family level 1 every walk result is a real pair; higher families keep a
+
+def _index_edges(family, n, words, max_len, phi, budgets):
+    """Add map index n's pairs to phi, walking the antichain once per
+    potential source.
+
+    A partner bit is forced wherever the map reads inside the source word
+    (and at the stride coordinate), and branches freely beyond it.  At family
+    level 1 every walk result is a real pair; higher families keep a
     joint-satisfiability filter because a domain inequality can empty a
-    branch the walk cannot see.
+    branch the walk cannot see.  The caller has checked that n is feasible.
     """
+    st = stride(n)
+    # Every walk first copies the padded seed word out of its source.
+    anchor = anchor_word(n).code
+    seed0, start = anchor << 1, (anchor << 1) | 1
+    reads = [stride_expand(family, n, k, budgets) for k in range(max_len + 1)]
+    ident = MapId(family, n)
+    for y in words:
+        ylen = y.bit_length() - 1
+        if ylen <= st or (y >> (ylen - st - 1)) != seed0:
+            continue
+        top = ylen - 1
+        stack = [start]
+        pop, push = stack.pop, stack.append
+        while stack:
+            c = pop()
+            if c in words:
+                if family == 1 or graph_meets(ident, BinWord(y), BinWord(c), budgets):
+                    phi[(y, c)] = n
+                continue
+            k = c.bit_length() - 1
+            if k >= max_len:
+                continue
+            r = reads[k]
+            if r < ylen:
+                push((c << 1) | ((y >> (top - r)) & 1))
+            else:
+                push(c << 1)
+                push((c << 1) | 1)
+
+
+def _carried_edges(prev: ApproxState, children, max_len, budgets) -> dict:
+    """The next stage's pairs of every map index feasible at prev, derived in
+    one pass over prev's pairs.
+
+    Each pair (y, x) with witness n proposes its child pairs: y or a child
+    of y, against x or a child of x.  With reads[k] the coordinate the map
+    reads for target coordinate k (injective) and lo = stride(n) + 1:
+    - a split y keeps only the child y + x[k] when reads[k] == |y| for some
+      lo <= k < |x|, and both children otherwise;
+    - for each source y', a split x keeps only x + y'[reads[|x|]] when that
+      coordinate lies inside y', and both children otherwise.
+    Higher families filter each candidate through graph_meets.
+    """
+    family = prev.family
+    plans = {}
     phi = {}
+    for (y, x), n in prev.phi_codes.items():
+        plan = plans.get(n)
+        if plan is None:
+            reads = [stride_expand(family, n, k, budgets) for k in range(max_len + 1)]
+            lo = stride(n) + 1
+            plan = plans[n] = (reads, {reads[k]: k for k in range(lo, max_len + 1)},
+                               MapId(family, n))
+        reads, target_of, ident = plan
+        ylen = y.bit_length() - 1
+        xlen = x.bit_length() - 1
+        ys = children.get(y)
+        if ys is None:
+            sources = (y,)
+        else:
+            k = target_of.get(ylen)  # the target coordinate that reads y's new bit
+            sources = ys if k is None or k >= xlen else (ys[(x >> (xlen - 1 - k)) & 1],)
+            ylen += 1
+        xs = children.get(x)
+        r = reads[xlen]
+        for yy in sources:
+            if xs is None:
+                targets = (x,)
+            elif r < ylen:
+                targets = (xs[(yy >> (ylen - 1 - r)) & 1],)
+            else:
+                targets = xs
+            for xx in targets:
+                if family == 1 or graph_meets(ident, BinWord(yy), BinWord(xx), budgets):
+                    phi[(yy, xx)] = n
+    return phi
+
+
+def _stage_edges(prev: ApproxState, children, words, level, budgets) -> dict:
+    """The edge set of the stage after prev, as a dict (source, target) ->
+    witnessing map index, on word codes.
+
+    A map index already feasible at prev has its pairs carried forward from
+    prev's pairs, when prev came from init or step; every other index with a
+    stride below the level is walked afresh on the new words.
+    """
+    carry = prev._stepped
     max_len = _max_len(words)
+    phi = _carried_edges(prev, children, max_len, budgets) if carry else {}
     for n in itertools.count():
         st = stride(n)
         if st >= level:
             return phi
-        anchor = anchor_word(n).code
-        # Every walk first copies the padded seed word out of its source,
-        # and stops if a word of the stage is a prefix of that seed word.
-        if any((anchor >> j) in words for j in range(st + 1)):
+        if carry and st < prev.level and _feasible(n, prev.X_codes):
             continue
-        seed0, start = anchor << 1, (anchor << 1) | 1
-        reads = [stride_expand(family, n, k, budgets) for k in range(max_len + 1)]
-        ident = MapId(family, n)
-        for y in words:
-            ylen = y.bit_length() - 1
-            if ylen <= st or (y >> (ylen - st - 1)) != seed0:
-                continue
-            top = ylen - 1
-            stack = [start]
-            pop, push = stack.pop, stack.append
-            while stack:
-                c = pop()
-                if c in words:
-                    if family == 1 or graph_meets(ident, BinWord(y), BinWord(c), budgets):
-                        phi[(y, c)] = n
-                    continue
-                k = c.bit_length() - 1
-                if k >= max_len:
-                    continue
-                r = reads[k]
-                if r < ylen:
-                    push((c << 1) | ((y >> (top - r)) & 1))
-                else:
-                    push(c << 1)
-                    push((c << 1) | 1)
+        if _feasible(n, words):
+            _index_edges(prev.family, n, words, max_len, phi, budgets)
 
 
-def _advanced_chain(state: ApproxState, budgets: Budgets) -> set:
+def _advanced_chain(state: ApproxState, children, budgets: Budgets) -> set:
     """The next stage's successor pairs, case by case on whether the two
-    endpoints split, with the padded seed words handled by their own rule."""
+    endpoints split, with the padded seed words handled by their own rule.
+    `children` maps each splitting word to its two child codes."""
     family = state.family
-    E = state.E_codes
     phi = state.phi_codes
     anchors = _anchor_codes(_max_len(state.X_codes)).keys() & state.X_codes
     sources = {y for y, _ in state.A_codes}
     out = set()
     for w in anchors:
-        if w in E and w not in sources:
-            out.add((w << 1, (w << 1) | 1))
+        if w in children and w not in sources:
+            out.add(children[w])
     theta = {}
     for y, x in state.A_codes:
-        if x not in E:
-            if y not in E:
+        ys = children.get(y)
+        xs = children.get(x)
+        if xs is None:
+            if ys is None:
                 out.add((y, x))
             elif y not in anchors:
-                out.add((y << 1, x))
-                out.add(((y << 1) | 1, x))
+                out.add((ys[0], x))
+                out.add((ys[1], x))
             else:
-                y1 = (y << 1) | 1
-                out.add((y1, x))
-                out.add((y << 1, y1))
+                out.add((ys[1], x))
+                out.add(ys)
             continue
         n = phi.get((y, x))
         if n is None:
@@ -217,11 +295,8 @@ def _advanced_chain(state: ApproxState, budgets: Budgets) -> set:
         t = theta.get(key)
         if t is None:
             t = theta[key] = stride_expand(family, n, key[1], budgets)
-        if y in E:
-            for yy in (y << 1, (y << 1) | 1):
-                out.add((yy, (x << 1) | code_bit(yy, t)))
-        else:
-            out.add((y, (x << 1) | code_bit(y, t)))
+        for yy in ys or (y,):
+            out.add((yy, xs[(yy >> (yy.bit_length() - 2 - t)) & 1]))
     return out
 
 
@@ -310,18 +385,33 @@ def _check_word_cap(level: int, count: int, budgets: Budgets):
 
 
 def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
-    """The next stage: split every marked cell, recompute the edge set and
-    its witnesses, advance the successor relation, re-decide the splits."""
-    E = state.E_codes
-    next_words = set(state.X_codes - E)
-    for w in state.X_codes & E:
-        next_words.update((w << 1, (w << 1) | 1))
+    """The next stage: split every marked cell, carry the edge set forward
+    (or walk it afresh), advance the successor relation, re-decide the splits.
+
+    Carrying is exact, pair by pair of this stage:
+    - a split source reads one coordinate more, which forces at most the one
+      target bit whose read lands there;
+    - a split target's new bit is forced by its source exactly when the map
+      reads it inside that source;
+    - a smaller cylinder pair meets no graph the larger one misses, so every
+      next pair has its parent pair here, with the same witness, and the
+      graph_meets filter above family 1 stays exact on the candidates.
+    Only stages that init or step returned are carried from; a stage built by
+    hand has its edges walked afresh.  The children table is shared by the
+    next words, the carried edges and the successor pairs, so each child code
+    is one int object.
+    """
+    children = {w: (w << 1, (w << 1) | 1) for w in state.X_codes & state.E_codes}
+    next_words = set(state.X_codes.difference(children))
+    next_words.update(itertools.chain.from_iterable(children.values()))
     level = state.level + 1
     _check_word_cap(level, len(next_words), budgets)
-    phi = _stage_edges(state.family, next_words, level, budgets)
-    chain = _advanced_chain(state, budgets)
+    phi = _stage_edges(state, children, next_words, level, budgets)
+    chain = _advanced_chain(state, children, budgets)
     splitting = _splitting_set(state.family, next_words, chain, phi, budgets)
-    return ApproxState._from_codes(state.family, level, next_words, chain, splitting, phi)
+    out = ApproxState._from_codes(state.family, level, next_words, chain, splitting, phi)
+    out._stepped = True
+    return out
 
 
 # Maximum approximation depth.

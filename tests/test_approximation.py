@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cantorlab.approximation import (
     ApproxState,
+    _stage_edges,
     anchor_index,
     check_lemma_53_54,
     check_lemma_57,
@@ -46,6 +47,7 @@ from cantorlab.sequences import (
     stride,
     stride_expand,
 )
+from cantorlab.suites import _approx_budgets
 
 W = BinWord.from_str
 
@@ -456,6 +458,65 @@ def test_code_stepper_matches_the_binword_stepper_on_a_foreign_stage():
     base = run(1, 9)[9]
     for state in (base, ApproxState(1, 9, base.X, base.A, base.E - words("0100"), base.phi)):
         assert step(state) == binword_step(state)
+
+
+# ---------------------------------------------------------------------------
+# edges carried forward against the full walk
+
+
+def walked_edges(prev, state, budgets=DEFAULT):
+    """The edge set of the stage after prev, walked afresh: step never
+    carries edges from a stage built by hand."""
+    hand = ApproxState._from_codes(*prev._fields())
+    children = {w: (w << 1, (w << 1) | 1) for w in prev.X_codes & prev.E_codes}
+    return _stage_edges(hand, children, state.X_codes, state.level, budgets)
+
+
+@pytest.mark.parametrize("family,depth", [(1, 20), (2, 14), (3, 12)])
+def test_carried_edges_match_the_full_walk(family, depth):
+    """Every stage's carried edges, witnesses included, equal the full walk."""
+    budgets = _approx_budgets(DEFAULT)
+    states = run(family, depth, budgets)
+    for prev, state in zip(states, states[1:]):
+        assert state.phi_codes == walked_edges(prev, state, budgets), state.level
+
+
+def test_a_hand_made_stage_steps_by_the_full_walk():
+    """A constructor-built copy of a real stage that lacks one non-successor
+    pair steps to the real next stage: its edges are walked, not carried."""
+    base = run(1, 9)[9]
+    y, x = min(base.phi_codes.keys() - base.A_codes)
+    phi = dict(base.phi)
+    del phi[(BinWord(y), BinWord(x))]
+    hand = ApproxState(1, 9, base.X, base.A, base.E, phi)
+    assert step(hand) == run(1, 10)[10]
+
+
+def test_a_split_source_keeps_only_the_child_its_target_reads():
+    """From a hand-made level of all 4-bit words without successor pairs,
+    every word splits twice running.  A source of length 5 has its new bit
+    read at target coordinate 2, so the carried stage 6 keeps, for each of
+    its stage-5 pairs, only the child source that agrees with the target."""
+    level = [BinWord((1 << 4) | i) for i in range(16)]
+    stage5 = step(ApproxState(1, 4, level, (), level, {}))
+    stage6 = step(stage5)
+    assert stage5.E_codes == stage5.X_codes
+    assert len(stage6.phi_codes) == 2 * len(stage5.phi_codes)
+    assert stage6.phi_codes == walked_edges(stage5, stage6)
+
+
+def test_an_index_that_becomes_feasible_late_is_walked():
+    """With the second seed word kept whole at a hand-made stage 8, index 1
+    first has pairs at stage 10.  Stage 9 came from step, so stage 10 carries
+    index 0's pairs and must still walk index 1's."""
+    base = run(1, 8)[8]
+    seed = anchor_word(1)
+    hand = ApproxState(1, 8, base.X, base.A, base.E - {seed}, base.phi)
+    stage9 = step(hand)
+    stage10 = step(stage9)
+    assert seed in stage9.X and 1 not in stage9.phi_codes.values()
+    assert 1 in stage10.phi_codes.values()
+    assert stage10.phi_codes == walked_edges(stage9, stage10)
 
 
 def test_step_reports_a_chain_cycle_as_a_broken_invariant():

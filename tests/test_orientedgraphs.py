@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorlab import orientedgraphs
 from cantorlab.config import DEFAULT
 from cantorlab.errors import (
     BadEnumeration,
@@ -525,6 +526,22 @@ def test_lemma42_matches_oracle():
         assert "a-injective-chain" in clauses and "d-first-step" not in clauses
 
 
+def test_lemma42_walks_one_path_per_vertex_of_a_valid_graph(monkeypatch):
+    """Clause (b) reuses each clause-(a) chain that is the unique path to the
+    component's top, so a valid graph costs one path search per vertex."""
+    starts = []
+
+    def counted(G, x, y):
+        starts.append(x)
+        return unique_path(G, x, y)
+
+    monkeypatch.setattr(orientedgraphs, "unique_path", counted)
+    g = FiniteOrientedGraph("abcdefgh", {("a", "c"), ("b", "c"), ("c", "d"), ("e", "d"),
+                                         ("f", "g")})
+    assert lemma42_suite(g).ok
+    assert sorted(starts) == sorted(g.vertices)
+
+
 # ---------------------------------------------------------------------------
 # duplication
 
@@ -553,6 +570,14 @@ def test_labeled_vertex_list_and_tuple_labels_agree():
     assert len({a, b}) == 1
     assert repr(a) == repr(b) == "a:0.1"
     assert a != LabeledVertex("a", (1, 0))
+
+
+def test_labeled_vertices_with_one_repr_sort_the_same_either_way():
+    """LabeledVertex(1, (0,)) and LabeledVertex("1", (0,)) both print as 1:0;
+    the base's type breaks the tie, so input order does not matter."""
+    a, b = LabeledVertex(1, (0,)), LabeledVertex("1", (0,))
+    assert repr(a) == repr(b)
+    assert sorted([a, b], key=_vkey) == sorted([b, a], key=_vkey) == [a, b]
 
 
 def test_duplicate_early_and_partial_stages():
