@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -46,12 +46,12 @@ class ApproxState:
     """One stage: the word antichain X, the edge set B with its witness map
     phi, the successor relation A, and the splitting set E.
 
-    A stage is stored as word codes: X_codes and E_codes are frozensets of
-    codes, A_codes is a frozenset of (source, target) code pairs, and
-    phi_codes is a read-only dict from code pairs to map indices whose key
-    set is B.  X, A, E, B and phi are read-only BinWord views of the same
-    data, each built on first read and then kept.  The constructor takes
-    BinWords; the stepper builds stages from codes.  Immutable once produced.
+    A stage is stored as word codes: X_sorted and E_sorted are sorted tuples
+    of distinct codes (8 bytes a code, where a frozenset takes about 40),
+    A_codes a frozenset of code pairs, and phi_codes a read-only dict from
+    code pairs to map indices whose key set is B.  X_codes and E_codes build
+    a fresh frozenset on each read; X, A, E, B and phi are BinWord views,
+    each built once.  The constructor takes BinWords, the stepper codes.
     """
 
     def __init__(self, family, level, X, A, E, phi):
@@ -66,15 +66,18 @@ class ApproxState:
 
     def _store(self, family, level, X, A, E, phi):
         self.family, self.level = family, level
-        self.X_codes, self.A_codes, self.E_codes = frozenset(X), frozenset(A), frozenset(E)
-        self.phi_codes = MappingProxyType(phi)
+        self.X_sorted, self.E_sorted = (
+            tuple(sorted(c if isinstance(c, set) else set(c))) for c in (X, E))
+        self.A_codes, self.phi_codes = frozenset(A), MappingProxyType(phi)
 
     # Set on the stages init and step return: only their edge sets are
     # carried forward by the next step.
     _stepped = False
 
-    X = cached_property(lambda self: frozenset(map(BinWord, self.X_codes)))
-    E = cached_property(lambda self: frozenset(map(BinWord, self.E_codes)))
+    X_codes = property(lambda self: frozenset(self.X_sorted))
+    E_codes = property(lambda self: frozenset(self.E_sorted))
+    X = cached_property(lambda self: frozenset(map(BinWord, self.X_sorted)))
+    E = cached_property(lambda self: frozenset(map(BinWord, self.E_sorted)))
     A = cached_property(lambda self: frozenset(map(_word_pair, self.A_codes)))
     phi = cached_property(lambda self: MappingProxyType(
         {_word_pair(p): n for p, n in self.phi_codes.items()}))
@@ -82,12 +85,12 @@ class ApproxState:
 
     def lOf(self, y: BinWord) -> int:
         """The resolved length of y: |y|, plus one exactly when y splits."""
-        if y.code not in self.X_codes:
+        if not _has(self.X_sorted, y.code):
             raise InvalidArgument(f"{y!r} is not a word of this stage")
-        return len(y) + 1 if y.code in self.E_codes else len(y)
+        return len(y) + _has(self.E_sorted, y.code)
 
     def _fields(self):
-        return (self.family, self.level, self.X_codes, self.A_codes, self.E_codes, self.phi_codes)
+        return (self.family, self.level, self.X_sorted, self.A_codes, self.E_sorted, self.phi_codes)
 
     def __eq__(self, other):
         if not isinstance(other, ApproxState):
@@ -98,14 +101,20 @@ class ApproxState:
 
     def __repr__(self):
         return (
-            f"ApproxState(level={self.level}, words={len(self.X_codes)}, "
+            f"ApproxState(level={self.level}, words={len(self.X_sorted)}, "
             f"edges={len(self.phi_codes)}, chain={len(self.A_codes)}, "
-            f"splitting={len(self.E_codes)})"
+            f"splitting={len(self.E_sorted)})"
         )
 
 
 def _word_pair(pair) -> tuple:
     return BinWord(pair[0]), BinWord(pair[1])
+
+
+def _has(codes: tuple, code: int) -> bool:
+    """Whether the sorted tuple `codes` holds `code`."""
+    i = bisect_left(codes, code)
+    return i < len(codes) and codes[i] == code
 
 
 def init(family: int = 1) -> ApproxState:
@@ -145,11 +154,11 @@ def _max_len(codes) -> int:
 # the three stage computations: edges, successor advancement, splitting
 
 
-def _feasible(n, words) -> bool:
-    """Whether map index n has pairs on a stage with these words: no word
-    may be a prefix of n's padded seed word (the seed word included)."""
+def _feasible(n, holds) -> bool:
+    """Whether map index n has pairs on the stage whose words pass `holds`:
+    none may be a prefix of n's padded seed word (the seed word included)."""
     anchor = anchor_word(n).code
-    return not any((anchor >> j) in words for j in range(stride(n) + 1))
+    return not any(holds(anchor >> j) for j in range(stride(n) + 1))
 
 
 def _index_edges(family, n, words, max_len, phi, budgets):
@@ -255,9 +264,9 @@ def _stage_edges(prev: ApproxState, children, words, level, budgets) -> dict:
         st = stride(n)
         if st >= level:
             return phi
-        if carry and st < prev.level and _feasible(n, prev.X_codes):
+        if carry and st < prev.level and _feasible(n, partial(_has, prev.X_sorted)):
             continue
-        if _feasible(n, words):
+        if _feasible(n, words.__contains__):
             _index_edges(prev.family, n, words, max_len, phi, budgets)
 
 
@@ -267,7 +276,7 @@ def _advanced_chain(state: ApproxState, children, budgets: Budgets) -> set:
     `children` maps each splitting word to its two child codes."""
     family = state.family
     phi = state.phi_codes
-    anchors = _anchor_codes(_max_len(state.X_codes)).keys() & state.X_codes
+    anchors = {w for w in _anchor_codes(_max_len(state.X_sorted[-1:])) if _has(state.X_sorted, w)}
     sources = {y for y, _ in state.A_codes}
     out = set()
     for w in anchors:
@@ -399,17 +408,19 @@ def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
     Only stages that init or step returned are carried from; a stage built by
     hand has its edges walked afresh.  The children table is shared by the
     next words, the carried edges and the successor pairs, so each child code
-    is one int object.
+    is one int object; it is dropped before the splits are decided.
     """
-    children = {w: (w << 1, (w << 1) | 1) for w in state.X_codes & state.E_codes}
-    next_words = set(state.X_codes.difference(children))
-    next_words.update(itertools.chain.from_iterable(children.values()))
+    words = set(state.X_sorted)
+    children = {w: (w << 1, (w << 1) | 1) for w in words.intersection(state.E_sorted)}
+    words.difference_update(children)
+    words.update(itertools.chain.from_iterable(children.values()))
     level = state.level + 1
-    _check_word_cap(level, len(next_words), budgets)
-    phi = _stage_edges(state, children, next_words, level, budgets)
+    _check_word_cap(level, len(words), budgets)
+    phi = _stage_edges(state, children, words, level, budgets)
     chain = _advanced_chain(state, children, budgets)
-    splitting = _splitting_set(state.family, next_words, chain, phi, budgets)
-    out = ApproxState._from_codes(state.family, level, next_words, chain, splitting, phi)
+    del children  # the splits read none of it, and dropping it lowers the step's peak
+    splitting = _splitting_set(state.family, words, chain, phi, budgets)
+    out = ApproxState._from_codes(state.family, level, words, chain, splitting, phi)
     out._stepped = True
     return out
 
@@ -430,21 +441,20 @@ def run(L: int, depth: int, budgets: Budgets = DEFAULT) -> list:
     if depth > MAX_DEPTH:
         raise DecisionOverflow(f"depth {depth} is past the {MAX_DEPTH}-stage budget")
     states = _stage_cache.setdefault((L, budgets.shift_base), [init(L)])
+    for st in states[: depth + 1]:
+        _check_word_cap(st.level, len(st.X_sorted), budgets)
     while len(states) <= depth:
         states.append(step(states[-1], budgets))
-    out = states[: depth + 1]
-    for st in out:
-        _check_word_cap(st.level, len(st.X_codes), budgets)
-    return out
+    return states[: depth + 1]
 
 
 def detect_L_n(states) -> dict:
     """First level whose splitting set contains each padded seed word."""
-    anchors = _anchor_codes(max((_max_len(st.X_codes) for st in states), default=0))
+    anchors = _anchor_codes(max((_max_len(st.X_sorted[-1:]) for st in states), default=0))
     found = {}
     for state in sorted(states, key=lambda s: s.level):
         for w, q in anchors.items():
-            if q not in found and w in state.E_codes:
+            if q not in found and _has(state.E_sorted, w):
                 found[q] = state.level
     return found
 
@@ -471,9 +481,10 @@ def check_lemma_53_54(states) -> CheckReport:
     report = CheckReport()
     for state in states:
         lvl = state.level
-        depth = functional_chain_depths(state.X_codes, state.A_codes)
+        words = state.X_codes
+        depth = functional_chain_depths(words, state.A_codes)
         if depth is None:
-            graph = FiniteOrientedGraph(state.X_codes, state.A_codes)
+            graph = FiniteOrientedGraph(words, state.A_codes)
             for clause, witness in validate_uogas(graph).violations:
                 report.add(clause, (lvl, *_rendered(witness)))
             depth = _branching_chain_depths(state)
@@ -481,7 +492,7 @@ def check_lemma_53_54(states) -> CheckReport:
             report.add("contained-in-edge-set", (lvl, code_str(y), code_str(x)))
         bound = max(lvl, 1)
         if depth and max(depth.values()) > bound:
-            for w in state.X_codes:
+            for w in words:
                 d = depth.get(w)
                 if d is not None and d > bound:
                     report.add("chain-length-bound", (lvl, code_str(w), d))
@@ -494,8 +505,8 @@ def _branching_chain_depths(state) -> dict:
     past |X| steps (it enters a cycle) gets no depth."""
     succ = dict(sorted(state.A_codes))
     depth = {}
-    limit = len(state.X_codes)
-    for w in state.X_codes:
+    limit = len(state.X_sorted)
+    for w in state.X_sorted:
         path, v = [], w
         while v not in depth and v in succ and len(path) <= limit:
             path.append(v)
@@ -524,7 +535,7 @@ def check_lemma_57(states) -> CheckReport:
         succ = dict(state.A_codes)
         if len(succ) != len(state.A_codes):
             succ = dict(sorted(state.A_codes))  # the largest successor, as in check_lemma_53_54
-        limit = len(state.X_codes)
+        limit = len(state.X_sorted)
         found = []  # (edge, clause, witness), sorted by edge at the end
         for (y, x), witness in phi.items():
             # Walk at most |X| steps from y until x; the first step outside
@@ -589,11 +600,11 @@ def check_lemma_58(states, n: int, alpha_prefix, budgets: Budgets = DEFAULT) -> 
     prev_len = st_n + 1
     checks = 0
     for state in states[1:]:
-        codes = state.X_codes
+        codes = state.X_sorted
         source = None
         for m in range(min(wlen, state.level) + 1):
             pc = wcode >> (wlen - m)
-            if pc in codes:
+            if _has(codes, pc):
                 source = pc
                 break
         if source is None:
@@ -601,7 +612,7 @@ def check_lemma_58(states, n: int, alpha_prefix, budgets: Budgets = DEFAULT) -> 
         target = None
         tcode = 1
         for tlen in range(state.level + 1):
-            if tcode in codes:
+            if _has(codes, tcode):
                 target = tcode
                 break
             bit = image_bit(tlen)
@@ -671,32 +682,43 @@ def state_json(state: ApproxState) -> dict:
     phi = state.phi_codes
     return {
         "level": state.level,
-        "X": [code_str(w) for w in sorted(state.X_codes)],
+        "X": [code_str(w) for w in state.X_sorted],
         "B": [[code_str(y), code_str(x), phi[(y, x)]] for y, x in sorted(phi)],
         "A": [[code_str(y), code_str(x)] for y, x in sorted(state.A_codes)],
-        "E": [code_str(w) for w in sorted(state.E_codes)],
+        "E": [code_str(w) for w in state.E_sorted],
     }
 
 
-def _json_list(items: list) -> str:
-    """A list of already rendered items inside the stage object, laid out as
-    `json.dumps(..., indent=2)` lays it out."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+# Rendered items joined into one piece of a stage file.
+CHUNK_ITEMS = 4096
+
+
+def state_chunks(state: ApproxState):
+    """The stage file, `state_text(state)` and a newline, in pieces of at
+    most CHUNK_ITEMS items.  Words are 0/1 strings and witnesses ints, so no
+    item needs escaping, and json's pure-Python indent encoder is skipped."""
+    phi = state.phi_codes
+    yield f'{{\n  "level": {state.level}'
+    for key, items in (
+        ("X", (f'"{bin(w)[3:]}"' for w in state.X_sorted)),
+        ("B", (f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}",\n      {phi[y, x]}\n    ]'
+               for y, x in sorted(phi))),
+        ("A", (f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}"\n    ]'
+               for y, x in sorted(state.A_codes))),
+        ("E", (f'"{bin(w)[3:]}"' for w in state.E_sorted)),
+    ):
+        head = f',\n  "{key}": [\n    '  # laid out as json.dumps(..., indent=2) does
+        for chunk in iter(lambda: list(itertools.islice(items, CHUNK_ITEMS)), []):
+            yield head + ",\n    ".join(chunk)
+            head = ",\n    "
+        yield "\n  ]" if head == ",\n    " else f',\n  "{key}": []'
+    yield "\n}\n"
 
 
 def state_text(state: ApproxState) -> str:
     """`json.dumps(state_json(state), indent=2)`, written straight from the
-    code sets.  Words are 0/1 strings and witnesses ints, so no item needs
-    escaping, and json's pure-Python indent encoder is skipped."""
-    phi = state.phi_codes
-    X = _json_list([f'"{bin(w)[3:]}"' for w in sorted(state.X_codes)])
-    B = _json_list([f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}",\n      {n}\n    ]'
-                    for (y, x), n in sorted(phi.items())])
-    A = _json_list([f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}"\n    ]'
-                    for y, x in sorted(state.A_codes)])
-    E = _json_list([f'"{bin(w)[3:]}"' for w in sorted(state.E_codes)])
-    return (f'{{\n  "level": {state.level},\n  "X": {X},\n  "B": {B},\n  "A": {A},\n'
-            f'  "E": {E}\n}}')
+    stored codes."""
+    return "".join(state_chunks(state))[:-1]
 
 
 def state_dot(state: ApproxState, name=None) -> str:
@@ -708,10 +730,10 @@ def state_dot(state: ApproxState, name=None) -> str:
     def text(w):
         return code_str(w) if w > 1 else "<empty>"
 
-    A, phi = state.A_codes, state.phi_codes
+    A, phi, E = state.A_codes, state.phi_codes, state.E_codes
     lines = [f"digraph {gname} {{"]
-    for w in sorted(state.X_codes):
-        marker = " [peripheries=2]" if w in state.E_codes else ""
+    for w in state.X_sorted:
+        marker = " [peripheries=2]" if w in E else ""
         lines.append(f'  "{text(w)}"{marker};')
     for y, x in sorted(A | phi.keys()):
         value = phi.get((y, x))

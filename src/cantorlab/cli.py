@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .approximation import detect_L_n, run, state_dot, state_text
+from .approximation import detect_L_n, run, state_chunks, state_dot
 from .config import DEFAULT
 from .cylinders import LazyPoint
 from .embedding import scheme_state_json
@@ -25,13 +25,13 @@ def cmd_approx(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for st in states:
         if args.emit == "json":
-            path = outdir / f"stage_{st.level:03d}.json"
-            path.write_text(state_text(st) + "\n")
+            with open(outdir / f"stage_{st.level:03d}.json", "w") as out:
+                out.writelines(state_chunks(st))
         else:
             path = outdir / f"stage_{st.level:03d}.dot"
             path.write_text(state_dot(st))
     for st in states:
-        print(f"l={st.level} |X|={len(st.X_codes)} |B|={len(st.phi_codes)} |E|={len(st.E_codes)}")
+        print(f"l={st.level} |X|={len(st.X_sorted)} |B|={len(st.phi_codes)} |E|={len(st.E_sorted)}")
     detected = detect_L_n(states)
     print("detected map levels:", json.dumps({str(k): v for k, v in sorted(detected.items())}))
     print(f"wrote {len(states)} stage files to {outdir}")
@@ -177,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--depth", type=_natural, default=8, help="last stage to compute")
     p_approx.add_argument("--emit", choices=("json", "dot"), default="json")
     p_approx.add_argument("--out", default=None, help="output directory")
-    p_approx.add_argument("--max-words", type=int, default=DEFAULT.max_words, help="stage size cap")
+    p_approx.add_argument("--max-words", type=_positive_int, default=DEFAULT.max_words,
+                          help="stage size cap")
     p_approx.set_defaults(fn=cmd_approx)
 
     p_check = sub.add_parser("check", help="run a named property suite")

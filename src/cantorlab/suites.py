@@ -14,6 +14,7 @@ import time
 from typing import Callable, NamedTuple
 
 from .approximation import (
+    _has,
     check_lemma_53_54,
     check_lemma_57,
     check_lemma_58,
@@ -542,14 +543,14 @@ def suite_lemma53_54(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) ->
     states = run(L, depth, budgets)
     viol = [f"{clause}: {witness}" for clause, witness in check_lemma_53_54(states).violations]
     for st in states:
-        if not is_maximal_antichain_codes(st.X_codes):
+        if not is_maximal_antichain_codes(st.X_sorted):
             viol.append(f"level {st.level}: X is not a maximal antichain")
     for before, after in zip(states, states[1:]):
-        if len(after.X_codes) != len(before.X_codes) + len(before.E_codes):
+        if len(after.X_sorted) != len(before.X_sorted) + len(before.E_sorted):
             viol.append(f"level {after.level}: |X| != |X_prev| + |E_prev|")
     for ln in range(depth // 3 + 1):
         for code in range(1 << ln, 2 << ln):
-            if not any(code in st.X_codes for st in states):
+            if not any(_has(st.X_sorted, code) for st in states):
                 viol.append(f"bounded coverage: word of length {ln} (code {code}) never appears")
     detected = detect_L_n(states)
     if depth >= 1 and detected.get(0) != 1:
@@ -561,7 +562,7 @@ def suite_lemma53_54(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) ->
         not viol,
         viol,
         time.perf_counter() - t0,
-        {"L": L, "depth": depth, "stage_sizes": [len(st.X_codes) for st in states[-3:]], "detected": detected},
+        {"L": L, "depth": depth, "stage_sizes": [len(st.X_sorted) for st in states[-3:]], "detected": detected},
     )
 
 

@@ -1,6 +1,7 @@
 """Stage-system tests: a brute-force edge oracle, frozen small stages worked
 out by hand, structural invariants at depth, and the check suites."""
 
+import functools
 import hashlib
 import json
 import random
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorlab import approximation
 from cantorlab.approximation import (
+    CHUNK_ITEMS,
     ApproxState,
     _stage_edges,
     anchor_index,
@@ -21,6 +24,7 @@ from cantorlab.approximation import (
     is_maximal_antichain,
     is_maximal_antichain_codes,
     run,
+    state_chunks,
     state_dot,
     state_json,
     state_text,
@@ -414,6 +418,18 @@ def test_run_word_cap_reports_the_stage():
     assert "stage" in str(err.value)
 
 
+def test_run_word_cap_names_the_first_stage_over_it(monkeypatch):
+    """Stage zero's one word is already over a cap of 0, and stage 3's seven
+    words over a cap of 4, whether the stages are stepped or memoized."""
+    monkeypatch.setattr(approximation, "_stage_cache", {})
+    with pytest.raises(CapExceeded, match=r"^stage 0: 1 words, cap is 0$"):
+        run(1, 2, Budgets(max_words=0))
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match=r"^stage 3: 7 words, cap is 4$"):
+            run(1, 5, Budgets(max_words=4))
+        run(1, 5)
+
+
 def test_lof_rejects_foreign_words():
     with pytest.raises(InvalidArgument):
         run(1, 2)[2].lOf(W("000"))
@@ -517,6 +533,100 @@ def test_an_index_that_becomes_feasible_late_is_walked():
     assert seed in stage9.X and 1 not in stage9.phi_codes.values()
     assert 1 in stage10.phi_codes.values()
     assert stage10.phi_codes == walked_edges(stage9, stage10)
+
+
+# ---------------------------------------------------------------------------
+# hand-made stages from a seeded generator, stepped three ways
+
+
+def _random_stage(rng, family, depth=11, max_pairs=500):
+    """A hand-made stage at level `depth`, marked as stepped.
+
+    X is the leaf set of a random full binary tree of bounded depth.  The
+    all-zero word splits down to a random length of at least 7, so the
+    second map index is infeasible, newly feasible or feasible by turns.
+    Every other node splits with a density drawn per 3-bit region: denser
+    where index 0 has its sources ("00") than its targets ("01").  E is a
+    random half of X and phi the full walk on X.  A is a random cycle-free
+    function inside B whose split targets read inside their sources, as the
+    stepper requires.  A stage with more than `max_pairs` pairs is drawn
+    again, to bound the time of the test.
+    """
+    while True:
+        zero = rng.randint(7, depth)
+        density = ([rng.uniform(0.3, 0.9) for _ in range(2)]
+                   + [rng.uniform(0.2, 0.7) for _ in range(2)]
+                   + [rng.uniform(0, 0.9) for _ in range(4)])
+        X, todo = [], [1]
+        while todo:
+            c = todo.pop()
+            k = code_len(c)
+            if k < depth and (k < 3 or c == 1 << k and k < zero
+                              or rng.random() < density[(c >> (k - 3)) & 7]):
+                todo += [c << 1, (c << 1) | 1]
+            else:
+                X.append(c)
+        bare = ApproxState._from_codes(family, depth - 1, (), (), (), {})
+        phi = _stage_edges(bare, {}, set(X), depth, DEFAULT)
+        if len(phi) <= max_pairs:
+            break
+    E = {c for c in X if rng.random() < 0.5}
+    succ = {}
+    for y, x in rng.sample(sorted(phi), len(phi)):
+        if y in succ or x in E and (stride_expand(family, phi[y, x], code_len(x))
+                                    >= code_len(y) + (y in E)):
+            continue
+        v = x
+        while v in succ and v != y:
+            v = succ[v]
+        if v != y:
+            succ[y] = x
+    state = ApproxState._from_codes(family, depth, X, succ.items(), E, phi)
+    state._stepped = True
+    return state
+
+
+def _forced_reads(state):
+    """How many of the stage's pairs each forced-bit read of the carried
+    step fires on: a split source keeps one child, a split target one child."""
+    splits = set(state.X_sorted).intersection(state.E_sorted)
+    source = target = 0
+    for (y, x), n in state.phi_codes.items():
+        ylen, xlen = code_len(y), code_len(x)
+        if y in splits:
+            source += any(stride_expand(state.family, n, k) == ylen
+                          for k in range(stride(n) + 1, xlen))
+            ylen += 1
+        target += x in splits and stride_expand(state.family, n, xlen) < ylen
+    return source, target
+
+
+# The generator's seed is GENERATOR_SEED + family.  At these seeds the
+# forced reads fire (source, target) = (495, 896), (247, 234) and (217, 331)
+# times at families 1-3, and index 1 becomes newly feasible 4, 2 and 5 times.
+GENERATOR_SEED = 20
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_generated_stages_step_alike_three_ways(family, monkeypatch):
+    """Each seeded hand-made stage steps to one next stage carried, walked
+    afresh and on BinWords.  Over the stages both forced-bit reads fire at
+    least 100 times, and some stage makes index 1 newly feasible.
+    graph_meets is exact, so the three steppers share its answers."""
+    shared = functools.cache(graph_meets)
+    monkeypatch.setattr(approximation, "graph_meets", shared)
+    monkeypatch.setitem(globals(), "graph_meets", shared)
+    rng = random.Random(GENERATOR_SEED + family)
+    fired = [0, 0]
+    newly_feasible = 0
+    for _ in range(32):
+        state = _random_stage(rng, family)
+        carried = step(state)
+        assert carried == step(ApproxState._from_codes(*state._fields())) == binword_step(state)
+        fired = [a + b for a, b in zip(fired, _forced_reads(state))]
+        newly_feasible += 1 in carried.phi_codes.values() and 1 not in state.phi_codes.values()
+    assert min(fired) >= 100, fired
+    assert newly_feasible
 
 
 def test_step_reports_a_chain_cycle_as_a_broken_invariant():
@@ -1084,3 +1194,77 @@ def test_states_compare_by_content():
     twin = ApproxState(1, 2, a.X, a.A, a.E, dict(a.phi))
     assert a == twin
     assert a != run(1, 3)[3]
+
+
+# ---------------------------------------------------------------------------
+# the sorted-tuple store against the frozenset store it replaced
+
+
+def ref_state_dot(level, X, A, E, phi):
+    """state_dot as it was on frozensets of codes."""
+    def text(w):
+        return code_str(w) if w > 1 else "<empty>"
+
+    lines = [f"digraph stage{level} {{"]
+    for w in sorted(X):
+        lines.append(f'  "{text(w)}"{" [peripheries=2]" if w in E else ""};')
+    for y, x in sorted(A | phi.keys()):
+        label = phi.get((y, x), "?")
+        lines.append(f'  "{text(y)}" -> "{text(x)}" [label="{label}"'
+                     f'{"" if (y, x) in A else ", style=dashed"}];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("family,depth", [(1, 6), (2, 8)])
+def test_a_hand_made_stage_reads_as_its_frozensets(family, depth):
+    """A real stage with one word of the idle "1" half replaced by a chain of
+    leaves down to a 70-bit word, that word and the replaced one (now off
+    X) in E, given with repeats and in shuffled order, reads back as the
+    frozensets it was built from, and steps as the BinWord stepper does."""
+    base = run(family, depth)[depth]
+    w = next(c for c in base.X_sorted if c >> (code_len(c) - 1) == 0b11)
+    deep = w << (70 - code_len(w))
+    chain = [(w << (i + 1)) | 1 for i in range(70 - code_len(w))] + [deep]
+    X = frozenset(base.X_codes - {w} | set(chain))
+    E = frozenset(base.E_codes | {w, deep})
+    A, phi = base.A_codes, dict(base.phi_codes)
+    assert code_len(deep) == 70 and w not in X and is_maximal_antichain_codes(X)
+    rng = random.Random(depth)
+    shuffled = ApproxState._from_codes(
+        family, depth, rng.sample(sorted(X), len(X)) * 2, rng.sample(sorted(A), len(A)) * 2,
+        rng.sample(sorted(E), len(E)) + [deep], dict(rng.sample(sorted(phi.items()), len(phi))))
+    state = ApproxState._from_codes(family, depth, X, A, E, phi)
+    assert state == shuffled and state != ApproxState._from_codes(family, depth, X, A, E - {w}, phi)
+    for st in (state, shuffled):
+        assert st.X_codes == X and st.E_codes == E
+        assert st.X_codes is not st.X_codes and "X_codes" not in vars(st)
+        assert [st.lOf(BinWord(c)) for c in sorted(X)] == [
+            code_len(c) + (c in E) for c in sorted(X)]
+        with pytest.raises(InvalidArgument):
+            st.lOf(BinWord(w))
+        assert state_text(st) == json.dumps({
+            "level": depth,
+            "X": [code_str(c) for c in sorted(X)],
+            "B": [[code_str(y), code_str(x), phi[y, x]] for y, x in sorted(phi)],
+            "A": [[code_str(y), code_str(x)] for y, x in sorted(A)],
+            "E": [code_str(c) for c in sorted(E)],
+        }, indent=2)
+        assert state_dot(st) == ref_state_dot(depth, X, A, E, phi)
+    nxt = step(state)
+    assert nxt == step(shuffled) == binword_step(state)
+    assert nxt.X_codes == X - E | {c << 1 | b for c in X & E for b in (0, 1)}
+    assert deep << 1 in nxt.X_codes and w << 1 not in nxt.X_codes
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK_ITEMS - 1, CHUNK_ITEMS, CHUNK_ITEMS + 1])
+def test_stage_chunks_hold_the_stage_text_at_each_chunk_boundary(size):
+    """The pieces join to the stage text and a newline, with one piece per
+    CHUNK_ITEMS items of each list and one to close it."""
+    codes = [(1 << 13) | i for i in range(size)]
+    pairs = list(zip(codes, codes[1:] + codes[:1]))
+    state = ApproxState._from_codes(1, 13, codes, pairs, codes, dict.fromkeys(pairs, 0))
+    chunks = list(state_chunks(state))
+    assert "".join(chunks) == json.dumps(state_json(state), indent=2) + "\n"
+    assert "".join(chunks) == state_text(state) + "\n"
+    assert len(chunks) == 2 + 4 * (-(-size // CHUNK_ITEMS) + 1)

@@ -68,6 +68,14 @@ def test_approx_rejects_bad_level(capsys):
     assert "argument --depth: must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_approx_rejects_a_word_cap_below_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(approximation, "_stage_cache", {})
+    for cap in ("0", "-5"):
+        assert main(["approx", "--depth", "2", "--max-words", cap, "--out", str(tmp_path)]) == 2
+        assert f"argument --max-words: must be >= 1, got {cap}" in capsys.readouterr().err
+    assert approximation._stage_cache == {}
+
+
 def test_approx_stage_cap_fails_cleanly(tmp_path, monkeypatch, capsys):
     # an empty stage memo, so the cap trips while stepping
     monkeypatch.setattr(approximation, "_stage_cache", {})
