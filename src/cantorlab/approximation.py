@@ -34,10 +34,9 @@ from types import MappingProxyType
 from .config import DEFAULT, Budgets
 from .cylinders import SymbolicClopen
 from .errors import (CapExceeded, DecisionOverflow, InvalidArgument, InvalidLevel,
-                     InvariantBroken, PrefixTooShort, StageRelationCycle)
+                     InvariantBroken, PrefixTooShort)
 from .maps import MapId, domain_D, graph_meets
-from .orientedgraphs import (CheckReport, FiniteOrientedGraph, functional_chain_depths,
-                             validate_uogas)
+from .orientedgraphs import CheckReport, FiniteOrientedGraph, SuccessorTable, validate_uogas
 from .sequences import (BinWord, anchor_word, code_is_prefix, code_len, code_str,
                         stride, stride_expand)
 
@@ -277,7 +276,7 @@ def _advanced_chain(state: ApproxState, children, budgets: Budgets) -> set:
     family = state.family
     phi = state.phi_codes
     anchors = {w for w in _anchor_codes(_max_len(state.X_sorted[-1:])) if _has(state.X_sorted, w)}
-    sources = {y for y, _ in state.A_codes}
+    sources = SuccessorTable(state.A_codes).succ
     out = set()
     for w in anchors:
         if w in children and w not in sources:
@@ -304,6 +303,9 @@ def _advanced_chain(state: ApproxState, children, budgets: Budgets) -> set:
         t = theta.get(key)
         if t is None:
             t = theta[key] = stride_expand(family, n, key[1], budgets)
+        if t >= code_len(y) + (ys is not None):
+            raise InvariantBroken(f"stage invariant broken: the successor pair ({code_str(y)}, "
+                                  f"{code_str(x)}) reads its split target past its source")
         for yy in ys or (y,):
             out.add((yy, xs[(yy >> (yy.bit_length() - 2 - t)) & 1]))
     return out
@@ -321,39 +323,11 @@ def _splitting_set(family, words, chain_pairs, phi, budgets) -> set:
     word a chain head blocks lie at a strictly smaller, respectively larger,
     distance, so the order among words at one distance does not matter.
     """
-    succ = {}
-    preds = {}
-    for y, x in chain_pairs:
-        succ[y] = x
-        preds.setdefault(x, []).append(y)
-
+    table = SuccessorTable(chain_pairs)
+    succ, preds = table.succ, table.preds
+    position = table.distances()
     # Words without predecessors sit at distance 1 and always split.
     chosen = words.difference(preds)
-    later = [w for w in words if w in preds]
-    position = {}
-    budget = 4 * (len(words) + len(chain_pairs)) + 8
-    for w in later:
-        stack = [w]
-        spent = 0
-        while stack:
-            spent += 1
-            if spent > budget:
-                raise StageRelationCycle("stage relation cycles; split order undefined")
-            v = stack[-1]
-            if v in position:
-                stack.pop()
-                continue
-            ps = preds.get(v)
-            if not ps:
-                position[v] = 1
-                stack.pop()
-                continue
-            todo = [p for p in ps if p not in position]
-            if todo:
-                stack.extend(todo)
-                continue
-            position[v] = 1 + max(position[p] for p in ps)
-            stack.pop()
 
     anchors = _anchor_codes(_max_len(words))
     blocked = set()
@@ -366,7 +340,7 @@ def _splitting_set(family, words, chain_pairs, phi, budgets) -> set:
     for x in chosen.intersection(anchors):
         block_chain(x)
     theta = {}
-    for x in sorted(later, key=position.__getitem__):
+    for x in sorted(words.intersection(position), key=position.__getitem__):
         if x in blocked:
             continue
         xlen = code_len(x)
@@ -475,49 +449,31 @@ def check_lemma_53_54(states) -> CheckReport:
     set, and every successor chain fits inside the stage's length bound.
 
     A stage whose successor relation is a cycle-free function on its words is
-    an uogas (functional_chain_depths says why), and that one walk also gives
-    every word's chain depth.  Only a stage it rejects builds its graph, for
-    validate_uogas to decide and report the uogas clauses."""
+    an uogas (SuccessorTable.depths says why), and the table's depths give
+    every word's chain depth.  Only a stage the table cannot clear (a word
+    branches, a chain cycles or an endpoint is not a word) builds its graph,
+    for validate_uogas to decide and report the uogas clauses."""
     report = CheckReport()
     for state in states:
         lvl = state.level
-        words = state.X_codes
-        depth = functional_chain_depths(words, state.A_codes)
-        if depth is None:
-            graph = FiniteOrientedGraph(words, state.A_codes)
+        table = SuccessorTable(state.A_codes)
+        succ = table.succ
+        stray = succ.keys() | succ.values()
+        stray.difference_update(state.X_sorted)  # the endpoints that are not words
+        depth = table.depths()
+        if table.branches or stray or len(depth) != len(succ):
+            graph = FiniteOrientedGraph(state.X_codes, state.A_codes)
             for clause, witness in validate_uogas(graph).violations:
                 report.add(clause, (lvl, *_rendered(witness)))
-            depth = _branching_chain_depths(state)
         for y, x in sorted(state.A_codes - state.phi_codes.keys()):
             report.add("contained-in-edge-set", (lvl, code_str(y), code_str(x)))
         bound = max(lvl, 1)
         if depth and max(depth.values()) > bound:
-            for w in words:
+            for w in state.X_codes:
                 d = depth.get(w)
                 if d is not None and d > bound:
                     report.add("chain-length-bound", (lvl, code_str(w), d))
     return report
-
-
-def _branching_chain_depths(state) -> dict:
-    """Chain depths where a word may branch or a chain may cycle: a
-    branching word follows its largest successor, and a word whose walk runs
-    past |X| steps (it enters a cycle) gets no depth."""
-    succ = dict(sorted(state.A_codes))
-    depth = {}
-    limit = len(state.X_sorted)
-    for w in state.X_sorted:
-        path, v = [], w
-        while v not in depth and v in succ and len(path) <= limit:
-            path.append(v)
-            v = succ[v]
-        if len(path) > limit:
-            continue
-        d = depth.setdefault(v, 1)
-        for u in reversed(path):
-            d += 1
-            depth[u] = d
-    return depth
 
 
 def check_lemma_57(states) -> CheckReport:
@@ -532,9 +488,7 @@ def check_lemma_57(states) -> CheckReport:
     for state in states:
         lvl = state.level
         phi = state.phi_codes
-        succ = dict(state.A_codes)
-        if len(succ) != len(state.A_codes):
-            succ = dict(sorted(state.A_codes))  # the largest successor, as in check_lemma_53_54
+        succ = SuccessorTable(state.A_codes).succ
         limit = len(state.X_sorted)
         found = []  # (edge, clause, witness), sorted by edge at the end
         for (y, x), witness in phi.items():

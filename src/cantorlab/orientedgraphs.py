@@ -11,9 +11,10 @@ stages with it, and embedding.shrink_47 runs it with a cell on each copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .config import DEFAULT, Budgets
-from .errors import BadEnumeration, CapExceeded, InvalidArgument, NotConnected
+from .errors import BadEnumeration, CapExceeded, InvalidArgument, NotConnected, StageRelationCycle
 
 
 @dataclass(frozen=True)
@@ -189,48 +190,96 @@ def validate_uogas(G: FiniteOrientedGraph) -> CheckReport:
     return report
 
 
-def functional_chain_depths(vertices, edges):
-    """The chain depth of every vertex when `edges` is a cycle-free function
-    on `vertices`, else None.
+class SuccessorTable:
+    """A successor relation given as a collection of distinct pairs: a stage
+    relation A_l or a uogas suite's table.  `succ` maps each source to its
+    successor, the largest one where some source branches (`branches`), and
+    `preds`, built on first use, maps each target to all its sources.  The
+    vertices are whatever the pairs hold; checking them is the caller's."""
 
-    This is the functional-graph case of validate_uogas.  When every vertex
-    has at most one successor, a directed cycle is the only way to break the
-    remaining clauses: a loop is a 1-cycle and an antiparallel pair a 2-cycle.
-    Without a directed cycle, every successor walk ends at a vertex with no
-    successor.  A symmetrized component of n vertices with k such ends has
-    n - k edges, and being connected it has at least n - 1, so k = 1: the
-    component is a tree and the symmetrization is acyclic.  None means
-    validate_uogas must decide: some vertex branches, an endpoint is not a
-    vertex, or a directed cycle exists.
+    def __init__(self, pairs):
+        self._pairs = pairs
+        self.succ = dict(pairs)
+        self.branches = len(self.succ) != len(pairs)
+        if self.branches:
+            self.succ = dict(sorted(pairs))
 
-    One walk with three colours over the successor table decides this in
-    linear time: a vertex is unseen, on the current walk (depth 0) or done.
-    A done vertex's depth is the number of vertices on its successor chain,
-    itself included, so a vertex with no successor has depth 1.  `vertices`
-    is a set and `edges` a set of pairs.
-    """
-    succ = dict(edges)
-    depth = dict.fromkeys(vertices.difference(succ), 1)
-    if len(succ) != len(edges) or len(depth) + len(succ) != len(vertices):
-        return None  # a vertex branches, or a source is not a vertex
-    for w, v in succ.items():
-        if w in depth:
-            continue
-        path = [w]
-        depth[w] = 0
-        while v not in depth:
-            if v not in succ:
-                return None  # a target that is not a vertex
-            depth[v] = 0
-            path.append(v)
-            v = succ[v]
-        d = depth[v]
-        if not d:
-            return None  # the walk came back to itself: a directed cycle
-        for u in reversed(path):
-            d += 1
-            depth[u] = d
-    return depth
+    @cached_property
+    def preds(self) -> dict:
+        preds = {}
+        for y, x in self._pairs:
+            preds.setdefault(x, []).append(y)
+        return preds
+
+    def depths(self) -> dict:
+        """The number of vertices on each source's `succ` chain, itself
+        included, for the sources whose chain ends.  A vertex that is no
+        source has depth 1 and is not stored, and a source on or leading into
+        a directed cycle has none, so `len(depths()) == len(succ)` says there
+        is no directed cycle.
+
+        A function without a directed cycle is an uogas, so this is the
+        functional-graph case of validate_uogas.  With at most one successor
+        per vertex, only a directed cycle can break the remaining clauses (a
+        loop is a 1-cycle, an antiparallel pair a 2-cycle).  Without one,
+        every walk ends at a vertex with no successor; a symmetrized
+        component of n vertices with k such ends has n - k edges, and being
+        connected at least n - 1, so k = 1 and the component is a tree.
+
+        One walk with three colours takes linear time: a source is unseen,
+        on the current walk or on a cycle (depth 0), or done.
+        """
+        succ = self.succ
+        depth = {}
+        cyclic = False
+        for w, v in succ.items():
+            if w in depth:
+                continue
+            if v not in succ:  # most stage chains end after one step
+                depth[w] = 2
+                continue
+            path = [w]
+            depth[w] = 0
+            while v in succ and v not in depth:
+                depth[v] = 0
+                path.append(v)
+                v = succ[v]
+            d = depth.get(v, 1)
+            if not d:  # back on this walk, or on a cycle an earlier walk met
+                cyclic = True
+                continue
+            for u in reversed(path):
+                d += 1
+                depth[u] = d
+        return {w: d for w, d in depth.items() if d} if cyclic else depth
+
+    def distances(self) -> dict:
+        """Each target's longest distance from a chain-minimal vertex, over
+        every pair: one more than the largest among its sources.  A vertex
+        that is no target has distance 1 and is not stored.  A directed
+        cycle has no such order and raises StageRelationCycle."""
+        preds = self.preds
+        dist = {}
+        for w in preds:
+            if w in dist:
+                continue
+            dist[w] = 0  # on the walk
+            stack = [(w, iter(preds[w]))]
+            while stack:
+                v, todo = stack[-1]
+                for p in todo:
+                    if p in preds:
+                        d = dist.get(p)
+                        if d is None:
+                            dist[p] = 0
+                            stack.append((p, iter(preds[p])))
+                            break
+                        if not d:
+                            raise StageRelationCycle("stage relation cycles; split order undefined")
+                else:
+                    stack.pop()
+                    dist[v] = 1 + max(dist.get(p, 1) for p in preds[v])
+        return dist
 
 
 def _uf_find(root, i):

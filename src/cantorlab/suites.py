@@ -28,8 +28,8 @@ from .errors import CantorLabError, OutsideDomain
 from .maps import MapId, check_condition_d, domain_point, g_compose_eval
 from .orientedgraphs import (
     FiniteOrientedGraph,
+    SuccessorTable,
     duplicate,
-    functional_chain_depths,
     lemma42_suite,
     p_to_max,
     validate_uogas,
@@ -89,7 +89,7 @@ def _iter_uogas(nv: int):
     t == v), and the branch is cut with every way of completing it.  A walk
     stops at None or at a vertex not yet assigned.  The tables left are the
     (nv+1)^(nv-1) labeled rooted forests (Cayley), and a cycle-free table is
-    an uogas (functional_chain_depths says why), so no graph is built or
+    an uogas (SuccessorTable.depths says why), so no graph is built or
     validated here.
     """
     choice = [None] * nv
@@ -123,15 +123,15 @@ def _random_uogas(rng: random.Random, nv: int) -> FiniteOrientedGraph:
     means no successor.  A draw is decided on its successor list, and only
     the one accepted becomes a graph.
     """
-    verts = frozenset(range(nv))
     while True:
         edges = []
         for v in range(nv):
             t = rng.randrange(nv + 1)
             if t != nv and t != v:
                 edges.append((v, t))
-        if functional_chain_depths(verts, edges) is not None:
-            return FiniteOrientedGraph(verts, edges)
+        table = SuccessorTable(edges)
+        if len(table.depths()) == len(table.succ):
+            return FiniteOrientedGraph(range(nv), edges)
 
 
 def _enumeration_of(g: FiniteOrientedGraph):
@@ -162,18 +162,13 @@ def _table_signature(choice):
     Duplication along a canonical order commutes with vertex relabeling, so
     one development per shape certifies every graph of that shape.
     """
-    preds = [[] for _ in choice]
-    roots = []
-    for v, t in enumerate(choice):
-        if t is None:
-            roots.append(v)
-        else:
-            preds[t].append(v)
+    table = SuccessorTable([(v, t) for v, t in enumerate(choice) if t is not None])
+    preds = table.preds
 
     def sig(v):
-        return tuple(sorted(sig(u) for u in preds[v]))
+        return tuple(sorted(sig(u) for u in preds.get(v, ())))
 
-    return tuple(sorted(sig(r) for r in roots))
+    return tuple(sorted(sig(r) for r in range(len(choice)) if r not in table.succ))
 
 
 # ---------------------------------------------------------------------------

@@ -650,6 +650,16 @@ def test_step_reports_a_missing_witness_as_a_broken_invariant():
         step(state)
 
 
+def test_step_reports_a_target_read_past_its_source_as_a_broken_invariant():
+    """The pair (00, 01) splits its target, but index 0 reads the target's new
+    coordinate 2 past the two coordinates of its unsplit source: the step
+    names the pair instead of shifting a code by a negative count."""
+    state = ApproxState(1, 2, words("00", "01", "10", "11"), {(W("00"), W("01"))},
+                        words("01"), {(W("00"), W("01")): 0})
+    with pytest.raises(InvariantBroken, match=r"\(00, 01\)"):
+        step(state)
+
+
 def test_state_dot_frozen_text_to_depth_ten():
     """The DOT text of stages 0..10 stays byte for byte the same."""
     text = "\n".join(state_dot(s) for s in run(1, 10))

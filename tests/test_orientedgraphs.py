@@ -16,6 +16,7 @@ from cantorlab.errors import (
     CapExceeded,
     InvalidArgument,
     NotConnected,
+    StageRelationCycle,
 )
 from cantorlab.orientedgraphs import (
     CheckReport,
@@ -23,9 +24,9 @@ from cantorlab.orientedgraphs import (
     FiniteOrientedGraph,
     LabeledVertex,
     M_of,
+    SuccessorTable,
     components,
     duplicate,
-    functional_chain_depths,
     lemma42_suite,
     max_set,
     min_set,
@@ -330,15 +331,27 @@ def test_validate_matches_oracle_exhaustive():
     assert graphs == 4**4 + 2**9 + 2**12
 
 
-def test_functional_chain_depths_matches_validator_exhaustive():
-    """Over every successor table on up to five vertices: a depth table comes
-    back exactly when validate_uogas accepts, and each depth is the length of
-    the vertex's chain to its maximum."""
+def cleared_depths(vertices, edges):
+    """What check_lemma_53_54 reads off a SuccessorTable: every vertex's
+    chain depth when `edges` is a cycle-free function on `vertices`, else
+    None (a vertex branches, a chain cycles or an endpoint is no vertex)."""
+    table = SuccessorTable(edges)
+    depth = table.depths()
+    ends = set(table.succ).union(table.succ.values())
+    if table.branches or len(depth) != len(table.succ) or not ends <= set(vertices):
+        return None
+    return {v: depth.get(v, 1) for v in vertices}
+
+
+def test_successor_table_depths_match_validator_exhaustive():
+    """Over every successor table on up to five vertices: the table clears
+    exactly the relations validate_uogas accepts, and each depth is the
+    length of the vertex's chain to its maximum."""
     tables = accepted = 0
     for n in range(6):
         for g in succ_choice_graphs("abcde"[:n], loops=True):
             tables += 1
-            depth = functional_chain_depths(g.vertices, g.edges)
+            depth = cleared_depths(g.vertices, g.edges)
             assert (depth is not None) == validate_uogas(g).ok, sorted(g.edges)
             if depth is not None:
                 accepted += 1
@@ -348,16 +361,86 @@ def test_functional_chain_depths_matches_validator_exhaustive():
     assert accepted == 1 + sum((n + 1) ** (n - 1) for n in range(1, 6))
 
 
-def test_functional_chain_depths_hand_cases():
+def test_successor_table_hand_cases():
     """A branching vertex, a source off the vertex set and a target off it
     each leave the decision to validate_uogas."""
-    assert functional_chain_depths({"a", "b", "c"}, {("a", "b"), ("b", "c")}) == {
+    assert cleared_depths({"a", "b", "c"}, {("a", "b"), ("b", "c")}) == {
         "a": 3, "b": 2, "c": 1,
     }
-    assert functional_chain_depths({"a", "b", "c"}, {("a", "b"), ("a", "c")}) is None
-    assert functional_chain_depths({"a", "b"}, {("z", "a")}) is None
-    assert functional_chain_depths({"a", "b"}, {("a", "z")}) is None
-    assert functional_chain_depths(set(), set()) == {}
+    assert cleared_depths({"a", "b", "c"}, {("a", "b"), ("a", "c")}) is None
+    assert cleared_depths({"a", "b"}, {("z", "a")}) is None
+    assert cleared_depths({"a", "b"}, {("a", "z")}) is None
+    assert cleared_depths(set(), set()) == {}
+
+
+def oracle_largest_successor_depths(vertices, edges):
+    """Chain depths by a bounded walk per vertex: a branching vertex follows
+    its largest successor, and a vertex whose walk runs past |V| steps (it
+    enters a cycle) gets no depth."""
+    succ = dict(sorted(edges))
+    depth = {}
+    limit = len(vertices)
+    for w in sorted(vertices):
+        path, v = [], w
+        while v not in depth and v in succ and len(path) <= limit:
+            path.append(v)
+            v = succ[v]
+        if len(path) > limit:
+            continue
+        d = depth.setdefault(v, 1)
+        for u in reversed(path):
+            d += 1
+            depth[u] = d
+    return depth
+
+
+def test_successor_table_depths_match_the_bounded_walk_exhaustive():
+    """Every relation on up to four vertices, loops, antiparallel pairs,
+    branching and cycles included: a vertex with a depth in the walk has it
+    in the table (1 when it is no source), and a source without one is
+    absent from the table's depths."""
+    relations = branching = cyclic = 0
+    for n in range(5):
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        for mask in range(1 << len(pairs)):
+            edges = {e for k, e in enumerate(pairs) if mask >> k & 1}
+            table = SuccessorTable(edges)
+            depth = table.depths()
+            want = oracle_largest_successor_depths(range(n), edges)
+            got = {v: depth.get(v, 1) for v in range(n) if v in depth or v not in table.succ}
+            assert got == want, sorted(edges)
+            assert table.branches == (len(table.succ) != len(edges))
+            relations += 1
+            branching += table.branches
+            cyclic += len(depth) != len(table.succ)
+    assert relations == sum(2 ** (n * n) for n in range(5))
+    assert branching and cyclic
+
+
+def test_successor_table_distances_match_M_exhaustive():
+    """On every uogas up to five vertices, a vertex's distance is M_of: the
+    longest chain from a minimal vertex to it, counted in vertices."""
+    for g in uogas_up_to(5):
+        table = SuccessorTable(g.edges)
+        dist = table.distances()
+        assert {v: dist.get(v, 1) for v in g.vertices} == {v: M_of(g, v) for v in g.vertices}
+
+
+def test_successor_table_builds_preds_on_first_use():
+    """depths() and succ never build the predecessor lists; preds keeps
+    every pair of a branching source, and distances() reads it."""
+    table = SuccessorTable({("a", "c"), ("a", "b"), ("b", "c")})
+    assert table.branches and table.succ == {"a": "c", "b": "c"}
+    assert table.depths() == {"a": 2, "b": 2}
+    assert "preds" not in vars(table)
+    assert sorted(table.preds["c"]) == ["a", "b"] and table.preds["b"] == ["a"]
+    assert table.distances() == {"b": 2, "c": 3}
+
+
+@pytest.mark.parametrize("edges", [{(1, 1)}, {(1, 2), (2, 1)}, {(0, 1), (1, 2), (2, 3), (3, 1)}])
+def test_successor_table_distances_reject_a_cycle(edges):
+    with pytest.raises(StageRelationCycle):
+        SuccessorTable(edges).distances()
 
 
 def test_indexes_match_edge_scans_exhaustive():

@@ -1,6 +1,9 @@
-"""Package-level guards: the public names resolve, and invariants are typed."""
+"""Package-level guards: the public names resolve, invariants are typed, and
+the benchmark's spans name live functions."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,20 @@ def test_no_unread_parameter_in_the_package():
                 found += [f"{path.name}:{node.lineno} {node.name}({name})"
                           for name in _unread_parameters(node)]
     assert found == []
+
+
+def test_every_benchmark_span_names_a_live_attribute():
+    """perfbench/spans.py wraps each SPANS target with getattr, so a renamed
+    or deleted target would crash the benchmark rather than go untraced."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, attr in spans.SPANS:
+        target = importlib.import_module(f"cantorlab.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module}.{attr}")
+    assert spans.SPANS and missing == []
