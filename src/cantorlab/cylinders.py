@@ -13,8 +13,9 @@ Two sets denote the same family of points iff their normal forms are equal.
 
 The classes are built in one pass: each coordinate links straight to its
 class with a parity, and a union relabels the smaller class into the larger
-(weighted union with parity, Tarjan 1975).  intersect and with_atoms start
-from an operand's normalized classes and merge in only the other constraints.
+(weighted union with parity, Tarjan 1975).  intersect returns an operand
+that lies inside the other; otherwise it and with_atoms start from an
+operand's normalized classes and merge in only the other constraints.
 """
 
 from __future__ import annotations
@@ -316,6 +317,11 @@ class SymbolicClopen:
             seed, rest = rest, seed
         if not code_is_prefix(rest.base.code, seed.base.code):
             return EMPTY_SET
+        # an operand inside the other is the intersection, normal form and all
+        if seed.subset(rest):
+            return seed
+        if rest.subset(seed):
+            return rest
         return SymbolicClopen(seed, rest._atoms)
 
     def implies_const(self, a, v) -> bool:

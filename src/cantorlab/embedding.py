@@ -34,7 +34,7 @@ from .orientedgraphs import (
     pred,
     succ,
 )
-from .sequences import BinWord, anchor_word, stride
+from .sequences import BinWord, anchor_word, code_is_prefix, stride
 
 __all__ = [
     "CantorInstance",
@@ -411,8 +411,9 @@ def _settle(cells, succ, preds, rank, ubase, preimage, changed, recuts):
     `changed` maps the moved vertices to their new cells, already exact along
     their own chain.  Everything whose chain passes through a moved vertex is
     recut against its successor, walking from the maxima downward in `rank`
-    order; cuts that reproduce the old cell keep the old object so the
-    cascade dies out.
+    order; a cut equal to the old cell (a cut lies inside the old cell, so
+    normal-form equality decides it) keeps the old object so the cascade
+    dies out.
 
     A recut is a function of the strength, the old cell and the successor's
     cell alone, and equal clopen sets have equal normal forms, so `recuts`
@@ -444,7 +445,7 @@ def _settle(cells, succ, preds, rank, ubase, preimage, changed, recuts):
             cut = old.intersect(preimage(n, target))
             if cut.is_empty():
                 raise EmptyRefinement(f"settling emptied the cell at {w!r}")
-            if old.subset(cut):
+            if cut == old:
                 cut = _UNCHANGED
             recuts[key] = cut
         if cut is _UNCHANGED:
@@ -776,6 +777,29 @@ def h_eval(states, alpha_prefix):
     return chain
 
 
+def _meeting_pairs(cells):
+    """The pairs of words whose cells meet, each pair and the list in
+    word-code order.
+
+    Every member of a cell extends its normalized base, so cells whose bases
+    are prefix-incomparable are disjoint.  One walk of the bases in text
+    order, where a word comes right before its extensions, keeps the chain of
+    bases that prefix the current one on a stack, and only those pairs are
+    intersected.  Empty cells meet nothing.
+    """
+    pairs, chain = [], []
+    live = [(str(c.base), x, c) for x, c in cells.items() if not c.empty]
+    for _, x, cell in sorted(live, key=lambda t: t[0]):
+        while chain and not code_is_prefix(chain[-1][1].base.code, cell.base.code):
+            chain.pop()
+        for y, other in chain:
+            if not cell.intersect(other).empty:
+                pairs.append((y, x) if y.code < x.code else (x, y))
+        chain.append((x, cell))
+    pairs.sort(key=lambda p: (p[0].code, p[1].code))
+    return pairs
+
+
 def check_scheme_conditions(states, instance):
     """Every per-level invariant of the scheme, reported clause by clause.
 
@@ -806,11 +830,8 @@ def check_scheme_conditions(states, instance):
                 report.add("cell-nesting", (st.level, str(x)))
             if cell.first_free_coord() < st.level:
                 report.add("cell-diameter", (st.level, str(x)))
-        words = sorted(st.cells, key=lambda t: t.code)
-        for i, x in enumerate(words):
-            for y in words[i + 1 :]:
-                if not st.cells[x].intersect(st.cells[y]).is_empty():
-                    report.add("level-cells-pairwise-disjoint", (st.level, str(x), str(y)))
+        for x, y in _meeting_pairs(st.cells):
+            report.add("level-cells-pairwise-disjoint", (st.level, str(x), str(y)))
         succ = dict(ax.A)
         for y, x in sorted(ax.A, key=lambda p: (p[0].code, p[1].code)):
             idx = ax.phi.get((y, x))

@@ -18,6 +18,7 @@ from cantorlab.cylinders import (
     atom_ne,
     cylinder,
 )
+from cantorlab.embedding import CantorInstance, build_scheme
 from cantorlab.errors import EmptySet, InvalidArgument
 from cantorlab.sequences import BinWord, code_bit
 
@@ -533,3 +534,50 @@ def test_subset_prefix_check_matches_per_bit_check(raw_c, raw_d):
     C, D = SymbolicClopen(*raw_c), SymbolicClopen(*raw_d)
     for X, Y in ((C, D), (D, C), (C, C.intersect(D)), (C.intersect(D), D)):
         assert X.subset(Y) == per_bit_subset(X, Y)
+
+
+def assert_inner_operand_returned(X, Y):
+    """With X inside Y, both intersections are an operand equal to X."""
+    for got in (X.intersect(Y), Y.intersect(X)):
+        assert got is X or got is Y
+        assert got == X and got.render() == X.render()
+
+
+@given(clopen_raw_st, clopen_raw_st)
+@settings(max_examples=300)
+def test_intersect_returns_an_operand_inside_the_other(raw_c, raw_d):
+    C, D = SymbolicClopen(*raw_c), SymbolicClopen(*raw_d)
+    meet = C.intersect(D)
+    for X, Y in ((C, D), (D, C), (meet, C), (meet, D), (C, C)):
+        if X.subset(Y):
+            assert_inner_operand_returned(X, Y)
+
+
+def test_intersect_returns_an_operand_inside_the_other_exhaustive():
+    """Every nested pair among the seeding cells and their copies built
+    afresh, so equal operands are distinct objects too."""
+    cells = [SymbolicClopen(b, [a]) for b in ("", "0", "01") for a in SMALL_ATOMS]
+    cells += [SymbolicClopen("", pair) for pair in product(SMALL_ATOMS[::3], repeat=2)]
+    cells += [SymbolicClopen(C.base, C.atoms) for C in cells]
+    nested = 0
+    for C in cells:
+        for D in cells:
+            if C.subset(D):
+                assert_inner_operand_returned(C, D)
+                nested += 1
+    assert nested > len(cells)
+
+
+def test_build_scheme_skips_intersections_equal_to_an_operand(monkeypatch):
+    """The depth-7 scheme builds at most 2,671 clopen sets (5,121 when every
+    intersection was rebuilt, even one equal to an operand)."""
+    built = []
+    real = SymbolicClopen.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SymbolicClopen, "__init__", counted)
+    build_scheme(CantorInstance(), 7)
+    assert len(built) <= 2671

@@ -13,7 +13,16 @@ from hypothesis import strategies as st
 
 import cantorlab.embedding as embedding_mod
 from cantorlab.config import DEFAULT
-from cantorlab.cylinders import FULL_SPACE, LazyPoint, SymbolicClopen, atom_const, cylinder
+from cantorlab.cylinders import (
+    EMPTY_SET,
+    FULL_SPACE,
+    LazyPoint,
+    SymbolicClopen,
+    atom_const,
+    atom_eq,
+    atom_ne,
+    cylinder,
+)
 from cantorlab.embedding import (
     CantorInstance,
     MappingTupleAssignment,
@@ -30,7 +39,7 @@ from cantorlab.embedding import (
     scheme_state_json,
     shrink_47,
 )
-from cantorlab.embedding import _separators
+from cantorlab.embedding import _meeting_pairs, _separators
 from cantorlab.errors import (
     CapExceeded,
     EmptyRefinement,
@@ -702,3 +711,100 @@ def test_build_scheme_memoizes_preimages(monkeypatch):
     monkeypatch.setattr(CantorInstance, "preimage", counted)
     build_scheme(INST, 7)
     assert len(calls) <= 1000
+
+
+def all_pairs_meeting(cells):
+    """Oracle for _meeting_pairs: intersect every pair of words, in
+    word-code order."""
+    words = sorted(cells, key=lambda t: t.code)
+    return [
+        (x, y)
+        for i, x in enumerate(words)
+        for y in words[i + 1 :]
+        if not cells[x].intersect(cells[y]).is_empty()
+    ]
+
+
+def random_bits(rng, n):
+    return "".join(rng.choice("01") for _ in range(n))
+
+
+def tampered_cells(rng, cells, allow_empty):
+    """A level's cells with a third of them replaced by random clopens whose
+    bases equal, extend, prefix or sit beside another cell's base; with
+    `allow_empty`, some replacements are empty."""
+    words = sorted(cells, key=lambda t: t.code)
+    bases = [str(cells[w].base) for w in words]
+    out = dict(cells)
+    for w in rng.sample(words, max(2, len(words) // 3)):
+        ref = rng.choice(bases)
+        kind = rng.randrange(5 if allow_empty else 4)
+        if kind == 4:
+            out[w] = EMPTY_SET
+            continue
+        base = (
+            ref,
+            ref + random_bits(rng, rng.randint(1, 3)),
+            ref[: rng.randrange(len(ref) + 1)],
+            random_bits(rng, len(ref)),
+        )[kind]
+        lo = len(base)
+        atoms = []
+        for _ in range(rng.randrange(4)):
+            a, b = rng.randrange(lo, lo + 6), rng.randrange(lo, lo + 6)
+            atoms.append(
+                rng.choice((atom_const(a, rng.randrange(2)), atom_eq(a, b), atom_ne(a, b)))
+            )
+        cell = SymbolicClopen(base, atoms)
+        out[w] = cell if allow_empty or not cell.is_empty() else SymbolicClopen(base)
+    return out
+
+
+def test_meeting_pairs_match_the_all_pairs_loop_on_the_depth_seven_scheme(monkeypatch):
+    states = build_scheme(INST, 7)
+    for st_ in states:
+        assert _meeting_pairs(st_.cells) == all_pairs_meeting(st_.cells) == []
+    walked = check_scheme_conditions(states, INST).violations
+    monkeypatch.setattr(embedding_mod, "_meeting_pairs", all_pairs_meeting)
+    assert check_scheme_conditions(states, INST).violations == walked == []
+
+
+def test_meeting_pairs_match_the_all_pairs_loop_on_tampered_levels(monkeypatch):
+    """120 seeded levels with cells swapped for random clopens: the base walk
+    finds the same meeting pairs as the all-pairs loop, in the same order,
+    and where no cell is empty the whole condition report agrees too."""
+    rng = random.Random(18)
+    states = build_scheme(INST, 7)
+    met = reports = 0
+    for trial in range(120):
+        lvl = rng.randrange(2, 8)
+        cells = tampered_cells(rng, states[lvl].cells, allow_empty=trial % 2 == 0)
+        want = all_pairs_meeting(cells)
+        assert _meeting_pairs(cells) == want, trial
+        met += len(want)
+        if any(c.is_empty() for c in cells.values()):
+            continue
+        bad = states[:lvl] + [SchemeState(lvl, cells, states[lvl].phi)]
+        walked = check_scheme_conditions(bad, INST).violations
+        with monkeypatch.context() as m:
+            m.setattr(embedding_mod, "_meeting_pairs", all_pairs_meeting)
+            assert check_scheme_conditions(bad, INST).violations == walked, trial
+        reports += 1
+    assert met > 120 and reports >= 60, (met, reports)
+
+
+def test_meeting_pairs_intersect_only_prefix_comparable_bases(monkeypatch):
+    """The depth-7 levels take at most 140 disjointness intersects (6,384
+    with every pair intersected)."""
+    states = build_scheme(INST, 7)
+    calls = []
+    real = SymbolicClopen.intersect
+
+    def counted(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(SymbolicClopen, "intersect", counted)
+    for st_ in states:
+        _meeting_pairs(st_.cells)
+    assert len(calls) <= 140
