@@ -28,9 +28,8 @@ from .orientedgraphs import (
     CheckReport,
     Duplication,
     FiniteOrientedGraph,
-    M_of,
+    SuccessorTable,
     components,
-    p_to_max,
     pred,
     succ,
 )
@@ -265,8 +264,33 @@ def in_U(assignment: MappingTupleAssignment) -> bool:
 # refinement passes
 
 
-def _chains(G: FiniteOrientedGraph):
-    return {v: p_to_max(G, v) for v in G.vertices}
+def _chain_table(G: FiniteOrientedGraph):
+    """The successor table of a uogas and each vertex's chain depth (its
+    p_to_max length); a branching or cycling successor raises InvalidArgument."""
+    if any(len(succ(G, y)) > 1 for y, _ in G.edges):
+        raise InvalidArgument("a vertex has two successors; not an uogas")
+    table = SuccessorTable(G.edges)
+    depths = table.depths()
+    if len(depths) != len(table.succ):
+        raise InvalidArgument("successor chain cycles; not an uogas")
+    return table, {v: depths.get(v, 1) for v in G.vertices}
+
+
+def _chain_cut(instance, u, V, succ_of, x, W):
+    """x's cell as refine_45 leaves it, worked out along x's own successor
+    chain: below the maximum, each cell is cut to the preimage of its
+    successor's cut.  W holds the cuts made so far and gains the chain's."""
+    chain = [x]
+    while chain[-1] not in W and chain[-1] in succ_of:
+        chain.append(succ_of[chain[-1]])
+    top = chain.pop()
+    cell = W.setdefault(top, V[top])
+    for v in reversed(chain):
+        cell = V[v].intersect(instance.preimage(u[v], cell))
+        if cell.is_empty():
+            raise EmptyRefinement(f"chain refinement emptied the cell at {v!r}")
+        W[v] = cell
+    return cell
 
 
 def refine_45(assignment: MappingTupleAssignment):
@@ -277,19 +301,12 @@ def refine_45(assignment: MappingTupleAssignment):
     the result carries exact images along every edge.  Needs contained-image
     membership to stay nonempty; an emptied cell raises EmptyRefinement.
     """
-    chains = _chains(assignment.graph)
-    inst = assignment.instance
+    G, inst, u = assignment.graph, assignment.instance, assignment.u
+    table, _ = _chain_table(G)
     W = {}
-    for v in sorted(assignment.graph.vertices, key=lambda t: (len(chains[t]), repr(t))):
-        ch = chains[v]
-        if len(ch) == 1:
-            W[v] = assignment.V[v]
-            continue
-        cut = assignment.V[v].intersect(inst.preimage(assignment.u[v], W[ch[1]]))
-        if cut.is_empty():
-            raise EmptyRefinement(f"chain refinement emptied the cell at {v!r}")
-        W[v] = cut
-    return MappingTupleAssignment(assignment.graph, inst, assignment.u, W)
+    for v in G.vertices:
+        _chain_cut(inst, u, assignment.V, table.succ, v, W)
+    return MappingTupleAssignment(G, inst, u, W)
 
 
 def refine_46(assignment: MappingTupleAssignment, x0, W0):
@@ -405,15 +422,15 @@ def _point_avoiding(cell: SymbolicClopen, placed, budgets: Budgets) -> LazyPoint
 _UNCHANGED = object()
 
 
-def _settle(cells, succ, preds, rank, ubase, preimage, changed, recuts):
+def _settle(cells, succ, preds, depth, ubase, preimage, changed, recuts):
     """Restore exact images after a batch of cells moved.
 
     `changed` maps the moved vertices to their new cells, already exact along
     their own chain.  Everything whose chain passes through a moved vertex is
-    recut against its successor, walking from the maxima downward in `rank`
-    order; a cut equal to the old cell (a cut lies inside the old cell, so
-    normal-form equality decides it) keeps the old object so the cascade
-    dies out.
+    recut against its successor, by the chain depth of its base from the
+    maxima down, so every successor is settled first; a cut equal to the old
+    cell (a cut lies inside the old cell, so normal-form equality decides it)
+    keeps the old object so the cascade dies out.
 
     A recut is a function of the strength, the old cell and the successor's
     cell alone, and equal clopen sets have equal normal forms, so `recuts`
@@ -429,7 +446,7 @@ def _settle(cells, succ, preds, rank, ubase, preimage, changed, recuts):
                 affected.add(p)
                 stack.append(p)
     really = set()
-    for w in sorted(affected, key=rank.__getitem__):
+    for w in sorted(affected, key=lambda w: depth[w.base]):
         if w in changed:
             cells[w] = changed[w]
             really.add(w)
@@ -459,15 +476,15 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     disjoint cells of diameter at most 2^-d.
 
     The construction follows the full copy-splitting argument: vertices are
-    processed by chain length; each non-maximal vertex's labeled copies are
-    split into |X| fresh copies around distinct preimages of a common target
-    point, the shared image shrink is pushed up the chain, and exactness is
-    restored below.  The copies and their edges are kept by the duplication
-    engine, orientedgraphs.Duplication, which also enforces the cap.  A
-    branch of copies is then chosen point by point, from the maxima down, so
-    that every chosen cell avoids all previously placed points; separating
-    neighbourhoods around the chosen points and a final chain refinement give
-    the result.
+    processed by chain depth, read off one successor table; each non-maximal
+    vertex's labeled copies are split into |X| fresh copies around distinct
+    preimages of a common target point, the shared image shrink is pushed up
+    the chain, and exactness is restored below.  The copies and their edges
+    are kept by the duplication engine, orientedgraphs.Duplication, which
+    also enforces the cap.  A branch of copies is then chosen point by point,
+    from the maxima down, so that every chosen cell avoids all previously
+    placed points; separating neighbourhoods around the chosen points and a
+    final chain refinement give the result.
     """
     if d < 0:
         raise InvalidArgument("diameter exponent must be a natural number")
@@ -475,8 +492,8 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     inst = assignment.instance
     budgets = inst.budgets
     u = assignment.u
-    chains = _chains(G)
-    order = sorted(G.vertices, key=lambda t: (len(chains[t]), repr(t)))
+    table, depth = _chain_table(G)
+    order = sorted(G.vertices, key=lambda t: (depth[t], repr(t)))
     L = len(order)
     if L == 0:
         return assignment
@@ -484,14 +501,12 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
 
     dup = Duplication(G, order, budgets)
     cells = {}
-    rank = {}  # settle order: chain length, then repr, fixed at creation
     recuts = {}
     image = functools.cache(inst.image)
     preimage = functools.cache(inst.preimage)
     for v in G.vertices:
         (lv,) = dup.copies[v]
         cells[lv] = seed.V[v]
-        rank[lv] = (len(chains[v]), repr(lv))
 
     for top in order[dup.first :]:
         for vp in sorted(dup.copies[top], key=lambda lv: lv.label):
@@ -518,23 +533,21 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
 
             for x, old, fresh in dup.split(top, vp.label):
                 old_cell = cells.pop(old)
-                pos_x = rank.pop(old)[0]
                 for j, new in enumerate(fresh):
                     cells[new] = disj[j] if x == top else old_cell
-                    rank[new] = (pos_x, repr(new))
-            _settle(cells, dup.succ, dup.preds, rank, u, preimage, changed, recuts)
+            _settle(cells, dup.succ, dup.preds, depth, u, preimage, changed, recuts)
 
     # choose one copy per vertex, from the maxima down, avoiding placed points
     chosen = {}
     zpt = {}
     placed = []
     for v in order:
-        ch = chains[v]
-        if len(ch) == 1:
+        nxt = table.succ.get(v)
+        if nxt is None:
             (lv,) = dup.copies[v]
             z = _point_avoiding(cells[lv], placed, budgets)
         else:
-            sv = chosen[ch[1]]
+            sv = chosen[nxt]
             cands = sorted(
                 (p for p in dup.preds[sv] if p.base == v), key=lambda t: t.label
             )
@@ -546,7 +559,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
                     break
             if lv is None:
                 raise InvalidArgument("copy selection exhausted; splitting broken")
-            z = inst.point_preimage(u[v], cells[lv], zpt[ch[1]])
+            z = inst.point_preimage(u[v], cells[lv], zpt[nxt])
         chosen[v] = lv
         zpt[v] = z
         placed.append(z)
@@ -557,10 +570,12 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
         for v, pn in zip(order, pins)
     }
 
+    # a vertex's predecessors sit at smaller distances, so they are done
+    distance = table.distances()
     U = {}
-    for v in sorted(order, key=lambda t: (M_of(G, t), repr(t))):
+    for v in sorted(order, key=lambda t: distance.get(t, 1)):
         cell = O[v]
-        for y in sorted(pred(G, v), key=repr):
+        for y in table.preds.get(v, ()):
             cell = cell.intersect(image(u[y], U[y]))
         if cell.is_empty():
             raise EmptyRefinement(f"predecessor images emptied the cell at {v!r}")
@@ -666,15 +681,15 @@ def _scheme_strengths(state, succ, sphi):
 def build_scheme(instance, depth: int):
     """Grow the nested cell scheme level by level.
 
-    Level 0 assigns the full space to the empty word.  Each step cuts the
-    current cells back along the level's chains, assigns the next map
-    strength when the level is an anchor splitting level (searching upward
-    from the strengths used so far), seeds the next level's cells from the
-    parents (anchor children take the freshly paired cells, chain words
-    behind the new anchor pair take transported images), and runs the
-    splitting construction groupwise so that all postconditions hold with
-    cells cut below 2^-(level word length).  Every budget comes from the
-    instance.
+    Level 0 assigns the full space to the empty word.  Each step seeds the
+    next level's cells from the parents.  At an anchor splitting level it
+    cuts the anchor word's cell back along its chain, as refine_45 over the
+    level would, assigns the next map strength from that cell (searching
+    upward from the strengths used so far), and gives the anchor's children
+    the freshly paired cells and the chain words behind the new anchor pair
+    transported images.  It then runs the splitting construction groupwise
+    so that all postconditions hold with cells cut below 2^-(level word
+    length).  Every budget comes from the instance.
     """
     if depth < 0:
         raise InvalidLevel("depth must be a natural number")
@@ -687,41 +702,25 @@ def build_scheme(instance, depth: int):
     states = [SchemeState(0, cells, sphi)]
     for l in range(depth):
         st_l, st_n = approx[l], approx[l + 1]
-        succ_l = dict(st_l.A)
         succ_n = dict(st_n.A)
-        r = event_at.get(l)
-        O0 = O1 = None
-        qchain = ()
-        if r is not None:
-            u_l = _scheme_strengths(st_l, succ_l, sphi)
-            W = refine_45(
-                MappingTupleAssignment(
-                    FiniteOrientedGraph(st_l.X, st_l.A),
-                    instance,
-                    {x: u_l.get(x, 0) for x in st_l.X},
-                    cells,
-                )
-            ).V
-            tr = anchor_word(r)
-            prev = max(sphi.values()) if sphi else None
-            found, O0, O1 = lemma26_find(instance, W[tr], prev)
-            sphi[r] = found
-            t0, t1 = tr.append(0), tr.append(1)
-            qchain = [t1]
-            while qchain[-1] in succ_n:
-                qchain.append(succ_n[qchain[-1]])
-
         V = {}
         parent = {}
         for x in sorted(st_n.X, key=lambda t: t.code):
             parent[x] = x if x in st_l.X else x.prefix(len(x) - 1)
             V[x] = cells[parent[x]]
+        r = event_at.get(l)
         if r is not None:
-            V[t0], V[t1] = O0, O1
-            for i in range(1, len(qchain)):
-                prev_word = qchain[i - 1]
-                carrier = parent[prev_word]
-                V[qchain[i]] = instance.image(u_l[carrier], V[prev_word])
+            succ_l = dict(st_l.A)
+            u_l = _scheme_strengths(st_l, succ_l, sphi)
+            tr = anchor_word(r)
+            prev = max(sphi.values()) if sphi else None
+            cut = _chain_cut(instance, u_l, cells, succ_l, tr, {})
+            t0, t1 = tr.append(0), tr.append(1)
+            sphi[r], V[t0], V[t1] = lemma26_find(instance, cut, prev)
+            y = t1
+            while y in succ_n:
+                V[succ_n[y]] = instance.image(u_l[parent[y]], V[y])
+                y = succ_n[y]
 
         u_n = {}
         next_phi = _scheme_strengths(st_n, succ_n, sphi)
@@ -740,7 +739,7 @@ def build_scheme(instance, depth: int):
         new_cells = {}
         for members in groups:
             sub = FiniteOrientedGraph(
-                members, {(y, x) for (y, x) in st_n.A if y in members}
+                members, {(y, succ_n[y]) for y in members if y in succ_n}
             )
             part = MappingTupleAssignment(
                 sub, instance, {x: u_n[x] for x in members}, {x: V[x] for x in members}
@@ -828,12 +827,15 @@ def check_scheme_conditions(states, instance):
             par = x if x in prev.cells else x.prefix(len(x) - 1)
             if par not in prev.cells or not cell.subset(prev.cells[par]):
                 report.add("cell-nesting", (st.level, str(x)))
-            if cell.first_free_coord() < st.level:
+            if not cell.is_empty() and cell.first_free_coord() < st.level:
                 report.add("cell-diameter", (st.level, str(x)))
         for x, y in _meeting_pairs(st.cells):
             report.add("level-cells-pairwise-disjoint", (st.level, str(x), str(y)))
+        # a word without a cell is reported under cells-match-level-words
         succ = dict(ax.A)
         for y, x in sorted(ax.A, key=lambda p: (p[0].code, p[1].code)):
+            if y not in st.cells or x not in st.cells:
+                continue
             idx = ax.phi.get((y, x))
             if idx is None or idx not in st.phi:
                 report.add("chain-pair-strength-defined", (st.level, str(y), str(x)))
@@ -846,6 +848,8 @@ def check_scheme_conditions(states, instance):
         for (y, x), idx in sorted(
             ax.phi.items(), key=lambda kv: (kv[0][0].code, kv[0][1].code)
         ):
+            if y not in st.cells or x not in st.cells:
+                continue
             if idx not in st.phi:
                 report.add("edge-pair-strength-defined", (st.level, str(y), str(x)))
                 continue
@@ -857,7 +861,7 @@ def check_scheme_conditions(states, instance):
                 report.add("edge-containment-image", (st.level, str(y), str(x)))
             walk = y
             while walk != x and walk in succ:
-                if not st.cells[walk].subset(dom):
+                if walk in st.cells and not st.cells[walk].subset(dom):
                     report.add("edge-chain-prefix-domain", (st.level, str(y), str(x), str(walk)))
                 walk = succ[walk]
     seen = []

@@ -321,7 +321,6 @@ def suite_lemma52(
     L_max: int = 2,
     grid: int = 10**4,
     seed: int = 0,
-    budgets: Budgets = DEFAULT,
 ) -> SuiteResult:
     """The composition inequality at the witness coordinate and the dropped-
     stage equality over a coordinate window, per tuple that is defined at all."""
@@ -339,8 +338,8 @@ def suite_lemma52(
                 p = _sample_domain_point(L, s[-1], rng)
                 k = stride(s[-1])
                 try:
-                    va = g_compose_eval(L, s, p, k, budgets)
-                    vb = g_compose_eval(L, s[:-1], p, k, budgets)
+                    va = g_compose_eval(L, s, p, k)
+                    vb = g_compose_eval(L, s[:-1], p, k)
                 except OutsideDomain as err:
                     viol.append(f"(b) composition undefined on a domain point: L={L} s={s}: {err}")
                     continue
@@ -367,8 +366,8 @@ def suite_lemma52(
             step = max(1, window // points)
             for k in itertools.chain(range(0, window + 1, step), criticals):
                 try:
-                    va = g_compose_eval(L, s, p, k, budgets)
-                    vb = g_compose_eval(L, s[:-1], p, k, budgets)
+                    va = g_compose_eval(L, s, p, k)
+                    vb = g_compose_eval(L, s[:-1], p, k)
                 except OutsideDomain as err:
                     viol.append(f"(c) composition undefined on a domain point: L={L} s={s}: {err}")
                     break
@@ -397,7 +396,6 @@ def suite_condition_d(
     L: int = 1,
     samples: int = 100,
     seed: int = 0,
-    budgets: Budgets = DEFAULT,
 ) -> SuiteResult:
     """Two-step-equals-one-step agreement for the first two maps: an identity
     at level 1, and the expected failure at the forced coordinate above."""
@@ -414,10 +412,10 @@ def suite_condition_d(
                 extra[c] = rng.randrange(2)
         p = domain_point(MapId(L, 1), extra)
         if L == 1:
-            if not check_condition_d(1, 0, 1, p, coords, budgets):
+            if not check_condition_d(1, 0, 1, p, coords):
                 viol.append(f"two-step identity failed at level 1: sample {i}")
         else:
-            if check_condition_d(L, 0, 1, p, [stride(1)], budgets):
+            if check_condition_d(L, 0, 1, p, [stride(1)]):
                 viol.append(
                     f"two-step identity unexpectedly held at the forced coordinate: "
                     f"L={L} sample {i}"
@@ -458,7 +456,6 @@ def suite_lemma43(
     random_vertices: int = 12,
     samples: int = 1000,
     seed: int = 0,
-    budgets: Budgets = DEFAULT,
 ) -> SuiteResult:
     """Full duplication stays a uogas: exhaustive on small graphs (all valid
     orders up to 3 vertices, one canonical order above), sampled on larger ones."""
@@ -477,7 +474,7 @@ def suite_lemma43(
             canonical, steps, _ = _enumeration_of(g)
             orders = list(_all_enumerations_of(g)) if nv <= 3 else [canonical]
             for order in orders:
-                out = duplicate(g, order, steps, budgets=budgets)
+                out = duplicate(g, order, steps)
                 developed += 1
                 rep = validate_uogas(out)
                 if not rep.ok:
@@ -495,10 +492,10 @@ def suite_lemma43(
         # development is exercised by the exhaustive small graphs above
         m = min(steps, 2)
         projected = sum(copy_count ** (min(lengths[v], m + 1) - 1) for v in g.vertices)
-        if projected > budgets.duplication_cap:
+        if projected > DEFAULT.duplication_cap:
             skipped += 1
             continue
-        out = duplicate(g, order, m, budgets=budgets)
+        out = duplicate(g, order, m)
         sampled += 1
         rep = validate_uogas(out)
         if not rep.ok:
@@ -526,16 +523,15 @@ def suite_lemma43(
 # suites over the approximation stages
 
 
-def _approx_budgets(budgets: Budgets) -> Budgets:
-    return dataclasses.replace(budgets, max_words=max(budgets.max_words, 2_000_000))
+# The stage suites' word cap, raised for their depth-20 runs.
+STAGE_BUDGETS = dataclasses.replace(DEFAULT, max_words=2_000_000)
 
 
-def suite_lemma53_54(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) -> SuiteResult:
+def suite_lemma53_54(L: int = 1, depth: int = 20) -> SuiteResult:
     """Stage-structure checks: edge/antichain lemmas, the partition invariant,
     the stage-size recurrence, bounded word coverage, and event detection."""
     t0 = time.perf_counter()
-    budgets = _approx_budgets(budgets)
-    states = run(L, depth, budgets)
+    states = run(L, depth, STAGE_BUDGETS)
     viol = [f"{clause}: {witness}" for clause, witness in check_lemma_53_54(states).violations]
     for st in states:
         if not is_maximal_antichain_codes(st.X_sorted):
@@ -561,11 +557,10 @@ def suite_lemma53_54(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) ->
     )
 
 
-def suite_lemma57(L: int = 1, depth: int = 20, budgets: Budgets = DEFAULT) -> SuiteResult:
+def suite_lemma57(L: int = 1, depth: int = 20) -> SuiteResult:
     """Chain-position bookkeeping for the first family over all stage edges."""
     t0 = time.perf_counter()
-    budgets = _approx_budgets(budgets)
-    states = run(L, depth, budgets)
+    states = run(L, depth, STAGE_BUDGETS)
     rep = check_lemma_57(states)
     viol = [f"{clause}: {witness}" for clause, witness in rep.violations]
     return SuiteResult(
@@ -578,13 +573,11 @@ def suite_lemma58(
     depth: int = 20,
     samples: int = 20,
     seed: int = 0,
-    budgets: Budgets = DEFAULT,
 ) -> SuiteResult:
     """Follow random input prefixes through the stages and check the paired
     image prefixes, their witnesses, and their nesting."""
     t0 = time.perf_counter()
-    budgets = _approx_budgets(budgets)
-    states = run(L, depth, budgets)
+    states = run(L, depth, STAGE_BUDGETS)
     rng = random.Random(seed)
     viol = []
     probes = 0
@@ -595,7 +588,7 @@ def suite_lemma58(
         for _ in range(samples):
             length = rng.randint(st + 2, depth)
             prefix = "0" * (st + 1) + "".join(str(rng.randrange(2)) for _ in range(length - st - 1))
-            rep = check_lemma_58(states, n, prefix, budgets)
+            rep = check_lemma_58(states, n, prefix)
             probes += 1
             for clause, witness in rep.violations:
                 viol.append(f"n={n} prefix={prefix}: {clause}: {witness}")
@@ -621,10 +614,10 @@ def checked_scheme(depth: int, budgets: Budgets = DEFAULT):
     return states, check_scheme_conditions(states, inst)
 
 
-def suite_scheme_conditions(depth: int = 8, budgets: Budgets = DEFAULT) -> SuiteResult:
+def suite_scheme_conditions(depth: int = 8) -> SuiteResult:
     """Build the nested cell scheme and verify its six conditions."""
     t0 = time.perf_counter()
-    states, rep = checked_scheme(depth, budgets)
+    states, rep = checked_scheme(depth)
     viol = [f"{clause}: {witness}" for clause, witness in rep.violations]
     return SuiteResult(
         "scheme-conditions",

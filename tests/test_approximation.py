@@ -51,7 +51,7 @@ from cantorlab.sequences import (
     stride,
     stride_expand,
 )
-from cantorlab.suites import _approx_budgets
+from cantorlab.suites import STAGE_BUDGETS
 
 W = BinWord.from_str
 
@@ -491,10 +491,9 @@ def walked_edges(prev, state, budgets=DEFAULT):
 @pytest.mark.parametrize("family,depth", [(1, 20), (2, 14), (3, 12)])
 def test_carried_edges_match_the_full_walk(family, depth):
     """Every stage's carried edges, witnesses included, equal the full walk."""
-    budgets = _approx_budgets(DEFAULT)
-    states = run(family, depth, budgets)
+    states = run(family, depth, STAGE_BUDGETS)
     for prev, state in zip(states, states[1:]):
-        assert state.phi_codes == walked_edges(prev, state, budgets), state.level
+        assert state.phi_codes == walked_edges(prev, state, STAGE_BUDGETS), state.level
 
 
 def test_a_hand_made_stage_steps_by_the_full_walk():

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, frozen output lines, and the JSON
 reports written by the approx, check, build-h, and eval-g subcommands."""
 
+import hashlib
 import inspect
 import json
 
@@ -234,6 +235,15 @@ def test_build_h_writes_report(tmp_path, capsys):
     level1 = rep["levels"][1]["cells"]
     assert sorted(level1) == ["0", "1"]
     assert level1["0"] != level1["1"]
+
+
+def test_build_h_depth_seven_report_is_frozen(tmp_path):
+    """The whole `build-h --depth 7` report file, byte for byte."""
+    report_path = tmp_path / "rep.json"
+    assert main(["build-h", "--depth", "7", "--report", str(report_path)]) == 0
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == (
+        "ac096525a6a21e8a59bfa2dff55317c8594f4e3dd3df8d4cf4ea22f36217ada0"
+    )
 
 
 def test_build_h_zero_cap_fails_cleanly(tmp_path, capsys):

@@ -3,6 +3,7 @@ the clopen transport oracle, randomized postcondition suites for the
 splitting construction, and the level scheme checked against hand traces."""
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorlab.embedding as embedding_mod
+import cantorlab.orientedgraphs as orientedgraphs_mod
 from cantorlab.config import DEFAULT
 from cantorlab.cylinders import (
     EMPTY_SET,
@@ -39,7 +41,7 @@ from cantorlab.embedding import (
     scheme_state_json,
     shrink_47,
 )
-from cantorlab.embedding import _meeting_pairs, _separators
+from cantorlab.embedding import _chain_cut, _meeting_pairs, _separators
 from cantorlab.errors import (
     CapExceeded,
     EmptyRefinement,
@@ -51,8 +53,9 @@ from cantorlab.errors import (
     PrefixTooShort,
 )
 from cantorlab.maps import MapId, domain_D, g_point, image_clopen
-from cantorlab.orientedgraphs import FiniteOrientedGraph
-from cantorlab.sequences import BinWord
+from cantorlab.approximation import detect_L_n, run
+from cantorlab.orientedgraphs import FiniteOrientedGraph, LabeledVertex, p_to_max
+from cantorlab.sequences import BinWord, anchor_word
 
 W = BinWord.from_str
 INST = CantorInstance()
@@ -261,6 +264,7 @@ def test_refine_45_restores_exactness(seed):
     shrinking every cell and fixing the maximal ones."""
     asg = random_in_u(random.Random(seed))
     out = refine_45(asg)
+    assert out.V == chain_refinement_oracle(asg)
     assert in_E(out)
     succs = {y for y, x in asg.graph.edges}
     for v in asg.graph.vertices:
@@ -354,6 +358,22 @@ def test_shrink_47_validation():
     )
     with pytest.raises(InvalidArgument):
         shrink_47(bad, 2)
+
+
+def test_chain_refinement_rejects_a_branching_or_cycling_successor():
+    """refine_45 and shrink_47 raise InvalidArgument on a word with two
+    successors (BinWords have no order to rank them by) and on a successor
+    cycle, a 2-cycle or a 3-cycle."""
+    a, b, c = W("0"), W("10"), W("11")
+    for edges in ({(a, b), (a, c)}, {(a, b), (b, a)}, {(a, b), (b, c), (c, a)}):
+        G = FiniteOrientedGraph({a, b, c}, edges)
+        asg = MappingTupleAssignment(
+            G, INST, dict.fromkeys(G.vertices, 0), dict.fromkeys(G.vertices, FULL_SPACE)
+        )
+        with pytest.raises(InvalidArgument):
+            refine_45(asg)
+        with pytest.raises(InvalidArgument):
+            shrink_47(asg, 2)
 
 
 def test_shrink_47_stops_at_the_duplication_cap():
@@ -772,25 +792,34 @@ def test_meeting_pairs_match_the_all_pairs_loop_on_the_depth_seven_scheme(monkey
 def test_meeting_pairs_match_the_all_pairs_loop_on_tampered_levels(monkeypatch):
     """120 seeded levels with cells swapped for random clopens: the base walk
     finds the same meeting pairs as the all-pairs loop, in the same order,
-    and where no cell is empty the whole condition report agrees too."""
+    and the whole condition report agrees too.  Half the levels have empty
+    cells, which the report names under cell-nonempty; every third level
+    also loses one word's cell, which it names under cells-match-level-words."""
     rng = random.Random(18)
     states = build_scheme(INST, 7)
-    met = reports = 0
+    met = empty = missing = 0
     for trial in range(120):
         lvl = rng.randrange(2, 8)
         cells = tampered_cells(rng, states[lvl].cells, allow_empty=trial % 2 == 0)
+        if trial % 3 == 0:
+            words = sorted(cells, key=lambda t: t.code)
+            del cells[words[trial % len(words)]]
+            missing += 1
         want = all_pairs_meeting(cells)
         assert _meeting_pairs(cells) == want, trial
         met += len(want)
-        if any(c.is_empty() for c in cells.values()):
-            continue
         bad = states[:lvl] + [SchemeState(lvl, cells, states[lvl].phi)]
         walked = check_scheme_conditions(bad, INST).violations
         with monkeypatch.context() as m:
             m.setattr(embedding_mod, "_meeting_pairs", all_pairs_meeting)
             assert check_scheme_conditions(bad, INST).violations == walked, trial
-        reports += 1
-    assert met > 120 and reports >= 60, (met, reports)
+        clauses = {clause for clause, _ in walked}
+        if any(c.is_empty() for c in cells.values()):
+            assert "cell-nonempty" in clauses, trial
+            empty += 1
+        if trial % 3 == 0:
+            assert "cells-match-level-words" in clauses, trial
+    assert met > 120 and empty >= 30 and missing == 40, (met, empty, missing)
 
 
 def test_meeting_pairs_intersect_only_prefix_comparable_bases(monkeypatch):
@@ -808,3 +837,73 @@ def test_meeting_pairs_intersect_only_prefix_comparable_bases(monkeypatch):
     for st_ in states:
         _meeting_pairs(st_.cells)
     assert len(calls) <= 140
+
+
+def chain_refinement_oracle(asg):
+    """Oracle for refine_45 and _chain_cut: every vertex's p_to_max chain,
+    and the cells cut from the maxima down in order of chain length."""
+    chains = {v: p_to_max(asg.graph, v) for v in asg.graph.vertices}
+    W = {}
+    for v in sorted(chains, key=lambda t: len(chains[t])):
+        ch = chains[v]
+        W[v] = asg.V[v]
+        if len(ch) > 1:
+            W[v] = W[v].intersect(asg.instance.preimage(asg.u[v], W[ch[1]]))
+    return W
+
+
+def test_chain_cut_matches_refine_45_over_the_level():
+    """At both event steps of the depth-9 scheme (levels 1 and 8, whose cells
+    the depth-8 scheme already holds), cutting a word's cell back along its
+    own chain gives the cell that refine_45 over the whole level gives, and
+    both agree with the per-vertex chain oracle: for the anchor word the step
+    reads, and for every other word."""
+    states = build_scheme(INST, 8)
+    approx = run(1, 9)
+    events = detect_L_n(approx)
+    assert events == {0: 1, 1: 8}
+    for r, lvl in events.items():
+        st_l, cells = approx[lvl], states[lvl].cells
+        succ_l = dict(st_l.A)
+        u = embedding_mod._scheme_strengths(st_l, succ_l, states[lvl].phi)
+        level = MappingTupleAssignment(
+            FiniteOrientedGraph(st_l.X, st_l.A), INST, {x: u.get(x, 0) for x in st_l.X}, cells
+        )
+        whole = refine_45(level).V
+        assert whole == chain_refinement_oracle(level)
+        assert anchor_word(r) in whole
+        for x in st_l.X:
+            assert _chain_cut(INST, u, cells, succ_l, x, {}) == whole[x], (lvl, x)
+
+
+def test_chain_cut_reads_its_memo_in_any_vertex_order():
+    """A three-vertex chain whose top cell sits strictly inside the image, so
+    the cut reaches two steps down: cutting the vertices in every order with
+    one shared memo, and refine_45, give the oracle's cells."""
+    G = FiniteOrientedGraph({"a", "b", "c"}, {("a", "b"), ("b", "c")})
+    Va = domain_D(MapId(1, 1))
+    Vb = INST.image(1, Va)
+    V = {"a": Va, "b": Vb, "c": INST.image(0, Vb).with_atoms([atom_const(5, 0)])}
+    asg = MappingTupleAssignment(G, INST, {"a": 1, "b": 0, "c": 0}, V)
+    want = chain_refinement_oracle(asg)
+    assert want["a"].render() == "N=00000000_0; bit(11)=0"
+    for order in itertools.permutations("abc"):
+        W = {}
+        for x in order:
+            _chain_cut(INST, asg.u, V, {"a": "b", "b": "c"}, x, W)
+        assert W == want, order
+    assert refine_45(asg).V == want
+
+
+def test_build_scheme_orders_copies_without_repr_or_M_of(monkeypatch):
+    """The splitting construction reads its settle order and its final cut
+    order off the successor table: with LabeledVertex.__repr__ and M_of
+    raising, depth 7 builds the same cells."""
+    want = [st_.cells for st_ in build_scheme(INST, 7)]
+
+    def called(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(LabeledVertex, "__repr__", called)
+    monkeypatch.setattr(orientedgraphs_mod, "M_of", called)
+    assert [st_.cells for st_ in build_scheme(INST, 7)] == want
