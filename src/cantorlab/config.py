@@ -4,19 +4,16 @@ Each field has a caller that sets it:
 
 - `shift_base`, by scripts/resolve_shift_constant.py;
 - `max_words`, by `approx --max-words` and the stage suites;
-- `point_probe_bits`, by the separator tests of the scheme construction;
 - `duplication_cap`, by `build-h --duplication-cap`.
 
 Raising `max_words` or `duplication_cap` never changes a computed value, it
-only lets more of them be computed.  Raising `point_probe_bits` also lets the
-domain check of a rule-carrying point look further, so a check that trusted
-the point's tail can come out False.  `shift_base` is mathematics, not a
+only lets more of them be computed.  `shift_base` is mathematics, not a
 size: it picks the shift set, and the property suite fails under the
 alternative 2**31.
 
 The caps no caller varies are module constants: `sequences.MAX_STRIDE_BITS`
-and `sequences.MAX_WORD_BITS`, `approximation.MAX_DEPTH` and
-`embedding.MAP_SEARCH_MAX`.
+and `sequences.MAX_WORD_BITS`, `approximation.MAX_DEPTH`,
+`maps.POINT_PROBE_BITS` and `embedding.MAP_SEARCH_MAX`.
 """
 
 from dataclasses import dataclass
@@ -32,11 +29,6 @@ class Budgets:
     # The value is settled by the property suite (see scripts/resolve_shift_constant.py);
     # both the winning 8 and the losing alternative 2**31 can be injected here.
     shift_base: int = 8
-
-    # For point-domain checks against a huge seed word when the point carries a
-    # rule: probe this many leading coordinates (plus every explicit bit and the
-    # word's distinguishing positions).  Rule-free points are checked exactly.
-    point_probe_bits: int = 4096
 
     # Guard for the labeled-duplication construction: the total number of labeled
     # copies, sum over vertices of |X|**(|p_x|-1), must stay under this.

@@ -23,7 +23,7 @@ from .errors import (
     NotFoundWithinBudget,
     PrefixTooShort,
 )
-from .maps import MapId, _read_inverse, domain_D, g_point, image_clopen, preimage_clopen
+from .maps import POINT_PROBE_BITS, MapId, _read_inverse, domain_D, g_point, image_clopen, preimage_clopen
 from .orientedgraphs import (
     CheckReport,
     Duplication,
@@ -114,11 +114,11 @@ class CantorInstance:
         need = (count - 1).bit_length()
         w = C1.witness_point()
         linked = set(C1.constrained_coords())
-        avoid = _stride_coords(b)
+        avoid = _stride_coords()
         coords = []
         c = 0
         while len(coords) < need:
-            if c > b.point_probe_bits:
+            if c > POINT_PROBE_BITS:
                 raise NotFoundWithinBudget(
                     "ran out of probe budget hunting unread free coordinates"
                 )
@@ -349,7 +349,7 @@ def refine_46(assignment: MappingTupleAssignment, x0, W0):
 # the splitting construction
 
 
-def _stride_coords(budgets: Budgets) -> frozenset:
+def _stride_coords() -> frozenset:
     """Stride coordinates of the maps small enough to materialize.
 
     The scheme's pairing stages force these output coordinates, so the
@@ -360,14 +360,14 @@ def _stride_coords(budgets: Budgets) -> frozenset:
     n = 0
     while True:
         s = stride(n)
-        if s > budgets.point_probe_bits:
+        if s > POINT_PROBE_BITS:
             break
         out.append(s)
         n += 1
     return frozenset(out)
 
 
-def _separators(points, d, budgets: Budgets):
+def _separators(points, d):
     """Per-point pin sets making the listed points' cells pairwise disjoint:
     coordinates 0..d-1 plus the first differing coordinate of every pair.
 
@@ -378,7 +378,7 @@ def _separators(points, d, budgets: Budgets):
     """
     pins = [set(range(d)) for _ in points]
     groups = [list(range(len(points)))] if len(points) > 1 else []
-    for c in range(budgets.point_probe_bits):
+    for c in range(POINT_PROBE_BITS):
         if not groups:
             break
         split = []
@@ -392,20 +392,18 @@ def _separators(points, d, budgets: Budgets):
             split.extend(h for h in halves if len(h) > 1)
         groups = split
     if groups:
-        raise NotFoundWithinBudget(
-            f"no separating coordinate below {budgets.point_probe_bits}"
-        )
+        raise NotFoundWithinBudget(f"no separating coordinate below {POINT_PROBE_BITS}")
     return pins
 
 
-def _point_avoiding(cell: SymbolicClopen, placed, budgets: Budgets) -> LazyPoint:
+def _point_avoiding(cell: SymbolicClopen, placed) -> LazyPoint:
     """A member of the cell that differs from every listed point the cell
     contains, built by flipping one fresh free coordinate per such point."""
     w = cell.witness_point()
     if not placed:
         return w
     linked = set(cell.constrained_coords())
-    avoid = _stride_coords(budgets)
+    avoid = _stride_coords()
     bits = {}
     c = 0
     for q in placed:
@@ -413,7 +411,7 @@ def _point_avoiding(cell: SymbolicClopen, placed, budgets: Budgets) -> LazyPoint
             continue
         while cell.forced(c) is not None or c in linked or c in bits or c in avoid:
             c += 1
-            if c > budgets.point_probe_bits:
+            if c > POINT_PROBE_BITS:
                 raise NotFoundWithinBudget("ran out of free coordinates to flip")
         bits[c] = 1 - q.eval(c)
     return w.with_bits(bits)
@@ -422,11 +420,12 @@ def _point_avoiding(cell: SymbolicClopen, placed, budgets: Budgets) -> LazyPoint
 _UNCHANGED = object()
 
 
-def _settle(cells, succ, preds, depth, ubase, preimage, changed, recuts):
+def _settle(cells, dup, depth, ubase, preimage, changed, recuts):
     """Restore exact images after a batch of cells moved.
 
-    `changed` maps the moved vertices to their new cells, already exact along
-    their own chain.  Everything whose chain passes through a moved vertex is
+    `cells` and `changed` are keyed by the copy ids of the engine `dup`;
+    `changed` maps the moved copies to their new cells, already exact along
+    their own chain.  Every copy whose chain passes through a moved copy is
     recut against its successor, by the chain depth of its base from the
     maxima down, so every successor is settled first; a cut equal to the old
     cell (a cut lies inside the old cell, so normal-form equality decides it)
@@ -437,6 +436,7 @@ def _settle(cells, succ, preds, depth, ubase, preimage, changed, recuts):
     memoizes it under that triple: the new cut, or _UNCHANGED.  `preimage`
     is the instance's, memoized the same way by the caller.
     """
+    succ, preds, base = dup.succ, dup.preds, dup.base
     affected = set(changed)
     stack = list(changed)
     while stack:
@@ -446,7 +446,7 @@ def _settle(cells, succ, preds, depth, ubase, preimage, changed, recuts):
                 affected.add(p)
                 stack.append(p)
     really = set()
-    for w in sorted(affected, key=lambda w: depth[w.base]):
+    for w in sorted(affected, key=lambda w: depth[base[w]]):
         if w in changed:
             cells[w] = changed[w]
             really.add(w)
@@ -455,13 +455,13 @@ def _settle(cells, succ, preds, depth, ubase, preimage, changed, recuts):
         if nxt not in really:
             continue
         old = cells[w]
-        n, target = ubase[w.base], cells[nxt]
+        n, target = ubase[base[w]], cells[nxt]
         key = (n, old, target)
         cut = recuts.get(key)
         if cut is None:
             cut = old.intersect(preimage(n, target))
             if cut.is_empty():
-                raise EmptyRefinement(f"settling emptied the cell at {w!r}")
+                raise EmptyRefinement(f"settling emptied the cell at a copy of {base[w]!r}")
             if cut == old:
                 cut = _UNCHANGED
             recuts[key] = cut
@@ -505,14 +505,14 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     image = functools.cache(inst.image)
     preimage = functools.cache(inst.preimage)
     for v in G.vertices:
-        (lv,) = dup.copies[v]
-        cells[lv] = seed.V[v]
+        (c,) = dup.copies[v]
+        cells[c] = seed.V[v]
 
     for top in order[dup.first :]:
-        for vp in sorted(dup.copies[top], key=lambda lv: lv.label):
+        for vp in sorted(dup.copies[top], key=dup.label.__getitem__):
             s = dup.succ[vp]
             target, pts = inst.pick_distinct_preimages(u[top], cells[vp], L)
-            pins = _separators(pts, 0, budgets)
+            pins = _separators(pts, 0)
             disj = [
                 inst.cell_pinned(cells[vp], p, pn) for p, pn in zip(pts, pins)
             ]
@@ -528,14 +528,14 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
                 nxt = dup.succ.get(cur)
                 if nxt is None:
                     break
-                val = image(u[cur.base], val)
+                val = image(u[dup.base[cur]], val)
                 cur = nxt
 
-            for x, old, fresh in dup.split(top, vp.label):
+            for old, fresh in dup.split(vp):
                 old_cell = cells.pop(old)
                 for j, new in enumerate(fresh):
-                    cells[new] = disj[j] if x == top else old_cell
-            _settle(cells, dup.succ, dup.preds, depth, u, preimage, changed, recuts)
+                    cells[new] = disj[j] if old == vp else old_cell
+            _settle(cells, dup, depth, u, preimage, changed, recuts)
 
     # choose one copy per vertex, from the maxima down, avoiding placed points
     chosen = {}
@@ -544,27 +544,27 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     for v in order:
         nxt = table.succ.get(v)
         if nxt is None:
-            (lv,) = dup.copies[v]
-            z = _point_avoiding(cells[lv], placed, budgets)
+            (c,) = dup.copies[v]
+            z = _point_avoiding(cells[c], placed)
         else:
             sv = chosen[nxt]
             cands = sorted(
-                (p for p in dup.preds[sv] if p.base == v), key=lambda t: t.label
+                (p for p in dup.preds[sv] if dup.base[p] == v), key=dup.label.__getitem__
             )
-            lv = None
+            c = None
             for cand in cands:
                 cc = cells[cand]
                 if all(not cc.contains(q) for q in placed):
-                    lv = cand
+                    c = cand
                     break
-            if lv is None:
+            if c is None:
                 raise InvalidArgument("copy selection exhausted; splitting broken")
-            z = inst.point_preimage(u[v], cells[lv], zpt[nxt])
-        chosen[v] = lv
+            z = inst.point_preimage(u[v], cells[c], zpt[nxt])
+        chosen[v] = c
         zpt[v] = z
         placed.append(z)
 
-    pins = _separators([zpt[v] for v in order], d, budgets)
+    pins = _separators([zpt[v] for v in order], d)
     O = {
         v: inst.cell_pinned(cells[chosen[v]], zpt[v], pn)
         for v, pn in zip(order, pins)

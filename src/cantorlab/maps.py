@@ -120,7 +120,14 @@ def domain_D(ident: MapId) -> SymbolicClopen:
     return SymbolicClopen(base, atoms)
 
 
-def _point_in_seed(n: int, p: LazyPoint, budgets: Budgets) -> bool:
+# For point-domain checks against a huge seed word when the point carries a
+# rule: probe this many leading coordinates (plus every explicit bit and the
+# word's distinguishing positions).  Rule-free points are checked exactly.
+# The scheme construction also bounds its coordinate searches with it.
+POINT_PROBE_BITS = 4096
+
+
+def _point_in_seed(n: int, p: LazyPoint) -> bool:
     """Does p extend the level-n seed word followed by 0?
 
     Exact for rule-free points.  For a point with a rule the check covers the
@@ -144,7 +151,7 @@ def _point_in_seed(n: int, p: LazyPoint, budgets: Budgets) -> bool:
             p.eval(i) == (anchor_bit(n, i) if i < st else 0)
             for i in range(st + 1)
         )
-    limit = min(st + 1, budgets.point_probe_bits)
+    limit = min(st + 1, POINT_PROBE_BITS)
     for i in range(limit):
         if p.eval(i) != (anchor_bit(n, i) if i < st else 0):
             return False
@@ -156,11 +163,11 @@ def _point_in_seed(n: int, p: LazyPoint, budgets: Budgets) -> bool:
     return True
 
 
-def point_in_domain(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> bool:
+def point_in_domain(ident: MapId, p: LazyPoint) -> bool:
     """Membership of a point in the full domain of map (L, n), inequality
     atoms included (checked exactly; the cylinder part as in _point_in_seed).
     """
-    if not _point_in_seed(ident.n, p, budgets):
+    if not _point_in_seed(ident.n, p):
         return False
     if ident.L >= 2:
         st = stride(ident.n)
@@ -196,7 +203,7 @@ def g_eval_coord(ident: MapId, p: LazyPoint, k: int, budgets: Budgets = DEFAULT)
     """
     if k < 0:
         raise InvalidArgument("coordinates are natural numbers")
-    if not _point_in_seed(ident.n, p, budgets):
+    if not _point_in_seed(ident.n, p):
         raise OutsideDomain(
             f"point does not extend the seed word of map ({ident.L},{ident.n})"
         )
@@ -208,7 +215,7 @@ def g_eval_coord(ident: MapId, p: LazyPoint, k: int, budgets: Budgets = DEFAULT)
 
 def g_point(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> LazyPoint:
     """The image point, evaluated lazily; raises OutsideDomain up front."""
-    if not _point_in_seed(ident.n, p, budgets):
+    if not _point_in_seed(ident.n, p):
         raise OutsideDomain(
             f"point does not extend the seed word of map ({ident.L},{ident.n})"
         )
@@ -253,7 +260,7 @@ def _check_composition_stages(L, stages, p, budgets):
     for i in range(last, -1, -1):
         n = stages[i]
         if i == last:
-            ok = _point_in_seed(n, p, budgets)
+            ok = _point_in_seed(n, p)
         else:
             suffix = stages[i + 1 :]
             ok = all(

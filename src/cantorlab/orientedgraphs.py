@@ -3,9 +3,10 @@
 Everything here is finite and order-insensitive except the duplication
 construction, which consumes a caller-supplied vertex enumeration and makes
 label copies of one vertex's predecessor cone per stage.  Vertex ids are
-opaque hashable values; duplication wraps them in LabeledVertex.  The
-construction exists once, as the Duplication engine: `duplicate` builds its
-stages with it, and embedding.shrink_47 runs it with a cell on each copy.
+opaque hashable values.  The construction exists once, as the Duplication
+engine on integer copy ids: `duplicate` builds its stages with it and wraps
+only its result in LabeledVertex, and embedding.shrink_47 runs it with a
+cell on each copy.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import BadEnumeration, CapExceeded, InvalidArgument, NotConnected, 
 class LabeledVertex:
     """A base vertex id together with a finite label sequence.
 
-    The hash is computed once, at construction: labeled vertices key the
-    duplication and splitting dicts, which look them up many times each.
+    The hash is computed once, at construction: validating a graph that
+    `duplicate` returns looks each of its vertices up many times.
     """
 
     base: object
@@ -425,10 +426,10 @@ def lemma42_suite(G: FiniteOrientedGraph) -> CheckReport:
 # duplication
 
 
-def _check_enumeration(G, order, paths):
+def _check_enumeration(G, order, depths):
     if len(order) != len(G.vertices) or set(order) != G.vertices:
         raise BadEnumeration("enumeration must list every vertex exactly once")
-    lengths = [len(paths[x]) for x in order]
+    lengths = [depths.get(x, 1) for x in order]
     if any(lengths[i] > lengths[i + 1] for i in range(len(lengths) - 1)):
         raise BadEnumeration("enumeration must have nondecreasing chain lengths")
 
@@ -439,67 +440,77 @@ class Duplication:
 
     The constructor validates the graph and the enumeration, which lists
     every vertex once in nondecreasing chain length; splitting starts at its
-    index `first`, the first non-maximal vertex.  Each vertex x starts with
-    the one copy x:0.  `copies` maps a base vertex to the set of its live
-    copies, `succ` maps a copy to its successor copy, and `preds` maps every
-    live copy to the set of its predecessor copies; only `split` changes them.
+    index `first`, the first non-maximal vertex.  Copies are ints, numbered
+    in order of creation: copy c is a copy of vertex `base[c]` with label
+    `label[c]`, and each vertex x starts with the one copy labeled (0,).
+    `copies` maps a base vertex to the set of its live copies, `succ` maps a
+    copy to its successor copy, and `preds` maps every live copy to the set
+    of its predecessor copies; only `split` changes them.
     """
 
-    __slots__ = ("order", "paths", "first", "copies", "succ", "preds", "_cap")
+    __slots__ = ("order", "first", "base", "label", "copies", "succ", "preds", "_cap")
 
     def __init__(self, G: FiniteOrientedGraph, enumeration, budgets: Budgets = DEFAULT):
         report = validate_uogas(G)
         if not report.ok:
             raise InvalidArgument(f"not an uogas: {report.violations[:3]}")
         self.order = tuple(enumeration)
-        self.paths = {x: p_to_max(G, x) for x in G.vertices}
-        _check_enumeration(G, self.order, self.paths)
-        self.first = sum(1 for x in self.order if len(self.paths[x]) == 1)
+        depths = SuccessorTable(G.edges).depths()
+        _check_enumeration(G, self.order, depths)
+        self.first = sum(1 for x in self.order if x not in depths)
         self._cap = budgets.duplication_cap
-        zero = {x: LabeledVertex(x, (0,)) for x in G.vertices}
-        self.copies = {x: {lv} for x, lv in zero.items()}
+        self.base = list(G.vertices)
+        self.label = [(0,)] * len(self.base)
+        zero = {x: c for c, x in enumerate(self.base)}
+        self.copies = {x: {c} for x, c in zero.items()}
         self.succ = {zero[a]: zero[b] for a, b in G.edges}
-        self.preds = {lv: set() for lv in zero.values()}
+        self.preds = {c: set() for c in zero.values()}
         for a, b in G.edges:
             self.preds[zero[b]].add(zero[a])
 
-    def split(self, top, sigma) -> list:
-        """Replace the sigma-labeled copy of top's predecessor cone by one
-        block per enumerated vertex, labeled sigma.j.
+    def split(self, copy) -> list:
+        """Replace the live copy's predecessor cone by one block per
+        enumerated vertex: each cone copy labeled sigma gets fresh copies
+        labeled sigma.j.
 
         Edges inside the cone are copied into each block and the edge out of
-        top keeps its target.  Returns (base, old copy, fresh copies in label
-        order) per cone vertex, in enumeration order.  Raises CapExceeded,
-        before changing anything, when the copies would outgrow the cap.
+        the split copy keeps its target.  Returns (old copy, fresh copies in
+        label order) per cone copy, each after its successor.  Raises
+        CapExceeded, before changing anything, when the copies would outgrow
+        the cap.
         """
-        cone = [x for x in self.order if top in self.paths[x]]
-        n = len(self.order)
         succ, preds = self.succ, self.preds
-        olds = [LabeledVertex(x, sigma) for x in cone]
-        if not all(old in preds for old in olds):
-            raise InvalidArgument(f"no live copy of {top!r}'s cone at {sigma}")
+        if copy not in preds:
+            raise InvalidArgument(f"copy {copy} is not live")
+        cone = [copy]
+        for c in cone:
+            cone.extend(preds[c])
+        n = len(self.order)
         size = len(preds) + len(cone) * (n - 1)
         if size > self._cap:
             raise CapExceeded(f"duplication needs {size} labeled vertices, cap is {self._cap}")
-        target = succ.get(olds[0])
+        target = succ.get(copy)
         if target is not None:
-            preds[target].discard(olds[0])
+            preds[target].discard(copy)
         out = []
         made = {}
-        for x, old in zip(cone, olds):
+        for old in cone:
             del preds[old]
-            succ.pop(old, None)
-            fresh = made[x] = [LabeledVertex(x, sigma + (j,)) for j in range(n)]
+            nxt = succ.pop(old, None)
+            x = self.base[old]
+            fresh = made[old] = range(len(self.base), len(self.base) + n)
+            self.base += [x] * n
+            self.label += [self.label[old] + (j,) for j in range(n)]
             self.copies[x].discard(old)
             self.copies[x].update(fresh)
-            # x's successor precedes it in the cone, so its copies exist
+            # the old successor precedes old in the cone, so its copies exist
             for j, new in enumerate(fresh):
                 preds[new] = set()
-                tgt = target if x == top else made[self.paths[x][1]][j]
+                tgt = target if old == copy else made[nxt][j]
                 if tgt is not None:
                     succ[new] = tgt
                     preds[tgt].add(new)
-            out.append((x, old, fresh))
+            out.append((old, fresh))
         return out
 
 
@@ -531,15 +542,15 @@ def duplicate(
     if p is not None and m < dup.first:
         raise InvalidArgument("partial stages exist only once duplication starts")
     for step in range(dup.first, m + 1):
-        top = order[step]
-        labels = sorted(v.label for v in dup.copies[top])
+        blocks = sorted(dup.copies[order[step]], key=dup.label.__getitem__)
         if step == m and p is not None:
-            if not 0 <= p <= len(labels):
+            if not 0 <= p <= len(blocks):
                 raise InvalidArgument("partial block count out of range")
-            labels = labels[:p]
-        for sigma in labels:
-            dup.split(top, sigma)
-    return FiniteOrientedGraph(dup.preds, dup.succ.items())
+            blocks = blocks[:p]
+        for copy in blocks:
+            dup.split(copy)
+    lv = {c: LabeledVertex(dup.base[c], dup.label[c]) for c in dup.preds}
+    return FiniteOrientedGraph(lv.values(), ((lv[a], lv[b]) for a, b in dup.succ.items()))
 
 
 # ---------------------------------------------------------------------------

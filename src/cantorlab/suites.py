@@ -31,7 +31,6 @@ from .orientedgraphs import (
     SuccessorTable,
     duplicate,
     lemma42_suite,
-    p_to_max,
     validate_uogas,
 )
 from .sequences import (
@@ -135,20 +134,21 @@ def _random_uogas(rng: random.Random, nv: int) -> FiniteOrientedGraph:
 
 
 def _enumeration_of(g: FiniteOrientedGraph):
-    """A valid duplication order (path length to the maximum, then vertex id)
-    and the number of duplication steps it supports."""
-    lengths = {v: len(p_to_max(g, v)) for v in g.vertices}
+    """A valid duplication order (path length to the maximum, then vertex id),
+    the number of duplication steps it supports, and each vertex's length."""
+    depths = SuccessorTable(g.edges).depths()
+    lengths = {v: depths.get(v, 1) for v in g.vertices}
     order = tuple(sorted(g.vertices, key=lambda v: (lengths[v], str(v))))
     steps = sum(1 for v in g.vertices if lengths[v] >= 2)
     return order, steps, lengths
 
 
-def _all_enumerations_of(g: FiniteOrientedGraph):
-    """Every order compatible with nondecreasing path length (small graphs)."""
-    lengths = {v: len(p_to_max(g, v)) for v in g.vertices}
+def _all_enumerations_of(lengths):
+    """Every order compatible with nondecreasing path length, given each
+    vertex's length as `_enumeration_of` returns it (small graphs)."""
     groups = {}
-    for v in g.vertices:
-        groups.setdefault(lengths[v], []).append(v)
+    for v, n in lengths.items():
+        groups.setdefault(n, []).append(v)
     pools = [groups[k] for k in sorted(groups)]
     for perm_blocks in itertools.product(*[itertools.permutations(p) for p in pools]):
         yield tuple(v for block in perm_blocks for v in block)
@@ -471,8 +471,8 @@ def suite_lemma43(
                 continue
             seen_shapes.add(shape)
             g = _table_graph(choice)
-            canonical, steps, _ = _enumeration_of(g)
-            orders = list(_all_enumerations_of(g)) if nv <= 3 else [canonical]
+            canonical, steps, lengths = _enumeration_of(g)
+            orders = list(_all_enumerations_of(lengths)) if nv <= 3 else [canonical]
             for order in orders:
                 out = duplicate(g, order, steps)
                 developed += 1

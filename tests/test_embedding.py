@@ -41,7 +41,7 @@ from cantorlab.embedding import (
     scheme_state_json,
     shrink_47,
 )
-from cantorlab.embedding import _chain_cut, _meeting_pairs, _separators
+from cantorlab.embedding import _chain_cut, _chain_table, _meeting_pairs, _separators, _settle
 from cantorlab.errors import (
     CapExceeded,
     EmptyRefinement,
@@ -54,7 +54,7 @@ from cantorlab.errors import (
 )
 from cantorlab.maps import MapId, domain_D, g_point, image_clopen
 from cantorlab.approximation import detect_L_n, run
-from cantorlab.orientedgraphs import FiniteOrientedGraph, LabeledVertex, p_to_max
+from cantorlab.orientedgraphs import Duplication, FiniteOrientedGraph, LabeledVertex, p_to_max
 from cantorlab.sequences import BinWord, anchor_word
 
 W = BinWord.from_str
@@ -410,32 +410,36 @@ def test_shrink_47_postconditions(seed, d):
 # separators: the pairwise scan, one per pair, is the oracle for the trie split
 
 
-def first_difference_oracle(p, q, budgets):
-    for c in range(budgets.point_probe_bits):
+def first_difference_oracle(p, q, probe):
+    for c in range(probe):
         if p.eval(c) != q.eval(c):
             return c
-    raise NotFoundWithinBudget(
-        f"no separating coordinate below {budgets.point_probe_bits}"
-    )
+    raise NotFoundWithinBudget(f"no separating coordinate below {probe}")
 
 
-def separators_oracle(points, d, budgets):
+def separators_oracle(points, d, probe):
     k = len(points)
     pins = [set(range(d)) for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            c = first_difference_oracle(points[i], points[j], budgets)
+            c = first_difference_oracle(points[i], points[j], probe)
             pins[i].add(c)
             pins[j].add(c)
     return pins
 
 
-PROBE = replace(DEFAULT, point_probe_bits=24)
+PROBE = 24
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """_separators with the probe budget lowered to PROBE bits."""
+    monkeypatch.setattr(embedding_mod, "POINT_PROBE_BITS", PROBE)
 
 
 def random_point(rng):
     """Explicit bits over a default-0 or default-1 tail, or over a rule."""
-    top = PROBE.point_probe_bits + 4
+    top = PROBE + 4
     explicit = {c: rng.randrange(2) for c in rng.sample(range(top), rng.randrange(1, 10))}
     kind = rng.randrange(3)
     if kind < 2:
@@ -444,7 +448,7 @@ def random_point(rng):
     return LazyPoint(explicit, 0, table.__getitem__)
 
 
-def test_separators_match_the_pairwise_oracle():
+def test_separators_match_the_pairwise_oracle(probe):
     """Equal pin sets on random point sets, or NotFoundWithinBudget from
     both when two points agree below the probe budget."""
     rng = random.Random(7)
@@ -456,26 +460,27 @@ def test_separators_match_the_pairwise_oracle():
             want = separators_oracle(points, d, PROBE)
         except NotFoundWithinBudget as err:
             with pytest.raises(NotFoundWithinBudget, match=f"^{err}$"):
-                _separators(points, d, PROBE)
+                _separators(points, d)
             outcomes["raised"] += 1
             continue
-        assert _separators(points, d, PROBE) == want
+        assert _separators(points, d) == want
         outcomes["pins"] += 1
     assert outcomes["pins"] >= 200 and outcomes["raised"] >= 20, outcomes
 
 
-def test_separators_need_a_difference_below_the_probe_budget():
+def test_separators_need_a_difference_below_the_probe_budget(probe):
     """Two points that first differ at the budget are not separable."""
     p = LazyPoint({}, 0)
-    q = LazyPoint({PROBE.point_probe_bits: 1}, 0)
+    q = LazyPoint({PROBE: 1}, 0)
     r = LazyPoint({0: 1}, 0)
     for points in ([p, q], [r, p, q]):
-        for fn in (separators_oracle, _separators):
-            with pytest.raises(NotFoundWithinBudget, match="^no separating coordinate below 24$"):
-                fn(points, 2, PROBE)
-    assert _separators([p, r], 2, PROBE) == [{0, 1}, {0, 1}]
-    assert _separators([q], 3, PROBE) == [{0, 1, 2}]
-    assert _separators([], 3, PROBE) == []
+        with pytest.raises(NotFoundWithinBudget, match="^no separating coordinate below 24$"):
+            separators_oracle(points, 2, PROBE)
+        with pytest.raises(NotFoundWithinBudget, match="^no separating coordinate below 24$"):
+            _separators(points, 2)
+    assert _separators([p, r], 2) == [{0, 1}, {0, 1}]
+    assert _separators([q], 3) == [{0, 1, 2}]
+    assert _separators([], 3) == []
 
 
 # ---------------------------------------------------------------------------
@@ -897,13 +902,39 @@ def test_chain_cut_reads_its_memo_in_any_vertex_order():
 
 def test_build_scheme_orders_copies_without_repr_or_M_of(monkeypatch):
     """The splitting construction reads its settle order and its final cut
-    order off the successor table: with LabeledVertex.__repr__ and M_of
-    raising, depth 7 builds the same cells."""
+    order off the successor table, and keys its copies by integer id: with
+    LabeledVertex construction and __repr__ and M_of raising, depth 7 builds
+    the same cells."""
     want = [st_.cells for st_ in build_scheme(INST, 7)]
 
     def called(*args):
         raise AssertionError("called")
 
+    monkeypatch.setattr(LabeledVertex, "__post_init__", called)
     monkeypatch.setattr(LabeledVertex, "__repr__", called)
     monkeypatch.setattr(orientedgraphs_mod, "M_of", called)
     assert [st_.cells for st_ in build_scheme(INST, 7)] == want
+
+
+def test_settle_recuts_every_copy_against_a_settled_successor():
+    """After a split, shrinking the maximum's cell recuts both copy layers
+    below it, and each recut copy ends inside the preimage of its
+    successor's final cell: the successors were settled first."""
+    G = FiniteOrientedGraph("abc", {("a", "b"), ("b", "c")})
+    u = {"a": 1, "b": 0, "c": 0}
+    Va = domain_D(MapId(1, 1))
+    Vb = INST.image(1, Va)
+    V = {"a": Va, "b": Vb, "c": INST.image(0, Vb)}
+    _, depth = _chain_table(G)
+    dup = Duplication(G, "cba")
+    (b0,) = dup.copies["b"]
+    dup.split(b0)
+    cells = {c: V[dup.base[c]] for c in dup.preds}
+    (c0,) = dup.copies["c"]
+    changed = {c0: V["c"].with_atoms([atom_const(5, 0)])}
+    _settle(cells, dup, depth, u, INST.preimage, changed, {})
+    recut = [w for w in dup.preds if w != c0]
+    assert sorted(dup.base[w] for w in recut) == ["a"] * 3 + ["b"] * 3
+    for w in recut:
+        assert cells[w] != V[dup.base[w]]
+        assert cells[w].subset(INST.preimage(u[dup.base[w]], cells[dup.succ[w]]))

@@ -743,21 +743,27 @@ def test_duplication_split_that_fails_changes_nothing():
     touches the copies and their edges."""
     g = FiniteOrientedGraph("abc", {("c", "b"), ("b", "a")})
     dup = Duplication(g, "abc", replace(DEFAULT, duplication_cap=7))
-    made = dup.split("b", (0,))
-    assert [(x, old) for x, old, _ in made] == [
-        ("b", LabeledVertex("b", (0,))),
-        ("c", LabeledVertex("c", (0,))),
+    (b0,) = dup.copies["b"]
+    (c0,) = dup.copies["c"]
+    made = dup.split(b0)
+    assert [(dup.base[old], dup.label[old], old) for old, _ in made] == [
+        ("b", (0,), b0),
+        ("c", (0,), c0),
     ]
+    c00 = made[1][1][0]
+    assert (dup.base[c00], dup.label[c00]) == ("c", (0, 0))
     state = (
         dict(dup.succ),
         {v: set(ps) for v, ps in dup.preds.items()},
         {x: set(c) for x, c in dup.copies.items()},
+        list(dup.base),
+        list(dup.label),
     )
     with pytest.raises(CapExceeded, match="^duplication needs 9 labeled vertices, cap is 7$"):
-        dup.split("c", (0, 0))
+        dup.split(c00)
     with pytest.raises(InvalidArgument):
-        dup.split("c", (0,))
-    assert state == (dup.succ, dup.preds, dup.copies)
+        dup.split(c0)
+    assert state == (dup.succ, dup.preds, dup.copies, dup.base, dup.label)
 
 
 def outcome(f, *args, **kwargs):
