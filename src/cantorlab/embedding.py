@@ -8,8 +8,6 @@ them build_scheme grows the level-by-level cell system whose nested chains
 evaluate a point embedding.
 """
 
-import functools
-
 from .approximation import detect_L_n, run
 from .config import DEFAULT, Budgets
 from .cylinders import LazyPoint, SymbolicClopen, atom_const, FULL_SPACE
@@ -417,58 +415,34 @@ def _point_avoiding(cell: SymbolicClopen, placed) -> LazyPoint:
     return w.with_bits(bits)
 
 
-_UNCHANGED = object()
+def _split_recut(dup, vp, disj, cells, ubase, preimage, recuts):
+    """Split the copy vp of the engine `dup` and give the fresh copies cells.
 
-
-def _settle(cells, dup, depth, ubase, preimage, changed, recuts):
-    """Restore exact images after a batch of cells moved.
-
-    `cells` and `changed` are keyed by the copy ids of the engine `dup`;
-    `changed` maps the moved copies to their new cells, already exact along
-    their own chain.  Every copy whose chain passes through a moved copy is
-    recut against its successor, by the chain depth of its base from the
-    maxima down, so every successor is settled first; a cut equal to the old
-    cell (a cut lies inside the old cell, so normal-form equality decides it)
-    keeps the old object so the cascade dies out.
+    `cells` is keyed by copy id.  vp's fresh copies take the cells `disj`,
+    one each; every other fresh copy of vp's cone is cut to its old cell
+    intersected with the preimage of its successor's cell.  split returns
+    each cone copy after its successor, so that cell is already final.
 
     A recut is a function of the strength, the old cell and the successor's
     cell alone, and equal clopen sets have equal normal forms, so `recuts`
-    memoizes it under that triple: the new cut, or _UNCHANGED.  `preimage`
-    is the instance's, memoized the same way by the caller.
+    memoizes it under that triple; `preimage` is the instance's.
     """
-    succ, preds, base = dup.succ, dup.preds, dup.base
-    affected = set(changed)
-    stack = list(changed)
-    while stack:
-        w = stack.pop()
-        for p in preds.get(w, ()):
-            if p not in affected:
-                affected.add(p)
-                stack.append(p)
-    really = set()
-    for w in sorted(affected, key=lambda w: depth[base[w]]):
-        if w in changed:
-            cells[w] = changed[w]
-            really.add(w)
+    for old, fresh in dup.split(vp):
+        old_cell = cells.pop(old)
+        if old == vp:
+            cells.update(zip(fresh, disj))
             continue
-        nxt = succ[w]
-        if nxt not in really:
-            continue
-        old = cells[w]
-        n, target = ubase[base[w]], cells[nxt]
-        key = (n, old, target)
-        cut = recuts.get(key)
-        if cut is None:
-            cut = old.intersect(preimage(n, target))
-            if cut.is_empty():
-                raise EmptyRefinement(f"settling emptied the cell at a copy of {base[w]!r}")
-            if cut == old:
-                cut = _UNCHANGED
-            recuts[key] = cut
-        if cut is _UNCHANGED:
-            continue
-        cells[w] = cut
-        really.add(w)
+        x = dup.base[old]
+        n = ubase[x]
+        for new in fresh:
+            key = (n, old_cell, cells[dup.succ[new]])
+            cut = recuts.get(key)
+            if cut is None:
+                cut = old_cell.intersect(preimage(n, key[2]))
+                if cut.is_empty():
+                    raise EmptyRefinement(f"the recut emptied the cell at a copy of {x!r}")
+                recuts[key] = cut
+            cells[new] = cut
 
 
 def shrink_47(assignment: MappingTupleAssignment, d: int):
@@ -477,14 +451,28 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
 
     The construction follows the full copy-splitting argument: vertices are
     processed by chain depth, read off one successor table; each non-maximal
-    vertex's labeled copies are split into |X| fresh copies around distinct
-    preimages of a common target point, the shared image shrink is pushed up
-    the chain, and exactness is restored below.  The copies and their edges
+    copy vp is split into |X| fresh copies around distinct preimages of a
+    common target point, and every other fresh copy in vp's cone is recut to
+    the preimage of its successor's new cell.  The copies and their edges
     are kept by the duplication engine, orientedgraphs.Duplication, which
     also enforces the cap.  A branch of copies is then chosen point by point,
     from the maxima down, so that every chosen cell avoids all previously
     placed points; separating neighbourhoods around the chosen points and a
     final chain refinement give the result.
+
+    The split never has to shrink the cell of vp's successor s, because
+    images stay exact throughout:
+    - the input has contained images, so refine_45 leaves exact ones, and
+      image(cells[vp]) == cells[s] for the first split;
+    - pick_distinct_preimages makes the |X| points differ only at
+      coordinates that are free in cells[vp], linked to no other coordinate,
+      and unread by map u(vp), and _separators(pts, 0) pins only those, so
+      every fresh cell of vp has the whole image of cells[vp], which is
+      cells[s] again;
+    - a recut cone copy keeps an exact image: its old cell A has image f(A)
+      containing its successor's new cell B, and f(A & f^-1(B)) is
+      f(A) & B = B.  Copies outside the cone keep their cells and
+      successors, so the next split starts from exact images too.
     """
     if d < 0:
         raise InvalidArgument("diameter exponent must be a natural number")
@@ -502,40 +490,18 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     dup = Duplication(G, order, budgets)
     cells = {}
     recuts = {}
-    image = functools.cache(inst.image)
-    preimage = functools.cache(inst.preimage)
     for v in G.vertices:
         (c,) = dup.copies[v]
         cells[c] = seed.V[v]
 
     for top in order[dup.first :]:
         for vp in sorted(dup.copies[top], key=dup.label.__getitem__):
-            s = dup.succ[vp]
-            target, pts = inst.pick_distinct_preimages(u[top], cells[vp], L)
+            _, pts = inst.pick_distinct_preimages(u[top], cells[vp], L)
             pins = _separators(pts, 0)
             disj = [
                 inst.cell_pinned(cells[vp], p, pn) for p, pn in zip(pts, pins)
             ]
-            shrunk = cells[s]
-            for c in disj:
-                shrunk = shrunk.intersect(image(u[top], c))
-            if shrunk.is_empty():
-                raise EmptyRefinement("the preimage cells share no image")
-            changed = {}
-            cur, val = s, shrunk
-            while True:
-                changed[cur] = val
-                nxt = dup.succ.get(cur)
-                if nxt is None:
-                    break
-                val = image(u[dup.base[cur]], val)
-                cur = nxt
-
-            for old, fresh in dup.split(vp):
-                old_cell = cells.pop(old)
-                for j, new in enumerate(fresh):
-                    cells[new] = disj[j] if old == vp else old_cell
-            _settle(cells, dup, depth, u, preimage, changed, recuts)
+            _split_recut(dup, vp, disj, cells, u, inst.preimage, recuts)
 
     # choose one copy per vertex, from the maxima down, avoiding placed points
     chosen = {}
@@ -576,7 +542,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     for v in sorted(order, key=lambda t: distance.get(t, 1)):
         cell = O[v]
         for y in table.preds.get(v, ()):
-            cell = cell.intersect(image(u[y], U[y]))
+            cell = cell.intersect(inst.image(u[y], U[y]))
         if cell.is_empty():
             raise EmptyRefinement(f"predecessor images emptied the cell at {v!r}")
         if not cell.contains(zpt[v]):

@@ -2,6 +2,7 @@
 the clopen transport oracle, randomized postcondition suites for the
 splitting construction, and the level scheme checked against hand traces."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -41,7 +42,14 @@ from cantorlab.embedding import (
     scheme_state_json,
     shrink_47,
 )
-from cantorlab.embedding import _chain_cut, _chain_table, _meeting_pairs, _separators, _settle
+from cantorlab.embedding import (
+    _chain_cut,
+    _chain_table,
+    _meeting_pairs,
+    _point_avoiding,
+    _separators,
+    _split_recut,
+)
 from cantorlab.errors import (
     CapExceeded,
     EmptyRefinement,
@@ -406,6 +414,181 @@ def test_shrink_47_postconditions(seed, d):
     check_shrink_postconditions(random_in_u(random.Random(seed)), d)
 
 
+# the splitting construction as it stood before the split-local recut: the
+# oracle for shrink_47
+
+REF_UNCHANGED = object()
+
+
+def ref_settle(cells, dup, depth, ubase, preimage, changed, recuts):
+    """Restore exact images after a batch of cells moved.
+
+    `cells` and `changed` are keyed by the copy ids of the engine `dup`;
+    `changed` maps the moved copies to their new cells, already exact along
+    their own chain.  Every copy whose chain passes through a moved copy is
+    recut against its successor, by the chain depth of its base from the
+    maxima down, so every successor is settled first; a cut equal to the old
+    cell (a cut lies inside the old cell, so normal-form equality decides it)
+    keeps the old object so the cascade dies out.
+
+    A recut is a function of the strength, the old cell and the successor's
+    cell alone, and equal clopen sets have equal normal forms, so `recuts`
+    memoizes it under that triple: the new cut, or REF_UNCHANGED.  `preimage`
+    is the instance's, memoized the same way by the caller.
+    """
+    succ, preds, base = dup.succ, dup.preds, dup.base
+    affected = set(changed)
+    stack = list(changed)
+    while stack:
+        w = stack.pop()
+        for p in preds.get(w, ()):
+            if p not in affected:
+                affected.add(p)
+                stack.append(p)
+    really = set()
+    for w in sorted(affected, key=lambda w: depth[base[w]]):
+        if w in changed:
+            cells[w] = changed[w]
+            really.add(w)
+            continue
+        nxt = succ[w]
+        if nxt not in really:
+            continue
+        old = cells[w]
+        n, target = ubase[base[w]], cells[nxt]
+        key = (n, old, target)
+        cut = recuts.get(key)
+        if cut is None:
+            cut = old.intersect(preimage(n, target))
+            if cut.is_empty():
+                raise EmptyRefinement(f"settling emptied the cell at a copy of {base[w]!r}")
+            if cut == old:
+                cut = REF_UNCHANGED
+            recuts[key] = cut
+        if cut is REF_UNCHANGED:
+            continue
+        cells[w] = cut
+        really.add(w)
+
+
+def ref_shrink_47(assignment: MappingTupleAssignment, d: int):
+    """The splitting construction before the split-local recut, kept as the
+    oracle: it shrinks the successor to the shared image of the split cells,
+    pushes that up the chain, and settles every copy below by chain depth."""
+    if d < 0:
+        raise InvalidArgument("diameter exponent must be a natural number")
+    G = assignment.graph
+    inst = assignment.instance
+    budgets = inst.budgets
+    u = assignment.u
+    table, depth = _chain_table(G)
+    order = sorted(G.vertices, key=lambda t: (depth[t], repr(t)))
+    L = len(order)
+    if L == 0:
+        return assignment
+    seed = refine_45(assignment)
+
+    dup = Duplication(G, order, budgets)
+    cells = {}
+    recuts = {}
+    image = functools.cache(inst.image)
+    preimage = functools.cache(inst.preimage)
+    for v in G.vertices:
+        (c,) = dup.copies[v]
+        cells[c] = seed.V[v]
+
+    for top in order[dup.first :]:
+        for vp in sorted(dup.copies[top], key=dup.label.__getitem__):
+            s = dup.succ[vp]
+            _, pts = inst.pick_distinct_preimages(u[top], cells[vp], L)
+            pins = _separators(pts, 0)
+            disj = [
+                inst.cell_pinned(cells[vp], p, pn) for p, pn in zip(pts, pins)
+            ]
+            shrunk = cells[s]
+            for c in disj:
+                shrunk = shrunk.intersect(image(u[top], c))
+            if shrunk.is_empty():
+                raise EmptyRefinement("the preimage cells share no image")
+            changed = {}
+            cur, val = s, shrunk
+            while True:
+                changed[cur] = val
+                nxt = dup.succ.get(cur)
+                if nxt is None:
+                    break
+                val = image(u[dup.base[cur]], val)
+                cur = nxt
+
+            for old, fresh in dup.split(vp):
+                old_cell = cells.pop(old)
+                for j, new in enumerate(fresh):
+                    cells[new] = disj[j] if old == vp else old_cell
+            ref_settle(cells, dup, depth, u, preimage, changed, recuts)
+
+    # choose one copy per vertex, from the maxima down, avoiding placed points
+    chosen = {}
+    zpt = {}
+    placed = []
+    for v in order:
+        nxt = table.succ.get(v)
+        if nxt is None:
+            (c,) = dup.copies[v]
+            z = _point_avoiding(cells[c], placed)
+        else:
+            sv = chosen[nxt]
+            cands = sorted(
+                (p for p in dup.preds[sv] if dup.base[p] == v), key=dup.label.__getitem__
+            )
+            c = None
+            for cand in cands:
+                cc = cells[cand]
+                if all(not cc.contains(q) for q in placed):
+                    c = cand
+                    break
+            if c is None:
+                raise InvalidArgument("copy selection exhausted; splitting broken")
+            z = inst.point_preimage(u[v], cells[c], zpt[nxt])
+        chosen[v] = c
+        zpt[v] = z
+        placed.append(z)
+
+    pins = _separators([zpt[v] for v in order], d)
+    O = {
+        v: inst.cell_pinned(cells[chosen[v]], zpt[v], pn)
+        for v, pn in zip(order, pins)
+    }
+
+    # a vertex's predecessors sit at smaller distances, so they are done
+    distance = table.distances()
+    U = {}
+    for v in sorted(order, key=lambda t: distance.get(t, 1)):
+        cell = O[v]
+        for y in table.preds.get(v, ()):
+            cell = cell.intersect(image(u[y], U[y]))
+        if cell.is_empty():
+            raise EmptyRefinement(f"predecessor images emptied the cell at {v!r}")
+        if not cell.contains(zpt[v]):
+            raise InvariantBroken(f"the refined cell at {v!r} lost its chosen point")
+        U[v] = cell
+    return refine_45(MappingTupleAssignment(G, inst, u, U))
+
+
+def test_shrink_47_matches_the_settling_oracle():
+    """The split-local recut gives the cells of the construction that
+    shrank each successor to the shared image and settled every copy: on the
+    hand-traced edge and on 800 random contained-image inputs.  A difference
+    would mean the shared-image shrink can change a cell after all."""
+    edge = MappingTupleAssignment(
+        edge_graph(), INST, {"a": 0, "b": 0}, {"a": cylinder("00"), "b": cylinder("01")}
+    )
+    cases = [(edge, 2)] + [
+        (random_in_u(random.Random(seed)), d) for seed in range(400) for d in (3, 5)
+    ]
+    for asg, d in cases:
+        assert shrink_47(asg, d).V == ref_shrink_47(asg, d).V
+
+
 # ---------------------------------------------------------------------------
 # separators: the pairwise scan, one per pair, is the oracle for the trie split
 
@@ -708,9 +891,26 @@ def test_build_scheme_frozen_depth_ten():
     )
 
 
+def test_build_scheme_frozen_depth_eleven():
+    """The depth-11 scheme, pinned like depth 9 above; the digest is that of
+    the `build-h --depth 11` report's cells."""
+    states = build_scheme(INST, 11)
+    assert [len(st_.cells) for st_ in states] == [
+        1, 2, 4, 7, 13, 25, 50, 98, 196, 388, 776, 1544
+    ]
+    assert states[-1].phi == {0: 0, 1: 1}
+    assert check_scheme_conditions(states, INST).violations == []
+    cells = [scheme_state_json(st_)["cells"] for st_ in states]
+    blob = json.dumps(cells, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "41d91795d21d1b687cb2dafdc245035c0cd5d2982f2c2b9ebacddf8314b71633"
+    )
+
+
 def test_build_scheme_memoizes_images(monkeypatch):
-    """shrink_47 asks for each distinct image once: depth 7 asks the instance
-    for at most 700 images (1,122 with a fresh image per call)."""
+    """shrink_47 takes no image while it splits: depth 7 asks the instance
+    for 64 images, so the bound of 100 fails if a shrink to the split
+    cells' shared image comes back (that asked for 484)."""
     calls = []
     real = CantorInstance.image
 
@@ -720,12 +920,13 @@ def test_build_scheme_memoizes_images(monkeypatch):
 
     monkeypatch.setattr(CantorInstance, "image", counted)
     build_scheme(INST, 7)
-    assert len(calls) <= 700
+    assert len(calls) <= 100
 
 
 def test_build_scheme_memoizes_preimages(monkeypatch):
-    """Settling reuses its recuts and preimages: depth 7 asks the instance
-    for at most 1,000 preimages (6,762 with a fresh preimage per recut)."""
+    """Depth 7 asks the instance for 126 preimages, within the bound of
+    1,000: no split there has a cone below the split copy, so shrink_47
+    recuts nothing, and every preimage is asked for by a chain cut."""
     calls = []
     real = CantorInstance.preimage
 
@@ -901,7 +1102,7 @@ def test_chain_cut_reads_its_memo_in_any_vertex_order():
 
 
 def test_build_scheme_orders_copies_without_repr_or_M_of(monkeypatch):
-    """The splitting construction reads its settle order and its final cut
+    """The splitting construction reads its vertex order and its final cut
     order off the successor table, and keys its copies by integer id: with
     LabeledVertex construction and __repr__ and M_of raising, depth 7 builds
     the same cells."""
@@ -916,25 +1117,31 @@ def test_build_scheme_orders_copies_without_repr_or_M_of(monkeypatch):
     assert [st_.cells for st_ in build_scheme(INST, 7)] == want
 
 
-def test_settle_recuts_every_copy_against_a_settled_successor():
-    """After a split, shrinking the maximum's cell recuts both copy layers
-    below it, and each recut copy ends inside the preimage of its
-    successor's final cell: the successors were settled first."""
+def test_split_recut_cuts_every_cone_copy_against_its_successors_final_cell():
+    """Splitting the middle copy of the chain a -> b -> c around three
+    distinct preimages recuts the three fresh copies of a: each really cuts,
+    ends inside the preimage of its successor's final cell, and keeps an
+    exact image; the split copies keep the whole image of b's cell, and c
+    keeps its cell."""
     G = FiniteOrientedGraph("abc", {("a", "b"), ("b", "c")})
     u = {"a": 1, "b": 0, "c": 0}
     Va = domain_D(MapId(1, 1))
     Vb = INST.image(1, Va)
     V = {"a": Va, "b": Vb, "c": INST.image(0, Vb)}
-    _, depth = _chain_table(G)
     dup = Duplication(G, "cba")
-    (b0,) = dup.copies["b"]
-    dup.split(b0)
     cells = {c: V[dup.base[c]] for c in dup.preds}
+    (b0,) = dup.copies["b"]
+    _, pts = INST.pick_distinct_preimages(u["b"], Vb, 3)
+    disj = [INST.cell_pinned(Vb, p, pn) for p, pn in zip(pts, _separators(pts, 0))]
+    _split_recut(dup, b0, disj, cells, u, INST.preimage, {})
+    assert set(cells) == set(dup.preds)
+    assert [cells[w] for w in sorted(dup.copies["b"])] == disj
+    assert all(INST.image(u["b"], cell) == V["c"] for cell in disj)
     (c0,) = dup.copies["c"]
-    changed = {c0: V["c"].with_atoms([atom_const(5, 0)])}
-    _settle(cells, dup, depth, u, INST.preimage, changed, {})
-    recut = [w for w in dup.preds if w != c0]
-    assert sorted(dup.base[w] for w in recut) == ["a"] * 3 + ["b"] * 3
+    assert cells[c0] == V["c"]
+    recut = sorted(dup.copies["a"])
+    assert len(recut) == 3
     for w in recut:
-        assert cells[w] != V[dup.base[w]]
-        assert cells[w].subset(INST.preimage(u[dup.base[w]], cells[dup.succ[w]]))
+        assert cells[w] != Va
+        assert cells[w].subset(INST.preimage(u["a"], cells[dup.succ[w]]))
+        assert INST.image(u["a"], cells[w]) == cells[dup.succ[w]]
