@@ -16,11 +16,13 @@ class with a parity, and a union relabels the smaller class into the larger
 (weighted union with parity, Tarjan 1975).  intersect returns an operand
 that lies inside the other; otherwise it and with_atoms start from an
 operand's normalized classes and merge in only the other constraints.
+pinned copies the normal form when the pins only add constant classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import EmptySet, InvalidArgument
 from .sequences import BinWord, code_bit, code_is_prefix
@@ -304,6 +306,32 @@ class SymbolicClopen:
 
     def with_atoms(self, extra) -> "SymbolicClopen":
         return SymbolicClopen(self, extra)
+
+    def pinned(self, bits) -> "SymbolicClopen":
+        """The subset with bit(c) = v for each c -> v of the mapping `bits`.
+
+        A coordinate past the one right after the base, in no class, becomes
+        a constant class of its own: no union and no fold into the base.
+        When every pin is such a coordinate, the normal form is copied, the
+        constants added and the atoms merged in coordinate order (no old
+        atom starts at a pinned coordinate, so a stable sort by first
+        coordinate is the merge).  Any other pin goes through with_atoms.
+        """
+        blen, link = len(self.base), self._link
+        if self.empty or any(c <= blen or c in link for c in bits):
+            return self.with_atoms([atom_const(c, v) for c, v in bits.items()])
+        out = object.__new__(SymbolicClopen)
+        out.base, out.empty = self.base, False
+        out._link = dict(link)
+        out._const = dict(self._const)
+        extra = []
+        for c, v in bits.items():
+            out._link[c] = (c, 0)
+            out._const[c] = v & 1
+            extra.append(("const", c, v & 1))
+        out._atoms = tuple(sorted(self._atoms + tuple(extra), key=itemgetter(1)))
+        out._hash = hash((False, self.base.code, out._atoms))
+        return out
 
     def intersect(self, other: "SymbolicClopen") -> "SymbolicClopen":
         if self.empty:

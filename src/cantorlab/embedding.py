@@ -10,7 +10,7 @@ evaluate a point embedding.
 
 from .approximation import detect_L_n, run
 from .config import DEFAULT, Budgets
-from .cylinders import LazyPoint, SymbolicClopen, atom_const, FULL_SPACE
+from .cylinders import LazyPoint, SymbolicClopen, FULL_SPACE
 from .errors import (
     CapExceeded,
     EmptyRefinement,
@@ -92,25 +92,24 @@ class CantorInstance:
     def preimage(self, n, C) -> SymbolicClopen:
         return preimage_clopen(self._ident(n), C, self.budgets)
 
-    def pick_distinct_preimages(self, n, C, count):
-        """A target with `count` preimages in C, pairwise split at free
-        coordinates the map never reads, so all share the same image point.
+    def _split_coords(self, n, C, count):
+        """The coordinates that split `count` preimages in C under map n.
 
-        Stride coordinates of the materializable maps are skipped even when
-        free and unread: leaving them untouched keeps every later pairing
-        stage satisfiable.
+        They are the first (count - 1).bit_length() coordinates, in
+        increasing order, that are free in C cut to the map's domain, in no
+        class of it, unread by map n and not a stride coordinate of the
+        materializable maps: leaving those untouched keeps every later
+        pairing stage satisfiable.  Returns the cut cell and the coordinates.
         """
         if count < 1:
             raise InvalidArgument("count must be positive")
         b = self.budgets
-        ident = self._ident(n)
-        C1 = C.intersect(domain_D(ident))
+        C1 = C.intersect(domain_D(self._ident(n)))
         if C1.is_empty():
             raise EmptySet("the cell misses the map's domain")
         if count > b.duplication_cap:
             raise CapExceeded(f"{count} preimages exceed the cap {b.duplication_cap}")
         need = (count - 1).bit_length()
-        w = C1.witness_point()
         linked = set(C1.constrained_coords())
         avoid = _stride_coords()
         coords = []
@@ -128,11 +127,30 @@ class CantorInstance:
             ):
                 coords.append(c)
             c += 1
-        pts = []
-        for j in range(count):
-            bits = {coords[t]: (j >> t) & 1 for t in range(need)}
-            pts.append(w.with_bits(bits))
-        return g_point(ident, pts[0], b), pts
+        return C1, coords
+
+    def pick_distinct_preimages(self, n, C, count):
+        """A target with `count` preimages in C, pairwise split at free
+        coordinates the map never reads, so all share the same image point.
+
+        Point j is a witness of C within the map's domain with bit t of j
+        at the t-th coordinate of _split_coords: the points count in binary
+        there.
+        """
+        C1, coords = self._split_coords(n, C, count)
+        w = C1.witness_point()
+        pts = [w.with_bits({c: (j >> t) & 1 for t, c in enumerate(coords)}) for j in range(count)]
+        return g_point(self._ident(n), pts[0], self.budgets), pts
+
+    def split_cells(self, n, C, count):
+        """Pairwise disjoint cells of C, one around each point that
+        pick_distinct_preimages(n, C, count) returns, each pinned at the
+        branch points of the points' binary trie (_counter_pins); neither
+        the witness nor the target is built."""
+        _, coords = self._split_coords(n, C, count)
+        return [
+            self.cell_pinned(C, LazyPoint(pins), pins) for pins in _counter_pins(coords, count)
+        ]
 
     def point_preimage(self, n, C, target) -> LazyPoint:
         """A point of C mapping exactly to `target` under map n.
@@ -183,15 +201,15 @@ class CantorInstance:
         (a later pairing stage must still find room at the coordinate its
         map forces).
         """
-        atoms = []
+        bits = {}
         for i in sorted(set(coords)):
             bit = p.eval(i)
             f = C.forced(i)
             if f is None:
-                atoms.append(atom_const(i, bit))
+                bits[i] = bit
             elif f != bit:
                 raise InvalidArgument("the point is not in the cell")
-        out = C.with_atoms(atoms)
+        out = C.pinned(bits)
         if out.is_empty():
             raise InvalidArgument("the point is not in the cell")
         return out
@@ -394,6 +412,19 @@ def _separators(points, d):
     return pins
 
 
+def _counter_pins(coords, count):
+    """_separators(points, 0) as each point's pinned bits, for `count`
+    points that count in binary on the increasing coordinates `coords`
+    (point j has bit t of j at coords[t]) and agree elsewhere: point j pins
+    coords[t] when (j mod 2^t) + 2^t < count.  shrink_47's docstring argues
+    why those are the branch points of the points' binary trie.
+    """
+    return [
+        {c: (j >> t) & 1 for t, c in enumerate(coords) if (j & ((1 << t) - 1)) + (1 << t) < count}
+        for j in range(count)
+    ]
+
+
 def _point_avoiding(cell: SymbolicClopen, placed) -> LazyPoint:
     """A member of the cell that differs from every listed point the cell
     contains, built by flipping one fresh free coordinate per such point."""
@@ -464,15 +495,31 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     images stay exact throughout:
     - the input has contained images, so refine_45 leaves exact ones, and
       image(cells[vp]) == cells[s] for the first split;
-    - pick_distinct_preimages makes the |X| points differ only at
+    - the |X| points of pick_distinct_preimages differ only at
       coordinates that are free in cells[vp], linked to no other coordinate,
-      and unread by map u(vp), and _separators(pts, 0) pins only those, so
-      every fresh cell of vp has the whole image of cells[vp], which is
-      cells[s] again;
+      and unread by map u(vp), and split_cells pins only those, so every
+      fresh cell of vp has the whole image of cells[vp], which is cells[s]
+      again;
     - a recut cone copy keeps an exact image: its old cell A has image f(A)
       containing its successor's new cell B, and f(A & f^-1(B)) is
       f(A) & B = B.  Copies outside the cone keep their cells and
       successors, so the next split starts from exact images too.
+
+    split_cells needs neither the points nor a scan of them.  The points
+    count in binary on the increasing coordinates c_0 < c_1 < ... that it
+    hunts, point j carrying bit t of j at c_t, and agree everywhere else.
+    So two points first differ at c_t for the lowest bit t where their
+    indices differ, and the branch points of their binary trie, which are
+    what _separators(points, 0) pins, are among the c_t.  The trie group
+    that reaches c_t with point j holds the indices below |X| that share
+    j's low t bits, r + m 2^t for r = j mod 2^t and m = 0, 1, ...; it meets
+    bit 0 at c_t in r and bit 1 exactly when it holds r + 2^t.  So j is
+    pinned at c_t exactly when r + 2^t < |X| (_counter_pins).
+
+    The split cells are a function of the strength and vp's cell alone (|X|
+    is fixed within the call), and equal cells have equal normal forms, so
+    `splits` builds them once per distinct pair and copies with equal
+    inputs share one list, as `recuts` shares the recuts.
     """
     if d < 0:
         raise InvalidArgument("diameter exponent must be a natural number")
@@ -490,17 +537,18 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     dup = Duplication(G, order, budgets)
     cells = {}
     recuts = {}
+    splits = {}
     for v in G.vertices:
         (c,) = dup.copies[v]
         cells[c] = seed.V[v]
 
     for top in order[dup.first :]:
+        n = u[top]
         for vp in sorted(dup.copies[top], key=dup.label.__getitem__):
-            _, pts = inst.pick_distinct_preimages(u[top], cells[vp], L)
-            pins = _separators(pts, 0)
-            disj = [
-                inst.cell_pinned(cells[vp], p, pn) for p, pn in zip(pts, pins)
-            ]
+            cell = cells[vp]
+            disj = splits.get((n, cell))
+            if disj is None:
+                disj = splits[n, cell] = inst.split_cells(n, cell, L)
             _split_recut(dup, vp, disj, cells, u, inst.preimage, recuts)
 
     # choose one copy per vertex, from the maxima down, avoiding placed points

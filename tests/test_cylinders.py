@@ -569,8 +569,10 @@ def test_intersect_returns_an_operand_inside_the_other_exhaustive():
 
 
 def test_build_scheme_skips_intersections_equal_to_an_operand(monkeypatch):
-    """The depth-7 scheme builds at most 2,671 clopen sets (5,121 when every
-    intersection was rebuilt, even one equal to an operand)."""
+    """The depth-7 scheme runs the clopen constructor at most 798 times
+    (5,121 when every intersection was rebuilt, even one equal to an
+    operand; 1,810 when each split copy built its own split cells, each
+    through the constructor)."""
     built = []
     real = SymbolicClopen.__init__
 
@@ -580,4 +582,87 @@ def test_build_scheme_skips_intersections_equal_to_an_operand(monkeypatch):
 
     monkeypatch.setattr(SymbolicClopen, "__init__", counted)
     build_scheme(CantorInstance(), 7)
-    assert len(built) <= 2671
+    assert len(built) <= 798
+
+
+# ---------------------------------------------------------------------------
+# pinned: the copy of the normal form against with_atoms
+
+
+def assert_same_construction(got, want):
+    """Equal normal form down to the link and constant tables and the hash."""
+    assert got.empty == want.empty
+    assert got.base == want.base
+    assert got._link == want._link
+    assert got._const == want._const
+    assert got._atoms == want._atoms
+    assert hash(got) == hash(want)
+    assert got.render() == want.render()
+
+
+def pin_atoms(bits):
+    return [atom_const(c, v) for c, v in bits.items()]
+
+
+pins_st = st.dictionaries(st.integers(min_value=0, max_value=12), st.integers(0, 1), max_size=4)
+
+
+@given(clopen_raw_st, pins_st)
+@settings(max_examples=400)
+def test_pinned_matches_with_atoms(raw, bits):
+    C = SymbolicClopen(*raw)
+    assert_same_construction(C.pinned(bits), C.with_atoms(pin_atoms(bits)))
+
+
+def counted_constructions(monkeypatch):
+    built = []
+    real = SymbolicClopen.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SymbolicClopen, "__init__", counted)
+    return built
+
+
+def test_pinned_copies_only_past_the_base_fold_and_outside_every_class(monkeypatch):
+    """Pins past the coordinate right after the base and in no class are a
+    copy with no constructor call; a pin at that coordinate (it folds into
+    the base), inside the base, on a linked or on a forced coordinate goes
+    through with_atoms, and each gives with_atoms' normal form."""
+    C = SymbolicClopen("01", [atom_ne(4, 6), atom_const(8, 1)])
+    fast = {3: 1, 9: 0, 5: 1}
+    slow = [{2: 1}, {2: 0, 9: 1}, {1: 1}, {4: 0}, {6: 1, 9: 0}, {8: 1}, {8: 0}]
+    want = {}
+    for bits in [fast] + slow:
+        want[tuple(bits.items())] = C.with_atoms(pin_atoms(bits))
+    built = counted_constructions(monkeypatch)
+    assert_same_construction(C.pinned(fast), want[tuple(fast.items())])
+    assert built == []
+    for bits in slow:
+        before = len(built)
+        assert_same_construction(C.pinned(bits), want[tuple(bits.items())])
+        assert len(built) > before, bits
+    assert str(C.pinned({2: 1}).base) == "011"
+    assert C.pinned({8: 0}).empty
+    assert EMPTY_SET.pinned({5: 1}).empty
+
+
+def test_cell_pinned_and_cell_around_match_with_atoms():
+    """cell_pinned and cell_around, which pin through pinned, give the cell
+    with_atoms builds from the point's bits at the unforced coordinates."""
+    inst = CantorInstance()
+    cells = [
+        SymbolicClopen("01", [atom_ne(4, 6), atom_const(8, 1)]),
+        SymbolicClopen("", [atom_eq(3, 7)]),
+        cylinder("0010"),
+    ]
+    for C in cells:
+        p = C.witness_point()
+        for coords in ([5, 9, 11], [3, 10], [len(C.base)], [len(C.base) + 1, 20], range(6)):
+            bits = {i: p.eval(i) for i in coords if C.forced(i) is None}
+            assert_same_construction(inst.cell_pinned(C, p, coords), C.with_atoms(pin_atoms(bits)))
+        for d in range(12):
+            bits = {i: p.eval(i) for i in range(d) if C.forced(i) is None}
+            assert_same_construction(inst.cell_around(C, p, d), C.with_atoms(pin_atoms(bits)))

@@ -45,6 +45,7 @@ from cantorlab.embedding import (
 from cantorlab.embedding import (
     _chain_cut,
     _chain_table,
+    _counter_pins,
     _meeting_pairs,
     _point_avoiding,
     _separators,
@@ -664,6 +665,120 @@ def test_separators_need_a_difference_below_the_probe_budget(probe):
     assert _separators([p, r], 2) == [{0, 1}, {0, 1}]
     assert _separators([q], 3) == [{0, 1, 2}]
     assert _separators([], 3) == []
+
+
+SPLIT_INPUTS = [
+    (0, cylinder("00")),
+    (1, domain_D(MapId(1, 1))),
+    (0, cylinder("00").with_atoms([atom_ne(5, 9), atom_const(7, 1)])),
+    (1, domain_D(MapId(1, 1)).with_atoms([atom_eq(3, 6), atom_const(9, 0)])),
+]
+
+
+def test_counter_pins_match_the_trie_scan_on_split_points():
+    """For every count from 1 to 64, the closed-form pins on the coordinates
+    of _split_coords are the pins _separators(points, 0) finds on the points
+    pick_distinct_preimages returns, with those points' bits."""
+    for n, C in SPLIT_INPUTS:
+        for count in range(1, 65):
+            _, coords = INST._split_coords(n, C, count)
+            _, pts = INST.pick_distinct_preimages(n, C, count)
+            pins = _counter_pins(coords, count)
+            assert [set(pn) for pn in pins] == _separators(pts, 0), (n, C, count)
+            for p, pn in zip(pts, pins):
+                assert all(p.eval(c) == bit for c, bit in pn.items())
+
+
+def test_counter_pins_match_the_trie_scan_on_synthetic_counters():
+    """Points that count in binary on random increasing coordinates, over a
+    random common point: for every count from 1 to 64 the closed form pins
+    what _separators(points, 0) pins.  Coordinates past the counter's top
+    bit carry bit 0 in every point and are never pinned."""
+    rng = random.Random(22)
+    for count in range(1, 65):
+        for _ in range(3):
+            k = (count - 1).bit_length() + rng.randrange(3)
+            coords = sorted(rng.sample(range(120), k))
+            explicit = {c: rng.randrange(2) for c in rng.sample(range(130), 20)}
+            base = LazyPoint(explicit, rng.randrange(2))
+            pts = [
+                base.with_bits({c: (j >> t) & 1 for t, c in enumerate(coords)})
+                for j in range(count)
+            ]
+            pins = _counter_pins(coords, count)
+            assert [set(pn) for pn in pins] == _separators(pts, 0), (count, coords)
+            for p, pn in zip(pts, pins):
+                assert all(p.eval(c) == bit for c, bit in pn.items())
+
+
+def test_split_cells_are_the_cells_around_the_separated_preimages():
+    """split_cells gives the cells that cell_pinned builds around the points
+    of pick_distinct_preimages at their _separators(points, 0) pins."""
+    for n, C in SPLIT_INPUTS:
+        for count in (1, 2, 3, 5, 8, 13, 31):
+            _, pts = INST.pick_distinct_preimages(n, C, count)
+            want = [INST.cell_pinned(C, p, pn) for p, pn in zip(pts, _separators(pts, 0))]
+            got = INST.split_cells(n, C, count)
+            assert got == want
+            assert [c.render() for c in got] == [c.render() for c in want]
+
+
+def test_split_cells_keep_the_errors_of_pick_distinct_preimages():
+    with pytest.raises(InvalidArgument):
+        INST.split_cells(0, cylinder("00"), 0)
+    with pytest.raises(EmptySet):
+        INST.split_cells(0, cylinder("1"), 2)
+    with pytest.raises(CapExceeded):
+        INST.split_cells(0, cylinder("00"), 1 << 25)
+
+
+def test_shrink_47_splits_equal_cells_of_different_strengths_apart(monkeypatch):
+    """Two edges a -> b under map 0 and c -> d under map 1 with a and c on
+    the same cell: the two maps leave different coordinates unread, so the
+    split cells of a and c differ, and each is built for its own strength,
+    giving the oracle's cells."""
+    X = domain_D(MapId(1, 0)).intersect(domain_D(MapId(1, 1)))
+    assert INST.split_cells(0, X, 4) != INST.split_cells(1, X, 4)
+    G = FiniteOrientedGraph("abcd", {("a", "b"), ("c", "d")})
+    u = {"a": 0, "b": 0, "c": 1, "d": 0}
+    V = {"a": X, "b": INST.image(0, X), "c": X, "d": INST.image(1, X)}
+    asg = MappingTupleAssignment(G, INST, u, V)
+    calls = []
+    real = CantorInstance.split_cells
+
+    def split_cells(self, n, C, count):
+        calls.append(n)
+        return real(self, n, C, count)
+
+    monkeypatch.setattr(CantorInstance, "split_cells", split_cells)
+    got = shrink_47(asg, 3).V
+    assert sorted(calls) == [0, 1]
+    assert got == ref_shrink_47(asg, 3).V
+
+
+def test_build_scheme_builds_each_split_once_per_distinct_input(monkeypatch):
+    """Within one shrink_47 call the split cells are built once per
+    distinct (strength, cell): the depth-7 scheme builds 32 split lists
+    where building one per split copy made 63."""
+    calls = []
+    real_split = CantorInstance.split_cells
+    real_shrink = embedding_mod.shrink_47
+
+    def split_cells(self, n, C, count):
+        calls[-1].append((n, C, count))
+        return real_split(self, n, C, count)
+
+    def shrink(assignment, d):
+        calls.append([])
+        return real_shrink(assignment, d)
+
+    monkeypatch.setattr(CantorInstance, "split_cells", split_cells)
+    monkeypatch.setattr(embedding_mod, "shrink_47", shrink)
+    build_scheme(INST, 7)
+    for inputs in calls:
+        assert len(set(inputs)) == len(inputs)
+        assert len({count for _, _, count in inputs}) <= 1
+    assert sum(map(len, calls)) == 32
 
 
 # ---------------------------------------------------------------------------
