@@ -4,7 +4,9 @@ Each field has a caller that sets it:
 
 - `shift_base`, by scripts/resolve_shift_constant.py;
 - `max_words`, by `approx --max-words` and the stage suites;
-- `duplication_cap`, by `build-h --duplication-cap`.
+- `duplication_cap`, by `build-h --duplication-cap`.  It bounds the
+  labeled copies of `duplicate`; in the scheme, whose splitting makes no
+  copies, it bounds only the preimages of one split.
 
 Raising `max_words` or `duplication_cap` never changes a computed value, it
 only lets more of them be computed.  `shift_base` is mathematics, not a
@@ -31,7 +33,8 @@ class Budgets:
     shift_base: int = 8
 
     # Guard for the labeled-duplication construction: the total number of labeled
-    # copies, sum over vertices of |X|**(|p_x|-1), must stay under this.
+    # copies, sum over vertices of |X|**(|p_x|-1), must stay under this.  The
+    # splitting construction reads it as the cap on one split's preimages.
     duplication_cap: int = 200_000
 
 

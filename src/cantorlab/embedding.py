@@ -24,7 +24,6 @@ from .errors import (
 from .maps import POINT_PROBE_BITS, MapId, _read_inverse, domain_D, g_point, image_clopen, preimage_clopen
 from .orientedgraphs import (
     CheckReport,
-    Duplication,
     FiniteOrientedGraph,
     SuccessorTable,
     components,
@@ -446,64 +445,50 @@ def _point_avoiding(cell: SymbolicClopen, placed) -> LazyPoint:
     return w.with_bits(bits)
 
 
-def _split_recut(dup, vp, disj, cells, ubase, preimage, recuts):
-    """Split the copy vp of the engine `dup` and give the fresh copies cells.
-
-    `cells` is keyed by copy id.  vp's fresh copies take the cells `disj`,
-    one each; every other fresh copy of vp's cone is cut to its old cell
-    intersected with the preimage of its successor's cell.  split returns
-    each cone copy after its successor, so that cell is already final.
-
-    A recut is a function of the strength, the old cell and the successor's
-    cell alone, and equal clopen sets have equal normal forms, so `recuts`
-    memoizes it under that triple; `preimage` is the instance's.
-    """
-    for old, fresh in dup.split(vp):
-        old_cell = cells.pop(old)
-        if old == vp:
-            cells.update(zip(fresh, disj))
-            continue
-        x = dup.base[old]
-        n = ubase[x]
-        for new in fresh:
-            key = (n, old_cell, cells[dup.succ[new]])
-            cut = recuts.get(key)
-            if cut is None:
-                cut = old_cell.intersect(preimage(n, key[2]))
-                if cut.is_empty():
-                    raise EmptyRefinement(f"the recut emptied the cell at a copy of {x!r}")
-                recuts[key] = cut
-            cells[new] = cut
-
-
 def shrink_47(assignment: MappingTupleAssignment, d: int):
     """Shrink a contained-image assignment to exact images on pairwise
     disjoint cells of diameter at most 2^-d.
 
-    The construction follows the full copy-splitting argument: vertices are
-    processed by chain depth, read off one successor table; each non-maximal
-    copy vp is split into |X| fresh copies around distinct preimages of a
-    common target point, and every other fresh copy in vp's cone is recut to
-    the preimage of its successor's new cell.  The copies and their edges
-    are kept by the duplication engine, orientedgraphs.Duplication, which
-    also enforces the cap.  A branch of copies is then chosen point by point,
-    from the maxima down, so that every chosen cell avoids all previously
-    placed points; separating neighbourhoods around the chosen points and a
-    final chain refinement give the result.
+    The full copy-splitting construction processes the vertices by chain
+    depth, read off one successor table.  It splits each copy vp of a
+    non-maximal vertex into |X| fresh copies around distinct preimages of a
+    common target point, and cuts every other fresh copy of vp's cone to the
+    preimage of its successor's new cell.  Then it chooses one copy per
+    vertex, from the maxima down, whose cell holds no point placed so far.
+    Only that branch reaches the result, so this builds the branch alone, in
+    one walk of the order:
+    - a maximal vertex takes its refine_45 cell, seed(v);
+    - any other vertex v, with successor s, takes C = seed(v), cut to
+      f^-1(chosen cell of s) when s is not maximal (f is map u(v)), and then
+      the first cell of split_cells(u(v), C, |X|) that holds no placed point;
+    - v's point is a preimage of s's point in that cell.
+    Separating neighbourhoods around the chosen points and a final chain
+    refinement give the result.
 
-    The split never has to shrink the cell of vp's successor s, because
-    images stay exact throughout:
-    - the input has contained images, so refine_45 leaves exact ones, and
-      image(cells[vp]) == cells[s] for the first split;
+    The branch is the one the full construction chooses:
+    - a split's cone holds exactly the copies whose chain passes through
+      the split copy, so v's copies are recut only at splits on v's own
+      chain;
+    - each recut gives old & f^-1(cell of the successor copy), and a
+      successor copy's cell only shrinks, so every copy of v with successor
+      copy s' has the cell seed(v) & f^-1(cell(s')); equal sets have equal
+      normal forms, so the two cells are the same value;
+    - the cell of s' is final when s' is made, because no later split's
+      cone holds s's base;
+    - the copies of v under s' are the |X| fresh copies of one split of v,
+      in label order, and they carry split_cells(u(v), that cell, |X|);
+    - when s is maximal, refine_45 has already put seed(v) inside
+      f^-1(seed(s)), so the cut is skipped.
+
+    Images stay exact along the branch, so each chosen cell holds a
+    preimage of its successor's point:
+    - the input has contained images, so refine_45 leaves exact ones;
+    - s's chosen cell B lies in seed(s), which is f(seed(v)), so C has
+      the image f(seed(v)) & B = B;
     - the |X| points of pick_distinct_preimages differ only at
-      coordinates that are free in cells[vp], linked to no other coordinate,
-      and unread by map u(vp), and split_cells pins only those, so every
-      fresh cell of vp has the whole image of cells[vp], which is cells[s]
-      again;
-    - a recut cone copy keeps an exact image: its old cell A has image f(A)
-      containing its successor's new cell B, and f(A & f^-1(B)) is
-      f(A) & B = B.  Copies outside the cone keep their cells and
-      successors, so the next split starts from exact images too.
+      coordinates that are free in C, linked to no other coordinate, and
+      unread by map u(v), and split_cells pins only those, so every split
+      cell has the whole image of C, which is B again.
 
     split_cells needs neither the points nor a scan of them.  The points
     count in binary on the increasing coordinates c_0 < c_1 < ... that it
@@ -516,16 +501,14 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     bit 0 at c_t in r and bit 1 exactly when it holds r + 2^t.  So j is
     pinned at c_t exactly when r + 2^t < |X| (_counter_pins).
 
-    The split cells are a function of the strength and vp's cell alone (|X|
-    is fixed within the call), and equal cells have equal normal forms, so
-    `splits` builds them once per distinct pair and copies with equal
-    inputs share one list, as `recuts` shares the recuts.
+    The split cells are a function of the strength and C alone (|X| is
+    fixed within the call), and equal cells have equal normal forms, so
+    `splits` builds them once per distinct pair.
     """
     if d < 0:
         raise InvalidArgument("diameter exponent must be a natural number")
     G = assignment.graph
     inst = assignment.instance
-    budgets = inst.budgets
     u = assignment.u
     table, depth = _chain_table(G)
     order = sorted(G.vertices, key=lambda t: (depth[t], repr(t)))
@@ -534,55 +517,36 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
         return assignment
     seed = refine_45(assignment)
 
-    dup = Duplication(G, order, budgets)
-    cells = {}
-    recuts = {}
+    # one cell and one point per vertex, from the maxima down
     splits = {}
-    for v in G.vertices:
-        (c,) = dup.copies[v]
-        cells[c] = seed.V[v]
-
-    for top in order[dup.first :]:
-        n = u[top]
-        for vp in sorted(dup.copies[top], key=dup.label.__getitem__):
-            cell = cells[vp]
-            disj = splits.get((n, cell))
-            if disj is None:
-                disj = splits[n, cell] = inst.split_cells(n, cell, L)
-            _split_recut(dup, vp, disj, cells, u, inst.preimage, recuts)
-
-    # choose one copy per vertex, from the maxima down, avoiding placed points
     chosen = {}
     zpt = {}
     placed = []
     for v in order:
         nxt = table.succ.get(v)
         if nxt is None:
-            (c,) = dup.copies[v]
-            z = _point_avoiding(cells[c], placed)
+            cell = seed.V[v]
+            z = _point_avoiding(cell, placed)
         else:
-            sv = chosen[nxt]
-            cands = sorted(
-                (p for p in dup.preds[sv] if dup.base[p] == v), key=dup.label.__getitem__
-            )
-            c = None
-            for cand in cands:
-                cc = cells[cand]
-                if all(not cc.contains(q) for q in placed):
-                    c = cand
-                    break
-            if c is None:
-                raise InvalidArgument("copy selection exhausted; splitting broken")
-            z = inst.point_preimage(u[v], cells[c], zpt[nxt])
-        chosen[v] = c
+            n = u[v]
+            C = seed.V[v]
+            if nxt in table.succ:
+                C = C.intersect(inst.preimage(n, chosen[nxt]))
+                if C.is_empty():
+                    raise EmptyRefinement(f"the cut emptied the cell at {v!r}")
+            disj = splits.get((n, C))
+            if disj is None:
+                disj = splits[n, C] = inst.split_cells(n, C, L)
+            cell = next((c for c in disj if not any(c.contains(q) for q in placed)), None)
+            if cell is None:
+                raise InvariantBroken("copy selection exhausted; splitting broken")
+            z = inst.point_preimage(n, cell, zpt[nxt])
+        chosen[v] = cell
         zpt[v] = z
         placed.append(z)
 
     pins = _separators([zpt[v] for v in order], d)
-    O = {
-        v: inst.cell_pinned(cells[chosen[v]], zpt[v], pn)
-        for v, pn in zip(order, pins)
-    }
+    O = {v: inst.cell_pinned(chosen[v], zpt[v], pn) for v, pn in zip(order, pins)}
 
     # a vertex's predecessors sit at smaller distances, so they are done
     distance = table.distances()

@@ -5,8 +5,8 @@ construction, which consumes a caller-supplied vertex enumeration and makes
 label copies of one vertex's predecessor cone per stage.  Vertex ids are
 opaque hashable values.  The construction exists once, as the Duplication
 engine on integer copy ids: `duplicate` builds its stages with it and wraps
-only its result in LabeledVertex, and embedding.shrink_47 runs it with a
-cell on each copy.
+only its result in LabeledVertex.  embedding.shrink_47 runs no engine: it
+builds only the branch of copies it keeps.
 """
 
 from __future__ import annotations
@@ -445,7 +445,8 @@ class Duplication:
     `label[c]`, and each vertex x starts with the one copy labeled (0,).
     `copies` maps a base vertex to the set of its live copies, `succ` maps a
     copy to its successor copy, and `preds` maps every live copy to the set
-    of its predecessor copies; only `split` changes them.
+    of its predecessor copies; only `split` changes them.  In the package
+    only `duplicate` runs it.
     """
 
     __slots__ = ("order", "first", "base", "label", "copies", "succ", "preds", "_cap")

@@ -49,7 +49,6 @@ from cantorlab.embedding import (
     _meeting_pairs,
     _point_avoiding,
     _separators,
-    _split_recut,
 )
 from cantorlab.errors import (
     CapExceeded,
@@ -386,13 +385,32 @@ def test_chain_refinement_rejects_a_branching_or_cycling_successor():
 
 
 def test_shrink_47_stops_at_the_duplication_cap():
-    """Splitting the edge's source needs three labeled vertices; a cap of two
-    admits the two preimages but not the copies, and raises CapExceeded."""
-    inst = CantorInstance(1, replace(DEFAULT, duplication_cap=2))
+    """shrink_47 makes no copies, so the cap bounds only the preimages of
+    one split: the edge's source splits around two preimages, which a cap of
+    one refuses in _split_coords and a cap of two admits, with the default
+    cells."""
+
+    def edge(cap):
+        inst = CantorInstance(1, replace(DEFAULT, duplication_cap=cap))
+        return MappingTupleAssignment(
+            edge_graph(), inst, {"a": 0, "b": 0}, {"a": cylinder("00"), "b": cylinder("01")}
+        )
+
+    with pytest.raises(CapExceeded, match="^2 preimages exceed the cap 1$") as caught:
+        shrink_47(edge(1), 2)
+    assert caught.traceback[-1].name == "_split_coords"
+    assert shrink_47(edge(2), 2).V == shrink_47(edge(DEFAULT.duplication_cap), 2).V
+
+
+def test_shrink_47_raises_invariant_broken_when_every_split_cell_holds_a_point(monkeypatch):
+    """A split whose every cell holds a placed point breaks the construction,
+    not the input: with split_cells returning the whole space, which holds
+    the point of the edge's target, the source finds no cell."""
     asg = MappingTupleAssignment(
-        edge_graph(), inst, {"a": 0, "b": 0}, {"a": cylinder("00"), "b": cylinder("01")}
+        edge_graph(), INST, {"a": 0, "b": 0}, {"a": cylinder("00"), "b": cylinder("01")}
     )
-    with pytest.raises(CapExceeded, match="^duplication needs 3 labeled vertices, cap is 2$"):
+    monkeypatch.setattr(CantorInstance, "split_cells", lambda self, n, C, count: [FULL_SPACE])
+    with pytest.raises(InvariantBroken, match="^copy selection exhausted; splitting broken$"):
         shrink_47(asg, 2)
 
 
@@ -1218,7 +1236,7 @@ def test_chain_cut_reads_its_memo_in_any_vertex_order():
 
 def test_build_scheme_orders_copies_without_repr_or_M_of(monkeypatch):
     """The splitting construction reads its vertex order and its final cut
-    order off the successor table, and keys its copies by integer id: with
+    order off the successor table and makes no labeled copy: with
     LabeledVertex construction and __repr__ and M_of raising, depth 7 builds
     the same cells."""
     want = [st_.cells for st_ in build_scheme(INST, 7)]
@@ -1232,31 +1250,145 @@ def test_build_scheme_orders_copies_without_repr_or_M_of(monkeypatch):
     assert [st_.cells for st_ in build_scheme(INST, 7)] == want
 
 
-def test_split_recut_cuts_every_cone_copy_against_its_successors_final_cell():
-    """Splitting the middle copy of the chain a -> b -> c around three
-    distinct preimages recuts the three fresh copies of a: each really cuts,
-    ends inside the preimage of its successor's final cell, and keeps an
-    exact image; the split copies keep the whole image of b's cell, and c
-    keeps its cell."""
+# the full copy-splitting loop, every copy of every split built and recut:
+# the oracle for the branch that shrink_47 builds alone
+
+
+def split_recut_oracle(dup, vp, disj, cells, ubase, preimage, recuts):
+    """Split the copy vp of the engine `dup` and give the fresh copies cells.
+
+    `cells` is keyed by copy id.  vp's fresh copies take the cells `disj`,
+    one each; every other fresh copy of vp's cone is cut to its old cell
+    intersected with the preimage of its successor's cell.  split returns
+    each cone copy after its successor, so that cell is already final.
+    `recuts` memoizes a recut under (strength, old cell, successor cell).
+    """
+    for old, fresh in dup.split(vp):
+        old_cell = cells.pop(old)
+        if old == vp:
+            cells.update(zip(fresh, disj))
+            continue
+        x = dup.base[old]
+        n = ubase[x]
+        for new in fresh:
+            key = (n, old_cell, cells[dup.succ[new]])
+            cut = recuts.get(key)
+            if cut is None:
+                cut = old_cell.intersect(preimage(n, key[2]))
+                if cut.is_empty():
+                    raise EmptyRefinement(f"the recut emptied the cell at a copy of {x!r}")
+                recuts[key] = cut
+            cells[new] = cut
+
+
+def split_copies_oracle(asg, check=lambda split, dup, cells: None):
+    """Every copy of the full construction and its cell: each copy of a
+    non-maximal vertex, by chain depth and label, splits around
+    split_cells and recuts its cone.  `check` sees the set of vertices
+    split so far, the engine and the cells after each vertex's splits.
+    Returns the successor table, the order, the engine and the cells by
+    copy id."""
+    G, inst, u = asg.graph, asg.instance, asg.u
+    table, depth = _chain_table(G)
+    order = sorted(G.vertices, key=lambda t: (depth[t], repr(t)))
+    seed = refine_45(asg).V
+    dup = Duplication(G, order, inst.budgets)
+    cells = {c: seed[dup.base[c]] for c in dup.preds}
+    recuts, splits = {}, {}
+    for i in range(dup.first, len(order)):
+        n = u[order[i]]
+        for vp in sorted(dup.copies[order[i]], key=dup.label.__getitem__):
+            cell = cells[vp]
+            disj = splits.get((n, cell))
+            if disj is None:
+                disj = splits[n, cell] = inst.split_cells(n, cell, len(order))
+            split_recut_oracle(dup, vp, disj, cells, u, inst.preimage, recuts)
+        check(set(order[dup.first : i + 1]), dup, cells)
+    return table, order, dup, cells
+
+
+def split_branch_oracle(asg, copies=None):
+    """The full construction's choice: one copy per vertex, from the maxima
+    down, the first by label under the successor's chosen copy whose cell
+    holds no placed point.  Returns the chosen cells of the non-maximal
+    vertices, in order."""
+    inst, u = asg.instance, asg.u
+    table, order, dup, cells = copies or split_copies_oracle(asg)
+    chosen, zpt, placed, out = {}, {}, [], []
+    for v in order:
+        nxt = table.succ.get(v)
+        if nxt is None:
+            (c,) = dup.copies[v]
+            z = _point_avoiding(cells[c], placed)
+        else:
+            cands = sorted(
+                (p for p in dup.preds[chosen[nxt]] if dup.base[p] == v),
+                key=dup.label.__getitem__,
+            )
+            c = next(w for w in cands if not any(cells[w].contains(q) for q in placed))
+            z = inst.point_preimage(u[v], cells[c], zpt[nxt])
+            out.append(cells[c])
+        chosen[v] = c
+        zpt[v] = z
+        placed.append(z)
+    return out
+
+
+def chain_abc():
     G = FiniteOrientedGraph("abc", {("a", "b"), ("b", "c")})
-    u = {"a": 1, "b": 0, "c": 0}
     Va = domain_D(MapId(1, 1))
     Vb = INST.image(1, Va)
     V = {"a": Va, "b": Vb, "c": INST.image(0, Vb)}
-    dup = Duplication(G, "cba")
-    cells = {c: V[dup.base[c]] for c in dup.preds}
-    (b0,) = dup.copies["b"]
-    _, pts = INST.pick_distinct_preimages(u["b"], Vb, 3)
-    disj = [INST.cell_pinned(Vb, p, pn) for p, pn in zip(pts, _separators(pts, 0))]
-    _split_recut(dup, b0, disj, cells, u, INST.preimage, {})
-    assert set(cells) == set(dup.preds)
-    assert [cells[w] for w in sorted(dup.copies["b"])] == disj
-    assert all(INST.image(u["b"], cell) == V["c"] for cell in disj)
-    (c0,) = dup.copies["c"]
-    assert cells[c0] == V["c"]
-    recut = sorted(dup.copies["a"])
-    assert len(recut) == 3
-    for w in recut:
-        assert cells[w] != Va
-        assert cells[w].subset(INST.preimage(u["a"], cells[dup.succ[w]]))
-        assert INST.image(u["a"], cells[w]) == cells[dup.succ[w]]
+    return MappingTupleAssignment(G, INST, {"a": 1, "b": 0, "c": 0}, V)
+
+
+def test_shrink_47_builds_the_branch_of_the_full_split_construction(monkeypatch):
+    """Over every copy of the full construction, after each vertex's splits,
+    on the chain a -> b -> c and on random contained-image inputs: a copy
+    not yet split, with successor copy s, has the cell seed(base) &
+    f^-1(cells[s]); the copies of a split vertex v under s are the split
+    cells of seed(v) & f^-1(cells[s]) in label order; every such cell has
+    the image cells[s]; and the cells
+    shrink_47 aims its points in are the ones the full construction
+    chooses."""
+    cases = [chain_abc()] + [random_in_u(random.Random(seed)) for seed in range(40)]
+    for asg in cases:
+        inst, u = asg.instance, asg.u
+        table, _ = _chain_table(asg.graph)
+        seed = refine_45(asg).V
+        L = len(seed)
+
+        def check(split, dup, cells):
+            for w, cell in cells.items():
+                x, s = dup.base[w], dup.succ.get(w)
+                if s is None:
+                    assert cell == seed[x]
+                elif x not in split:
+                    assert cell == seed[x].intersect(inst.preimage(u[x], cells[s]))
+                    assert inst.image(u[x], cell) == cells[s]
+            for s in cells:
+                for v in split.intersection(table.preds.get(dup.base[s], ())):
+                    under = sorted(
+                        (p for p in dup.preds[s] if dup.base[p] == v), key=dup.label.__getitem__
+                    )
+                    parent = seed[v].intersect(inst.preimage(u[v], cells[s]))
+                    assert [cells[p] for p in under] == inst.split_cells(u[v], parent, L)
+                    assert all(inst.image(u[v], cells[p]) == cells[s] for p in under)
+
+        want = split_branch_oracle(asg, split_copies_oracle(asg, check))
+        aimed = []
+        real = CantorInstance.point_preimage
+
+        def point_preimage(self, n, C, target):
+            aimed.append(C)
+            return real(self, n, C, target)
+
+        with monkeypatch.context() as m:
+            m.setattr(CantorInstance, "point_preimage", point_preimage)
+            shrink_47(asg, 3)
+        assert aimed == want
+    # on the chain, b's chosen cell really cuts a's seed, so a cut skipped
+    # or made against b's seed splits a different cell
+    seed = refine_45(cases[0]).V
+    b_cell = split_branch_oracle(cases[0])[0]
+    assert seed["a"].intersect(INST.preimage(1, b_cell)) != seed["a"]
