@@ -492,6 +492,10 @@ def check_lemma_57(states) -> CheckReport:
         limit = len(state.X_sorted)
         found = []  # (edge, clause, witness), sorted by edge at the end
         for (y, x), witness in phi.items():
+            # A one-step edge walks [witness], which breaks no clause; a loop,
+            # and any edge when X is empty, still fails target-on-chain.
+            if x != y and limit and succ.get(y) == x:
+                continue
             # Walk at most |X| steps from y until x; the first step outside
             # the edge set counts only if the walk reaches x.
             walked, gap, v = [], None, y

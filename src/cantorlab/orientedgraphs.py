@@ -5,14 +5,15 @@ construction, which consumes a caller-supplied vertex enumeration and makes
 label copies of one vertex's predecessor cone per stage.  Vertex ids are
 opaque hashable values.  The construction exists once, as the Duplication
 engine on integer copy ids: `duplicate` builds its stages with it and wraps
-only its result in LabeledVertex.  embedding.shrink_47 runs no engine: it
+only its result in LabeledVertex, and the lemma 4.3 suite validates the
+stages on the copy ids themselves.  embedding.shrink_47 runs no engine: it
 builds only the branch of copies it keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .config import DEFAULT, Budgets
 from .errors import BadEnumeration, CapExceeded, InvalidArgument, NotConnected, StageRelationCycle
@@ -118,16 +119,22 @@ def _sym_adj(G: FiniteOrientedGraph, x) -> frozenset:
 
 def components(G: FiniteOrientedGraph):
     """Connected components of the symmetrization, sorted for determinism."""
+    return _components(sorted(G.vertices, key=_vkey), partial(_sym_adj, G))
+
+
+def _components(verts, adj):
+    """The components reached from `verts`, in their order, where adj(v)
+    gives v's symmetrized neighbours."""
     seen = set()
     out = []
-    for start in sorted(G.vertices, key=_vkey):
+    for start in verts:
         if start in seen:
             continue
         comp = {start}
         queue = [start]
         while queue:
             v = queue.pop()
-            for w in _sym_adj(G, v):
+            for w in adj(v):
                 if w not in comp:
                     comp.add(w)
                     queue.append(w)
@@ -333,18 +340,27 @@ def unique_path(G: FiniteOrientedGraph, x, y):
     """The unique injective symmetrized path from x to y, as a tuple."""
     if x not in G.vertices or y not in G.vertices:
         raise InvalidArgument("path endpoints must be vertices")
+    path = _bfs_path(partial(_sym_adj, G), x, y)
+    if path is None:
+        raise NotConnected(f"{x!r} and {y!r} lie in different components")
+    return path
+
+
+def _bfs_path(adj, x, y):
+    """The shortest symmetrized path from x to y as a tuple, breadth first
+    over adj(v), v's symmetrized neighbours; None when y is not reached."""
     parent = {x: None}
     queue = [x]
     while queue and y not in parent:
         nxt = []
         for v in queue:
-            for w in _sym_adj(G, v):
+            for w in adj(v):
                 if w not in parent:
                     parent[w] = v
                     nxt.append(w)
         queue = nxt
     if y not in parent:
-        raise NotConnected(f"{x!r} and {y!r} lie in different components")
+        return None
     return tuple(_root_path(parent, y)[::-1])
 
 
@@ -384,30 +400,33 @@ def lemma42_suite(G: FiniteOrientedGraph) -> CheckReport:
     first-step agreement, each checked exhaustively with witnesses.
     """
     report = CheckReport()
+    verts = sorted(G.vertices, key=_vkey)
+    rank = {v: i for i, v in enumerate(verts)}.__getitem__
+    adj = {v: _sym_adj(G, v) for v in verts}.__getitem__
     chains = {}
     is_path = set()  # vertices whose chain is their unique path to its end
-    for y in sorted(G.vertices, key=_vkey):
+    for y in verts:
         try:
             chain = chains[y] = p_to_max(G, y)
         except InvalidArgument as err:
             report.add("a-injective-chain", (y, str(err)))
             continue
-        if chain != unique_path(G, y, chain[-1]):
+        if chain != _bfs_path(adj, y, chain[-1]):
             report.add("a-chain-is-the-path", (y, chain))
         else:
             is_path.add(y)
     maxima = max_set(G)
-    for comp in components(G):
-        tops = sorted(comp & maxima, key=_vkey)
+    for comp in _components(verts, adj):
+        tops = sorted(comp & maxima, key=rank)
         if len(tops) != 1:
-            report.add("c-single-maximum", (tuple(sorted(comp, key=_vkey)), tuple(tops)))
+            report.add("c-single-maximum", (tuple(sorted(comp, key=rank)), tuple(tops)))
             continue
         top = tops[0]
-        for y in sorted(comp, key=_vkey):
+        for y in sorted(comp, key=rank):
             # a chain to top that is the unique path steps along edges only
             if y in is_path and chains[y][-1] == top:
                 continue
-            p = unique_path(G, y, top)
+            p = _bfs_path(adj, y, top)
             for i in range(len(p) - 1):
                 if (p[i], p[i + 1]) not in G.edges:
                     report.add("b-forward-edges", (y, p, i))
@@ -445,8 +464,12 @@ class Duplication:
     `label[c]`, and each vertex x starts with the one copy labeled (0,).
     `copies` maps a base vertex to the set of its live copies, `succ` maps a
     copy to its successor copy, and `preds` maps every live copy to the set
-    of its predecessor copies; only `split` changes them.  In the package
-    only `duplicate` runs it.
+    of its predecessor copies; only `split` changes them.  `develop` runs the
+    construction's steps, and `graph` and `labeled` give the stage reached,
+    on copy ids or on labeled vertices.  Copy c stands for
+    LabeledVertex(base[c], label[c]), and that map is injective on live
+    copies, so the two views are isomorphic.  `duplicate` and the lemma 4.3
+    suite run it.
     """
 
     __slots__ = ("order", "first", "base", "label", "copies", "succ", "preds", "_cap")
@@ -514,6 +537,45 @@ class Duplication:
             out.append((old, fresh))
         return out
 
+    def develop(self, m: int, p: int | None = None) -> None:
+        """Run a fresh engine to stage m, or to the intermediate stage after
+        splitting only the first p label blocks of step m.  Blocks are taken
+        in lexicographic label order; any injective block order satisfies
+        the construction's contract.  An empty enumeration has one stage,
+        the empty graph, whatever m and p are.
+
+        Stage 0 is the relabeled copy (every vertex gets the one-symbol label
+        0); each later step replaces the predecessor cone of the step's
+        vertex by copyCount labeled copies, keeping edges as follows: edges
+        outside the cone survive, edges inside are copied into each block,
+        and the one edge out of the cone's top keeps its target.  Each block
+        is one split.
+        """
+        order = self.order
+        if not order:
+            return
+        if not 0 <= m < len(order):
+            raise InvalidArgument("stage index out of range")
+        if p is not None and m < self.first:
+            raise InvalidArgument("partial stages exist only once duplication starts")
+        for step in range(self.first, m + 1):
+            blocks = sorted(self.copies[order[step]], key=self.label.__getitem__)
+            if step == m and p is not None:
+                if not 0 <= p <= len(blocks):
+                    raise InvalidArgument("partial block count out of range")
+                blocks = blocks[:p]
+            for copy in blocks:
+                self.split(copy)
+
+    def graph(self) -> FiniteOrientedGraph:
+        """The stage reached, on the live copy ids."""
+        return FiniteOrientedGraph(self.preds, self.succ.items())
+
+    def labeled(self) -> FiniteOrientedGraph:
+        """The stage reached, with copy c as LabeledVertex(base[c], label[c])."""
+        lv = {c: LabeledVertex(self.base[c], self.label[c]) for c in self.preds}
+        return FiniteOrientedGraph(lv.values(), ((lv[a], lv[b]) for a, b in self.succ.items()))
+
 
 def duplicate(
     G: FiniteOrientedGraph,
@@ -524,34 +586,10 @@ def duplicate(
 ) -> FiniteOrientedGraph:
     """Stage m of the labeled duplication along the given enumeration, or the
     intermediate stage after duplicating only the first p label blocks of
-    step m.  Blocks are taken in lexicographic label order; any injective
-    block order satisfies the construction's contract.
-
-    Stage 0 is the relabeled copy (every vertex gets the one-symbol label 0);
-    each later step replaces the predecessor cone of the step's vertex by
-    copyCount labeled copies, keeping edges as follows: edges outside the
-    cone survive, edges inside are copied into each block, and the one edge
-    out of the cone's top keeps its target.  Each block is one
-    Duplication.split.
-    """
+    step m, as Duplication.develop runs it."""
     dup = Duplication(G, enumeration, budgets)
-    order = dup.order
-    if not order:
-        return FiniteOrientedGraph((), ())
-    if not 0 <= m < len(order):
-        raise InvalidArgument("stage index out of range")
-    if p is not None and m < dup.first:
-        raise InvalidArgument("partial stages exist only once duplication starts")
-    for step in range(dup.first, m + 1):
-        blocks = sorted(dup.copies[order[step]], key=dup.label.__getitem__)
-        if step == m and p is not None:
-            if not 0 <= p <= len(blocks):
-                raise InvalidArgument("partial block count out of range")
-            blocks = blocks[:p]
-        for copy in blocks:
-            dup.split(copy)
-    lv = {c: LabeledVertex(dup.base[c], dup.label[c]) for c in dup.preds}
-    return FiniteOrientedGraph(lv.values(), ((lv[a], lv[b]) for a, b in dup.succ.items()))
+    dup.develop(m, p)
+    return dup.labeled()
 
 
 # ---------------------------------------------------------------------------

@@ -978,6 +978,18 @@ def test_check_57_reports_an_edge_from_a_word_to_itself_off_chain():
     ]
 
 
+def test_check_57_puts_no_edge_on_a_chain_when_x_is_empty():
+    """With X empty a walk may take no step, so every edge fails
+    target-on-chain, one whose target is its source's successor too."""
+    state = run(1, 3)[3]
+    succ = dict(state.A_codes)
+    assert any(succ.get(y) == x for y, x in state.phi_codes)
+    bad = [ApproxState._from_codes(1, 3, (), state.A_codes, state.E_codes, dict(state.phi_codes))]
+    found = check_lemma_57(bad).violations
+    assert found == ref_check_lemma_57(bad).violations
+    assert [clause for clause, _ in found] == ["target-on-chain"] * len(state.phi_codes)
+
+
 def _functional_tampered_stage(rng, state):
     """A family-1 stage whose successor relation stays a function: a few
     words get a new successor (any word of the stage, themselves included),

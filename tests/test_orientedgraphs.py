@@ -613,12 +613,13 @@ def test_lemma42_walks_one_path_per_vertex_of_a_valid_graph(monkeypatch):
     """Clause (b) reuses each clause-(a) chain that is the unique path to the
     component's top, so a valid graph costs one path search per vertex."""
     starts = []
+    bfs_path = orientedgraphs._bfs_path
 
-    def counted(G, x, y):
+    def counted(adj, x, y):
         starts.append(x)
-        return unique_path(G, x, y)
+        return bfs_path(adj, x, y)
 
-    monkeypatch.setattr(orientedgraphs, "unique_path", counted)
+    monkeypatch.setattr(orientedgraphs, "_bfs_path", counted)
     g = FiniteOrientedGraph("abcdefgh", {("a", "c"), ("b", "c"), ("c", "d"), ("e", "d"),
                                          ("f", "g")})
     assert lemma42_suite(g).ok
