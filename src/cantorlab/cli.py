@@ -192,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--report", default="scheme_report.json")
     p_build.add_argument(
         "--duplication-cap", type=int, default=DEFAULT.duplication_cap,
-        help="labeled-copy budget for the splitting construction",
+        help="cap on the preimages of one split in the scheme (its splitting makes no copies)",
     )
     p_build.set_defaults(fn=cmd_build_h)
 

@@ -78,38 +78,6 @@ def fmt_coord(c: int) -> str:
 # finite oriented graph enumeration and sampling
 
 
-def _iter_uogas(nv: int):
-    """Every uogas on vertices 0..nv-1 with out-degree <= 1, as its successor
-    table: a fresh tuple whose entry v is v's successor or None.  The tables
-    come in `itertools.product` order over (None, 0, ..., nv-1).
-
-    The entries are assigned depth first, choice[0] first.  Vertices before v
-    hold no cycle, so a cycle that v's successor t closes passes through v:
-    the walk from t through the assigned vertices gets back to v (a loop is
-    t == v), and the branch is cut with every way of completing it.  A walk
-    stops at None or at a vertex not yet assigned.  The tables left are the
-    (nv+1)^(nv-1) labeled rooted forests (Cayley), and a cycle-free table is
-    an uogas (SuccessorTable.depths says why), so no graph is built or
-    validated here.
-    """
-    choice = [None] * nv
-    options = (None, *range(nv))
-
-    def assign(v):
-        if v == nv:
-            yield tuple(choice)
-            return
-        for t in options:
-            u = t
-            while u is not None and u < v:
-                u = choice[u]
-            if u != v:
-                choice[v] = t
-                yield from assign(v + 1)
-
-    return assign(0)
-
-
 def _table_graph(choice) -> FiniteOrientedGraph:
     return FiniteOrientedGraph(
         range(len(choice)), [(v, t) for v, t in enumerate(choice) if t is not None]
@@ -191,6 +159,22 @@ def _shape_table(shape) -> tuple:
     for tree in shape:
         place(tree, None)
     return tuple(table)
+
+
+def _labeled_tables(max_vertices: int) -> int:
+    """The uogas tables on 1..max_vertices labeled vertices.  A table on nv
+    vertices is a labeled rooted forest, which is a labeled tree on nv + 1
+    vertices rooted at the extra one, so there are (nv+1)^(nv-1) of them
+    (Cayley), and each has exactly one shape in `_shape_graphs`."""
+    return sum((nv + 1) ** (nv - 1) for nv in range(1, max_vertices + 1))
+
+
+def _shape_graphs(max_vertices: int):
+    """One graph per rooted-forest shape on 1..max_vertices vertices, with
+    its vertex count, smallest forests first."""
+    for nv in range(1, max_vertices + 1):
+        for shape in _forest_shapes(nv):
+            yield nv, _table_graph(_shape_table(shape))
 
 
 def _developed_report(g: FiniteOrientedGraph, order, m: int):
@@ -469,20 +453,35 @@ def suite_condition_d(
 
 
 def suite_lemma42(max_vertices: int = 6) -> SuiteResult:
-    """Validator and structure-lemma clauses over every small uogas."""
+    """Validator and structure-lemma clauses over every uogas on up to
+    max_vertices vertices, checked on one table per forest shape.
+
+    A relabeling of a table is a graph isomorphism f, and each clause of
+    `lemma42_suite` is defined from the edge set alone:
+    (a) y's chain follows out-edges from y until a vertex has none, and it
+        must be injective and be the path from y to its end in the
+        symmetrization;
+    (b) every path to the component's maximum steps forward along edges;
+    (c) each component of the symmetrization has one vertex without an
+        out-edge;
+    (d) each edge (a, b) is the first step of a's chain.
+    f maps edges to edges, so it carries y's chain to f(y)'s, a component
+    to a component and its maxima to the image's maxima, and each first
+    step to the image's first step.  A table's symmetrization is a forest,
+    so a path between two vertices is unique, whatever order the
+    breadth-first search scans them in, and f carries it to the path
+    between their images.  So each clause holds at y exactly when it holds
+    at f(y), and the verdict on any labeled table is the verdict on its
+    shape's table; `graphs` counts the labeled tables those verdicts cover.
+    """
     t0 = time.perf_counter()
     viol = []
-    graphs = 0
-    for nv in range(1, max_vertices + 1):
-        for choice in _iter_uogas(nv):
-            graphs += 1
-            g = _table_graph(choice)
-            rep = lemma42_suite(g)
-            if not rep.ok:
-                viol.append(f"{nv}-vertex graph {sorted(g.edges)}: {rep.violations[:2]}")
-    return SuiteResult(
-        "lemma4.2", not viol, viol, time.perf_counter() - t0, {"max_vertices": max_vertices, "graphs": graphs}
-    )
+    for nv, g in _shape_graphs(max_vertices):
+        rep = lemma42_suite(g)
+        if not rep.ok:
+            viol.append(f"{nv}-vertex graph {sorted(g.edges)}: {rep.violations[:2]}")
+    params = {"max_vertices": max_vertices, "graphs": _labeled_tables(max_vertices)}
+    return SuiteResult("lemma4.2", not viol, viol, time.perf_counter() - t0, params)
 
 
 def suite_lemma43(
@@ -494,28 +493,23 @@ def suite_lemma43(
     """Full duplication stays a uogas: exhaustive on small graphs (all valid
     orders up to 3 vertices, one canonical order above), sampled on larger ones.
 
-    The exhaustive part develops one table per forest shape.  The uogas
-    tables on nv labeled vertices are the labeled rooted forests, which are
-    the labeled trees on nv + 1 vertices rooted at the extra one, so there
-    are (nv+1)^(nv-1) of them (Cayley); each has exactly one shape, and
-    duplication along a canonical order commutes with vertex relabeling, so
-    one development per shape covers them all.
+    The exhaustive part develops one table per forest shape: duplication
+    along a canonical order commutes with vertex relabeling, so one
+    development per shape covers every labeled table, and `graphs_covered`
+    counts those.
     """
     t0 = time.perf_counter()
     viol = []
-    developed = covered = shapes = 0
-    for nv in range(1, max_vertices + 1):
-        covered += (nv + 1) ** (nv - 1)
-        for shape in _forest_shapes(nv):
-            shapes += 1
-            g = _table_graph(_shape_table(shape))
-            canonical, steps, lengths = _enumeration_of(g)
-            orders = list(_all_enumerations_of(lengths)) if nv <= 3 else [canonical]
-            for order in orders:
-                developed += 1
-                rep = _developed_report(g, order, steps)
-                if not rep.ok:
-                    viol.append(f"{nv}-vertex {sorted(g.edges)} order {order}: {rep.violations[:2]}")
+    developed = shapes = 0
+    for nv, g in _shape_graphs(max_vertices):
+        shapes += 1
+        canonical, steps, lengths = _enumeration_of(g)
+        orders = list(_all_enumerations_of(lengths)) if nv <= 3 else [canonical]
+        for order in orders:
+            developed += 1
+            rep = _developed_report(g, order, steps)
+            if not rep.ok:
+                viol.append(f"{nv}-vertex {sorted(g.edges)} order {order}: {rep.violations[:2]}")
 
     rng = random.Random(seed)
     sampled = skipped = 0
@@ -543,7 +537,7 @@ def suite_lemma43(
         time.perf_counter() - t0,
         {
             "max_vertices": max_vertices,
-            "graphs_covered": covered,
+            "graphs_covered": _labeled_tables(max_vertices),
             "shapes_developed": shapes,
             "developments": developed,
             "random_vertices": random_vertices,

@@ -1,18 +1,22 @@
-"""The uogas enumeration, sampler, shape generator and developments behind
-the lemma 4.2 and 4.3 suites, against product-and-filter, build-and-validate,
-signature and labeled-validation oracles."""
+"""The sampler, shape generator and developments behind the lemma 4.2 and
+4.3 suites, against product-and-filter, build-and-validate, signature and
+labeled-validation oracles."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
+from cantorlab import suites
 from cantorlab.orientedgraphs import (
+    CheckReport,
     Duplication,
     FiniteOrientedGraph,
     LabeledVertex,
     SuccessorTable,
     duplicate,
+    lemma42_suite,
     max_set,
     pred,
     validate_uogas,
@@ -21,10 +25,10 @@ from cantorlab.suites import (
     _all_enumerations_of,
     _enumeration_of,
     _forest_shapes,
-    _iter_uogas,
     _random_uogas,
+    _shape_graphs,
     _shape_table,
-    _table_graph,
+    suite_lemma42,
     suite_lemma43,
 )
 
@@ -33,17 +37,21 @@ from cantorlab.suites import (
 # oracles
 
 
+@functools.cache
 def oracle_iter_uogas(nv):
-    """Every uogas on 0..nv-1: build each loop-free successor choice and keep
-    the ones validate_uogas accepts."""
+    """Every uogas on 0..nv-1, with its successor table: build each
+    loop-free successor choice and keep the ones validate_uogas accepts.
+    Cached, since several tests walk the 16,807 six-vertex tables."""
     verts = tuple(range(nv))
+    out = []
     for choice in itertools.product((None, *verts), repeat=nv):
         if any(choice[v] == v for v in verts):
             continue
         edges = [(v, choice[v]) for v in verts if choice[v] is not None]
         g = FiniteOrientedGraph(verts, edges)
         if validate_uogas(g).ok:
-            yield g
+            out.append((choice, g))
+    return tuple(out)
 
 
 def oracle_random_uogas(rng, nv):
@@ -85,13 +93,11 @@ def lemma43_developments(max_vertices, random_vertices, samples, seed):
     """The violation prefix, graph, order and stage of each development
     suite_lemma43 makes, in its order (no sample is over the cap at these
     sizes)."""
-    for nv in range(1, max_vertices + 1):
-        for shape in _forest_shapes(nv):
-            g = _table_graph(_shape_table(shape))
-            canonical, steps, lengths = _enumeration_of(g)
-            orders = list(_all_enumerations_of(lengths)) if nv <= 3 else [canonical]
-            for order in orders:
-                yield f"{nv}-vertex {sorted(g.edges)} order {order}", g, order, steps
+    for nv, g in _shape_graphs(max_vertices):
+        canonical, steps, lengths = _enumeration_of(g)
+        orders = list(_all_enumerations_of(lengths)) if nv <= 3 else [canonical]
+        for order in orders:
+            yield f"{nv}-vertex {sorted(g.edges)} order {order}", g, order, steps
     rng = random.Random(seed)
     for _ in range(samples):
         g = _random_uogas(rng, random_vertices)
@@ -110,25 +116,8 @@ def oracle_lemma43_violations(max_vertices, random_vertices, samples, seed):
     return viol
 
 
-CAYLEY = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296, 6: 16807}
-
-
 # ---------------------------------------------------------------------------
-# enumeration
-
-
-@pytest.mark.parametrize("nv", sorted(CAYLEY))
-def test_enumeration_matches_product_and_filter(nv):
-    """The same graphs in the same order; the counts are (nv+1)^(nv-1)."""
-    tables = list(_iter_uogas(nv))
-    want = list(oracle_iter_uogas(nv))
-    assert [_table_graph(t) for t in tables] == want
-    assert len(tables) == CAYLEY[nv] == (nv + 1) ** (nv - 1)
-
-
-def test_enumeration_of_no_vertices():
-    assert list(_iter_uogas(0)) == [()]
-    assert list(map(_table_graph, _iter_uogas(0))) == list(oracle_iter_uogas(0))
+# sampling and shapes
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -145,12 +134,62 @@ def test_table_signature_matches_graph_signature():
     shapes = []
     for nv in range(1, 7):
         seen = set()
-        for table in _iter_uogas(nv):
+        for table, g in oracle_iter_uogas(nv):
             sig = oracle_table_signature(table)
-            assert sig == oracle_forest_signature(_table_graph(table))
+            assert sig == oracle_forest_signature(g)
             seen.add(sig)
         shapes.append(len(seen))
     assert shapes == [1, 2, 4, 9, 20, 48]
+
+
+# ---------------------------------------------------------------------------
+# lemma 4.2 on generated shapes
+
+
+def test_lemma42_holds_on_every_labeled_table():
+    """The clauses hold on each of the 18,248 labeled tables up to 6
+    vertices, which suite_lemma42(6) covers by its shapes."""
+    graphs = 0
+    for nv in range(1, 7):
+        for _, g in oracle_iter_uogas(nv):
+            graphs += 1
+            assert lemma42_suite(g).ok, sorted(g.edges)
+    assert graphs == suite_lemma42(6).params["graphs"] == 18_248
+
+
+def test_lemma42_reports_each_failing_shape(monkeypatch):
+    """With the clauses made to fail on every graph of 3 or more vertices,
+    suite_lemma42(4) names each 3- and 4-vertex shape once (4 + 9)."""
+    failed = []
+
+    def failing(g):
+        rep = CheckReport()
+        if len(g.vertices) >= 3:
+            failed.append(g)
+            rep.add("forced", len(g.vertices))
+        return rep
+
+    monkeypatch.setattr(suites, "lemma42_suite", failing)
+    res = suite_lemma42(4)
+    assert not res.ok
+    assert len(res.violations) == len(failed) == 13
+    assert res.violations == [
+        f"{len(g.vertices)}-vertex graph {sorted(g.edges)}: [('forced', {len(g.vertices)})]" for g in failed
+    ]
+    assert res.violations[0] == "3-vertex graph [(1, 0), (2, 1)]: [('forced', 3)]"
+    want = {oracle_forest_signature(g) for nv in (3, 4) for _, g in oracle_iter_uogas(nv)}
+    assert {oracle_forest_signature(g) for g in failed} == want
+    assert res.params == {"max_vertices": 4, "graphs": 1 + 3 + 16 + 125}
+
+
+def test_lemma42_freezes_twelve_vertices():
+    """Every labeled table up to 12 vertices, the sum of (n+1)^(n-1),
+    checked as its 20,298 shapes (A000081(n+1) summed)."""
+    res = suite_lemma42(12)
+    assert res.ok and res.violations == []
+    assert res.params == {"max_vertices": 12, "graphs": 1_856_540_769_313}
+    assert res.params["graphs"] == sum((n + 1) ** (n - 1) for n in range(1, 13))
+    assert sum(len(_forest_shapes(n)) for n in range(1, 13)) == 20_298
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +200,12 @@ def test_table_signature_matches_graph_signature():
 def test_forest_shapes_are_the_table_signatures(nv):
     """The generated shapes are the signatures of the labeled tables, once
     each; each shape's table has that shape; the tables number Cayley's
-    (nv+1)^(nv-1), which lemma4.3 counts as covered."""
+    (nv+1)^(nv-1), which both uogas suites count as covered."""
     shapes = _forest_shapes(nv)
-    tables = list(_iter_uogas(nv))
+    graphs = [g for _, g in oracle_iter_uogas(nv)]
     assert len(shapes) == len(set(shapes)) == [1, 1, 2, 4, 9, 20, 48][nv]
-    assert set(shapes) == {oracle_table_signature(t) for t in tables}
-    assert len(tables) == (nv + 1) ** (nv - 1)
+    assert set(shapes) == {oracle_forest_signature(g) for g in graphs}
+    assert len(graphs) == (nv + 1) ** (nv - 1)
     for shape in shapes:
         assert oracle_table_signature(_shape_table(shape)) == shape
 
