@@ -82,12 +82,6 @@ class ApproxState:
         {_word_pair(p): n for p, n in self.phi_codes.items()}))
     B = cached_property(lambda self: frozenset(self.phi))
 
-    def lOf(self, y: BinWord) -> int:
-        """The resolved length of y: |y|, plus one exactly when y splits."""
-        if not _has(self.X_sorted, y.code):
-            raise InvalidArgument(f"{y!r} is not a word of this stage")
-        return len(y) + _has(self.E_sorted, y.code)
-
     def _fields(self):
         return (self.family, self.level, self.X_sorted, self.A_codes, self.E_sorted, self.phi_codes)
 
@@ -652,8 +646,9 @@ CHUNK_ITEMS = 4096
 
 
 def state_chunks(state: ApproxState):
-    """The stage file, `state_text(state)` and a newline, in pieces of at
-    most CHUNK_ITEMS items.  Words are 0/1 strings and witnesses ints, so no
+    """The stage file, `json.dumps(state_json(state), indent=2)` and a
+    newline, written straight from the stored codes in pieces of at most
+    CHUNK_ITEMS items.  Words are 0/1 strings and witnesses ints, so no
     item needs escaping, and json's pure-Python indent encoder is skipped."""
     phi = state.phi_codes
     yield f'{{\n  "level": {state.level}'
@@ -673,23 +668,15 @@ def state_chunks(state: ApproxState):
     yield "\n}\n"
 
 
-def state_text(state: ApproxState) -> str:
-    """`json.dumps(state_json(state), indent=2)`, written straight from the
-    stored codes."""
-    return "".join(state_chunks(state))[:-1]
-
-
-def state_dot(state: ApproxState, name=None) -> str:
+def state_dot(state: ApproxState) -> str:
     """DOT text for one stage: words as nodes (doubled border on splitting
     words), solid arrows for successor pairs, dashed for the other edges,
     every known arrow labeled by its witnessing map index."""
-    gname = name if name is not None else f"stage{state.level}"
-
     def text(w):
         return code_str(w) if w > 1 else "<empty>"
 
     A, phi, E = state.A_codes, state.phi_codes, state.E_codes
-    lines = [f"digraph {gname} {{"]
+    lines = [f"digraph stage{state.level} {{"]
     for w in state.X_sorted:
         marker = " [peripheries=2]" if w in E else ""
         lines.append(f'  "{text(w)}"{marker};')

@@ -88,10 +88,16 @@ def _parse_point(spec: str) -> LazyPoint:
         key, _, value = part.partition(":")
         if not value:
             raise InvalidArgument(f"bad point fragment {part!r}, want coord:bit")
+        bit = int(value)
+        if bit not in (0, 1):
+            raise InvalidArgument(f"bad bit in point fragment {part!r}, want 0 or 1")
         if key == "default":
-            default = int(value) & 1
+            default = bit
         else:
-            explicit[int(key)] = int(value) & 1
+            coord = int(key)
+            if coord < 0:
+                raise InvalidArgument(f"bad coordinate in point fragment {part!r}, want a natural")
+            explicit[coord] = bit
     return LazyPoint(explicit, default)
 
 

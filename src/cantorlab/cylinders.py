@@ -276,17 +276,13 @@ class SymbolicClopen:
                     return False
         return True
 
-    def witness_point(self, choices=None) -> LazyPoint:
-        """A member with default-0 tail; choices may pin free class roots."""
+    def witness_point(self) -> LazyPoint:
+        """A member with default-0 tail; each free class root takes 0."""
         if self.empty:
             raise EmptySet("no witness in the empty set")
         bits = {i: b for i, b in enumerate(self.base.bits())}
-        for x in self._link:
-            r, p = self._link[x]
-            v = self._const.get(r)
-            if v is None:
-                v = (choices or {}).get(r, 0)
-            bits[x] = v ^ p
+        for x, (r, p) in self._link.items():
+            bits[x] = (self._const.get(r) or 0) ^ p
         return LazyPoint(bits)
 
     # -- relational structure for transports -------------------------------

@@ -21,7 +21,7 @@ from .errors import (
     NotFoundWithinBudget,
     PrefixTooShort,
 )
-from .maps import POINT_PROBE_BITS, MapId, _read_inverse, domain_D, g_point, image_clopen, preimage_clopen
+from .maps import POINT_PROBE_BITS, MapId, _read_inverse, domain_D, image_clopen, preimage_clopen
 from .orientedgraphs import (
     CheckReport,
     FiniteOrientedGraph,
@@ -60,11 +60,11 @@ class CantorInstance:
 
     Its methods are what the refinement passes and the splitting
     construction consume: per-index domains, exact images and preimages of
-    cells, a supply of distinct preimages of a single point, and diameter
-    control.  point_preimage and cell_around extend that minimal surface: the
+    cells, and pairwise disjoint cells around distinct preimages of a single
+    point.  point_preimage and cell_pinned extend that minimal surface: the
     splitting construction needs to aim a preimage at a given point and to
-    carve a small cell around a given point, and neither is expressible
-    through the other operations.
+    carve a cell around a given point, and neither is expressible through
+    the other operations.
 
     Cells are SymbolicClopen values, points are LazyPoint values, and every
     operation is exact; nothing is sampled.  `family` picks the expansion
@@ -128,24 +128,13 @@ class CantorInstance:
             c += 1
         return C1, coords
 
-    def pick_distinct_preimages(self, n, C, count):
-        """A target with `count` preimages in C, pairwise split at free
-        coordinates the map never reads, so all share the same image point.
-
-        Point j is a witness of C within the map's domain with bit t of j
-        at the t-th coordinate of _split_coords: the points count in binary
-        there.
-        """
-        C1, coords = self._split_coords(n, C, count)
-        w = C1.witness_point()
-        pts = [w.with_bits({c: (j >> t) & 1 for t, c in enumerate(coords)}) for j in range(count)]
-        return g_point(self._ident(n), pts[0], self.budgets), pts
-
     def split_cells(self, n, C, count):
-        """Pairwise disjoint cells of C, one around each point that
-        pick_distinct_preimages(n, C, count) returns, each pinned at the
-        branch points of the points' binary trie (_counter_pins); neither
-        the witness nor the target is built."""
+        """Pairwise disjoint cells of C, one around each of `count` points
+        that share their image under map n: points of C within the map's
+        domain that count in binary on the coordinates of _split_coords,
+        point j carrying bit t of j at the t-th one.  Each cell is pinned at
+        the branch points of the points' binary trie (_counter_pins); neither
+        the points nor their image is built."""
         _, coords = self._split_coords(n, C, count)
         return [
             self.cell_pinned(C, LazyPoint(pins), pins) for pins in _counter_pins(coords, count)
@@ -181,24 +170,12 @@ class CantorInstance:
             raise InvalidArgument("the target is not an image of the cell")
         return p
 
-    def split_below_diameter(self, C, d) -> SymbolicClopen:
-        """A nonempty clopen subset of C with diameter <= 2^-d: the diameter
-        control of the instance's minimal surface."""
-        if C.is_empty():
-            raise EmptySet("cannot shrink the empty set")
-        return self.cell_around(C, C.witness_point(), d)
-
-    def cell_around(self, C, p, d) -> SymbolicClopen:
-        """A clopen neighbourhood of p inside C with diameter <= 2^-d."""
-        return self.cell_pinned(C, p, range(d))
-
     def cell_pinned(self, C, p, coords) -> SymbolicClopen:
         """A clopen neighbourhood of p inside C fixing the given coordinates.
 
-        Sparse variant of cell_around: pinning only the listed coordinates
-        keeps the rest of the cell free, which the level scheme depends on
-        (a later pairing stage must still find room at the coordinate its
-        map forces).
+        Pinning only the listed coordinates keeps the rest of the cell free,
+        which the level scheme depends on (a later pairing stage must still
+        find room at the coordinate its map forces).
         """
         bits = {}
         for i in sorted(set(coords)):
@@ -485,7 +462,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     - the input has contained images, so refine_45 leaves exact ones;
     - s's chosen cell B lies in seed(s), which is f(seed(v)), so C has
       the image f(seed(v)) & B = B;
-    - the |X| points of pick_distinct_preimages differ only at
+    - the |X| points that split_cells counts in binary differ only at
       coordinates that are free in C, linked to no other coordinate, and
       unread by map u(v), and split_cells pins only those, so every split
       cell has the whole image of C, which is B again.

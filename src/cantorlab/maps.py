@@ -35,7 +35,6 @@ from .sequences import (
     padded_word,
     stride,
     stride_expand,
-    tower_exp,
 )
 
 EDGE_YES = "yes"
@@ -57,51 +56,12 @@ class MapId:
             raise InvalidArgument("map index must be a natural")
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """A finite sequence of map indices; stage 0 is applied last (outermost)."""
-
-    stages: tuple
-
-    def __post_init__(self):
-        stages = tuple(self.stages)
-        object.__setattr__(self, "stages", stages)
-        if any((not isinstance(v, int)) or v < 0 for v in stages):
-            raise InvalidArgument("path stages are naturals")
-
-    def __len__(self):
-        return len(self.stages)
-
-    def __iter__(self):
-        return iter(self.stages)
-
-    def __getitem__(self, i):
-        return self.stages[i]
-
-    def tail(self) -> "PathSpec":
-        """Drop the outermost stage."""
-        if not self.stages:
-            raise InvalidArgument("tail of an empty path")
-        return PathSpec(self.stages[1:])
-
-    def reverse(self) -> "PathSpec":
-        if not self.stages:
-            raise InvalidArgument("reverse of an empty path")
-        return PathSpec(self.stages[::-1])
-
-
 def _as_word(w) -> BinWord:
     if isinstance(w, BinWord):
         return w
     if isinstance(w, str):
         return BinWord.from_str(w)
     raise InvalidArgument(f"expected a binary word, got {type(w).__name__}")
-
-
-def _stages_of(s):
-    if isinstance(s, PathSpec):
-        return s.stages
-    return tuple(s)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +240,7 @@ def g_compose_eval(L: int, s, p: LazyPoint, k: int, budgets: Budgets = DEFAULT) 
     outer-to-inner order: a stride hit returns the forced 1, otherwise the
     coordinate expands and moves one stage inward.
     """
-    stages = _stages_of(s)
+    stages = tuple(s)
     if not stages:
         raise InvalidArgument("empty composition")
     if k < 0:
@@ -457,79 +417,3 @@ def _pattern_compatible(a, b, n):
 def _compat(u, v):
     m = min(len(u), len(v))
     return u.prefix(m) == v.prefix(m)
-
-
-# ---------------------------------------------------------------------------
-# tagged direct sums
-
-
-def _primes(count):
-    out = []
-    cand = 2
-    while len(out) < count:
-        if all(cand % q for q in out):
-            out.append(cand)
-        cand += 1
-    return out
-
-
-def sum_tag_set(alpha_prefix) -> list:
-    """The leading tag values selected by a binary prefix: the running product
-    of primes, each raised to one more than the corresponding bit.
-    """
-    w = _as_word(alpha_prefix)
-    ps = _primes(len(w))
-    out = []
-    acc = 1
-    for i, bit in enumerate(w.bits()):
-        acc *= ps[i] ** (bit + 1)
-        out.append(acc)
-    return out
-
-
-@dataclass(frozen=True)
-class TaggedSumSpace:
-    """Finitely many tagged copies of sequence space, edges only within a copy.
-
-    Within the copy tagged 0 edges follow the dense-word digraph and keep its
-    tri-state answers.  Within a copy tagged L >= 1 the edge relation of the
-    level-L map family is exactly decidable on cylinders: when the two words
-    are prefix-compatible, every sufficiently deep member map witnesses a
-    meeting pair, and otherwise only the finitely many maps whose stride fits
-    inside the words can.  Cross-tag pairs never have edges.
-    """
-
-    tags: tuple
-
-    def __post_init__(self):
-        tags = tuple(self.tags)
-        object.__setattr__(self, "tags", tags)
-        if any((not isinstance(t, int)) or t < 0 for t in tags):
-            raise InvalidArgument("sum tags are naturals")
-        if len(set(tags)) != len(tags):
-            raise InvalidArgument("sum tags must be distinct")
-
-    def has_tag(self, t) -> bool:
-        return t in self.tags
-
-    def edge_rule(self, tag_y, y, tag_x, x, budgets: Budgets = DEFAULT) -> str:
-        if not self.has_tag(tag_y) or not self.has_tag(tag_x):
-            raise InvalidArgument("unknown tag")
-        if tag_y != tag_x:
-            return EDGE_NO
-        if tag_y == 0:
-            return is_G0_edge(y, x)
-        y = _as_word(y)
-        x = _as_word(x)
-        if _compat(y, x):
-            # any map whose stride clears both words carries N_y into N_x:
-            # pad the common extension into the map's seed word and the
-            # transported bits all land on untouched coordinates.
-            return EDGE_YES
-        bound = max(len(y), len(x), 1)
-        n = 0
-        while tower_exp(n) < bound.bit_length():
-            if graph_meets(MapId(tag_y, n), y, x, budgets):
-                return EDGE_YES
-            n += 1
-        return EDGE_NO

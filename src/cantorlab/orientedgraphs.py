@@ -108,10 +108,6 @@ def max_set(G: FiniteOrientedGraph):
     return {x for x in G.vertices if x not in G._succ}
 
 
-def min_set(G: FiniteOrientedGraph):
-    return {x for x in G.vertices if x not in G._pred}
-
-
 def _sym_adj(G: FiniteOrientedGraph, x) -> frozenset:
     """Neighbours of x in the symmetrization (x itself if it has a loop)."""
     return succ(G, x) | pred(G, x)
@@ -381,20 +377,6 @@ def p_to_max(G: FiniteOrientedGraph, y):
         seen.add(nxt)
 
 
-def M_of(G: FiniteOrientedGraph, x) -> int:
-    """Longest distance from a minimal vertex whose chain passes through x,
-    counted as a path length (number of vertices).
-    """
-    best = 0
-    for y in min_set(G):
-        chain = p_to_max(G, y)
-        if x in chain:
-            best = max(best, chain.index(x) + 1)
-    if best == 0:
-        raise InvalidArgument(f"no minimal chain passes through {x!r}")
-    return best
-
-
 def lemma42_suite(G: FiniteOrientedGraph) -> CheckReport:
     """Injective chains, forward paths to the maximum, unique maxima, and
     first-step agreement, each checked exhaustively with witnesses.
@@ -600,9 +582,9 @@ def _render(v) -> str:
     return v if isinstance(v, str) else repr(v)
 
 
-def to_dot(G: FiniteOrientedGraph, name: str = "G") -> str:
+def to_dot(G: FiniteOrientedGraph) -> str:
     """Deterministic DOT text: vertices and edges in sorted render order."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph G {"]
     for v in sorted(G.vertices, key=_vkey):
         lines.append(f'  "{_render(v)}";')
     for a, b in sorted(G.edges, key=_edge_key):

@@ -129,7 +129,6 @@ class BinWord:
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
-EMPTY = BinWord(1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +140,6 @@ def lenlex_word(n: int) -> BinWord:
     if n < 0:
         raise InvalidArgument("rank must be >= 0")
     return BinWord(n + 1)
-
-
-def lenlex_rank(w: BinWord) -> int:
-    return w.code - 1
 
 
 def padded_word(n: int) -> BinWord:

@@ -27,7 +27,6 @@ from cantorlab.approximation import (
     state_chunks,
     state_dot,
     state_json,
-    state_text,
     step,
 )
 from cantorlab.config import DEFAULT, Budgets
@@ -298,7 +297,6 @@ def test_init_is_the_singleton_stage():
     assert state.A == frozenset()
     assert state.B == frozenset()
     assert state.E == words("")
-    assert state.lOf(W("")) == 1
 
 
 def test_init_rejects_family_zero():
@@ -325,8 +323,6 @@ def test_stage_two_first_edge():
     assert state.B == {(W("00"), W("01"))}
     assert state.phi[(W("00"), W("01"))] == 0
     assert state.E == words("00", "10", "11")
-    assert state.lOf(W("00")) == 3
-    assert state.lOf(W("01")) == 2
 
 
 def test_stage_three_source_split():
@@ -428,11 +424,6 @@ def test_run_word_cap_names_the_first_stage_over_it(monkeypatch):
         with pytest.raises(CapExceeded, match=r"^stage 3: 7 words, cap is 4$"):
             run(1, 5, Budgets(max_words=4))
         run(1, 5)
-
-
-def test_lof_rejects_foreign_words():
-    with pytest.raises(InvalidArgument):
-        run(1, 2)[2].lOf(W("000"))
 
 
 # ---------------------------------------------------------------------------
@@ -1181,8 +1172,11 @@ def test_state_json_frozen_stage_two():
 
 @pytest.mark.parametrize("family,depth", [(1, 12), (2, 10), (3, 8)])
 def test_state_text_is_the_indented_json_of_state_json(family, depth):
+    """The stage file that state_chunks writes is json.dumps(state_json(state),
+    indent=2) and a newline."""
     for state in run(family, depth):
-        assert state_text(state) == json.dumps(state_json(state), indent=2), state.level
+        assert "".join(state_chunks(state)) == json.dumps(state_json(state), indent=2) + "\n", \
+            state.level
 
 
 def test_state_text_writes_empty_lists_as_json_does():
@@ -1190,8 +1184,8 @@ def test_state_text_writes_empty_lists_as_json_does():
     empty E."""
     base = run(1, 9)[9]
     for state in (init(), ApproxState(1, 9, base.X, base.A, (), base.phi)):
-        assert state_text(state) == json.dumps(state_json(state), indent=2)
-    assert state_text(init()).splitlines() == [
+        assert "".join(state_chunks(state)) == json.dumps(state_json(state), indent=2) + "\n"
+    assert "".join(state_chunks(init())).splitlines() == [
         "{", '  "level": 0,', '  "X": [', '    ""', "  ],", '  "B": [],', '  "A": [],',
         '  "E": [', '    ""', "  ]", "}",
     ]
@@ -1260,17 +1254,13 @@ def test_a_hand_made_stage_reads_as_its_frozensets(family, depth):
     for st in (state, shuffled):
         assert st.X_codes == X and st.E_codes == E
         assert st.X_codes is not st.X_codes and "X_codes" not in vars(st)
-        assert [st.lOf(BinWord(c)) for c in sorted(X)] == [
-            code_len(c) + (c in E) for c in sorted(X)]
-        with pytest.raises(InvalidArgument):
-            st.lOf(BinWord(w))
-        assert state_text(st) == json.dumps({
+        assert "".join(state_chunks(st)) == json.dumps({
             "level": depth,
             "X": [code_str(c) for c in sorted(X)],
             "B": [[code_str(y), code_str(x), phi[y, x]] for y, x in sorted(phi)],
             "A": [[code_str(y), code_str(x)] for y, x in sorted(A)],
             "E": [code_str(c) for c in sorted(E)],
-        }, indent=2)
+        }, indent=2) + "\n"
         assert state_dot(st) == ref_state_dot(depth, X, A, E, phi)
     nxt = step(state)
     assert nxt == step(shuffled) == binword_step(state)
@@ -1287,5 +1277,4 @@ def test_stage_chunks_hold_the_stage_text_at_each_chunk_boundary(size):
     state = ApproxState._from_codes(1, 13, codes, pairs, codes, dict.fromkeys(pairs, 0))
     chunks = list(state_chunks(state))
     assert "".join(chunks) == json.dumps(state_json(state), indent=2) + "\n"
-    assert "".join(chunks) == state_text(state) + "\n"
     assert len(chunks) == 2 + 4 * (-(-size // CHUNK_ITEMS) + 1)

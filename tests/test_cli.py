@@ -301,8 +301,12 @@ def test_eval_g_usage_errors(capsys):
 
 
 def test_eval_g_bad_point_spec(capsys):
-    rc = main(["eval-g", "--L", "1", "--s", "0", "--coord", "0", "--point", "whatever"])
-    assert rc == 2
+    """A fragment without a bit, a bit other than 0 or 1 and a negative
+    coordinate are usage errors."""
+    for spec in ("whatever", "7:5", "7:2", "-3:1"):
+        rc = main(["eval-g", "--L", "1", "--s", "0", "--coord", "3", f"--point={spec}"])
+        assert rc == 2, spec
+        assert "error:" in capsys.readouterr().err, spec
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorlab.embedding as embedding_mod
-import cantorlab.orientedgraphs as orientedgraphs_mod
 from cantorlab.config import DEFAULT
 from cantorlab.cylinders import (
     EMPTY_SET,
@@ -77,9 +76,23 @@ def edge_graph():
 # instance operations
 
 
+def pick_distinct_preimages(inst, n, C, count):
+    """A target with `count` preimages in C under map n of `inst`, pairwise
+    split at free coordinates the map never reads, so all share the same
+    image point: the points split_cells cuts its cells around, built.
+
+    Point j is a witness of C within the map's domain with bit t of j at the
+    t-th coordinate of _split_coords: the points count in binary there.
+    """
+    C1, coords = inst._split_coords(n, C, count)
+    w = C1.witness_point()
+    pts = [w.with_bits({c: (j >> t) & 1 for t, c in enumerate(coords)}) for j in range(count)]
+    return g_point(MapId(inst.family, n), pts[0], inst.budgets), pts
+
+
 def test_pick_distinct_preimages_shares_image():
     """Five preimages of one target, pairwise distinct at probe coordinates."""
-    target, pts = INST.pick_distinct_preimages(0, cylinder("00"), 5)
+    target, pts = pick_distinct_preimages(INST, 0, cylinder("00"), 5)
     assert len(pts) == 5
     for i in range(5):
         for j in range(i + 1, 5):
@@ -92,11 +105,11 @@ def test_pick_distinct_preimages_shares_image():
 def test_pick_distinct_preimages_errors():
     """Bad count, off-domain cell, and oversized requests are rejected."""
     with pytest.raises(InvalidArgument):
-        INST.pick_distinct_preimages(0, cylinder("00"), 0)
+        pick_distinct_preimages(INST, 0, cylinder("00"), 0)
     with pytest.raises(EmptySet):
-        INST.pick_distinct_preimages(0, cylinder("1"), 2)
+        pick_distinct_preimages(INST, 0, cylinder("1"), 2)
     with pytest.raises(CapExceeded):
-        INST.pick_distinct_preimages(0, cylinder("00"), 1 << 25)
+        pick_distinct_preimages(INST, 0, cylinder("00"), 1 << 25)
 
 
 def test_point_preimage_is_exact():
@@ -117,22 +130,12 @@ def test_point_preimage_rejects_non_image():
 
 
 def test_cell_around_frozen():
+    """The cell around a point pinned at every coordinate below 4."""
     p = cylinder("01").witness_point()
-    got = INST.cell_around(cylinder("01"), p, 4)
+    got = INST.cell_pinned(cylinder("01"), p, range(4))
     assert got.render() == "N=0100"
     with pytest.raises(InvalidArgument):
-        INST.cell_around(cylinder("01"), cylinder("10").witness_point(), 4)
-
-
-def test_split_below_diameter():
-    """The shrunk cell pins every coordinate below the requested depth."""
-    got = INST.split_below_diameter(cylinder("0"), 6)
-    assert got.first_free_coord() >= 6
-    assert got.subset(cylinder("0"))
-    from cantorlab.cylinders import EMPTY_SET
-
-    with pytest.raises(EmptySet):
-        INST.split_below_diameter(EMPTY_SET, 3)
+        INST.cell_pinned(cylinder("01"), cylinder("10").witness_point(), range(4))
 
 
 def test_instance_validation():
@@ -519,7 +522,7 @@ def ref_shrink_47(assignment: MappingTupleAssignment, d: int):
     for top in order[dup.first :]:
         for vp in sorted(dup.copies[top], key=dup.label.__getitem__):
             s = dup.succ[vp]
-            _, pts = inst.pick_distinct_preimages(u[top], cells[vp], L)
+            _, pts = pick_distinct_preimages(inst, u[top], cells[vp], L)
             pins = _separators(pts, 0)
             disj = [
                 inst.cell_pinned(cells[vp], p, pn) for p, pn in zip(pts, pins)
@@ -700,7 +703,7 @@ def test_counter_pins_match_the_trie_scan_on_split_points():
     for n, C in SPLIT_INPUTS:
         for count in range(1, 65):
             _, coords = INST._split_coords(n, C, count)
-            _, pts = INST.pick_distinct_preimages(n, C, count)
+            _, pts = pick_distinct_preimages(INST, n, C, count)
             pins = _counter_pins(coords, count)
             assert [set(pn) for pn in pins] == _separators(pts, 0), (n, C, count)
             for p, pn in zip(pts, pins):
@@ -734,7 +737,7 @@ def test_split_cells_are_the_cells_around_the_separated_preimages():
     of pick_distinct_preimages at their _separators(points, 0) pins."""
     for n, C in SPLIT_INPUTS:
         for count in (1, 2, 3, 5, 8, 13, 31):
-            _, pts = INST.pick_distinct_preimages(n, C, count)
+            _, pts = pick_distinct_preimages(INST, n, C, count)
             want = [INST.cell_pinned(C, p, pn) for p, pn in zip(pts, _separators(pts, 0))]
             got = INST.split_cells(n, C, count)
             assert got == want
@@ -1234,11 +1237,11 @@ def test_chain_cut_reads_its_memo_in_any_vertex_order():
     assert refine_45(asg).V == want
 
 
-def test_build_scheme_orders_copies_without_repr_or_M_of(monkeypatch):
+def test_build_scheme_orders_copies_without_repr(monkeypatch):
     """The splitting construction reads its vertex order and its final cut
     order off the successor table and makes no labeled copy: with
-    LabeledVertex construction and __repr__ and M_of raising, depth 7 builds
-    the same cells."""
+    LabeledVertex construction and __repr__ raising, depth 7 builds the same
+    cells."""
     want = [st_.cells for st_ in build_scheme(INST, 7)]
 
     def called(*args):
@@ -1246,7 +1249,6 @@ def test_build_scheme_orders_copies_without_repr_or_M_of(monkeypatch):
 
     monkeypatch.setattr(LabeledVertex, "__post_init__", called)
     monkeypatch.setattr(LabeledVertex, "__repr__", called)
-    monkeypatch.setattr(orientedgraphs_mod, "M_of", called)
     assert [st_.cells for st_ in build_scheme(INST, 7)] == want
 
 

@@ -20,8 +20,6 @@ from cantorlab.maps import (
     EDGE_UNKNOWN,
     EDGE_YES,
     MapId,
-    PathSpec,
-    TaggedSumSpace,
     check_condition_d,
     domain_D,
     domain_point,
@@ -33,7 +31,6 @@ from cantorlab.maps import (
     is_G0_edge,
     point_in_domain,
     preimage_clopen,
-    sum_tag_set,
 )
 
 
@@ -137,18 +134,6 @@ def test_map_id_validation():
         MapId(1, -1)
 
 
-def test_path_spec_helpers():
-    """Stage order helpers slice from the right ends."""
-    s = PathSpec((0, 1, 2))
-    assert len(s) == 3 and list(s) == [0, 1, 2] and s[1] == 1
-    assert s.tail() == PathSpec((1, 2))
-    assert s.reverse() == PathSpec((2, 1, 0))
-    with pytest.raises(InvalidArgument):
-        PathSpec(()).tail()
-    with pytest.raises(InvalidArgument):
-        PathSpec((0, -1))
-
-
 # ---------------------------------------------------------------------------
 # domains
 
@@ -250,7 +235,7 @@ def test_compose_frozen():
         g_compose_eval(1, (0, 1), LazyPoint({5: 1}), 2)
     assert g_compose_eval(1, (0, 1), LazyPoint({17: 1}), 8) == 1  # reads 17
     assert g_compose_eval(1, (0, 1), LazyPoint({49: 1}), 8) == 0  # never 49
-    assert g_compose_eval(1, PathSpec((0, 1)), zeros, 2) == 0
+    assert g_compose_eval(1, [0, 1], zeros, 2) == 0
     for k in (0, 1, 2, 5, 8, 13):
         assert g_compose_eval(1, (1,), zeros, k) == g_eval_coord(MapId(1, 1), zeros, k)
 
@@ -260,6 +245,8 @@ def test_compose_stage_errors():
     zeros = LazyPoint()
     with pytest.raises(InvalidArgument):
         g_compose_eval(1, (), zeros, 0)
+    with pytest.raises(InvalidArgument):
+        g_compose_eval(1, (0, -1), zeros, 2)
     with pytest.raises(OutsideDomain) as e1:
         g_compose_eval(1, (1, 0), zeros, 0)
     assert e1.value.stage == 0
@@ -521,40 +508,3 @@ def test_is_G0_edge_properties(a, b):
         assert ab != EDGE_NO
     if a == b:
         assert ab == EDGE_UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# tagged direct sums
-
-
-def test_sum_tag_set_frozen():
-    """Running prime-power products, exponent one more than the bit."""
-    assert sum_tag_set("0") == [2]
-    assert sum_tag_set("11") == [4, 36]
-    assert sum_tag_set("01") == [2, 18]
-    assert sum_tag_set("") == []
-
-
-@given(w=st.text(alphabet="01", max_size=10), cut=st.integers(0, 10))
-def test_sum_tag_set_prefix_agreement(w, cut):
-    """Tag sets of a prefix are prefixes of the tag set."""
-    cut = min(cut, len(w))
-    assert sum_tag_set(w[:cut]) == sum_tag_set(w)[:cut]
-
-
-def test_tagged_sum_space():
-    """Cross-tag pairs refute; within a copy the level rule decides."""
-    with pytest.raises(InvalidArgument):
-        TaggedSumSpace((0, 1, 1))
-    with pytest.raises(InvalidArgument):
-        TaggedSumSpace((0, -1))
-    space = TaggedSumSpace((0, 1, 4))
-    assert space.has_tag(4) and not space.has_tag(2)
-    with pytest.raises(InvalidArgument):
-        space.edge_rule(0, "0", 2, "0")
-    assert space.edge_rule(0, "00", 1, "01") == EDGE_NO
-    assert space.edge_rule(0, "00", 0, "01") == EDGE_YES
-    assert space.edge_rule(0, "0", 0, "0") == EDGE_UNKNOWN
-    assert space.edge_rule(1, "00", 1, "01") == EDGE_YES
-    assert space.edge_rule(1, "00", 1, "00") == EDGE_YES
-    assert space.edge_rule(4, "01", 4, "10") == EDGE_NO

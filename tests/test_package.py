@@ -1,5 +1,5 @@
-"""Package-level guards: the public names resolve, invariants are typed, and
-the benchmark's spans name live functions."""
+"""Package-level guards: the public names resolve and have readers, invariants
+are typed, and the benchmark's spans name live functions."""
 
 import ast
 import importlib
@@ -12,12 +12,64 @@ import cantorlab
 import cantorlab.embedding
 
 SRC = Path(cantorlab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exported names kept without a reader, each with its reason.
+UNREAD_BUT_KEPT = {
+    # with atom_ne and atom_const it hides the atom tuple format from the tests
+    "atom_eq",
+}
+
+
+def _benchmark_spans():
+    """perfbench/spans.py's SPANS: (module, attribute) -> span name."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.SPANS
 
 
 @pytest.mark.parametrize("module", [cantorlab, cantorlab.embedding], ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def _loaded_outside_own_definition(path):
+    """Names loaded in the module at `path`, leaving out each top-level
+    statement's loads of the names it defines (a def's or class's own name,
+    or a name it assigns)."""
+    read = set()
+    for statement in ast.parse(path.read_text(), filename=str(path)).body:
+        defined = {getattr(statement, "name", None)} | {
+            node.id
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        read.update(
+            node.id
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id not in defined
+        )
+    return read
+
+
+def test_every_exported_name_has_a_reader():
+    """Each name in cantorlab.__all__ is read by the package outside
+    __init__.py and its own definition, is a benchmark span target, or is
+    named by the acceptance battery."""
+    read = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "__init__.py":
+            read |= _loaded_outside_own_definition(path)
+    read |= {attr.split(".")[0] for _, attr in _benchmark_spans()}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    read |= {node.id for node in ast.walk(acceptance) if isinstance(node, ast.Name)}
+    read |= {alias.asname or alias.name for node in ast.walk(acceptance)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = sorted(set(cantorlab.__all__) - read - UNREAD_BUT_KEPT)
+    assert unread == []
 
 
 def test_no_bare_assert_in_the_package():
@@ -65,15 +117,12 @@ def test_no_unread_parameter_in_the_package():
 def test_every_benchmark_span_names_a_live_attribute():
     """perfbench/spans.py wraps each SPANS target with getattr, so a renamed
     or deleted target would crash the benchmark rather than go untraced."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _benchmark_spans()
     missing = []
-    for module, attr in spans.SPANS:
+    for module, attr in spans:
         target = importlib.import_module(f"cantorlab.{module}")
         for part in attr.split("."):
             target = getattr(target, part, None)
         if not callable(target):
             missing.append(f"{module}.{attr}")
-    assert spans.SPANS and missing == []
+    assert spans and missing == []

@@ -25,7 +25,6 @@ from cantorlab.sequences import (
     in_shift_set,
     in_skip_set,
     in_stride_set,
-    lenlex_rank,
     lenlex_word,
     padded_word,
     stride,
@@ -112,18 +111,14 @@ def test_lenlex_matches_brute_enumeration():
     words = brute_lenlex(200)
     for n, w in enumerate(words):
         assert str(lenlex_word(n)) == w
-        assert lenlex_rank(BinWord.from_str(w)) == n
+        assert BinWord.from_str(w).code == n + 1
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 def test_lenlex_bijection(n):
-    assert lenlex_rank(lenlex_word(n)) == n
-
-
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=1))
-def test_lenlex_rank_grows_under_extension(n, eps):
-    w = lenlex_word(n)
-    assert lenlex_rank(w.append(eps)) > n
+    """A word's rank is its code less one: read back from its text, the n-th
+    word has code n + 1."""
+    assert BinWord.from_str(str(lenlex_word(n))).code == n + 1
 
 
 def test_padded_word_frozen_values():
