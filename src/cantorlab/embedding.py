@@ -60,7 +60,7 @@ class CantorInstance:
 
     Its methods are what the refinement passes and the splitting
     construction consume: per-index domains, exact images and preimages of
-    cells, and pairwise disjoint cells around distinct preimages of a single
+    cells, and the coordinates that split distinct preimages of a single
     point.  point_preimage and cell_pinned extend that minimal surface: the
     splitting construction needs to aim a preimage at a given point and to
     carve a cell around a given point, and neither is expressible through
@@ -98,7 +98,7 @@ class CantorInstance:
         increasing order, that are free in C cut to the map's domain, in no
         class of it, unread by map n and not a stride coordinate of the
         materializable maps: leaving those untouched keeps every later
-        pairing stage satisfiable.  Returns the cut cell and the coordinates.
+        pairing stage satisfiable.
         """
         if count < 1:
             raise InvalidArgument("count must be positive")
@@ -126,19 +126,7 @@ class CantorInstance:
             ):
                 coords.append(c)
             c += 1
-        return C1, coords
-
-    def split_cells(self, n, C, count):
-        """Pairwise disjoint cells of C, one around each of `count` points
-        that share their image under map n: points of C within the map's
-        domain that count in binary on the coordinates of _split_coords,
-        point j carrying bit t of j at the t-th one.  Each cell is pinned at
-        the branch points of the points' binary trie (_counter_pins); neither
-        the points nor their image is built."""
-        _, coords = self._split_coords(n, C, count)
-        return [
-            self.cell_pinned(C, LazyPoint(pins), pins) for pins in _counter_pins(coords, count)
-        ]
+        return coords
 
     def point_preimage(self, n, C, target) -> LazyPoint:
         """A point of C mapping exactly to `target` under map n.
@@ -388,17 +376,20 @@ def _separators(points, d):
     return pins
 
 
-def _counter_pins(coords, count):
-    """_separators(points, 0) as each point's pinned bits, for `count`
-    points that count in binary on the increasing coordinates `coords`
-    (point j has bit t of j at coords[t]) and agree elsewhere: point j pins
-    coords[t] when (j mod 2^t) + 2^t < count.  shrink_47's docstring argues
-    why those are the branch points of the points' binary trie.
-    """
-    return [
-        {c: (j >> t) & 1 for t, c in enumerate(coords) if (j & ((1 << t) - 1)) + (1 << t) < count}
-        for j in range(count)
-    ]
+def _counter_pins(coords, count, j):
+    """Split point j's pins in _separators(points, 0), as bits: coords[t]
+    when (j mod 2^t) + 2^t < count, as shrink_47's docstring argues."""
+    return {c: (j >> t) & 1 for t, c in enumerate(coords) if j % (1 << t) + (1 << t) < count}
+
+
+def _counter_index(q, coords, count):
+    """The index of the split cell that holds q, for q in the cell being
+    split, read off q's bits as shrink_47's docstring argues."""
+    r = t = 0
+    while r + (1 << t) < count:
+        r |= q.eval(coords[t]) << t
+        t += 1
+    return r
 
 
 def _point_avoiding(cell: SymbolicClopen, placed) -> LazyPoint:
@@ -437,10 +428,22 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     - a maximal vertex takes its refine_45 cell, seed(v);
     - any other vertex v, with successor s, takes C = seed(v), cut to
       f^-1(chosen cell of s) when s is not maximal (f is map u(v)), and then
-      the first cell of split_cells(u(v), C, |X|) that holds no placed point;
+      the first of C's |X| split cells (below) that holds no placed point;
     - v's point is a preimage of s's point in that cell.
     Separating neighbourhoods around the chosen points and a final chain
     refinement give the result.
+
+    C's split cells surround |X| split points of C in f's domain, never
+    built, that agree except at the increasing coordinates c_0 < c_1 < ...
+    that _split_coords hunts, once per distinct f and C (equal cells have
+    equal normal forms, and |X| is fixed within the call), point j carrying
+    bit t of j at c_t; they share their image under f.  Cell j pins C at
+    point j's bits where _separators(points, 0) would: two points first
+    differ at c_t for the lowest bit t where their indices differ, and the
+    trie group reaching c_t with point j holds the indices below |X| that
+    share j's low t bits, r + m 2^t for r = j mod 2^t and m = 0, 1, ...; it
+    meets bit 0 at c_t in r and bit 1 exactly when it holds r + 2^t.  So j
+    is pinned at c_t exactly when r + 2^t < |X| (_counter_pins).
 
     The branch is the one the full construction chooses:
     - a split's cone holds exactly the copies whose chain passes through
@@ -453,7 +456,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     - the cell of s' is final when s' is made, because no later split's
       cone holds s's base;
     - the copies of v under s' are the |X| fresh copies of one split of v,
-      in label order, and they carry split_cells(u(v), that cell, |X|);
+      in label order, and carry that cell's split cells in index order;
     - when s is maximal, refine_45 has already put seed(v) inside
       f^-1(seed(s)), so the cut is skipped.
 
@@ -462,25 +465,21 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     - the input has contained images, so refine_45 leaves exact ones;
     - s's chosen cell B lies in seed(s), which is f(seed(v)), so C has
       the image f(seed(v)) & B = B;
-    - the |X| points that split_cells counts in binary differ only at
-      coordinates that are free in C, linked to no other coordinate, and
-      unread by map u(v), and split_cells pins only those, so every split
-      cell has the whole image of C, which is B again.
+    - the split points differ only at coordinates free in C, linked to no
+      other and unread by f, and only those are pinned, so every split cell
+      has the whole image of C, B again.
 
-    split_cells needs neither the points nor a scan of them.  The points
-    count in binary on the increasing coordinates c_0 < c_1 < ... that it
-    hunts, point j carrying bit t of j at c_t, and agree everywhere else.
-    So two points first differ at c_t for the lowest bit t where their
-    indices differ, and the branch points of their binary trie, which are
-    what _separators(points, 0) pins, are among the c_t.  The trie group
-    that reaches c_t with point j holds the indices below |X| that share
-    j's low t bits, r + m 2^t for r = j mod 2^t and m = 0, 1, ...; it meets
-    bit 0 at c_t in r and bit 1 exactly when it holds r + 2^t.  So j is
-    pinned at c_t exactly when r + 2^t < |X| (_counter_pins).
-
-    The split cells are a function of the strength and C alone (|X| is
-    fixed within the call), and equal cells have equal normal forms, so
-    `splits` builds them once per distinct pair.
+    The split cells partition C, so only the first free one is built,
+    found from the placed points' bits.  Every inner trie node splits both
+    ways, so a point q of C walks one path down: from r = t = 0, while
+    r + 2^t < |X|, add q(c_t) 2^t to r and 1 to t (_counter_index).  The
+    path's c_t are cell r's pins, so that cell holds q.  Any other j < |X|
+    first differs from r at a bit t on the path, as the walk stops at r
+    alone; r and j share their low t bits and one has bit t set, so both
+    are pinned at c_t, to different bits, and j's cell misses q.  A placed
+    point outside C is in no split cell, so the first free cell is the
+    least index that no placed point of C hits; at the i-th vertex of the
+    order i < |X| points are placed, so one is free.
     """
     if d < 0:
         raise InvalidArgument("diameter exponent must be a natural number")
@@ -495,7 +494,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     seed = refine_45(assignment)
 
     # one cell and one point per vertex, from the maxima down
-    splits = {}
+    split_coords = {}
     chosen = {}
     zpt = {}
     placed = []
@@ -511,12 +510,13 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
                 C = C.intersect(inst.preimage(n, chosen[nxt]))
                 if C.is_empty():
                     raise EmptyRefinement(f"the cut emptied the cell at {v!r}")
-            disj = splits.get((n, C))
-            if disj is None:
-                disj = splits[n, C] = inst.split_cells(n, C, L)
-            cell = next((c for c in disj if not any(c.contains(q) for q in placed)), None)
-            if cell is None:
-                raise InvariantBroken("copy selection exhausted; splitting broken")
+            coords = split_coords.get((n, C))
+            if coords is None:
+                coords = split_coords[n, C] = inst._split_coords(n, C, L)
+            hit = {_counter_index(q, coords, L) for q in placed if C.contains(q)}
+            j = min(set(range(L)) - hit)
+            pins = _counter_pins(coords, L, j)
+            cell = inst.cell_pinned(C, LazyPoint(pins), pins)
             z = inst.point_preimage(n, cell, zpt[nxt])
         chosen[v] = cell
         zpt[v] = z

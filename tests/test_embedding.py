@@ -44,6 +44,7 @@ from cantorlab.embedding import (
 from cantorlab.embedding import (
     _chain_cut,
     _chain_table,
+    _counter_index,
     _counter_pins,
     _meeting_pairs,
     _point_avoiding,
@@ -79,15 +80,24 @@ def edge_graph():
 def pick_distinct_preimages(inst, n, C, count):
     """A target with `count` preimages in C under map n of `inst`, pairwise
     split at free coordinates the map never reads, so all share the same
-    image point: the points split_cells cuts its cells around, built.
+    image point: the split points shrink_47 cuts its split cells around,
+    built.
 
     Point j is a witness of C within the map's domain with bit t of j at the
     t-th coordinate of _split_coords: the points count in binary there.
     """
-    C1, coords = inst._split_coords(n, C, count)
-    w = C1.witness_point()
+    coords = inst._split_coords(n, C, count)
+    w = C.intersect(domain_D(MapId(inst.family, n))).witness_point()
     pts = [w.with_bits({c: (j >> t) & 1 for t, c in enumerate(coords)}) for j in range(count)]
     return g_point(MapId(inst.family, n), pts[0], inst.budgets), pts
+
+
+def ref_split_cells(inst, n, C, count):
+    """All `count` split cells of C under map n, in index order, of which
+    shrink_47 builds only the one it keeps."""
+    coords = inst._split_coords(n, C, count)
+    pins = [_counter_pins(coords, count, j) for j in range(count)]
+    return [inst.cell_pinned(C, LazyPoint(pn), pn) for pn in pins]
 
 
 def test_pick_distinct_preimages_shares_image():
@@ -405,18 +415,6 @@ def test_shrink_47_stops_at_the_duplication_cap():
     assert shrink_47(edge(2), 2).V == shrink_47(edge(DEFAULT.duplication_cap), 2).V
 
 
-def test_shrink_47_raises_invariant_broken_when_every_split_cell_holds_a_point(monkeypatch):
-    """A split whose every cell holds a placed point breaks the construction,
-    not the input: with split_cells returning the whole space, which holds
-    the point of the edge's target, the source finds no cell."""
-    asg = MappingTupleAssignment(
-        edge_graph(), INST, {"a": 0, "b": 0}, {"a": cylinder("00"), "b": cylinder("01")}
-    )
-    monkeypatch.setattr(CantorInstance, "split_cells", lambda self, n, C, count: [FULL_SPACE])
-    with pytest.raises(InvariantBroken, match="^copy selection exhausted; splitting broken$"):
-        shrink_47(asg, 2)
-
-
 def check_shrink_postconditions(asg, d):
     out = shrink_47(asg, d)
     assert in_E(out)
@@ -702,9 +700,9 @@ def test_counter_pins_match_the_trie_scan_on_split_points():
     pick_distinct_preimages returns, with those points' bits."""
     for n, C in SPLIT_INPUTS:
         for count in range(1, 65):
-            _, coords = INST._split_coords(n, C, count)
+            coords = INST._split_coords(n, C, count)
             _, pts = pick_distinct_preimages(INST, n, C, count)
-            pins = _counter_pins(coords, count)
+            pins = [_counter_pins(coords, count, j) for j in range(count)]
             assert [set(pn) for pn in pins] == _separators(pts, 0), (n, C, count)
             for p, pn in zip(pts, pins):
                 assert all(p.eval(c) == bit for c, bit in pn.items())
@@ -726,66 +724,85 @@ def test_counter_pins_match_the_trie_scan_on_synthetic_counters():
                 base.with_bits({c: (j >> t) & 1 for t, c in enumerate(coords)})
                 for j in range(count)
             ]
-            pins = _counter_pins(coords, count)
+            pins = [_counter_pins(coords, count, j) for j in range(count)]
             assert [set(pn) for pn in pins] == _separators(pts, 0), (count, coords)
             for p, pn in zip(pts, pins):
                 assert all(p.eval(c) == bit for c, bit in pn.items())
 
 
+def test_counter_index_names_the_one_split_cell_that_holds_a_point():
+    """For every count from 1 to 64 on SPLIT_INPUTS, each split point and
+    random members of C lie in exactly one split cell, and _counter_index
+    names it from the point's bits: split point j in cell j."""
+    rng = random.Random(27)
+    for n, C in SPLIT_INPUTS:
+        w = C.witness_point()
+        free = [c for c in range(96) if C.forced(c) is None]
+        for count in range(1, 65):
+            coords = INST._split_coords(n, C, count)
+            cells = ref_split_cells(INST, n, C, count)
+            _, pts = pick_distinct_preimages(INST, n, C, count)
+            assert [_counter_index(p, coords, count) for p in pts] == list(range(count))
+            members = [w.with_bits({c: rng.randrange(2) for c in free}) for _ in range(4)]
+            for q in pts + [q for q in members if C.contains(q)]:
+                holders = [j for j, cell in enumerate(cells) if cell.contains(q)]
+                assert holders == [_counter_index(q, coords, count)], (n, C, count)
+
+
 def test_split_cells_are_the_cells_around_the_separated_preimages():
-    """split_cells gives the cells that cell_pinned builds around the points
-    of pick_distinct_preimages at their _separators(points, 0) pins."""
+    """The split cells are the cells that cell_pinned builds around the
+    points of pick_distinct_preimages at their _separators(points, 0) pins."""
     for n, C in SPLIT_INPUTS:
         for count in (1, 2, 3, 5, 8, 13, 31):
             _, pts = pick_distinct_preimages(INST, n, C, count)
             want = [INST.cell_pinned(C, p, pn) for p, pn in zip(pts, _separators(pts, 0))]
-            got = INST.split_cells(n, C, count)
+            got = ref_split_cells(INST, n, C, count)
             assert got == want
             assert [c.render() for c in got] == [c.render() for c in want]
 
 
 def test_split_cells_keep_the_errors_of_pick_distinct_preimages():
     with pytest.raises(InvalidArgument):
-        INST.split_cells(0, cylinder("00"), 0)
+        ref_split_cells(INST, 0, cylinder("00"), 0)
     with pytest.raises(EmptySet):
-        INST.split_cells(0, cylinder("1"), 2)
+        ref_split_cells(INST, 0, cylinder("1"), 2)
     with pytest.raises(CapExceeded):
-        INST.split_cells(0, cylinder("00"), 1 << 25)
+        ref_split_cells(INST, 0, cylinder("00"), 1 << 25)
 
 
 def test_shrink_47_splits_equal_cells_of_different_strengths_apart(monkeypatch):
     """Two edges a -> b under map 0 and c -> d under map 1 with a and c on
     the same cell: the two maps leave different coordinates unread, so the
-    split cells of a and c differ, and each is built for its own strength,
-    giving the oracle's cells."""
+    split cells of a and c differ, and each split is made for its own
+    strength, giving the oracle's cells."""
     X = domain_D(MapId(1, 0)).intersect(domain_D(MapId(1, 1)))
-    assert INST.split_cells(0, X, 4) != INST.split_cells(1, X, 4)
+    assert ref_split_cells(INST, 0, X, 4) != ref_split_cells(INST, 1, X, 4)
     G = FiniteOrientedGraph("abcd", {("a", "b"), ("c", "d")})
     u = {"a": 0, "b": 0, "c": 1, "d": 0}
     V = {"a": X, "b": INST.image(0, X), "c": X, "d": INST.image(1, X)}
     asg = MappingTupleAssignment(G, INST, u, V)
     calls = []
-    real = CantorInstance.split_cells
+    real = CantorInstance._split_coords
 
-    def split_cells(self, n, C, count):
+    def split_coords(self, n, C, count):
         calls.append(n)
         return real(self, n, C, count)
 
-    monkeypatch.setattr(CantorInstance, "split_cells", split_cells)
+    monkeypatch.setattr(CantorInstance, "_split_coords", split_coords)
     got = shrink_47(asg, 3).V
     assert sorted(calls) == [0, 1]
     assert got == ref_shrink_47(asg, 3).V
 
 
 def test_build_scheme_builds_each_split_once_per_distinct_input(monkeypatch):
-    """Within one shrink_47 call the split cells are built once per
-    distinct (strength, cell): the depth-7 scheme builds 32 split lists
-    where building one per split copy made 63."""
+    """Within one shrink_47 call the split coordinates are hunted once per
+    distinct (strength, cell): the depth-7 scheme hunts 32 times where
+    hunting once per non-maximal vertex would make 63."""
     calls = []
-    real_split = CantorInstance.split_cells
+    real_split = CantorInstance._split_coords
     real_shrink = embedding_mod.shrink_47
 
-    def split_cells(self, n, C, count):
+    def split_coords(self, n, C, count):
         calls[-1].append((n, C, count))
         return real_split(self, n, C, count)
 
@@ -793,7 +810,7 @@ def test_build_scheme_builds_each_split_once_per_distinct_input(monkeypatch):
         calls.append([])
         return real_shrink(assignment, d)
 
-    monkeypatch.setattr(CantorInstance, "split_cells", split_cells)
+    monkeypatch.setattr(CantorInstance, "_split_coords", split_coords)
     monkeypatch.setattr(embedding_mod, "shrink_47", shrink)
     build_scheme(INST, 7)
     for inputs in calls:
@@ -1286,7 +1303,7 @@ def split_recut_oracle(dup, vp, disj, cells, ubase, preimage, recuts):
 def split_copies_oracle(asg, check=lambda split, dup, cells: None):
     """Every copy of the full construction and its cell: each copy of a
     non-maximal vertex, by chain depth and label, splits around
-    split_cells and recuts its cone.  `check` sees the set of vertices
+    ref_split_cells and recuts its cone.  `check` sees the set of vertices
     split so far, the engine and the cells after each vertex's splits.
     Returns the successor table, the order, the engine and the cells by
     copy id."""
@@ -1303,7 +1320,7 @@ def split_copies_oracle(asg, check=lambda split, dup, cells: None):
             cell = cells[vp]
             disj = splits.get((n, cell))
             if disj is None:
-                disj = splits[n, cell] = inst.split_cells(n, cell, len(order))
+                disj = splits[n, cell] = ref_split_cells(inst, n, cell, len(order))
             split_recut_oracle(dup, vp, disj, cells, u, inst.preimage, recuts)
         check(set(order[dup.first : i + 1]), dup, cells)
     return table, order, dup, cells
@@ -1374,7 +1391,7 @@ def test_shrink_47_builds_the_branch_of_the_full_split_construction(monkeypatch)
                         (p for p in dup.preds[s] if dup.base[p] == v), key=dup.label.__getitem__
                     )
                     parent = seed[v].intersect(inst.preimage(u[v], cells[s]))
-                    assert [cells[p] for p in under] == inst.split_cells(u[v], parent, L)
+                    assert [cells[p] for p in under] == ref_split_cells(inst, u[v], parent, L)
                     assert all(inst.image(u[v], cells[p]) == cells[s] for p in under)
 
         want = split_branch_oracle(asg, split_copies_oracle(asg, check))
