@@ -442,20 +442,17 @@ def check_lemma_53_54(states) -> CheckReport:
     """Per stage: the successor relation is an uogas, it lies inside the edge
     set, and every successor chain fits inside the stage's length bound.
 
-    A stage whose successor relation is a cycle-free function on its words is
-    an uogas (SuccessorTable.depths says why), and the table's depths give
-    every word's chain depth.  Only a stage the table cannot clear (a word
-    branches, a chain cycles or an endpoint is not a word) builds its graph,
-    for validate_uogas to decide and report the uogas clauses."""
+    SuccessorTable.uogas_depths decides each stage and gives every word's
+    chain depth.  Only a stage it rejects (a word branches, a chain cycles or
+    an endpoint is not a word) builds its graph, for validate_uogas to report
+    the uogas clauses, and takes its chain depths from `depths()`."""
     report = CheckReport()
     for state in states:
         lvl = state.level
         table = SuccessorTable(state.A_codes)
-        succ = table.succ
-        stray = succ.keys() | succ.values()
-        stray.difference_update(state.X_sorted)  # the endpoints that are not words
-        depth = table.depths()
-        if table.branches or stray or len(depth) != len(succ):
+        depth = table.uogas_depths(state.X_sorted)
+        if depth is None:
+            depth = table.depths()
             graph = FiniteOrientedGraph(state.X_codes, state.A_codes)
             for clause, witness in validate_uogas(graph).violations:
                 report.add(clause, (lvl, *_rendered(witness)))

@@ -25,7 +25,7 @@ from .maps import POINT_PROBE_BITS, MapId, _read_inverse, domain_D, image_clopen
 from .orientedgraphs import (
     CheckReport,
     FiniteOrientedGraph,
-    SuccessorTable,
+    chain_table,
     components,
     pred,
     succ,
@@ -244,18 +244,6 @@ def in_U(assignment: MappingTupleAssignment) -> bool:
 # refinement passes
 
 
-def _chain_table(G: FiniteOrientedGraph):
-    """The successor table of a uogas and each vertex's chain depth (its
-    p_to_max length); a branching or cycling successor raises InvalidArgument."""
-    if any(len(succ(G, y)) > 1 for y, _ in G.edges):
-        raise InvalidArgument("a vertex has two successors; not an uogas")
-    table = SuccessorTable(G.edges)
-    depths = table.depths()
-    if len(depths) != len(table.succ):
-        raise InvalidArgument("successor chain cycles; not an uogas")
-    return table, {v: depths.get(v, 1) for v in G.vertices}
-
-
 def _chain_cut(instance, u, V, succ_of, x, W):
     """x's cell as refine_45 leaves it, worked out along x's own successor
     chain: below the maximum, each cell is cut to the preimage of its
@@ -282,7 +270,7 @@ def refine_45(assignment: MappingTupleAssignment):
     membership to stay nonempty; an emptied cell raises EmptyRefinement.
     """
     G, inst, u = assignment.graph, assignment.instance, assignment.u
-    table, _ = _chain_table(G)
+    table, _ = chain_table(G)
     W = {}
     for v in G.vertices:
         _chain_cut(inst, u, assignment.V, table.succ, v, W)
@@ -486,7 +474,7 @@ def shrink_47(assignment: MappingTupleAssignment, d: int):
     G = assignment.graph
     inst = assignment.instance
     u = assignment.u
-    table, depth = _chain_table(G)
+    table, depth = chain_table(G)
     order = sorted(G.vertices, key=lambda t: (depth[t], repr(t)))
     L = len(order)
     if L == 0:

@@ -5,9 +5,10 @@ construction, which consumes a caller-supplied vertex enumeration and makes
 label copies of one vertex's predecessor cone per stage.  Vertex ids are
 opaque hashable values.  The construction exists once, as the Duplication
 engine on integer copy ids: `duplicate` builds its stages with it and wraps
-only its result in LabeledVertex, and the lemma 4.3 suite validates the
-stages on the copy ids themselves.  embedding.shrink_47 runs no engine: it
-builds only the branch of copies it keeps.
+only its result in LabeledVertex.  embedding.shrink_47 runs no engine: it
+builds only the branch of copies it keeps.  SuccessorTable.uogas_depths is
+the one uogas decision, on stages and copy ids alike; chain_table is its
+raising form, and validate_uogas explains a relation it rejects.
 """
 
 from __future__ import annotations
@@ -257,6 +258,17 @@ class SuccessorTable:
                 depth[u] = d
         return {w: d for w, d in depth.items() if d} if cyclic else depth
 
+    def uogas_depths(self, vertices):
+        """`depths()` when the pairs form an uogas on `vertices`, else None:
+        when no source branches, every endpoint is a vertex and no chain
+        cycles (`len(depths()) == len(succ)`; `depths` says why that is all)."""
+        stray = self.succ.keys() | self.succ.values()
+        stray.difference_update(vertices)
+        if self.branches or stray:
+            return None
+        depth = self.depths()
+        return depth if len(depth) == len(self.succ) else None
+
     def distances(self) -> dict:
         """Each target's longest distance from a chain-minimal vertex, over
         every pair: one more than the largest among its sources.  A vertex
@@ -284,6 +296,18 @@ class SuccessorTable:
                     stack.pop()
                     dist[v] = 1 + max(dist.get(p, 1) for p in preds[v])
         return dist
+
+
+def chain_table(G: FiniteOrientedGraph):
+    """A uogas's successor table and each vertex's chain depth (p_to_max
+    length), or InvalidArgument with validate_uogas's violations.  Branching
+    is refused first, as its table sorts vertices that may have no order."""
+    if len(G._succ) == len(G.edges):
+        table = SuccessorTable(G.edges)
+        depths = table.uogas_depths(G.vertices)
+        if depths is not None:
+            return table, {v: depths.get(v, 1) for v in G.vertices}
+    raise InvalidArgument(f"not an uogas: {validate_uogas(G).violations[:3]}")
 
 
 def _uf_find(root, i):
@@ -362,6 +386,8 @@ def _bfs_path(adj, x, y):
 
 def p_to_max(G: FiniteOrientedGraph, y):
     """The successor chain from y to its component's maximal vertex."""
+    if y not in G.vertices:
+        raise InvalidArgument(f"{y!r} is not a vertex")
     chain = [y]
     seen = {y}
     while True:
@@ -427,43 +453,36 @@ def lemma42_suite(G: FiniteOrientedGraph) -> CheckReport:
 # duplication
 
 
-def _check_enumeration(G, order, depths):
-    if len(order) != len(G.vertices) or set(order) != G.vertices:
-        raise BadEnumeration("enumeration must list every vertex exactly once")
-    lengths = [depths.get(x, 1) for x in order]
-    if any(lengths[i] > lengths[i + 1] for i in range(len(lengths) - 1)):
-        raise BadEnumeration("enumeration must have nondecreasing chain lengths")
-
-
 class Duplication:
     """The labeled copies of a uogas under the duplication construction,
     kept incrementally.
 
-    The constructor validates the graph and the enumeration, which lists
-    every vertex once in nondecreasing chain length; splitting starts at its
-    index `first`, the first non-maximal vertex.  Copies are ints, numbered
-    in order of creation: copy c is a copy of vertex `base[c]` with label
-    `label[c]`, and each vertex x starts with the one copy labeled (0,).
-    `copies` maps a base vertex to the set of its live copies, `succ` maps a
-    copy to its successor copy, and `preds` maps every live copy to the set
-    of its predecessor copies; only `split` changes them.  `develop` runs the
-    construction's steps, and `graph` and `labeled` give the stage reached,
-    on copy ids or on labeled vertices.  Copy c stands for
-    LabeledVertex(base[c], label[c]), and that map is injective on live
-    copies, so the two views are isomorphic.  `duplicate` and the lemma 4.3
-    suite run it.
+    The constructor checks the graph (chain_table) and the enumeration,
+    which lists every vertex once in nondecreasing chain length; splitting
+    starts at its index `first`, the first non-maximal vertex.  Copies are
+    ints, numbered in order of creation: copy c is a copy of vertex
+    `base[c]` with label `label[c]`, and each vertex x starts with the one
+    copy labeled (0,).  `copies` maps a base vertex to the set of its live
+    copies, `succ` maps a copy to its successor copy, and `preds` maps every
+    live copy to the set of its predecessor copies; only `split` changes
+    them.  `develop` runs the construction's steps; `succ` and `preds` are
+    the stage reached on copy ids, and `labeled` gives it on labeled
+    vertices.  Copy c stands for LabeledVertex(base[c], label[c]), and that
+    map is injective on live copies, so the two views are isomorphic.
+    `duplicate` and the lemma 4.3 suite run it.
     """
 
     __slots__ = ("order", "first", "base", "label", "copies", "succ", "preds", "_cap")
 
     def __init__(self, G: FiniteOrientedGraph, enumeration, budgets: Budgets = DEFAULT):
-        report = validate_uogas(G)
-        if not report.ok:
-            raise InvalidArgument(f"not an uogas: {report.violations[:3]}")
-        self.order = tuple(enumeration)
-        depths = SuccessorTable(G.edges).depths()
-        _check_enumeration(G, self.order, depths)
-        self.first = sum(1 for x in self.order if x not in depths)
+        _, depth = chain_table(G)
+        self.order = order = tuple(enumeration)
+        if len(order) != len(G.vertices) or set(order) != G.vertices:
+            raise BadEnumeration("enumeration must list every vertex exactly once")
+        lengths = [depth[x] for x in order]
+        if any(lengths[i] > lengths[i + 1] for i in range(len(lengths) - 1)):
+            raise BadEnumeration("enumeration must have nondecreasing chain lengths")
+        self.first = lengths.count(1)
         self._cap = budgets.duplication_cap
         self.base = list(G.vertices)
         self.label = [(0,)] * len(self.base)
@@ -548,10 +567,6 @@ class Duplication:
                 blocks = blocks[:p]
             for copy in blocks:
                 self.split(copy)
-
-    def graph(self) -> FiniteOrientedGraph:
-        """The stage reached, on the live copy ids."""
-        return FiniteOrientedGraph(self.preds, self.succ.items())
 
     def labeled(self) -> FiniteOrientedGraph:
         """The stage reached, with copy c as LabeledVertex(base[c], label[c])."""

@@ -31,6 +31,7 @@ from .orientedgraphs import (
     Duplication,
     FiniteOrientedGraph,
     SuccessorTable,
+    chain_table,
     lemma42_suite,
     validate_uogas,
 )
@@ -97,16 +98,14 @@ def _random_uogas(rng: random.Random, nv: int) -> FiniteOrientedGraph:
             t = rng.randrange(nv + 1)
             if t != nv and t != v:
                 edges.append((v, t))
-        table = SuccessorTable(edges)
-        if len(table.depths()) == len(table.succ):
+        if SuccessorTable(edges).uogas_depths(range(nv)) is not None:
             return FiniteOrientedGraph(range(nv), edges)
 
 
 def _enumeration_of(g: FiniteOrientedGraph):
     """A valid duplication order (path length to the maximum, then vertex id),
     the number of duplication steps it supports, and each vertex's length."""
-    depths = SuccessorTable(g.edges).depths()
-    lengths = {v: depths.get(v, 1) for v in g.vertices}
+    _, lengths = chain_table(g)
     order = tuple(sorted(g.vertices, key=lambda v: (lengths[v], str(v))))
     steps = sum(1 for v in g.vertices if lengths[v] >= 2)
     return order, steps, lengths
@@ -177,16 +176,17 @@ def _shape_graphs(max_vertices: int):
             yield nv, _table_graph(_shape_table(shape))
 
 
-def _developed_report(g: FiniteOrientedGraph, order, m: int):
-    """validate_uogas's report on stage m of g's duplication along order.
-    The stage is validated on its copy ids, and again on its labeled
-    vertices only when that fails, so violations name the vertices that
-    `duplicate` returns; the two views are isomorphic, so the verdict is
-    the same."""
+def _developed_violations(g: FiniteOrientedGraph, order, m: int) -> list:
+    """validate_uogas's violations on stage m of g's duplication along order.
+    The copy ids' successor table decides the stage, and only a stage it
+    rejects is validated, on its labeled vertices, so violations name the
+    vertices that `duplicate` returns; the two views are isomorphic, so the
+    verdict is the same."""
     dup = Duplication(g, order)
     dup.develop(m)
-    rep = validate_uogas(dup.graph())
-    return rep if rep.ok else validate_uogas(dup.labeled())
+    if SuccessorTable(dup.succ.items()).uogas_depths(dup.preds) is not None:
+        return []
+    return validate_uogas(dup.labeled()).violations
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +507,9 @@ def suite_lemma43(
         orders = list(_all_enumerations_of(lengths)) if nv <= 3 else [canonical]
         for order in orders:
             developed += 1
-            rep = _developed_report(g, order, steps)
-            if not rep.ok:
-                viol.append(f"{nv}-vertex {sorted(g.edges)} order {order}: {rep.violations[:2]}")
+            bad = _developed_violations(g, order, steps)
+            if bad:
+                viol.append(f"{nv}-vertex {sorted(g.edges)} order {order}: {bad[:2]}")
 
     rng = random.Random(seed)
     sampled = skipped = 0
@@ -527,9 +527,9 @@ def suite_lemma43(
             skipped += 1
             continue
         sampled += 1
-        rep = _developed_report(g, order, m)
-        if not rep.ok:
-            viol.append(f"random {random_vertices}-vertex {sorted(g.edges)}: {rep.violations[:2]}")
+        bad = _developed_violations(g, order, m)
+        if bad:
+            viol.append(f"random {random_vertices}-vertex {sorted(g.edges)}: {bad[:2]}")
     return SuiteResult(
         "lemma4.3",
         not viol,

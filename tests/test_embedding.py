@@ -43,7 +43,6 @@ from cantorlab.embedding import (
 )
 from cantorlab.embedding import (
     _chain_cut,
-    _chain_table,
     _counter_index,
     _counter_pins,
     _meeting_pairs,
@@ -62,7 +61,13 @@ from cantorlab.errors import (
 )
 from cantorlab.maps import MapId, domain_D, g_point, image_clopen
 from cantorlab.approximation import detect_L_n, run
-from cantorlab.orientedgraphs import Duplication, FiniteOrientedGraph, LabeledVertex, p_to_max
+from cantorlab.orientedgraphs import (
+    Duplication,
+    FiniteOrientedGraph,
+    LabeledVertex,
+    chain_table,
+    p_to_max,
+)
 from cantorlab.sequences import BinWord, anchor_word
 
 W = BinWord.from_str
@@ -501,7 +506,7 @@ def ref_shrink_47(assignment: MappingTupleAssignment, d: int):
     inst = assignment.instance
     budgets = inst.budgets
     u = assignment.u
-    table, depth = _chain_table(G)
+    table, depth = chain_table(G)
     order = sorted(G.vertices, key=lambda t: (depth[t], repr(t)))
     L = len(order)
     if L == 0:
@@ -1308,7 +1313,7 @@ def split_copies_oracle(asg, check=lambda split, dup, cells: None):
     Returns the successor table, the order, the engine and the cells by
     copy id."""
     G, inst, u = asg.graph, asg.instance, asg.u
-    table, depth = _chain_table(G)
+    table, depth = chain_table(G)
     order = sorted(G.vertices, key=lambda t: (depth[t], repr(t)))
     seed = refine_45(asg).V
     dup = Duplication(G, order, inst.budgets)
@@ -1373,7 +1378,7 @@ def test_shrink_47_builds_the_branch_of_the_full_split_construction(monkeypatch)
     cases = [chain_abc()] + [random_in_u(random.Random(seed)) for seed in range(40)]
     for asg in cases:
         inst, u = asg.instance, asg.u
-        table, _ = _chain_table(asg.graph)
+        table, _ = chain_table(asg.graph)
         seed = refine_45(asg).V
         L = len(seed)
 

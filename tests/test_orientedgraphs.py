@@ -18,12 +18,14 @@ from cantorlab.errors import (
     NotConnected,
     StageRelationCycle,
 )
+from cantorlab.sequences import BinWord
 from cantorlab.orientedgraphs import (
     CheckReport,
     Duplication,
     FiniteOrientedGraph,
     LabeledVertex,
     SuccessorTable,
+    chain_table,
     components,
     duplicate,
     lemma42_suite,
@@ -384,6 +386,44 @@ def test_successor_table_hand_cases():
     assert cleared_depths(set(), set()) == {}
 
 
+def test_uogas_depths_is_the_cleared_table_decision():
+    """uogas_depths, read with depth 1 for a vertex it does not store, is
+    cleared_depths on every successor table up to five vertices and on a
+    stray source, a stray target and a branching source."""
+    cases = [
+        (g.vertices, g.edges)
+        for n in range(6)
+        for g in succ_choice_graphs("abcde"[:n], loops=True)
+    ]
+    cases += [
+        ({"a", "b"}, {("z", "a")}),
+        ({"a", "b"}, {("a", "z")}),
+        ({"a", "b", "c"}, {("a", "b"), ("a", "c")}),
+    ]
+    for vertices, edges in cases:
+        depth = SuccessorTable(edges).uogas_depths(vertices)
+        got = None if depth is None else {v: depth.get(v, 1) for v in vertices}
+        assert got == cleared_depths(vertices, edges), sorted(edges)
+
+
+def test_chain_table_gives_depths_or_raises_with_the_violations():
+    """chain_table gives a uogas its table and p_to_max lengths, and raises
+    with validate_uogas's violations on a branching BinWord graph (BinWords
+    have no order to rank the successors by), a 2-cycle and a 3-cycle."""
+    chain = FiniteOrientedGraph("abcd", {("a", "b"), ("b", "c")})
+    table, depth = chain_table(chain)
+    assert table.succ == {"a": "b", "b": "c"}
+    assert depth == {v: len(p_to_max(chain, v)) for v in "abcd"} == {"a": 3, "b": 2, "c": 1, "d": 1}
+    a, b, c = (BinWord.from_str(w) for w in ("0", "10", "11"))
+    for edges in ({(a, b), (a, c)}, {(a, b), (b, a)}, {(a, b), (b, c), (c, a)}):
+        G = FiniteOrientedGraph({a, b, c}, edges)
+        violations = validate_uogas(G).violations
+        assert violations
+        with pytest.raises(InvalidArgument) as err:
+            chain_table(G)
+        assert str(err.value) == f"not an uogas: {violations[:3]}"
+
+
 def oracle_largest_successor_depths(vertices, edges):
     """Chain depths by a bounded walk per vertex: a branching vertex follows
     its largest successor, and a vertex whose walk runs past |V| steps (it
@@ -531,6 +571,16 @@ def test_p_to_max_and_M_frozen():
     single = FiniteOrientedGraph("v", ())
     assert p_to_max(single, "v") == ("v",)
     assert M_of(single, "v") == 1
+
+
+def test_p_to_max_rejects_a_non_vertex():
+    """A start that is no vertex raises, as a missing unique_path endpoint
+    does, rather than giving a one-vertex chain."""
+    g = FiniteOrientedGraph("ab", [("a", "b")])
+    with pytest.raises(InvalidArgument):
+        p_to_max(g, "zzz")
+    with pytest.raises(InvalidArgument):
+        unique_path(g, "a", "zzz")
 
 
 def test_unique_path_matches_brute_exhaustive():

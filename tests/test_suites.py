@@ -214,17 +214,20 @@ def test_copy_id_stages_are_the_labeled_stages():
     """Every development lemma4.3 makes up to 5 vertices, and 12-vertex
     samples at three seeds: the copy-id graph, relabeled by (base, label)
     one to one, is the labeled graph, which is duplicate's output, and
-    both get the same verdict."""
+    both get the same verdict, which is the copy-id table's decision."""
     for seed in (0, 1, 2):
         for _, g, order, m in lemma43_developments(5 if seed == 0 else 0, 12, 30, seed):
             dup = Duplication(g, order)
             dup.develop(m)
-            ids, labeled = dup.graph(), dup.labeled()
+            ids, labeled = FiniteOrientedGraph(dup.preds, dup.succ.items()), dup.labeled()
             lv = {c: LabeledVertex(dup.base[c], dup.label[c]) for c in ids.vertices}
             assert len(set(lv.values())) == len(ids.vertices)
             relabeled = FiniteOrientedGraph(lv.values(), [(lv[a], lv[b]) for a, b in ids.edges])
             assert relabeled == labeled == duplicate(g, order, m)
-            assert validate_uogas(ids).ok == validate_uogas(labeled).ok
+            ok = validate_uogas(labeled).ok
+            assert validate_uogas(ids).ok == ok
+            decided = SuccessorTable(dup.succ.items()).uogas_depths(dup.preds)
+            assert (decided is not None) == ok
 
 
 def test_lemma43_reports_labeled_violations_of_a_failing_development(monkeypatch):
