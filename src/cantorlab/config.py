@@ -15,7 +15,7 @@ alternative 2**31.
 
 The caps no caller varies are module constants: `sequences.MAX_STRIDE_BITS`
 and `sequences.MAX_WORD_BITS`, `approximation.MAX_DEPTH`,
-`maps.POINT_PROBE_BITS` and `embedding.MAP_SEARCH_MAX`.
+`embedding.POINT_PROBE_BITS` and `embedding.MAP_SEARCH_MAX`.
 """
 
 from dataclasses import dataclass

@@ -29,16 +29,15 @@ from .sequences import BinWord, code_bit, code_is_prefix
 
 
 class LazyPoint:
-    """An infinite binary sequence: finitely many explicit bits over a default
-    tail, with an optional rule consulted between the two.
+    """An infinite binary sequence: finitely many explicit bits over a
+    constant default tail.
     """
 
-    __slots__ = ("explicit", "default", "rule")
+    __slots__ = ("explicit", "default")
 
-    def __init__(self, explicit=None, default=0, rule=None):
+    def __init__(self, explicit=None, default=0):
         self.explicit = dict(explicit or {})
         self.default = default & 1
-        self.rule = rule
 
     @classmethod
     def zeros(cls):
@@ -47,24 +46,19 @@ class LazyPoint:
     def eval(self, k) -> int:
         if k < 0:
             raise InvalidArgument("coordinates are natural numbers")
-        v = self.explicit.get(k)
-        if v is not None:
-            return v
-        if self.rule is not None:
-            return self.rule(k) & 1
-        return self.default
+        return self.explicit.get(k, self.default)
 
     def with_bits(self, bits: dict) -> "LazyPoint":
         merged = dict(self.explicit)
         merged.update(bits)
-        return LazyPoint(merged, self.default, self.rule)
+        return LazyPoint(merged, self.default)
 
     def prefix(self, n: int) -> BinWord:
         return BinWord.from_bits(self.eval(i) for i in range(n))
 
     def __repr__(self):
         shown = dict(sorted(self.explicit.items())[:8])
-        return f"LazyPoint({shown}, default={self.default}{', rule' if self.rule else ''})"
+        return f"LazyPoint({shown}, default={self.default})"
 
 
 # ---------------------------------------------------------------------------

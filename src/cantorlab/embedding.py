@@ -21,7 +21,7 @@ from .errors import (
     NotFoundWithinBudget,
     PrefixTooShort,
 )
-from .maps import POINT_PROBE_BITS, MapId, _read_inverse, domain_D, image_clopen, preimage_clopen
+from .maps import MapId, _read_inverse, domain_D, image_clopen, preimage_clopen
 from .orientedgraphs import (
     CheckReport,
     FiniteOrientedGraph,
@@ -30,7 +30,7 @@ from .orientedgraphs import (
     pred,
     succ,
 )
-from .sequences import BinWord, anchor_word, code_is_prefix, stride
+from .sequences import BinWord, anchor_word, code_is_prefix, stride, stride_expand
 
 __all__ = [
     "CantorInstance",
@@ -48,6 +48,11 @@ __all__ = [
     "scheme_state_json",
     "shrink_47",
 ]
+
+
+# The coordinate searches of the scheme construction (split coordinates,
+# separating coordinates, a point avoiding placed points) stop here.
+POINT_PROBE_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +136,16 @@ class CantorInstance:
     def point_preimage(self, n, C, target) -> LazyPoint:
         """A point of C mapping exactly to `target` under map n.
 
-        Read coordinates come back from the target, unread ones from a
-        witness of C; the image of the result is the target, coordinate by
-        coordinate, with no approximation.
+        Each explicit target bit at k != stride moves to stride_expand(k),
+        a witness w of C cut to the map's domain keeps its explicit bits
+        where _read_inverse is None, and the tail is the target's default.
+        As in g_point, the two are inverse bijections off the stride, so
+        the image is the target at every k != stride, and the target check
+        covers the forced 1 at the stride.  w's explicit bits cover every
+        coordinate that C cut to the domain constrains, so an unread
+        coordinate w leaves free may take any default; for a default-0
+        target the result is w at every unread coordinate.  The membership
+        check below decides whether the read bits keep the result in C.
         """
         b = self.budgets
         ident = self._ident(n)
@@ -144,16 +156,17 @@ class CantorInstance:
         for i in range(len(out_base)):
             if target.eval(i) != out_base.bit(i):
                 raise InvalidArgument("the target is not an image of the cell")
-        w = C1.witness_point()
         fam = self.family
-
-        def pull(c):
-            k = _read_inverse(fam, n, c, b)
-            if k is not None:
-                return target.eval(k)
-            return w.eval(c)
-
-        p = LazyPoint({}, 0, pull)
+        bits = {
+            c: v
+            for c, v in C1.witness_point().explicit.items()
+            if _read_inverse(fam, n, c, b) is None
+        }
+        st = stride(n)
+        for k, v in target.explicit.items():
+            if k != st:
+                bits[stride_expand(fam, n, k, b)] = v
+        p = LazyPoint(bits, target.default)
         if not C.contains(p):
             raise InvalidArgument("the target is not an image of the cell")
         return p

@@ -7,10 +7,10 @@ can ask is finitary: single output coordinates, compositions evaluated by
 threading one coordinate through the expansion chain, exact clopen images and
 preimages, and edge decisions between cylinders.
 
-Point-level domain checks are exact for rule-free points.  A point carrying an
-evaluation rule is checked on its leading window, its explicit bits, and the
-seed word's distinguishing positions; beyond that the check is trusting, and
-the docstrings of the entry points say so.
+A point is finitely many explicit bits over a constant tail, so every
+point-level domain check is exact.  The one check that is not is
+_check_composition_stages: it checks the inputs of a composition's inner
+stages on the seed word's distinguishing positions only.
 """
 
 from __future__ import annotations
@@ -80,52 +80,30 @@ def domain_D(ident: MapId) -> SymbolicClopen:
     return SymbolicClopen(base, atoms)
 
 
-# For point-domain checks against a huge seed word when the point carries a
-# rule: probe this many leading coordinates (plus every explicit bit and the
-# word's distinguishing positions).  Rule-free points are checked exactly.
-# The scheme construction also bounds its coordinate searches with it.
-POINT_PROBE_BITS = 4096
-
-
 def _point_in_seed(n: int, p: LazyPoint) -> bool:
-    """Does p extend the level-n seed word followed by 0?
-
-    Exact for rule-free points.  For a point with a rule the check covers the
-    leading probe window, all explicit bits, and the final 0 position.
-    """
+    """Does p extend the level-n seed word followed by 0?  Exact."""
     st = stride(n)
     w = lenlex_word(n)
-    if p.rule is None:
-        if p.default == 0:
-            for i, b in enumerate(w.bits()):
-                if p.eval(i) != b:
-                    return False
-            for k, v in p.explicit.items():
-                if 0 <= k <= st and v != (anchor_bit(n, k) if k < st else 0):
-                    return False
-            return True
-        pinned = sum(1 for k in p.explicit if 0 <= k <= st)
-        if st + 1 - pinned > sum(w.bits()):
-            return False
-        return all(
-            p.eval(i) == (anchor_bit(n, i) if i < st else 0)
-            for i in range(st + 1)
-        )
-    limit = min(st + 1, POINT_PROBE_BITS)
-    for i in range(limit):
-        if p.eval(i) != (anchor_bit(n, i) if i < st else 0):
-            return False
-    if p.eval(st) != 0:
+    if p.default == 0:
+        for i, b in enumerate(w.bits()):
+            if p.eval(i) != b:
+                return False
+        for k, v in p.explicit.items():
+            if 0 <= k <= st and v != (anchor_bit(n, k) if k < st else 0):
+                return False
+        return True
+    pinned = sum(1 for k in p.explicit if 0 <= k <= st)
+    if st + 1 - pinned > sum(w.bits()):
         return False
-    for k in p.explicit:
-        if 0 <= k <= st and p.eval(k) != (anchor_bit(n, k) if k < st else 0):
-            return False
-    return True
+    return all(
+        p.eval(i) == (anchor_bit(n, i) if i < st else 0)
+        for i in range(st + 1)
+    )
 
 
 def point_in_domain(ident: MapId, p: LazyPoint) -> bool:
-    """Membership of a point in the full domain of map (L, n), inequality
-    atoms included (checked exactly; the cylinder part as in _point_in_seed).
+    """Membership of a point in the full domain of map (L, n): the seed
+    cylinder and, at levels >= 2, the inequality atoms.  Exact.
     """
     if not _point_in_seed(ident.n, p):
         return False
@@ -138,7 +116,7 @@ def point_in_domain(ident: MapId, p: LazyPoint) -> bool:
 
 
 def domain_point(ident: MapId, extra=None) -> LazyPoint:
-    """A rule-free member of the map's domain: the seed bits, alternating bits
+    """A member of the map's domain: the seed bits, alternating bits
     on the powers-of-three ladder when the level asks for them, and any extra
     explicit bits merged last (the caller keeps membership when overriding).
     """
@@ -174,20 +152,25 @@ def g_eval_coord(ident: MapId, p: LazyPoint, k: int, budgets: Budgets = DEFAULT)
 
 
 def g_point(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> LazyPoint:
-    """The image point, evaluated lazily; raises OutsideDomain up front."""
+    """The image point; raises OutsideDomain up front.
+
+    Exact: stride_expand and _read_inverse are inverse bijections between
+    the output coordinates k != stride and the input coordinates the map
+    reads.  So an explicit input bit at c lands at _read_inverse(c), or is
+    forgotten when that is None; every other k != stride reads a coordinate
+    that is not explicit and takes p's default; the stride bit is 1.
+    """
     if not _point_in_seed(ident.n, p):
         raise OutsideDomain(
             f"point does not extend the seed word of map ({ident.L},{ident.n})"
         )
-    st = stride(ident.n)
-    L, n = ident.L, ident.n
-
-    def derived(k):
-        if k == st:
-            return 1
-        return p.eval(stride_expand(L, n, k, budgets))
-
-    return LazyPoint({}, 0, derived)
+    bits = {}
+    for c, v in p.explicit.items():
+        k = _read_inverse(ident.L, ident.n, c, budgets)
+        if k is not None:
+            bits[k] = v
+    bits[stride(ident.n)] = 1
+    return LazyPoint(bits, p.default)
 
 
 def _virtual_eval(L, stages, p, c, budgets):

@@ -74,14 +74,7 @@ def test_point_eval_frozen_values():
     p = LazyPoint({5: 1})
     assert p.eval(5) == 1
     assert p.eval(6) == 0
-
-
-def test_point_rule_layering():
-    p = LazyPoint({3: 0}, default=0, rule=lambda k: 1 if k % 3 == 0 else 0)
-    assert p.eval(3) == 0   # explicit wins over the rule
-    assert p.eval(6) == 1
-    assert p.eval(7) == 0
-    assert str(p.prefix(4)) == "1000"
+    assert str(LazyPoint({0: 1, 3: 0}).prefix(4)) == "1000"
 
 
 def test_contains_frozen_values():

@@ -59,7 +59,7 @@ from cantorlab.errors import (
     NotFoundWithinBudget,
     PrefixTooShort,
 )
-from cantorlab.maps import MapId, domain_D, g_point, image_clopen
+from cantorlab.maps import MapId, _read_inverse, domain_D, g_point, image_clopen
 from cantorlab.approximation import detect_L_n, run
 from cantorlab.orientedgraphs import (
     Duplication,
@@ -142,6 +142,60 @@ def test_point_preimage_rejects_non_image():
 
     with pytest.raises(InvalidArgument):
         INST.point_preimage(0, cylinder("00"), LazyPoint({}, 0))
+
+
+def pull_oracle(inst, n, C, target):
+    """point_preimage's result as a rule on coordinates: at a coordinate map
+    n reads, the target's bit where it is read to; elsewhere the bit of the
+    witness of C cut to the map's domain."""
+    w = C.intersect(domain_D(MapId(inst.family, n))).witness_point()
+
+    def pull(c):
+        k = _read_inverse(inst.family, n, c, inst.budgets)
+        return w.eval(c) if k is None else target.eval(k)
+
+    return pull
+
+
+def sparse(p):
+    """The same point with only the bits that differ from its tail explicit."""
+    return LazyPoint({c: v for c, v in p.explicit.items() if v != p.default}, p.default)
+
+
+def test_point_preimage_matches_the_pull_oracle():
+    """On SPLIT_INPUTS, with targets the images of members of C (the split
+    points, and C's witness with one coordinate flipped, each given by its
+    1 bits only), point_preimage is the pull rule at every coordinate below
+    POINT_PROBE_BITS."""
+    checked = 0
+    for n, C in SPLIT_INPUTS:
+        ident = MapId(INST.family, n)
+        C1 = C.intersect(domain_D(ident))
+        w = C1.witness_point()
+        flipped = [C1.pinned({c: 1 - v}) for c, v in w.explicit.items()]
+        _, pts = pick_distinct_preimages(INST, n, C, 5)
+        members = pts + [D.witness_point() for D in flipped if not D.is_empty()]
+        for q in members:
+            target = g_point(ident, sparse(q), INST.budgets)
+            p = INST.point_preimage(n, C, target)
+            pull = pull_oracle(INST, n, C, target)
+            assert all(p.eval(c) == pull(c) for c in range(embedding_mod.POINT_PROBE_BITS))
+            checked += 1
+    assert checked >= 20, checked
+
+
+def test_point_preimage_of_a_default_one_target():
+    """A target over a default-1 tail comes back to a member of C that maps
+    onto it at every coordinate below 3,000."""
+    for n, C in SPLIT_INPUTS:
+        ident = MapId(INST.family, n)
+        q = LazyPoint(C.intersect(domain_D(ident)).witness_point().explicit, 1)
+        target = g_point(ident, q, INST.budgets)
+        assert target.default == 1
+        p = INST.point_preimage(n, C, target)
+        assert C.contains(p)
+        image = g_point(ident, p, INST.budgets)
+        assert all(image.eval(c) == target.eval(c) for c in range(3000))
 
 
 def test_cell_around_frozen():
@@ -646,14 +700,15 @@ def probe(monkeypatch):
 
 
 def random_point(rng):
-    """Explicit bits over a default-0 or default-1 tail, or over a rule."""
+    """Explicit bits over a default-0 or default-1 tail, or over a random
+    table of explicit bits below PROBE + 4."""
     top = PROBE + 4
     explicit = {c: rng.randrange(2) for c in rng.sample(range(top), rng.randrange(1, 10))}
     kind = rng.randrange(3)
     if kind < 2:
         return LazyPoint(explicit, kind)
     table = [rng.randrange(2) for _ in range(top)]
-    return LazyPoint(explicit, 0, table.__getitem__)
+    return LazyPoint(dict(enumerate(table)), 0).with_bits(explicit)
 
 
 def test_separators_match_the_pairwise_oracle(probe):

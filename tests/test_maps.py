@@ -156,7 +156,7 @@ def test_domain_frozen_level_two():
 
 
 def test_domain_membership():
-    """Exact membership for rule-free points, probe-window for rule points."""
+    """Exact membership for points over a default-0 or default-1 tail."""
     zeros = LazyPoint()
     assert point_in_domain(MapId(1, 0), zeros)
     assert point_in_domain(MapId(1, 1), zeros)
@@ -164,8 +164,6 @@ def test_domain_membership():
     assert point_in_domain(MapId(2, 0), domain_point(MapId(2, 0)))
     assert point_in_domain(MapId(2, 2), domain_point(MapId(2, 2)))
     assert not point_in_domain(MapId(1, 0), LazyPoint({}, 1))
-    assert point_in_domain(MapId(1, 0), LazyPoint({}, 0, lambda k: 0))
-    assert not point_in_domain(MapId(1, 0), LazyPoint({}, 0, lambda k: 1))
 
 
 def test_domain_point_overrides():
