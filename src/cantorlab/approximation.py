@@ -31,7 +31,6 @@ from functools import cached_property, partial
 from operator import itemgetter
 from types import MappingProxyType
 
-from .config import DEFAULT, Budgets
 from .cylinders import SymbolicClopen
 from .errors import (CapExceeded, DecisionOverflow, InvalidArgument, InvalidLevel,
                      InvariantBroken, PrefixTooShort)
@@ -154,7 +153,7 @@ def _feasible(n, holds) -> bool:
     return not any(holds(anchor >> j) for j in range(stride(n) + 1))
 
 
-def _index_edges(family, n, words, max_len, phi, budgets):
+def _index_edges(family, n, words, max_len, phi):
     """Add map index n's pairs to phi, walking the antichain once per
     potential source.
 
@@ -168,7 +167,7 @@ def _index_edges(family, n, words, max_len, phi, budgets):
     # Every walk first copies the padded seed word out of its source.
     anchor = anchor_word(n).code
     seed0, start = anchor << 1, (anchor << 1) | 1
-    reads = [stride_expand(family, n, k, budgets) for k in range(max_len + 1)]
+    reads = [stride_expand(family, n, k) for k in range(max_len + 1)]
     ident = MapId(family, n)
     for y in words:
         ylen = y.bit_length() - 1
@@ -180,7 +179,7 @@ def _index_edges(family, n, words, max_len, phi, budgets):
         while stack:
             c = pop()
             if c in words:
-                if family == 1 or graph_meets(ident, BinWord(y), BinWord(c), budgets):
+                if family == 1 or graph_meets(ident, BinWord(y), BinWord(c)):
                     phi[(y, c)] = n
                 continue
             k = c.bit_length() - 1
@@ -194,7 +193,7 @@ def _index_edges(family, n, words, max_len, phi, budgets):
                 push((c << 1) | 1)
 
 
-def _carried_edges(prev: ApproxState, children, max_len, budgets) -> dict:
+def _carried_edges(prev: ApproxState, children, max_len) -> dict:
     """The next stage's pairs of every map index feasible at prev, derived in
     one pass over prev's pairs.
 
@@ -213,7 +212,7 @@ def _carried_edges(prev: ApproxState, children, max_len, budgets) -> dict:
     for (y, x), n in prev.phi_codes.items():
         plan = plans.get(n)
         if plan is None:
-            reads = [stride_expand(family, n, k, budgets) for k in range(max_len + 1)]
+            reads = [stride_expand(family, n, k) for k in range(max_len + 1)]
             lo = stride(n) + 1
             plan = plans[n] = (reads, {reads[k]: k for k in range(lo, max_len + 1)},
                                MapId(family, n))
@@ -237,12 +236,12 @@ def _carried_edges(prev: ApproxState, children, max_len, budgets) -> dict:
             else:
                 targets = xs
             for xx in targets:
-                if family == 1 or graph_meets(ident, BinWord(yy), BinWord(xx), budgets):
+                if family == 1 or graph_meets(ident, BinWord(yy), BinWord(xx)):
                     phi[(yy, xx)] = n
     return phi
 
 
-def _stage_edges(prev: ApproxState, children, words, level, budgets) -> dict:
+def _stage_edges(prev: ApproxState, children, words, level) -> dict:
     """The edge set of the stage after prev, as a dict (source, target) ->
     witnessing map index, on word codes.
 
@@ -252,7 +251,7 @@ def _stage_edges(prev: ApproxState, children, words, level, budgets) -> dict:
     """
     carry = prev._stepped
     max_len = _max_len(words)
-    phi = _carried_edges(prev, children, max_len, budgets) if carry else {}
+    phi = _carried_edges(prev, children, max_len) if carry else {}
     for n in itertools.count():
         st = stride(n)
         if st >= level:
@@ -260,10 +259,10 @@ def _stage_edges(prev: ApproxState, children, words, level, budgets) -> dict:
         if carry and st < prev.level and _feasible(n, partial(_has, prev.X_sorted)):
             continue
         if _feasible(n, words.__contains__):
-            _index_edges(prev.family, n, words, max_len, phi, budgets)
+            _index_edges(prev.family, n, words, max_len, phi)
 
 
-def _advanced_chain(state: ApproxState, children, budgets: Budgets) -> set:
+def _advanced_chain(state: ApproxState, children) -> set:
     """The next stage's successor pairs, case by case on whether the two
     endpoints split, with the padded seed words handled by their own rule.
     `children` maps each splitting word to its two child codes."""
@@ -296,7 +295,7 @@ def _advanced_chain(state: ApproxState, children, budgets: Budgets) -> set:
         key = (n, code_len(x))
         t = theta.get(key)
         if t is None:
-            t = theta[key] = stride_expand(family, n, key[1], budgets)
+            t = theta[key] = stride_expand(family, n, key[1])
         if t >= code_len(y) + (ys is not None):
             raise InvariantBroken(f"stage invariant broken: the successor pair ({code_str(y)}, "
                                   f"{code_str(x)}) reads its split target past its source")
@@ -305,7 +304,7 @@ def _advanced_chain(state: ApproxState, children, budgets: Budgets) -> set:
     return out
 
 
-def _splitting_set(family, words, chain_pairs, phi, budgets) -> set:
+def _splitting_set(family, words, chain_pairs, phi) -> set:
     """Decide which stage words split, walking words by their longest known
     distance from a chain-minimal word.
 
@@ -345,7 +344,7 @@ def _splitting_set(family, words, chain_pairs, phi, budgets) -> set:
             key = (n, xlen)
             t = theta.get(key)
             if t is None:
-                t = theta[key] = stride_expand(family, n, xlen, budgets)
+                t = theta[key] = stride_expand(family, n, xlen)
             if t >= code_len(y) + (y in chosen):
                 break
         else:
@@ -355,13 +354,19 @@ def _splitting_set(family, words, chain_pairs, phi, budgets) -> set:
     return chosen
 
 
-def _check_word_cap(level: int, count: int, budgets: Budgets):
+# Default cap on a stage's word count |X|.  It keeps casual runs small;
+# `approx --max-words` and the depth-20 stage suites pass a larger one.
+# Raising it never changes a stage, it only lets deeper stages be computed.
+MAX_WORDS = 200_000
+
+
+def _check_word_cap(level: int, count: int, max_words: int):
     """One message for a stage over the word cap, stepped or memoized."""
-    if count > budgets.max_words:
-        raise CapExceeded(f"stage {level}: {count} words, cap is {budgets.max_words}")
+    if count > max_words:
+        raise CapExceeded(f"stage {level}: {count} words, cap is {max_words}")
 
 
-def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
+def step(state: ApproxState, max_words: int = MAX_WORDS) -> ApproxState:
     """The next stage: split every marked cell, carry the edge set forward
     (or walk it afresh), advance the successor relation, re-decide the splits.
 
@@ -383,11 +388,11 @@ def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
     words.difference_update(children)
     words.update(itertools.chain.from_iterable(children.values()))
     level = state.level + 1
-    _check_word_cap(level, len(words), budgets)
-    phi = _stage_edges(state, children, words, level, budgets)
-    chain = _advanced_chain(state, children, budgets)
+    _check_word_cap(level, len(words), max_words)
+    phi = _stage_edges(state, children, words, level)
+    chain = _advanced_chain(state, children)
     del children  # the splits read none of it, and dropping it lowers the step's peak
-    splitting = _splitting_set(state.family, words, chain, phi, budgets)
+    splitting = _splitting_set(state.family, words, chain, phi)
     out = ApproxState._from_codes(state.family, level, words, chain, splitting, phi)
     out._stepped = True
     return out
@@ -396,23 +401,23 @@ def step(state: ApproxState, budgets: Budgets = DEFAULT) -> ApproxState:
 # Maximum approximation depth.
 MAX_DEPTH = 64
 
-# Stages per (family, shift constant), grown on demand and never emptied.
+# Stages per family, grown on demand and never emptied.
 _stage_cache: dict = {}
 
 
-def run(L: int, depth: int, budgets: Budgets = DEFAULT) -> list:
-    """Stages 0..depth for family L, memoized per family and shift constant
-    (max_words only bounds what may be materialized, it never changes values).
+def run(L: int, depth: int, max_words: int = MAX_WORDS) -> list:
+    """Stages 0..depth for family L, memoized per family (max_words only
+    bounds what may be materialized, it never changes values).
     """
     if depth < 0:
         raise InvalidArgument("depth must be a natural")
     if depth > MAX_DEPTH:
         raise DecisionOverflow(f"depth {depth} is past the {MAX_DEPTH}-stage budget")
-    states = _stage_cache.setdefault((L, budgets.shift_base), [init(L)])
+    states = _stage_cache.setdefault(L, [init(L)])
     for st in states[: depth + 1]:
-        _check_word_cap(st.level, len(st.X_sorted), budgets)
+        _check_word_cap(st.level, len(st.X_sorted), max_words)
     while len(states) <= depth:
-        states.append(step(states[-1], budgets))
+        states.append(step(states[-1], max_words))
     return states[: depth + 1]
 
 
@@ -516,7 +521,7 @@ def check_lemma_57(states) -> CheckReport:
     return report
 
 
-def check_lemma_58(states, n: int, alpha_prefix, budgets: Budgets = DEFAULT) -> CheckReport:
+def check_lemma_58(states, n: int, alpha_prefix) -> CheckReport:
     """Follow one input prefix through the stages: wherever a stage antichain
     resolves a strictly longer prefix past the seed block, the stage edge set
     must pair it with that stage's prefix of the image stream, with the right
@@ -539,7 +544,7 @@ def check_lemma_58(states, n: int, alpha_prefix, budgets: Budgets = DEFAULT) -> 
     def image_bit(i):
         if i == st_n:
             return 1
-        c = stride_expand(family, n, i, budgets)
+        c = stride_expand(family, n, i)
         if c < wlen:
             return (wcode >> (wlen - 1 - c)) & 1
         return None

@@ -3,13 +3,11 @@ the scheme build with its condition report, and map evaluation at a coordinate.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .approximation import detect_L_n, run, state_chunks, state_dot
-from .config import DEFAULT
+from .approximation import MAX_WORDS, detect_L_n, run, state_chunks, state_dot
 from .cylinders import LazyPoint
 from .embedding import scheme_state_json
 from .errors import CantorLabError, InvalidArgument, OutsideDomain
@@ -19,8 +17,7 @@ from .suites import SUITES, checked_scheme, fmt_coord
 
 
 def cmd_approx(args) -> int:
-    budgets = dataclasses.replace(DEFAULT, max_words=args.max_words)
-    states = run(args.L, args.depth, budgets)
+    states = run(args.L, args.depth, args.max_words)
     outdir = Path(args.out or f"approx_L{args.L}_d{args.depth}")
     outdir.mkdir(parents=True, exist_ok=True)
     for st in states:
@@ -55,8 +52,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_build_h(args) -> int:
-    budgets = dataclasses.replace(DEFAULT, duplication_cap=args.duplication_cap)
-    states, rep = checked_scheme(args.depth, budgets)
+    states, rep = checked_scheme(args.depth)
     report = {
         "depth": args.depth,
         "strengths": {str(k): v for k, v in sorted(states[-1].phi.items())},
@@ -183,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--depth", type=_natural, default=8, help="last stage to compute")
     p_approx.add_argument("--emit", choices=("json", "dot"), default="json")
     p_approx.add_argument("--out", default=None, help="output directory")
-    p_approx.add_argument("--max-words", type=_positive_int, default=DEFAULT.max_words,
+    p_approx.add_argument("--max-words", type=_positive_int, default=MAX_WORDS,
                           help="stage size cap")
     p_approx.set_defaults(fn=cmd_approx)
 
@@ -196,10 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build-h", help="build the cell scheme and verify its conditions")
     p_build.add_argument("--depth", type=_natural, default=8)
     p_build.add_argument("--report", default="scheme_report.json")
-    p_build.add_argument(
-        "--duplication-cap", type=int, default=DEFAULT.duplication_cap,
-        help="cap on the preimages of one split in the scheme (its splitting makes no copies)",
-    )
     p_build.set_defaults(fn=cmd_build_h)
 
     p_eval = sub.add_parser("eval-g", help="evaluate a map composition at one coordinate")

@@ -21,7 +21,6 @@ pinned copies the normal form when the pins only add constant classes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 
 from .errors import EmptySet, InvalidArgument
@@ -38,10 +37,6 @@ class LazyPoint:
     def __init__(self, explicit=None, default=0):
         self.explicit = dict(explicit or {})
         self.default = default & 1
-
-    @classmethod
-    def zeros(cls):
-        return cls()
 
     def eval(self, k) -> int:
         if k < 0:
@@ -252,9 +247,6 @@ class SymbolicClopen:
             i += 1
         return i
 
-    def diameter(self) -> Fraction:
-        return Fraction(1, 2 ** self.first_free_coord())
-
     def contains(self, p: LazyPoint) -> bool:
         if self.empty:
             return False
@@ -342,10 +334,6 @@ class SymbolicClopen:
             return rest
         return SymbolicClopen(seed, rest._atoms)
 
-    def implies_const(self, a, v) -> bool:
-        """Does every member have bit(a) = v?"""
-        return self.forced(a) == v
-
     def implies_rel(self, a, b, parity) -> bool:
         """Does bit(a) xor bit(b) = parity hold for every member?"""
         fa, fb = self.forced(a), self.forced(b)
@@ -373,7 +361,7 @@ class SymbolicClopen:
             return False
         for atom in other._atoms:
             if atom[0] == "const":
-                if not self.implies_const(atom[1], atom[2]):
+                if self.forced(atom[1]) != atom[2]:
                     return False
             else:
                 if not self.implies_rel(atom[1], atom[2], atom[3]):

@@ -9,7 +9,6 @@ evaluate a point embedding.
 """
 
 from .approximation import detect_L_n, run
-from .config import DEFAULT, Budgets
 from .cylinders import LazyPoint, SymbolicClopen, FULL_SPACE
 from .errors import (
     CapExceeded,
@@ -23,6 +22,7 @@ from .errors import (
 )
 from .maps import MapId, _read_inverse, domain_D, image_clopen, preimage_clopen
 from .orientedgraphs import (
+    DUPLICATION_CAP,
     CheckReport,
     FiniteOrientedGraph,
     chain_table,
@@ -76,13 +76,12 @@ class CantorInstance:
     discipline of the underlying maps (1 is the plain doubling expansion).
     """
 
-    __slots__ = ("family", "budgets")
+    __slots__ = ("family",)
 
-    def __init__(self, family: int = 1, budgets: Budgets = DEFAULT):
+    def __init__(self, family: int = 1):
         if family < 1:
             raise InvalidLevel("family level must be >= 1")
         self.family = family
-        self.budgets = budgets
 
     def _ident(self, n) -> MapId:
         return MapId(self.family, n)
@@ -91,10 +90,10 @@ class CantorInstance:
         return domain_D(self._ident(n))
 
     def image(self, n, C) -> SymbolicClopen:
-        return image_clopen(self._ident(n), C, self.budgets)
+        return image_clopen(self._ident(n), C)
 
     def preimage(self, n, C) -> SymbolicClopen:
-        return preimage_clopen(self._ident(n), C, self.budgets)
+        return preimage_clopen(self._ident(n), C)
 
     def _split_coords(self, n, C, count):
         """The coordinates that split `count` preimages in C under map n.
@@ -107,12 +106,11 @@ class CantorInstance:
         """
         if count < 1:
             raise InvalidArgument("count must be positive")
-        b = self.budgets
         C1 = C.intersect(domain_D(self._ident(n)))
         if C1.is_empty():
             raise EmptySet("the cell misses the map's domain")
-        if count > b.duplication_cap:
-            raise CapExceeded(f"{count} preimages exceed the cap {b.duplication_cap}")
+        if count > DUPLICATION_CAP:
+            raise CapExceeded(f"{count} preimages exceed the cap {DUPLICATION_CAP}")
         need = (count - 1).bit_length()
         linked = set(C1.constrained_coords())
         avoid = _stride_coords()
@@ -127,7 +125,7 @@ class CantorInstance:
                 c not in avoid
                 and C1.forced(c) is None
                 and c not in linked
-                and _read_inverse(self.family, n, c, b) is None
+                and _read_inverse(self.family, n, c) is None
             ):
                 coords.append(c)
             c += 1
@@ -147,7 +145,6 @@ class CantorInstance:
         target the result is w at every unread coordinate.  The membership
         check below decides whether the read bits keep the result in C.
         """
-        b = self.budgets
         ident = self._ident(n)
         C1 = C.intersect(domain_D(ident))
         if C1.is_empty():
@@ -160,12 +157,12 @@ class CantorInstance:
         bits = {
             c: v
             for c, v in C1.witness_point().explicit.items()
-            if _read_inverse(fam, n, c, b) is None
+            if _read_inverse(fam, n, c) is None
         }
         st = stride(n)
         for k, v in target.explicit.items():
             if k != st:
-                bits[stride_expand(fam, n, k, b)] = v
+                bits[stride_expand(fam, n, k)] = v
         p = LazyPoint(bits, target.default)
         if not C.contains(p):
             raise InvalidArgument("the target is not an image of the cell")
@@ -645,13 +642,13 @@ def build_scheme(instance, depth: int):
     the freshly paired cells and the chain words behind the new anchor pair
     transported images.  It then runs the splitting construction groupwise
     so that all postconditions hold with cells cut below 2^-(level word
-    length).  Every budget comes from the instance.
+    length).
     """
     if depth < 0:
         raise InvalidLevel("depth must be a natural number")
     if instance.family != 1:
         raise InvalidLevel("the scheme is built over the family-1 maps")
-    approx = run(1, depth, instance.budgets)
+    approx = run(1, depth)
     event_at = {lvl: n for n, lvl in detect_L_n(approx).items()}
     sphi = {}
     cells = {BinWord(): FULL_SPACE}
@@ -768,7 +765,7 @@ def check_scheme_conditions(states, instance):
     if not states:
         return report
     top = states[-1].level
-    approx = run(1, top, instance.budgets)
+    approx = run(1, top)
     for st in states:
         ax = approx[st.level]
         if set(st.cells) != set(ax.X):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT, Budgets
 from .cylinders import (
     EMPTY_SET,
     LazyPoint,
@@ -135,7 +134,7 @@ def domain_point(ident: MapId, extra=None) -> LazyPoint:
 # evaluation
 
 
-def g_eval_coord(ident: MapId, p: LazyPoint, k: int, budgets: Budgets = DEFAULT) -> int:
+def g_eval_coord(ident: MapId, p: LazyPoint, k: int) -> int:
     """Output coordinate k of map (L, n) applied to p: the forced 1 at the
     stride coordinate, the expanded input coordinate everywhere else.
     """
@@ -148,10 +147,10 @@ def g_eval_coord(ident: MapId, p: LazyPoint, k: int, budgets: Budgets = DEFAULT)
     st = stride(ident.n)
     if k == st:
         return 1
-    return p.eval(stride_expand(ident.L, ident.n, k, budgets))
+    return p.eval(stride_expand(ident.L, ident.n, k))
 
 
-def g_point(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> LazyPoint:
+def g_point(ident: MapId, p: LazyPoint) -> LazyPoint:
     """The image point; raises OutsideDomain up front.
 
     Exact: stride_expand and _read_inverse are inverse bijections between
@@ -166,19 +165,19 @@ def g_point(ident: MapId, p: LazyPoint, budgets: Budgets = DEFAULT) -> LazyPoint
         )
     bits = {}
     for c, v in p.explicit.items():
-        k = _read_inverse(ident.L, ident.n, c, budgets)
+        k = _read_inverse(ident.L, ident.n, c)
         if k is not None:
             bits[k] = v
     bits[stride(ident.n)] = 1
     return LazyPoint(bits, p.default)
 
 
-def _virtual_eval(L, stages, p, c, budgets):
+def _virtual_eval(L, stages, p, c):
     """Coordinate c of the composition of `stages` applied to p (no checks)."""
     for n in stages:
         if c == stride(n):
             return 1
-        c = stride_expand(L, n, c, budgets)
+        c = stride_expand(L, n, c)
     return p.eval(c)
 
 
@@ -194,7 +193,7 @@ def _seed_check_positions(n):
     return out
 
 
-def _check_composition_stages(L, stages, p, budgets):
+def _check_composition_stages(L, stages, p):
     """Verify, innermost first, that each stage's input sits in that stage's
     seed cylinder.  Inner stages are checked on the distinguishing positions
     only (the inputs there are derived points read through the expansion).
@@ -207,7 +206,7 @@ def _check_composition_stages(L, stages, p, budgets):
         else:
             suffix = stages[i + 1 :]
             ok = all(
-                _virtual_eval(L, suffix, p, c, budgets) == want
+                _virtual_eval(L, suffix, p, c) == want
                 for c, want in _seed_check_positions(n)
             )
         if not ok:
@@ -217,7 +216,7 @@ def _check_composition_stages(L, stages, p, budgets):
             )
 
 
-def g_compose_eval(L: int, s, p: LazyPoint, k: int, budgets: Budgets = DEFAULT) -> int:
+def g_compose_eval(L: int, s, p: LazyPoint, k: int) -> int:
     """Coordinate k of the composition along s (stage 0 outermost, the last
     stage applied to p first).  The coordinate threads through the stages in
     outer-to-inner order: a stride hit returns the forced 1, otherwise the
@@ -228,17 +227,15 @@ def g_compose_eval(L: int, s, p: LazyPoint, k: int, budgets: Budgets = DEFAULT) 
         raise InvalidArgument("empty composition")
     if k < 0:
         raise InvalidArgument("coordinates are natural numbers")
-    _check_composition_stages(L, stages, p, budgets)
+    _check_composition_stages(L, stages, p)
     for n in stages:
         if k == stride(n):
             return 1
-        k = stride_expand(L, n, k, budgets)
+        k = stride_expand(L, n, k)
     return p.eval(k)
 
 
-def check_condition_d(
-    L: int, m: int, n: int, p: LazyPoint, coords, budgets: Budgets = DEFAULT
-) -> bool:
+def check_condition_d(L: int, m: int, n: int, p: LazyPoint, coords) -> bool:
     """Does applying map n and then map m agree with applying map m alone,
     at every coordinate in coords?  Exact at level 1; at higher levels the
     two-step route lands on shifted coordinates and the identity can fail.
@@ -246,7 +243,7 @@ def check_condition_d(
     if m >= n:
         raise InvalidArgument("needs m < n")
     return all(
-        g_compose_eval(L, (m, n), p, k, budgets) == g_compose_eval(L, (m,), p, k, budgets)
+        g_compose_eval(L, (m, n), p, k) == g_compose_eval(L, (m,), p, k)
         for k in coords
     )
 
@@ -255,7 +252,7 @@ def check_condition_d(
 # clopen transport
 
 
-def _read_inverse(L, n, c, budgets):
+def _read_inverse(L, n, c):
     """The output coordinate k that reads input coordinate c, or None.
 
     k is the unique solution of stride_expand(L, n, k) == c, except that the
@@ -265,14 +262,14 @@ def _read_inverse(L, n, c, budgets):
     st = stride(n)
     if c == 0 or c % st:
         return c
-    i = expand_index_inverse(L, c // st, budgets)
+    i = expand_index_inverse(L, c // st)
     if i is None:
         return None
     k = st * i
     return None if k == st else k
 
 
-def image_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) -> SymbolicClopen:
+def image_clopen(ident: MapId, C: SymbolicClopen) -> SymbolicClopen:
     """Exact image of C under map (L, n).
 
     C is first restricted to the map's domain (inequality atoms included at
@@ -289,13 +286,13 @@ def image_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) ->
     st = stride(n)
     atoms = []
     for c in range(st, len(C1.base)):
-        k = _read_inverse(L, n, c, budgets)
+        k = _read_inverse(L, n, c)
         if k is not None:
             atoms.append(atom_const(k, C1.base.bit(c)))
     for const_v, members in C1.classes():
         kept = []
         for c, parity in members:
-            k = _read_inverse(L, n, c, budgets)
+            k = _read_inverse(L, n, c)
             if k is not None:
                 kept.append((k, parity))
         if not kept:
@@ -308,7 +305,7 @@ def image_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) ->
     return SymbolicClopen(anchor_word(n).append(1), atoms)
 
 
-def preimage_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT) -> SymbolicClopen:
+def preimage_clopen(ident: MapId, C: SymbolicClopen) -> SymbolicClopen:
     """Exact preimage of C under map (L, n), intersected with the map's domain.
 
     Output-side constraints pull back along the expansion; the forced 1 at the
@@ -323,9 +320,9 @@ def preimage_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT)
         return EMPTY_SET
     atoms = []
     for c in range(st + 1, len(C1.base)):
-        atoms.append(atom_const(stride_expand(L, n, c, budgets), C1.base.bit(c)))
+        atoms.append(atom_const(stride_expand(L, n, c), C1.base.bit(c)))
     for const_v, members in C1.classes():
-        mapped = [(stride_expand(L, n, c, budgets), parity) for c, parity in members]
+        mapped = [(stride_expand(L, n, c), parity) for c, parity in members]
         if const_v is not None:
             atoms.extend(atom_const(k, const_v ^ parity) for k, parity in mapped)
         else:
@@ -339,7 +336,7 @@ def preimage_clopen(ident: MapId, C: SymbolicClopen, budgets: Budgets = DEFAULT)
 # edge decisions
 
 
-def graph_meets(ident: MapId, y, x, budgets: Budgets = DEFAULT) -> bool:
+def graph_meets(ident: MapId, y, x) -> bool:
     """Does the graph of map (L, n), restricted to its domain, meet N_y x N_x?
 
     Decided exactly by joint satisfiability: the y prefix, the domain atoms,
@@ -358,7 +355,7 @@ def graph_meets(ident: MapId, y, x, budgets: Budgets = DEFAULT) -> bool:
     for k in range(len(x)):
         if k == st:
             continue
-        atoms.append(atom_const(stride_expand(L, n, k, budgets), x.bit(k)))
+        atoms.append(atom_const(stride_expand(L, n, k), x.bit(k)))
     return not yset.with_atoms(atoms).is_empty()
 
 

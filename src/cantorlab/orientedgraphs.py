@@ -16,8 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-from .config import DEFAULT, Budgets
 from .errors import BadEnumeration, CapExceeded, InvalidArgument, NotConnected, StageRelationCycle
+
+# Cap on the labeled copies one duplication may hold, checked by
+# Duplication.split before it changes anything; the scheme's splitting,
+# which makes no copies, reads it as the cap on one split's preimages.
+# Raising it never changes a computed value, it only lets more be computed.
+DUPLICATION_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -472,9 +477,9 @@ class Duplication:
     `duplicate` and the lemma 4.3 suite run it.
     """
 
-    __slots__ = ("order", "first", "base", "label", "copies", "succ", "preds", "_cap")
+    __slots__ = ("order", "first", "base", "label", "copies", "succ", "preds")
 
-    def __init__(self, G: FiniteOrientedGraph, enumeration, budgets: Budgets = DEFAULT):
+    def __init__(self, G: FiniteOrientedGraph, enumeration):
         _, depth = chain_table(G)
         self.order = order = tuple(enumeration)
         if len(order) != len(G.vertices) or set(order) != G.vertices:
@@ -483,7 +488,6 @@ class Duplication:
         if any(lengths[i] > lengths[i + 1] for i in range(len(lengths) - 1)):
             raise BadEnumeration("enumeration must have nondecreasing chain lengths")
         self.first = lengths.count(1)
-        self._cap = budgets.duplication_cap
         self.base = list(G.vertices)
         self.label = [(0,)] * len(self.base)
         zero = {x: c for c, x in enumerate(self.base)}
@@ -512,8 +516,10 @@ class Duplication:
             cone.extend(preds[c])
         n = len(self.order)
         size = len(preds) + len(cone) * (n - 1)
-        if size > self._cap:
-            raise CapExceeded(f"duplication needs {size} labeled vertices, cap is {self._cap}")
+        if size > DUPLICATION_CAP:
+            raise CapExceeded(
+                f"duplication needs {size} labeled vertices, cap is {DUPLICATION_CAP}"
+            )
         target = succ.get(copy)
         if target is not None:
             preds[target].discard(copy)
@@ -575,16 +581,12 @@ class Duplication:
 
 
 def duplicate(
-    G: FiniteOrientedGraph,
-    enumeration,
-    m: int,
-    p: int | None = None,
-    budgets: Budgets = DEFAULT,
+    G: FiniteOrientedGraph, enumeration, m: int, p: int | None = None
 ) -> FiniteOrientedGraph:
     """Stage m of the labeled duplication along the given enumeration, or the
     intermediate stage after duplicating only the first p label blocks of
     step m, as Duplication.develop runs it."""
-    dup = Duplication(G, enumeration, budgets)
+    dup = Duplication(G, enumeration)
     dup.develop(m, p)
     return dup.labeled()
 

@@ -11,7 +11,6 @@ only at their API boundary.
 
 from __future__ import annotations
 
-from .config import DEFAULT, Budgets
 from .errors import CapExceeded, InvalidArgument, InvalidLevel
 
 # Largest stride exponent (bit count) we will turn into a concrete integer.
@@ -21,6 +20,12 @@ MAX_STRIDE_BITS = 1 << 27
 # Longest binary word that may be materialized, in bits.  anchor_word(2)
 # (length 2**24) fits, anchor_word(3) (length 2**50331648) never will.
 MAX_WORD_BITS = 1 << 26
+
+# Multiplier c of the shift set {c*3*k | k >= 1, k not in skip set}.  It is
+# mathematics, not a size: it picks the shift set, and the expansion-map
+# property suite fails under the alternative 2**31
+# (scripts/resolve_shift_constant.py runs both).
+SHIFT_BASE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +261,17 @@ def in_skip_set(L: int, k: int) -> bool:
     return rest == 1 and b < L - 2
 
 
-def in_shift_set(L: int, k: int, budgets: Budgets = DEFAULT) -> bool:
-    """Membership in {c*3*j | j >= 1, j not in skip set}, c = budgets.shift_base."""
+def in_shift_set(L: int, k: int, shift_base: int = SHIFT_BASE) -> bool:
+    """Membership in {c*3*j | j >= 1, j not in skip set}, c = shift_base."""
     if L < 2:
         raise InvalidLevel("shift set is defined for family levels >= 2")
-    base = 3 * budgets.shift_base
+    base = 3 * shift_base
     if k < base or k % base:
         return False
     return not in_skip_set(L, k // base)
 
 
-def expand_index(L: int, j: int, budgets: Budgets = DEFAULT) -> int:
+def expand_index(L: int, j: int, shift_base: int = SHIFT_BASE) -> int:
     """One-step index expansion: 2j+1 at level 1; 3j with +-3 shift corrections above."""
     if j < 1:
         raise InvalidArgument("index expansion needs j >= 1")
@@ -274,14 +279,14 @@ def expand_index(L: int, j: int, budgets: Budgets = DEFAULT) -> int:
         return 2 * j + 1
     if L < 1:
         raise InvalidLevel("family level must be >= 1")
-    if in_shift_set(L, j, budgets):
+    if in_shift_set(L, j, shift_base):
         return 3 * j + 3
-    if in_shift_set(L, j - 1, budgets):
+    if in_shift_set(L, j - 1, shift_base):
         return 3 * j - 3
     return 3 * j
 
 
-def stride_expand(L: int, n: int, k: int, budgets: Budgets = DEFAULT) -> int:
+def stride_expand(L: int, n: int, k: int, shift_base: int = SHIFT_BASE) -> int:
     """Expansion localized to the stride-n lattice: identity off it, conjugated expansion on it."""
     if k < 1:
         return k
@@ -289,10 +294,10 @@ def stride_expand(L: int, n: int, k: int, budgets: Budgets = DEFAULT) -> int:
     j, r = divmod(k, st)
     if r:
         return k
-    return st * expand_index(L, j, budgets)
+    return st * expand_index(L, j, shift_base)
 
 
-def expand_index_inverse(L: int, j: int, budgets: Budgets = DEFAULT):
+def expand_index_inverse(L: int, j: int, shift_base: int = SHIFT_BASE):
     """The unique i >= 1 with expand_index(L, i) == j, or None.
 
     Injectivity of the expansion makes the candidate set tiny: at level 1 the
@@ -308,7 +313,7 @@ def expand_index_inverse(L: int, j: int, budgets: Budgets = DEFAULT):
     if j < 3 or j % 3:
         return None
     for i in (j // 3, (j - 3) // 3, (j + 3) // 3):
-        if i >= 1 and expand_index(L, i, budgets) == j:
+        if i >= 1 and expand_index(L, i, shift_base) == j:
             return i
     return None
 
@@ -350,24 +355,24 @@ class Pow23:
     def in_stride_set(self, n: int) -> bool:
         return self.a >= tower_exp(n)
 
-    def in_shift_set(self, L: int, budgets: Budgets = DEFAULT) -> bool:
+    def in_shift_set(self, L: int, shift_base: int = SHIFT_BASE) -> bool:
         if L < 2:
             raise InvalidLevel("shift set is defined for family levels >= 2")
-        gamma = budgets.shift_base.bit_length() - 1
-        if budgets.shift_base != 1 << gamma:
+        gamma = shift_base.bit_length() - 1
+        if shift_base != 1 << gamma:
             raise InvalidArgument("closed-form shift test needs a power-of-two shift base")
         return self.a >= gamma and self.b >= L - 1
 
-    def expand_index(self, L: int, budgets: Budgets = DEFAULT) -> "Pow23":
+    def expand_index(self, L: int, shift_base: int = SHIFT_BASE) -> "Pow23":
         if L == 1:
             raise InvalidArgument("level-1 expansion leaves the 2-3 closed form")
-        if self.in_shift_set(L, budgets):
+        if self.in_shift_set(L, shift_base):
             raise InvalidArgument("shifted expansion leaves the 2-3 closed form")
         return Pow23(self.a, self.b + 1)
 
-    def stride_expand(self, L: int, n: int, budgets: Budgets = DEFAULT) -> "Pow23":
+    def stride_expand(self, L: int, n: int, shift_base: int = SHIFT_BASE) -> "Pow23":
         if not self.in_stride_set(n):
             return self
         e = tower_exp(n)
-        expanded = Pow23(self.a - e, self.b).expand_index(L, budgets)
+        expanded = Pow23(self.a - e, self.b).expand_index(L, shift_base)
         return Pow23(expanded.a + e, expanded.b)

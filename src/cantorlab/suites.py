@@ -23,11 +23,11 @@ from .approximation import (
     is_maximal_antichain_codes,
     run,
 )
-from .config import DEFAULT, Budgets
 from .embedding import CantorInstance, build_scheme, check_scheme_conditions
 from .errors import CantorLabError, OutsideDomain
 from .maps import MapId, check_condition_d, domain_point, g_compose_eval
 from .orientedgraphs import (
+    DUPLICATION_CAP,
     Duplication,
     FiniteOrientedGraph,
     SuccessorTable,
@@ -36,6 +36,7 @@ from .orientedgraphs import (
     validate_uogas,
 )
 from .sequences import (
+    SHIFT_BASE,
     Pow23,
     anchor_bit,
     in_stride_set,
@@ -193,8 +194,9 @@ def _developed_violations(g: FiniteOrientedGraph, order, m: int) -> list:
 # suites over the index machinery
 
 
-def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT) -> SuiteResult:
-    """Exact checks of the six expansion-map properties on desk-scale ranges."""
+def suite_lemma51(L_max: int = 3, kmax: int = 10**6, shift_base: int = SHIFT_BASE) -> SuiteResult:
+    """Exact checks of the six expansion-map properties on desk-scale ranges,
+    under the shift multiplier shift_base."""
     t0 = time.perf_counter()
     viol = []
     lattice_points = 0
@@ -207,7 +209,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
             prev = None
             for j in range(1, jmax + 1):
                 k = st * j
-                y = stride_expand(L, n, k, budgets)
+                y = stride_expand(L, n, k, shift_base)
                 if y == k:
                     viol.append(f"(3) fixed point on the stride lattice: L={L} n={n} k={k}")
                 if in_stride_set(n, y) and (y & (y - 1)) == 0:
@@ -221,7 +223,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
             lattice_points += jmax
             del seen
             for k in range(1, min(kmax, 10_000) + 1):
-                if k % st and stride_expand(L, n, k, budgets) != k:
+                if k % st and stride_expand(L, n, k, shift_base) != k:
                     viol.append(f"(3) moved a point off the lattice: L={L} n={n} k={k}")
 
     # (4): the tail composition applied to stride-scale powers of two lands
@@ -237,7 +239,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
                     x = Pow23(exp)
                     try:
                         for m in range(len(s) - 1, 0, -1):
-                            x = x.stride_expand(L, s[m], budgets)
+                            x = x.stride_expand(L, s[m], shift_base)
                     except CantorLabError as err:
                         viol.append(f"(4) closed form lost: L={L} s={s} r={r}: {err}")
                         continue
@@ -246,7 +248,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
                     if s[0] <= 2:
                         w = 1 << exp
                         for m in range(len(s) - 1, 0, -1):
-                            w = stride_expand(L, s[m], w, budgets)
+                            w = stride_expand(L, s[m], w, shift_base)
                         if w != x.value():
                             viol.append(f"(4) route mismatch: L={L} s={s} r={r}")
                     witnesses += 1
@@ -263,7 +265,7 @@ def suite_lemma51(L_max: int = 3, kmax: int = 10**6, budgets: Budgets = DEFAULT)
     def theta_small(L, n, x):
         if tower_exp(n) > 64:
             return x
-        return stride_expand(L, n, x, budgets)
+        return stride_expand(L, n, x, shift_base)
 
     for L in range(1, L_max + 1):
         for combo in itertools.combinations(range(5), L + 1):
@@ -523,7 +525,7 @@ def suite_lemma43(
         # development is exercised by the exhaustive small graphs above
         m = min(steps, 2)
         projected = sum(copy_count ** (min(lengths[v], m + 1) - 1) for v in g.vertices)
-        if projected > DEFAULT.duplication_cap:
+        if projected > DUPLICATION_CAP:
             skipped += 1
             continue
         sampled += 1
@@ -554,14 +556,14 @@ def suite_lemma43(
 
 
 # The stage suites' word cap, raised for their depth-20 runs.
-STAGE_BUDGETS = dataclasses.replace(DEFAULT, max_words=2_000_000)
+STAGE_MAX_WORDS = 2_000_000
 
 
 def suite_lemma53_54(L: int = 1, depth: int = 20) -> SuiteResult:
     """Stage-structure checks: edge/antichain lemmas, the partition invariant,
     the stage-size recurrence, bounded word coverage, and event detection."""
     t0 = time.perf_counter()
-    states = run(L, depth, STAGE_BUDGETS)
+    states = run(L, depth, STAGE_MAX_WORDS)
     viol = [f"{clause}: {witness}" for clause, witness in check_lemma_53_54(states).violations]
     for st in states:
         if not is_maximal_antichain_codes(st.X_sorted):
@@ -590,7 +592,7 @@ def suite_lemma53_54(L: int = 1, depth: int = 20) -> SuiteResult:
 def suite_lemma57(L: int = 1, depth: int = 20) -> SuiteResult:
     """Chain-position bookkeeping for the first family over all stage edges."""
     t0 = time.perf_counter()
-    states = run(L, depth, STAGE_BUDGETS)
+    states = run(L, depth, STAGE_MAX_WORDS)
     rep = check_lemma_57(states)
     viol = [f"{clause}: {witness}" for clause, witness in rep.violations]
     return SuiteResult(
@@ -607,7 +609,7 @@ def suite_lemma58(
     """Follow random input prefixes through the stages and check the paired
     image prefixes, their witnesses, and their nesting."""
     t0 = time.perf_counter()
-    states = run(L, depth, STAGE_BUDGETS)
+    states = run(L, depth, STAGE_MAX_WORDS)
     rng = random.Random(seed)
     viol = []
     probes = 0
@@ -636,10 +638,10 @@ def suite_lemma58(
 # the cell scheme
 
 
-def checked_scheme(depth: int, budgets: Budgets = DEFAULT):
+def checked_scheme(depth: int):
     """Build the first family's nested cell scheme down to `depth` and check
     its six conditions; returns the level states and the condition report."""
-    inst = CantorInstance(1, budgets)
+    inst = CantorInstance(1)
     states = build_scheme(inst, depth)
     return states, check_scheme_conditions(states, inst)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cantorlab import approximation
 from cantorlab.approximation import (
     CHUNK_ITEMS,
+    MAX_WORDS,
     ApproxState,
     _stage_edges,
     anchor_index,
@@ -29,7 +30,6 @@ from cantorlab.approximation import (
     state_json,
     step,
 )
-from cantorlab.config import DEFAULT, Budgets
 from cantorlab.errors import (
     CapExceeded,
     DecisionOverflow,
@@ -50,7 +50,7 @@ from cantorlab.sequences import (
     stride,
     stride_expand,
 )
-from cantorlab.suites import STAGE_BUDGETS
+from cantorlab.suites import STAGE_MAX_WORDS
 
 W = BinWord.from_str
 
@@ -101,7 +101,7 @@ def _ref_anchor_lengths(max_len):
         n += 1
 
 
-def _ref_stage_edges(family, words, level, budgets):
+def _ref_stage_edges(family, words, level):
     phi = {}
     if not words:
         return phi
@@ -111,7 +111,7 @@ def _ref_stage_edges(family, words, level, budgets):
     while stride(n) < level:
         st = stride(n)
         seed0 = anchor_word(n).append(0)
-        reads = [stride_expand(family, n, k, budgets) for k in range(max_len + 1)]
+        reads = [stride_expand(family, n, k) for k in range(max_len + 1)]
         need_filter = family != 1
         ident = MapId(family, n)
         for y in words:
@@ -125,7 +125,7 @@ def _ref_stage_edges(family, words, level, budgets):
                 if c in member_codes:
                     if code_len(c) > st:
                         x = BinWord(c)
-                        if not need_filter or graph_meets(ident, y, x, budgets):
+                        if not need_filter or graph_meets(ident, y, x):
                             phi[(y, x)] = n
                     continue
                 k = code_len(c)
@@ -145,7 +145,7 @@ def _ref_stage_edges(family, words, level, budgets):
     return phi
 
 
-def _ref_advanced_chain(state, budgets):
+def _ref_advanced_chain(state):
     family = state.family
     lengths = _ref_anchor_lengths(max((len(w) for w in state.X), default=0))
     anchors = set()
@@ -177,7 +177,7 @@ def _ref_advanced_chain(state, budgets):
             key = (n, len(x))
             t = theta.get(key)
             if t is None:
-                t = theta[key] = stride_expand(family, n, len(x), budgets)
+                t = theta[key] = stride_expand(family, n, len(x))
             if y in state.E:
                 for eta in (0, 1):
                     yy = y.append(eta)
@@ -187,7 +187,7 @@ def _ref_advanced_chain(state, budgets):
     return frozenset(out)
 
 
-def _ref_splitting_set(family, words, chain_pairs, phi, budgets):
+def _ref_splitting_set(family, words, chain_pairs, phi):
     succ = {}
     preds = {}
     for y, x in chain_pairs:
@@ -237,7 +237,7 @@ def _ref_splitting_set(family, words, chain_pairs, phi, budgets):
                 key = (n, len(x))
                 t = theta.get(key)
                 if t is None:
-                    t = theta[key] = stride_expand(family, n, len(x), budgets)
+                    t = theta[key] = stride_expand(family, n, len(x))
                 if t >= len(y) + (1 if y in chosen else 0):
                     ok = False
                     break
@@ -253,7 +253,7 @@ def _ref_splitting_set(family, words, chain_pairs, phi, budgets):
     return frozenset(chosen)
 
 
-def binword_step(state, budgets=DEFAULT):
+def binword_step(state):
     """One stage step on BinWord objects throughout, as the stepper did
     before stages were stored as word codes."""
     next_words = set()
@@ -263,12 +263,12 @@ def binword_step(state, budgets=DEFAULT):
             next_words.add(w.append(1))
         else:
             next_words.add(w)
-    if len(next_words) > budgets.max_words:
+    if len(next_words) > MAX_WORDS:
         raise CapExceeded(f"stage {state.level + 1} needs {len(next_words)} words")
     level = state.level + 1
-    phi = _ref_stage_edges(state.family, next_words, level, budgets)
-    chain = _ref_advanced_chain(state, budgets)
-    splitting = _ref_splitting_set(state.family, next_words, chain, phi, budgets)
+    phi = _ref_stage_edges(state.family, next_words, level)
+    chain = _ref_advanced_chain(state)
+    splitting = _ref_splitting_set(state.family, next_words, chain, phi)
     return ApproxState(state.family, level, next_words, chain, splitting, phi)
 
 
@@ -410,7 +410,7 @@ def test_run_depth_cap():
 
 def test_run_word_cap_reports_the_stage():
     with pytest.raises(CapExceeded) as err:
-        run(1, 12, Budgets(max_words=100))
+        run(1, 12, max_words=100)
     assert "stage" in str(err.value)
 
 
@@ -419,10 +419,10 @@ def test_run_word_cap_names_the_first_stage_over_it(monkeypatch):
     words over a cap of 4, whether the stages are stepped or memoized."""
     monkeypatch.setattr(approximation, "_stage_cache", {})
     with pytest.raises(CapExceeded, match=r"^stage 0: 1 words, cap is 0$"):
-        run(1, 2, Budgets(max_words=0))
+        run(1, 2, max_words=0)
     for _ in range(2):
         with pytest.raises(CapExceeded, match=r"^stage 3: 7 words, cap is 4$"):
-            run(1, 5, Budgets(max_words=4))
+            run(1, 5, max_words=4)
         run(1, 5)
 
 
@@ -471,20 +471,20 @@ def test_code_stepper_matches_the_binword_stepper_on_a_foreign_stage():
 # edges carried forward against the full walk
 
 
-def walked_edges(prev, state, budgets=DEFAULT):
+def walked_edges(prev, state):
     """The edge set of the stage after prev, walked afresh: step never
     carries edges from a stage built by hand."""
     hand = ApproxState._from_codes(*prev._fields())
     children = {w: (w << 1, (w << 1) | 1) for w in prev.X_codes & prev.E_codes}
-    return _stage_edges(hand, children, state.X_codes, state.level, budgets)
+    return _stage_edges(hand, children, state.X_codes, state.level)
 
 
 @pytest.mark.parametrize("family,depth", [(1, 20), (2, 14), (3, 12)])
 def test_carried_edges_match_the_full_walk(family, depth):
     """Every stage's carried edges, witnesses included, equal the full walk."""
-    states = run(family, depth, STAGE_BUDGETS)
+    states = run(family, depth, STAGE_MAX_WORDS)
     for prev, state in zip(states, states[1:]):
-        assert state.phi_codes == walked_edges(prev, state, STAGE_BUDGETS), state.level
+        assert state.phi_codes == walked_edges(prev, state), state.level
 
 
 def test_a_hand_made_stage_steps_by_the_full_walk():
@@ -557,7 +557,7 @@ def _random_stage(rng, family, depth=11, max_pairs=500):
             else:
                 X.append(c)
         bare = ApproxState._from_codes(family, depth - 1, (), (), (), {})
-        phi = _stage_edges(bare, {}, set(X), depth, DEFAULT)
+        phi = _stage_edges(bare, {}, set(X), depth)
         if len(phi) <= max_pairs:
             break
     E = {c for c in X if rng.random() < 0.5}

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from cantorlab import approximation
+from cantorlab import approximation, embedding
 from cantorlab.cli import main
 from cantorlab.suites import SUITES
 
@@ -246,11 +246,12 @@ def test_build_h_depth_seven_report_is_frozen(tmp_path):
     )
 
 
-def test_build_h_zero_cap_fails_cleanly(tmp_path, capsys):
+def test_build_h_zero_cap_fails_cleanly(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(embedding, "DUPLICATION_CAP", 0)
     report_path = tmp_path / "rep.json"
-    rc = main(["build-h", "--depth", "2", "--duplication-cap", "0", "--report", str(report_path)])
+    rc = main(["build-h", "--depth", "2", "--report", str(report_path)])
     assert rc == 1
-    assert "cap" in capsys.readouterr().err
+    assert "exceed the cap 0" in capsys.readouterr().err
 
 
 def test_build_h_rejects_negative_depth(capsys):

@@ -1,6 +1,5 @@
 """Clopen constraint algebra against a brute-force point-enumeration oracle."""
 
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -70,7 +69,7 @@ clopen_raw_st = st.tuples(st.text(alphabet="01", max_size=3), st.lists(atom_st, 
 
 
 def test_point_eval_frozen_values():
-    assert LazyPoint.zeros().eval(10**9) == 0
+    assert LazyPoint().eval(10**9) == 0
     p = LazyPoint({5: 1})
     assert p.eval(5) == 1
     assert p.eval(6) == 0
@@ -80,9 +79,9 @@ def test_point_eval_frozen_values():
 def test_contains_frozen_values():
     n01 = cylinder("01")
     assert n01.contains(LazyPoint({0: 0, 1: 1, 2: 0, 3: 0}))
-    assert not n01.contains(LazyPoint.zeros())
+    assert not n01.contains(LazyPoint())
     c = SymbolicClopen("0", [atom_ne(3, 9)])
-    assert not c.contains(LazyPoint.zeros())
+    assert not c.contains(LazyPoint())
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +200,15 @@ def test_set_ops_frozen_values():
 
 
 # ---------------------------------------------------------------------------
-# diameter
+# diameter: a nonempty set has diameter 2^-first_free_coord()
 
 
 def test_diameter_frozen_values():
-    assert cylinder("010").diameter() == Fraction(1, 8)
-    assert FULL_SPACE.diameter() == 1
-    assert SymbolicClopen("0", [atom_const(1, 0)]).diameter() == Fraction(1, 4)
+    assert cylinder("010").first_free_coord() == 3
+    assert FULL_SPACE.first_free_coord() == 0
+    assert SymbolicClopen("0", [atom_const(1, 0)]).first_free_coord() == 2
     with pytest.raises(EmptySet):
-        EMPTY_SET.diameter()
+        EMPTY_SET.first_free_coord()
 
 
 @given(clopen_raw_st)
@@ -229,8 +228,8 @@ def test_diameter_matches_brute_force(raw):
             first_split = i
             break
     assert first_split is not None
-    assert C.diameter() == Fraction(1, 2**first_split)
-    assert C.diameter() <= Fraction(1, 2 ** len(C.base))
+    assert C.first_free_coord() == first_split
+    assert C.first_free_coord() >= len(C.base)
 
 
 @given(clopen_raw_st, clopen_raw_st)
@@ -238,7 +237,7 @@ def test_diameter_matches_brute_force(raw):
 def test_diameter_monotone_under_subset(raw_c, raw_d):
     C, D = SymbolicClopen(*raw_c), SymbolicClopen(*raw_d)
     if not C.empty and not D.empty and C.subset(D):
-        assert C.diameter() <= D.diameter()
+        assert C.first_free_coord() >= D.first_free_coord()
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,6 @@ def test_negative_coordinate_query_is_rejected():
     C = cylinder("01")
     with pytest.raises(InvalidArgument):
         C.forced(-1)
-    with pytest.raises(InvalidArgument):
-        C.implies_const(-1, 1)
     with pytest.raises(InvalidArgument):
         C.implies_rel(-1, 0, 1)
     with pytest.raises(InvalidArgument):
@@ -515,7 +512,7 @@ def per_bit_subset(C, D):
     if any(C.forced(i) != bit for i, bit in enumerate(D.base.bits())):
         return False
     return all(
-        C.implies_const(a[1], a[2]) if a[0] == "const" else C.implies_rel(*a[1:])
+        C.forced(a[1]) == a[2] if a[0] == "const" else C.implies_rel(*a[1:])
         for a in D.atoms
     )
 

@@ -7,14 +7,12 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorlab.embedding as embedding_mod
-from cantorlab.config import DEFAULT
 from cantorlab.cylinders import (
     EMPTY_SET,
     FULL_SPACE,
@@ -94,7 +92,7 @@ def pick_distinct_preimages(inst, n, C, count):
     coords = inst._split_coords(n, C, count)
     w = C.intersect(domain_D(MapId(inst.family, n))).witness_point()
     pts = [w.with_bits({c: (j >> t) & 1 for t, c in enumerate(coords)}) for j in range(count)]
-    return g_point(MapId(inst.family, n), pts[0], inst.budgets), pts
+    return g_point(MapId(inst.family, n), pts[0]), pts
 
 
 def ref_split_cells(inst, n, C, count):
@@ -151,7 +149,7 @@ def pull_oracle(inst, n, C, target):
     w = C.intersect(domain_D(MapId(inst.family, n))).witness_point()
 
     def pull(c):
-        k = _read_inverse(inst.family, n, c, inst.budgets)
+        k = _read_inverse(inst.family, n, c)
         return w.eval(c) if k is None else target.eval(k)
 
     return pull
@@ -176,7 +174,7 @@ def test_point_preimage_matches_the_pull_oracle():
         _, pts = pick_distinct_preimages(INST, n, C, 5)
         members = pts + [D.witness_point() for D in flipped if not D.is_empty()]
         for q in members:
-            target = g_point(ident, sparse(q), INST.budgets)
+            target = g_point(ident, sparse(q))
             p = INST.point_preimage(n, C, target)
             pull = pull_oracle(INST, n, C, target)
             assert all(p.eval(c) == pull(c) for c in range(embedding_mod.POINT_PROBE_BITS))
@@ -190,11 +188,11 @@ def test_point_preimage_of_a_default_one_target():
     for n, C in SPLIT_INPUTS:
         ident = MapId(INST.family, n)
         q = LazyPoint(C.intersect(domain_D(ident)).witness_point().explicit, 1)
-        target = g_point(ident, q, INST.budgets)
+        target = g_point(ident, q)
         assert target.default == 1
         p = INST.point_preimage(n, C, target)
         assert C.contains(p)
-        image = g_point(ident, p, INST.budgets)
+        image = g_point(ident, p)
         assert all(image.eval(c) == target.eval(c) for c in range(3000))
 
 
@@ -456,22 +454,25 @@ def test_chain_refinement_rejects_a_branching_or_cycling_successor():
             shrink_47(asg, 2)
 
 
-def test_shrink_47_stops_at_the_duplication_cap():
+def test_shrink_47_stops_at_the_duplication_cap(monkeypatch):
     """shrink_47 makes no copies, so the cap bounds only the preimages of
     one split: the edge's source splits around two preimages, which a cap of
     one refuses in _split_coords and a cap of two admits, with the default
     cells."""
 
-    def edge(cap):
-        inst = CantorInstance(1, replace(DEFAULT, duplication_cap=cap))
+    def edge():
         return MappingTupleAssignment(
-            edge_graph(), inst, {"a": 0, "b": 0}, {"a": cylinder("00"), "b": cylinder("01")}
+            edge_graph(), CantorInstance(1), {"a": 0, "b": 0},
+            {"a": cylinder("00"), "b": cylinder("01")},
         )
 
+    default_cells = shrink_47(edge(), 2).V
+    monkeypatch.setattr(embedding_mod, "DUPLICATION_CAP", 1)
     with pytest.raises(CapExceeded, match="^2 preimages exceed the cap 1$") as caught:
-        shrink_47(edge(1), 2)
+        shrink_47(edge(), 2)
     assert caught.traceback[-1].name == "_split_coords"
-    assert shrink_47(edge(2), 2).V == shrink_47(edge(DEFAULT.duplication_cap), 2).V
+    monkeypatch.setattr(embedding_mod, "DUPLICATION_CAP", 2)
+    assert shrink_47(edge(), 2).V == default_cells
 
 
 def check_shrink_postconditions(asg, d):
@@ -558,7 +559,6 @@ def ref_shrink_47(assignment: MappingTupleAssignment, d: int):
         raise InvalidArgument("diameter exponent must be a natural number")
     G = assignment.graph
     inst = assignment.instance
-    budgets = inst.budgets
     u = assignment.u
     table, depth = chain_table(G)
     order = sorted(G.vertices, key=lambda t: (depth[t], repr(t)))
@@ -567,7 +567,7 @@ def ref_shrink_47(assignment: MappingTupleAssignment, d: int):
         return assignment
     seed = refine_45(assignment)
 
-    dup = Duplication(G, order, budgets)
+    dup = Duplication(G, order)
     cells = {}
     recuts = {}
     image = functools.cache(inst.image)
@@ -989,13 +989,6 @@ def test_build_scheme_validation():
         build_scheme(CantorInstance(2), 1)
 
 
-def test_build_scheme_reads_the_instance_word_cap():
-    """The approximation stages under the scheme obey the instance's cap."""
-    inst = CantorInstance(1, replace(DEFAULT, max_words=1))
-    with pytest.raises(CapExceeded, match="^stage 1: 2 words, cap is 1$"):
-        build_scheme(inst, 3)
-
-
 def test_build_scheme_nesting_is_a_typed_check(monkeypatch):
     """A new cell outside its parent raises InvariantBroken, also under -O."""
     monkeypatch.setattr(SymbolicClopen, "subset", lambda self, other, *args: False)
@@ -1371,7 +1364,7 @@ def split_copies_oracle(asg, check=lambda split, dup, cells: None):
     table, depth = chain_table(G)
     order = sorted(G.vertices, key=lambda t: (depth[t], repr(t)))
     seed = refine_45(asg).V
-    dup = Duplication(G, order, inst.budgets)
+    dup = Duplication(G, order)
     cells = {c: seed[dup.base[c]] for c in dup.preds}
     recuts, splits = {}, {}
     for i in range(dup.first, len(order)):

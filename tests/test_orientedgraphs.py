@@ -1,7 +1,6 @@
 """Oriented graph machinery against exhaustive and brute-force oracles."""
 
 import time
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorlab import orientedgraphs
-from cantorlab.config import DEFAULT
 from cantorlab.errors import (
     BadEnumeration,
     CantorLabError,
@@ -210,7 +208,7 @@ def sorted_enumeration(G):
     return sorted(G.vertices, key=lambda v: (len(chains[v]), repr(v)))
 
 
-def rescan_duplicate(G, enumeration, m, p=None, budgets=DEFAULT):
+def rescan_duplicate(G, enumeration, m, p=None):
     """The reference duplication: every step rescans all vertices and edges
     of the stage so far (quadratic, small graphs only)."""
     report = validate_uogas(G)
@@ -254,10 +252,10 @@ def rescan_duplicate(G, enumeration, m, p=None, budgets=DEFAULT):
                 new_verts.update(LabeledVertex(v.base, v.label + (j,)) for j in range(L))
             else:
                 new_verts.add(v)
-        if len(new_verts) > budgets.duplication_cap:
+        if len(new_verts) > orientedgraphs.DUPLICATION_CAP:
             raise CapExceeded(
                 f"duplication stage {step} needs {len(new_verts)} vertices, "
-                f"cap is {budgets.duplication_cap}"
+                f"cap is {orientedgraphs.DUPLICATION_CAP}"
             )
         new_edges = set()
         for a, b in edges:
@@ -799,11 +797,12 @@ def test_duplicate_output_always_uogas_exhaustive():
                 assert validate_uogas(duplicate(g, order, m, p=p)).ok
 
 
-def test_duplication_split_that_fails_changes_nothing():
+def test_duplication_split_that_fails_changes_nothing(monkeypatch):
     """A split past the cap, or of a copy that is gone, raises before it
     touches the copies and their edges."""
+    monkeypatch.setattr(orientedgraphs, "DUPLICATION_CAP", 7)
     g = FiniteOrientedGraph("abc", {("c", "b"), ("b", "a")})
-    dup = Duplication(g, "abc", replace(DEFAULT, duplication_cap=7))
+    dup = Duplication(g, "abc")
     (b0,) = dup.copies["b"]
     (c0,) = dup.copies["c"]
     made = dup.split(b0)
@@ -835,7 +834,7 @@ def outcome(f, *args, **kwargs):
         return type(err)
 
 
-def test_duplicate_matches_rescan_oracle_exhaustive():
+def test_duplicate_matches_rescan_oracle_exhaustive(monkeypatch):
     """On every uogas up to four vertices, every stage and partial stage, in
     range or one block past it, equals the rescanning oracle's, or raises
     the same error type, under the default cap and under small caps.
@@ -845,7 +844,8 @@ def test_duplicate_matches_rescan_oracle_exhaustive():
     graph already exceeds, as stage m - 1 does; the oracle counted the
     vertices once more there and raised.
     """
-    caps = (DEFAULT.duplication_cap, 1, 2, 3, 5, 8, 13, 21, 40)
+    default = orientedgraphs.DUPLICATION_CAP
+    caps = (default, 1, 2, 3, 5, 8, 13, 21, 40)
     cases = 0
     for g in uogas_up_to(4):
         order = sorted_enumeration(g)
@@ -857,16 +857,16 @@ def test_duplicate_matches_rescan_oracle_exhaustive():
                 blocks = sum(1 for v in before.vertices if v.base == order[m])
                 parts += range(blocks + 2)
             for cap in caps:
-                budgets = replace(DEFAULT, duplication_cap=cap)
+                monkeypatch.setattr(orientedgraphs, "DUPLICATION_CAP", cap)
                 for p in parts:
-                    got = outcome(duplicate, g, order, m, p, budgets)
-                    want = outcome(rescan_duplicate, g, order, m, p, budgets)
+                    got = outcome(duplicate, g, order, m, p)
+                    want = outcome(rescan_duplicate, g, order, m, p)
                     if p == 0 and m == L0 and len(g.vertices) > cap:
                         assert want is CapExceeded
                         assert got == rescan_duplicate(g, order, m - 1)
                     else:
                         assert got == want, (sorted(g.edges), m, p, cap)
-                    cases += cap == DEFAULT.duplication_cap
+                    cases += cap == default
     assert cases == 2_193
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorlab.config import Budgets
 from cantorlab.errors import CapExceeded, InvalidArgument, InvalidLevel
 from cantorlab.sequences import (
     MAX_STRIDE_BITS,
@@ -31,6 +30,7 @@ from cantorlab.sequences import (
     stride_expand,
     tower_exp,
 )
+from cantorlab.suites import suite_lemma51
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +313,24 @@ def test_pow23_value_honours_stride_budget():
 
 
 def test_shift_base_is_configurable():
-    alt = Budgets(shift_base=2**31)
+    alt = 2**31
     # 3 * 2**31 is the least element under the alternative base
-    assert in_shift_set(2, 3 * 2**31, alt)
-    assert not in_shift_set(2, 24, alt)
-    assert expand_index(2, 24, alt) == 72  # plain triple, no shift correction
+    assert in_shift_set(2, 3 * 2**31, shift_base=alt)
+    assert not in_shift_set(2, 24, shift_base=alt)
+    assert expand_index(2, 24, shift_base=alt) == 72  # plain triple, no shift correction
+
+
+def test_the_property_suite_settles_the_shift_base():
+    """The experiment of scripts/resolve_shift_constant.py at its defaults:
+    the alternative multiplier 2**31 lands a big-lattice argument back on
+    the head lattice, and the package's 8 passes every property."""
+    lost = suite_lemma51(2, 10**4, shift_base=2**31)
+    assert not lost.ok
+    assert lost.violations[0] == (
+        "(5) landed on the head lattice: L=2 s=(2, 1, 0) k=16777216 -> 150994944"
+    )
+    won = suite_lemma51(2, 10**4, shift_base=8)
+    assert won.ok, won.violations[:3]
 
 
 def test_bits_match_shift_reads():
