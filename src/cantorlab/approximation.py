@@ -26,7 +26,9 @@ of hiding them.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+import math
+from array import array
+from bisect import bisect_left, bisect_right
 from functools import cached_property, partial
 from operator import itemgetter
 from types import MappingProxyType
@@ -44,29 +46,38 @@ class ApproxState:
     """One stage: the word antichain X, the edge set B with its witness map
     phi, the successor relation A, and the splitting set E.
 
-    A stage is stored as word codes: X_sorted and E_sorted are sorted tuples
-    of distinct codes (8 bytes a code, where a frozenset takes about 40),
-    A_codes a frozenset of code pairs, and phi_codes a read-only dict from
-    code pairs to map indices whose key set is B.  X_codes and E_codes build
-    a fresh frozenset on each read; X, A, E, B and phi are BinWord views,
-    each built once.  The constructor takes BinWords, the stepper codes.
+    A stage is stored as sorted columns of word codes (see `_column`):
+    X_sorted and E_sorted hold the distinct words; A_src and A_dst the pairs
+    of A, and B_src, B_dst and B_wit the pairs of B with their witnesses,
+    each sorted by pair.  A column is an array('q') of 8-byte values, or a
+    tuple when one of its values does not fit in 63 bits.  The readers below
+    walk the columns in place: pair order is the order of the stage files,
+    and one merge walk finds the witness of each A pair.  X_codes, E_codes,
+    A_codes and phi_codes build a fresh frozenset or dict on each read, for
+    tests and cold readers; X, A, E, B and phi are BinWord views, each built
+    once.  The constructor takes BinWords, the stepper columns.
     """
 
+    _FIELDS = ("family", "level", "X_sorted", "A_src", "A_dst", "E_sorted",
+               "B_src", "B_dst", "B_wit")
+
     def __init__(self, family, level, X, A, E, phi):
-        self._store(family, level, (w.code for w in X), ((y.code, x.code) for y, x in A),
-                    (w.code for w in E), {(y.code, x.code): n for (y, x), n in phi.items()})
+        vars(self).update(vars(self._from_codes(
+            family, level, (w.code for w in X), ((y.code, x.code) for y, x in A),
+            (w.code for w in E), {(y.code, x.code): n for (y, x), n in phi.items()})))
 
     @classmethod
-    def _from_codes(cls, *fields) -> "ApproxState":
-        state = cls.__new__(cls)
-        state._store(*fields)
-        return state
+    def _from_codes(cls, family, level, X, A, E, phi) -> "ApproxState":
+        """A stage from collections of codes in any order, with repeats."""
+        return cls._from_columns(family, level, _column(sorted(set(X))),
+                                 *_pair_columns(sorted(set(A))), _column(sorted(set(E))),
+                                 *_edge_columns(phi))
 
-    def _store(self, family, level, X, A, E, phi):
-        self.family, self.level = family, level
-        self.X_sorted, self.E_sorted = (
-            tuple(sorted(c if isinstance(c, set) else set(c))) for c in (X, E))
-        self.A_codes, self.phi_codes = frozenset(A), MappingProxyType(phi)
+    @classmethod
+    def _from_columns(cls, *fields) -> "ApproxState":
+        state = cls.__new__(cls)
+        vars(state).update(zip(cls._FIELDS, fields))
+        return state
 
     # Set on the stages init and step return: only their edge sets are
     # carried forward by the next step.
@@ -74,15 +85,18 @@ class ApproxState:
 
     X_codes = property(lambda self: frozenset(self.X_sorted))
     E_codes = property(lambda self: frozenset(self.E_sorted))
+    A_codes = property(lambda self: frozenset(zip(self.A_src, self.A_dst)))
+    phi_codes = property(lambda self: dict(zip(zip(self.B_src, self.B_dst), self.B_wit)))
     X = cached_property(lambda self: frozenset(map(BinWord, self.X_sorted)))
     E = cached_property(lambda self: frozenset(map(BinWord, self.E_sorted)))
-    A = cached_property(lambda self: frozenset(map(_word_pair, self.A_codes)))
-    phi = cached_property(lambda self: MappingProxyType(
-        {_word_pair(p): n for p, n in self.phi_codes.items()}))
+    A = cached_property(lambda self: frozenset(zip(map(BinWord, self.A_src),
+                                                   map(BinWord, self.A_dst))))
+    phi = cached_property(lambda self: MappingProxyType(dict(zip(
+        zip(map(BinWord, self.B_src), map(BinWord, self.B_dst)), self.B_wit))))
     B = cached_property(lambda self: frozenset(self.phi))
 
     def _fields(self):
-        return (self.family, self.level, self.X_sorted, self.A_codes, self.E_sorted, self.phi_codes)
+        return tuple(getattr(self, name) for name in self._FIELDS)
 
     def __eq__(self, other):
         if not isinstance(other, ApproxState):
@@ -94,19 +108,59 @@ class ApproxState:
     def __repr__(self):
         return (
             f"ApproxState(level={self.level}, words={len(self.X_sorted)}, "
-            f"edges={len(self.phi_codes)}, chain={len(self.A_codes)}, "
+            f"edges={len(self.B_src)}, chain={len(self.A_src)}, "
             f"splitting={len(self.E_sorted)})"
         )
 
 
-def _word_pair(pair) -> tuple:
-    return BinWord(pair[0]), BinWord(pair[1])
+def _column(values: list):
+    """`values` as an array('q'), or as a tuple when one of them does not fit
+    in 63 bits (the code of a word of 63 bits or more)."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return tuple(values)
 
 
-def _has(codes: tuple, code: int) -> bool:
-    """Whether the sorted tuple `codes` holds `code`."""
+def _pair_columns(pairs: list) -> list:
+    """Code pairs, sorted by pair, as a source and a target column."""
+    return [_column(list(map(itemgetter(i), pairs))) for i in (0, 1)]
+
+
+def _edge_columns(phi) -> tuple:
+    """A dict from code pairs to witnesses as a source, a target and a
+    witness column, sorted by pair."""
+    pairs = sorted(phi)
+    return (*_pair_columns(pairs), _column(list(map(phi.__getitem__, pairs))))
+
+
+def _has(codes, code: int) -> bool:
+    """Whether the sorted column `codes` holds `code`."""
     i = bisect_left(codes, code)
     return i < len(codes) and codes[i] == code
+
+
+# Past every code: ends the merge walk of `_a_pairs`.
+_END = (math.inf, math.inf, None)
+
+
+def _a_pairs(state: ApproxState):
+    """Each pair (y, x) of A with its witness in B, or None for a pair
+    outside B, in pair order: one merge walk over the A and B columns."""
+    edges = zip(state.B_src, state.B_dst, state.B_wit)
+    by, bx, n = next(edges, _END)
+    for y, x in zip(state.A_src, state.A_dst):
+        while by < y or by == y and bx < x:
+            by, bx, n = next(edges, _END)
+        yield y, x, (n if by == y and bx == x else None)
+
+
+def _witness(state: ApproxState, y: int, x: int):
+    """The witness of the pair (y, x) in B, or None: bisects of the B columns."""
+    lo = bisect_left(state.B_src, y)
+    hi = bisect_right(state.B_src, y, lo)
+    i = bisect_left(state.B_dst, x, lo, hi)
+    return state.B_wit[i] if i < hi and state.B_dst[i] == x else None
 
 
 def init(family: int = 1) -> ApproxState:
@@ -193,9 +247,10 @@ def _index_edges(family, n, words, max_len, phi):
                 push((c << 1) | 1)
 
 
-def _carried_edges(prev: ApproxState, children, max_len) -> dict:
+def _carried_edges(prev: ApproxState, splits, max_len) -> dict:
     """The next stage's pairs of every map index feasible at prev, derived in
-    one pass over prev's pairs.
+    one pass over prev's pairs.  `splits` holds prev's splitting words; the
+    children of a word w are w + 0 and w + 1, the codes 2w and 2w + 1.
 
     Each pair (y, x) with witness n proposes its child pairs: y or a child
     of y, against x or a child of x.  With reads[k] the coordinate the map
@@ -209,7 +264,7 @@ def _carried_edges(prev: ApproxState, children, max_len) -> dict:
     family = prev.family
     plans = {}
     phi = {}
-    for (y, x), n in prev.phi_codes.items():
+    for y, x, n in zip(prev.B_src, prev.B_dst, prev.B_wit):
         plan = plans.get(n)
         if plan is None:
             reads = [stride_expand(family, n, k) for k in range(max_len + 1)]
@@ -219,31 +274,30 @@ def _carried_edges(prev: ApproxState, children, max_len) -> dict:
         reads, target_of, ident = plan
         ylen = y.bit_length() - 1
         xlen = x.bit_length() - 1
-        ys = children.get(y)
-        if ys is None:
-            sources = (y,)
-        else:
+        if y in splits:
             k = target_of.get(ylen)  # the target coordinate that reads y's new bit
-            sources = ys if k is None or k >= xlen else (ys[(x >> (xlen - 1 - k)) & 1],)
+            y <<= 1
             ylen += 1
-        xs = children.get(x)
-        r = reads[xlen]
-        for yy in sources:
-            if xs is None:
-                targets = (x,)
-            elif r < ylen:
-                targets = (xs[(yy >> (ylen - 1 - r)) & 1],)
-            else:
-                targets = xs
-            for xx in targets:
-                if family == 1 or graph_meets(ident, BinWord(yy), BinWord(xx)):
-                    phi[(yy, xx)] = n
+            sources = (y, y | 1) if k is None or k >= xlen else (y | ((x >> (xlen - 1 - k)) & 1),)
+        else:
+            sources = (y,)
+        if x in splits:
+            x <<= 1
+            r = ylen - 1 - reads[xlen]  # shift to the source bit the new target bit copies, if >= 0
+            candidates = [(yy, x | ((yy >> r) & 1)) for yy in sources] if r >= 0 else [
+                (yy, xx) for yy in sources for xx in (x, x | 1)]
+        else:
+            candidates = [(yy, x) for yy in sources]
+        for pair in candidates:
+            if family == 1 or graph_meets(ident, BinWord(pair[0]), BinWord(pair[1])):
+                phi[pair] = n
     return phi
 
 
-def _stage_edges(prev: ApproxState, children, words, level) -> dict:
+def _stage_edges(prev: ApproxState, splits, words, level) -> dict:
     """The edge set of the stage after prev, as a dict (source, target) ->
-    witnessing map index, on word codes.
+    witnessing map index, on word codes; `splits` holds prev's splitting
+    words.
 
     A map index already feasible at prev has its pairs carried forward from
     prev's pairs, when prev came from init or step; every other index with a
@@ -251,7 +305,7 @@ def _stage_edges(prev: ApproxState, children, words, level) -> dict:
     """
     carry = prev._stepped
     max_len = _max_len(words)
-    phi = _carried_edges(prev, children, max_len) if carry else {}
+    phi = _carried_edges(prev, splits, max_len) if carry else {}
     for n in itertools.count():
         st = stride(n)
         if st >= level:
@@ -262,33 +316,28 @@ def _stage_edges(prev: ApproxState, children, words, level) -> dict:
             _index_edges(prev.family, n, words, max_len, phi)
 
 
-def _advanced_chain(state: ApproxState, children) -> set:
+def _advanced_chain(state: ApproxState, splits):
     """The next stage's successor pairs, case by case on whether the two
     endpoints split, with the padded seed words handled by their own rule.
-    `children` maps each splitting word to its two child codes."""
+    `splits` holds the stage's splitting words.
+
+    The distinct pairs come back as a dict's keys, in two runs that are
+    each in pair order when no source branches: those whose source stayed
+    whole, then those whose source split, so sorting them is one merge."""
     family = state.family
-    phi = state.phi_codes
     anchors = {w for w in _anchor_codes(_max_len(state.X_sorted[-1:])) if _has(state.X_sorted, w)}
-    sources = SuccessorTable(state.A_codes).succ
-    out = set()
-    for w in anchors:
-        if w in children and w not in sources:
-            out.add(children[w])
+    whole, halved = [], []
     theta = {}
-    for y, x in state.A_codes:
-        ys = children.get(y)
-        xs = children.get(x)
-        if xs is None:
-            if ys is None:
-                out.add((y, x))
+    for y, x, n in _a_pairs(state):
+        split_y = y in splits
+        if x not in splits:
+            if not split_y:
+                whole.append((y, x))
             elif y not in anchors:
-                out.add((ys[0], x))
-                out.add((ys[1], x))
+                halved += (y << 1, x), ((y << 1) | 1, x)
             else:
-                out.add((ys[1], x))
-                out.add(ys)
+                halved += (y << 1, (y << 1) | 1), ((y << 1) | 1, x)
             continue
-        n = phi.get((y, x))
         if n is None:
             raise InvariantBroken("stage invariant broken: a successor pair with a "
                                   "splitting target has no edge witness")
@@ -296,17 +345,23 @@ def _advanced_chain(state: ApproxState, children) -> set:
         t = theta.get(key)
         if t is None:
             t = theta[key] = stride_expand(family, n, key[1])
-        if t >= code_len(y) + (ys is not None):
+        if t >= code_len(y) + split_y:
             raise InvariantBroken(f"stage invariant broken: the successor pair ({code_str(y)}, "
                                   f"{code_str(x)}) reads its split target past its source")
-        for yy in ys or (y,):
-            out.add((yy, xs[(yy >> (yy.bit_length() - 2 - t)) & 1]))
-    return out
+        x <<= 1
+        if split_y:
+            halved += [(yy, x | ((yy >> (code_len(y) - t)) & 1)) for yy in (y << 1, (y << 1) | 1)]
+        else:
+            whole.append((y, x | ((y >> (code_len(y) - 1 - t)) & 1)))
+    # A splitting padded seed word that is no source gets its children as a pair.
+    halved += [(w << 1, (w << 1) | 1) for w in sorted(anchors)
+               if w in splits and not _has(state.A_src, w)]
+    return dict.fromkeys(itertools.chain(whole, halved)).keys()
 
 
-def _splitting_set(family, words, chain_pairs, phi) -> set:
-    """Decide which stage words split, walking words by their longest known
-    distance from a chain-minimal word.
+def _splitting_set(family, X, chain_pairs, phi) -> set:
+    """Decide which words of the stage's sorted word column X split, walking
+    words by their longest known distance from a chain-minimal word.
 
     A word with predecessors splits when every predecessor reads the word's
     next coordinate strictly inside that predecessor's resolved length, and
@@ -320,9 +375,9 @@ def _splitting_set(family, words, chain_pairs, phi) -> set:
     succ, preds = table.succ, table.preds
     position = table.distances()
     # Words without predecessors sit at distance 1 and always split.
-    chosen = words.difference(preds)
+    chosen = set(itertools.filterfalse(preds.__contains__, X))
 
-    anchors = _anchor_codes(_max_len(words))
+    anchors = _anchor_codes(_max_len(X[-1:]))
     blocked = set()
 
     def block_chain(head):
@@ -333,7 +388,7 @@ def _splitting_set(family, words, chain_pairs, phi) -> set:
     for x in chosen.intersection(anchors):
         block_chain(x)
     theta = {}
-    for x in sorted(words.intersection(position), key=position.__getitem__):
+    for x in sorted(position.keys() & X, key=position.__getitem__):
         if x in blocked:
             continue
         xlen = code_len(x)
@@ -379,21 +434,31 @@ def step(state: ApproxState, max_words: int = MAX_WORDS) -> ApproxState:
       next pair has its parent pair here, with the same witness, and the
       graph_meets filter above family 1 stays exact on the candidates.
     Only stages that init or step returned are carried from; a stage built by
-    hand has its edges walked afresh.  The children table is shared by the
-    next words, the carried edges and the successor pairs, so each child code
-    is one int object; it is dropped before the splits are decided.
+    hand has its edges walked afresh.  A splitting word w has the children
+    2w and 2w + 1, computed where they are read.  The next stage is worked
+    out as sets and dicts of codes, each packed into columns and dropped as
+    soon as nothing else reads it: the words once the edges are found (the
+    splits are decided on the word column), then the splits, pairs and
+    edges in turn, so the columns never sit beside all of them at once.
     """
     words = set(state.X_sorted)
-    children = {w: (w << 1, (w << 1) | 1) for w in words.intersection(state.E_sorted)}
-    words.difference_update(children)
-    words.update(itertools.chain.from_iterable(children.values()))
+    splits = words.intersection(state.E_sorted)
+    words.difference_update(splits)
+    words.update([w << 1 for w in splits])
+    words.update([(w << 1) | 1 for w in splits])
     level = state.level + 1
     _check_word_cap(level, len(words), max_words)
-    phi = _stage_edges(state, children, words, level)
-    chain = _advanced_chain(state, children)
-    del children  # the splits read none of it, and dropping it lowers the step's peak
-    splitting = _splitting_set(state.family, words, chain, phi)
-    out = ApproxState._from_codes(state.family, level, words, chain, splitting, phi)
+    phi = _stage_edges(state, splits, words, level)
+    X = _column(sorted(words))
+    del words
+    chain = _advanced_chain(state, splits)
+    del splits
+    splitting = _splitting_set(state.family, X, chain, phi)
+    E = _column(sorted(splitting))
+    del splitting
+    A = _pair_columns(sorted(chain))
+    del chain
+    out = ApproxState._from_columns(state.family, level, X, *A, E, *_edge_columns(phi))
     out._stepped = True
     return out
 
@@ -454,21 +519,23 @@ def check_lemma_53_54(states) -> CheckReport:
     report = CheckReport()
     for state in states:
         lvl = state.level
-        table = SuccessorTable(state.A_codes)
+        table = SuccessorTable.of_columns(state.A_src, state.A_dst)
         depth = table.uogas_depths(state.X_sorted)
         if depth is None:
             depth = table.depths()
-            graph = FiniteOrientedGraph(state.X_codes, state.A_codes)
+            graph = FiniteOrientedGraph(state.X_sorted, zip(state.A_src, state.A_dst))
             for clause, witness in validate_uogas(graph).violations:
                 report.add(clause, (lvl, *_rendered(witness)))
-        for y, x in sorted(state.A_codes - state.phi_codes.keys()):
-            report.add("contained-in-edge-set", (lvl, code_str(y), code_str(x)))
+        for y, x, n in _a_pairs(state):
+            if n is None:
+                report.add("contained-in-edge-set", (lvl, code_str(y), code_str(x)))
         bound = max(lvl, 1)
         if depth and max(depth.values()) > bound:
             for w in state.X_codes:
                 d = depth.get(w)
                 if d is not None and d > bound:
                     report.add("chain-length-bound", (lvl, code_str(w), d))
+        del table, depth  # before the next, larger stage builds its own
     return report
 
 
@@ -483,11 +550,10 @@ def check_lemma_57(states) -> CheckReport:
     report = CheckReport()
     for state in states:
         lvl = state.level
-        phi = state.phi_codes
-        succ = SuccessorTable(state.A_codes).succ
+        succ = SuccessorTable.of_columns(state.A_src, state.A_dst).succ
         limit = len(state.X_sorted)
-        found = []  # (edge, clause, witness), sorted by edge at the end
-        for (y, x), witness in phi.items():
+        # B is sorted by pair, so the edges are reported in pair order.
+        for y, x, witness in zip(state.B_src, state.B_dst, state.B_wit):
             # A one-step edge walks [witness], which breaks no clause; a loop,
             # and any edge when X is empty, still fails target-on-chain.
             if x != y and limit and succ.get(y) == x:
@@ -497,27 +563,23 @@ def check_lemma_57(states) -> CheckReport:
             walked, gap, v = [], None, y
             while x != y and v in succ and len(walked) < limit:
                 u, v = v, succ[v]
-                value = phi.get((u, v))
+                value = _witness(state, u, v)
                 if value is None and gap is None:
                     gap = (u, v)
                 walked.append(value)
                 if v == x:
                     break
             if x == y or v != x:
-                found.append(((y, x), "target-on-chain", (lvl, code_str(y), code_str(x))))
+                report.add("target-on-chain", (lvl, code_str(y), code_str(x)))
             elif gap is not None:
-                found.append(((y, x), "chain-step-in-edge-set",
-                              (lvl, code_str(gap[0]), code_str(gap[1]))))
+                report.add("chain-step-in-edge-set", (lvl, code_str(gap[0]), code_str(gap[1])))
             else:
                 if walked[-1] != witness or min(walked) != witness:
-                    found.append(((y, x), "landing-index-minimal",
-                                  (lvl, code_str(y), code_str(x), tuple(walked), witness)))
+                    report.add("landing-index-minimal",
+                               (lvl, code_str(y), code_str(x), tuple(walked), witness))
                 if len(set(walked)) != len(walked):
-                    found.append(((y, x), "index-injective",
-                                  (lvl, code_str(y), code_str(x), tuple(walked))))
-        found.sort(key=itemgetter(0))  # stable: an edge keeps its clause order
-        for _, clause, witness in found:
-            report.add(clause, witness)
+                    report.add("index-injective", (lvl, code_str(y), code_str(x), tuple(walked)))
+        del succ  # before the next, larger stage builds its own
     return report
 
 
@@ -579,7 +641,7 @@ def check_lemma_58(states, n: int, alpha_prefix) -> CheckReport:
         if k <= st_n + 1 or k <= prev_len:
             continue
         checks += 1
-        witness = state.phi_codes.get((source, target))
+        witness = _witness(state, source, target)
         pair = (state.level, code_str(source), code_str(target))
         if witness is None:
             report.add("prefix-pair-in-edge-set", pair)
@@ -633,12 +695,12 @@ def is_maximal_antichain(words) -> bool:
 
 def state_json(state: ApproxState) -> dict:
     """Plain-data snapshot of one stage, ready for json.dump."""
-    phi = state.phi_codes
     return {
         "level": state.level,
         "X": [code_str(w) for w in state.X_sorted],
-        "B": [[code_str(y), code_str(x), phi[(y, x)]] for y, x in sorted(phi)],
-        "A": [[code_str(y), code_str(x)] for y, x in sorted(state.A_codes)],
+        "B": [[code_str(y), code_str(x), n]
+              for y, x, n in zip(state.B_src, state.B_dst, state.B_wit)],
+        "A": [[code_str(y), code_str(x)] for y, x in zip(state.A_src, state.A_dst)],
         "E": [code_str(w) for w in state.E_sorted],
     }
 
@@ -649,17 +711,17 @@ CHUNK_ITEMS = 4096
 
 def state_chunks(state: ApproxState):
     """The stage file, `json.dumps(state_json(state), indent=2)` and a
-    newline, written straight from the stored codes in pieces of at most
-    CHUNK_ITEMS items.  Words are 0/1 strings and witnesses ints, so no
-    item needs escaping, and json's pure-Python indent encoder is skipped."""
-    phi = state.phi_codes
+    newline, written straight from the columns, which are already in the
+    file's order, in pieces of at most CHUNK_ITEMS items.  Words are 0/1
+    strings and witnesses ints, so no item needs escaping, and json's
+    pure-Python indent encoder is skipped."""
     yield f'{{\n  "level": {state.level}'
     for key, items in (
         ("X", (f'"{bin(w)[3:]}"' for w in state.X_sorted)),
-        ("B", (f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}",\n      {phi[y, x]}\n    ]'
-               for y, x in sorted(phi))),
+        ("B", (f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}",\n      {n}\n    ]'
+               for y, x, n in zip(state.B_src, state.B_dst, state.B_wit))),
         ("A", (f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}"\n    ]'
-               for y, x in sorted(state.A_codes))),
+               for y, x in zip(state.A_src, state.A_dst))),
         ("E", (f'"{bin(w)[3:]}"' for w in state.E_sorted)),
     ):
         head = f',\n  "{key}": [\n    '  # laid out as json.dumps(..., indent=2) does

@@ -28,7 +28,7 @@ def cmd_approx(args) -> int:
             path = outdir / f"stage_{st.level:03d}.dot"
             path.write_text(state_dot(st))
     for st in states:
-        print(f"l={st.level} |X|={len(st.X_sorted)} |B|={len(st.phi_codes)} |E|={len(st.E_sorted)}")
+        print(f"l={st.level} |X|={len(st.X_sorted)} |B|={len(st.B_src)} |E|={len(st.E_sorted)}")
     detected = detect_L_n(states)
     print("detected map levels:", json.dumps({str(k): v for k, v in sorted(detected.items())}))
     print(f"wrote {len(states)} stage files to {outdir}")

@@ -208,16 +208,27 @@ class SuccessorTable:
     vertices are whatever the pairs hold; checking them is the caller's."""
 
     def __init__(self, pairs):
-        self._pairs = pairs
+        self._pairs = pairs.__iter__
         self.succ = dict(pairs)
         self.branches = len(self.succ) != len(pairs)
         if self.branches:
             self.succ = dict(sorted(pairs))
 
+    @classmethod
+    def of_columns(cls, sources, targets) -> "SuccessorTable":
+        """The table of the pairs zip(sources, targets), two columns sorted
+        by pair (a stage's A_src and A_dst) and read in place: a branching
+        source's last target is its largest, so `dict` keeps it unsorted."""
+        table = cls.__new__(cls)
+        table._pairs = partial(zip, sources, targets)
+        table.succ = dict(zip(sources, targets))
+        table.branches = len(table.succ) != len(sources)
+        return table
+
     @cached_property
     def preds(self) -> dict:
         preds = {}
-        for y, x in self._pairs:
+        for y, x in self._pairs():
             preds.setdefault(x, []).append(y)
         return preds
 

@@ -5,12 +5,13 @@ import functools
 import hashlib
 import json
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorlab import approximation
+from cantorlab import approximation, cli
 from cantorlab.approximation import (
     CHUNK_ITEMS,
     MAX_WORDS,
@@ -474,9 +475,8 @@ def test_code_stepper_matches_the_binword_stepper_on_a_foreign_stage():
 def walked_edges(prev, state):
     """The edge set of the stage after prev, walked afresh: step never
     carries edges from a stage built by hand."""
-    hand = ApproxState._from_codes(*prev._fields())
-    children = {w: (w << 1, (w << 1) | 1) for w in prev.X_codes & prev.E_codes}
-    return _stage_edges(hand, children, state.X_codes, state.level)
+    hand = ApproxState._from_columns(*prev._fields())
+    return _stage_edges(hand, prev.X_codes & prev.E_codes, state.X_codes, state.level)
 
 
 @pytest.mark.parametrize("family,depth", [(1, 20), (2, 14), (3, 12)])
@@ -612,11 +612,30 @@ def test_generated_stages_step_alike_three_ways(family, monkeypatch):
     for _ in range(32):
         state = _random_stage(rng, family)
         carried = step(state)
-        assert carried == step(ApproxState._from_codes(*state._fields())) == binword_step(state)
+        assert carried == step(ApproxState._from_columns(*state._fields())) == binword_step(state)
         fired = [a + b for a, b in zip(fired, _forced_reads(state))]
         newly_feasible += 1 in carried.phi_codes.values() and 1 not in state.phi_codes.values()
     assert min(fired) >= 100, fired
     assert newly_feasible
+
+
+def test_a_splitting_seed_word_keeps_its_successor_whole():
+    """At a hand-made stage 7 that sends 0000000 to 010 and keeps 010 whole,
+    index 1's padded seed word 00000000 appears at stage 8 with no
+    predecessor, so it splits, and it heads the chain to 010.  Every
+    predecessor of 010 reads its next coordinate inside itself, so only
+    the block on the seed word's chain keeps 010 whole; the BinWord
+    stepper agrees."""
+    base = run(1, 7)[7]
+    seed, x = W("0000000").code, W("010").code
+    succ = dict(base.A_codes)
+    succ[seed] = x
+    state = ApproxState._from_codes(1, 7, base.X_codes, succ.items(), base.E_codes - {x},
+                                    base.phi_codes)
+    nxt = step(state)
+    assert nxt == binword_step(state)
+    assert (W("00000000"), W("010")) in nxt.A and W("00000000") in nxt.E
+    assert W("010") in nxt.X and W("010") not in nxt.E
 
 
 def test_step_reports_a_chain_cycle_as_a_broken_invariant():
@@ -1212,7 +1231,7 @@ def test_states_compare_by_content():
 
 
 # ---------------------------------------------------------------------------
-# the sorted-tuple store against the frozenset store it replaced
+# the column store against the frozenset store it replaced
 
 
 def ref_state_dot(level, X, A, E, phi):
@@ -1238,12 +1257,8 @@ def test_a_hand_made_stage_reads_as_its_frozensets(family, depth):
     X) in E, given with repeats and in shuffled order, reads back as the
     frozensets it was built from, and steps as the BinWord stepper does."""
     base = run(family, depth)[depth]
-    w = next(c for c in base.X_sorted if c >> (code_len(c) - 1) == 0b11)
-    deep = w << (70 - code_len(w))
-    chain = [(w << (i + 1)) | 1 for i in range(70 - code_len(w))] + [deep]
-    X = frozenset(base.X_codes - {w} | set(chain))
-    E = frozenset(base.E_codes | {w, deep})
-    A, phi = base.A_codes, dict(base.phi_codes)
+    X, A, E, phi, deep = _deepened(base, 70)
+    (w,) = E - X
     assert code_len(deep) == 70 and w not in X and is_maximal_antichain_codes(X)
     rng = random.Random(depth)
     shuffled = ApproxState._from_codes(
@@ -1252,20 +1267,114 @@ def test_a_hand_made_stage_reads_as_its_frozensets(family, depth):
     state = ApproxState._from_codes(family, depth, X, A, E, phi)
     assert state == shuffled and state != ApproxState._from_codes(family, depth, X, A, E - {w}, phi)
     for st in (state, shuffled):
-        assert st.X_codes == X and st.E_codes == E
         assert st.X_codes is not st.X_codes and "X_codes" not in vars(st)
-        assert "".join(state_chunks(st)) == json.dumps({
-            "level": depth,
-            "X": [code_str(c) for c in sorted(X)],
-            "B": [[code_str(y), code_str(x), phi[y, x]] for y, x in sorted(phi)],
-            "A": [[code_str(y), code_str(x)] for y, x in sorted(A)],
-            "E": [code_str(c) for c in sorted(E)],
-        }, indent=2) + "\n"
-        assert state_dot(st) == ref_state_dot(depth, X, A, E, phi)
+        _stored_as(st, X, A, E, phi)
     nxt = step(state)
     assert nxt == step(shuffled) == binword_step(state)
     assert nxt.X_codes == X - E | {c << 1 | b for c in X & E for b in (0, 1)}
     assert deep << 1 in nxt.X_codes and w << 1 not in nxt.X_codes
+
+
+def _deepened(base, bits):
+    """The codes of `base` with one word of the idle "1" half replaced by a
+    chain of leaves down to a word of `bits` bits, that word and the
+    replaced one (now off X) in E: (X, A, E, phi, the deep word)."""
+    w = next(c for c in base.X_sorted if c >> (code_len(c) - 1) == 0b11)
+    deep = w << (bits - code_len(w))
+    chain = [(w << (i + 1)) | 1 for i in range(bits - code_len(w))] + [deep]
+    X = frozenset(base.X_codes - {w} | set(chain))
+    E = frozenset(base.E_codes | {w, deep})
+    return X, base.A_codes, E, dict(base.phi_codes), deep
+
+
+def _stored_as(state, X, A, E, phi):
+    """The stage reads back as the sets it was built from, and writes the
+    stage file and DOT text those sets give."""
+    assert state.X_codes == X and state.E_codes == E
+    assert state.A_codes == A and state.phi_codes == phi
+    assert state.X == frozenset(map(BinWord, X)) and state.E == frozenset(map(BinWord, E))
+    assert state.A == frozenset((BinWord(y), BinWord(x)) for y, x in A)
+    assert dict(state.phi) == {(BinWord(y), BinWord(x)): n for (y, x), n in phi.items()}
+    assert state.B == frozenset(state.phi)
+    text = json.dumps({
+        "level": state.level,
+        "X": [code_str(c) for c in sorted(X)],
+        "B": [[code_str(y), code_str(x), phi[y, x]] for y, x in sorted(phi)],
+        "A": [[code_str(y), code_str(x)] for y, x in sorted(A)],
+        "E": [code_str(c) for c in sorted(E)],
+    }, indent=2) + "\n"
+    assert "".join(state_chunks(state)) == json.dumps(state_json(state), indent=2) + "\n" == text
+    assert state_dot(state) == ref_state_dot(state.level, X, A, E, phi)
+
+
+@pytest.mark.parametrize("family,depth", [(1, 6), (2, 8)])
+@pytest.mark.parametrize("bits", [62, 63])
+@pytest.mark.parametrize("tamper", ["none", "branching A pair", "B pair outside A"])
+def test_the_column_store_keeps_a_hand_made_stage_at_its_edges(family, depth, bits, tamper):
+    """A word of 62 bits has the last code that fits an array('q') and one of
+    63 bits the first that does not: each column holding one is a tuple,
+    every other column an array.  With a source given a second target off
+    E, or edges outside A placed before, after and between a source's A
+    pairs, the stage still reads back as its sets, compares equal when
+    given shuffled and with repeats, and steps as the BinWord stepper does."""
+    X, A, E, phi, deep = _deepened(run(family, depth)[depth], bits)
+    y, x = min(A)
+    if tamper == "branching A pair":
+        A = A | {(y, min(X - E - {x}))}
+        assert len(dict(A)) < len(A)
+    elif tamper == "B pair outside A":
+        phi = {**phi, (y, 1): 0, (y, deep): 1, (deep, x): 2}
+    rng = random.Random(bits)
+    state = ApproxState._from_codes(family, depth, X, A, E, phi)
+    shuffled = ApproxState._from_codes(
+        family, depth, rng.sample(sorted(X), len(X)) * 2, rng.sample(sorted(A), len(A)) * 2,
+        rng.sample(sorted(E), len(E)) + [deep], dict(rng.sample(sorted(phi.items()), len(phi))))
+    assert state == shuffled
+    assert state != ApproxState._from_codes(family, depth, X, A, E - {deep}, phi)
+    long_columns = set()
+    if bits == 63:
+        long_columns = {"X_sorted", "E_sorted"}
+        if tamper == "B pair outside A":
+            long_columns |= {"B_src", "B_dst"}
+    for name in ApproxState._FIELDS[2:]:
+        assert isinstance(getattr(state, name), tuple if name in long_columns else array), name
+    for st in (state, shuffled):
+        _stored_as(st, X, A, E, phi)
+    nxt = step(state)
+    assert nxt == step(shuffled) == binword_step(state)
+    assert deep << 1 in nxt.X_codes and isinstance(nxt.X_sorted, tuple)
+    _stored_as(nxt, nxt.X_codes, nxt.A_codes, nxt.E_codes, nxt.phi_codes)
+
+
+def test_stepped_stages_store_8_byte_columns():
+    """Every column of a stage that init or step made is an array('q'), so
+    a silent fall back to tuples fails here."""
+    for state in run(1, 12):
+        for name in ApproxState._FIELDS[2:]:
+            column = getattr(state, name)
+            assert isinstance(column, array) and column.typecode == "q", (state.level, name)
+
+
+def test_the_hot_paths_never_rebuild_a_or_phi(monkeypatch, tmp_path, capsys):
+    """With A_codes and phi_codes refusing every read, stepping, writing the
+    stage files, both stage checks and `approx` give their usual results:
+    they read the columns in place."""
+    ref = run(1, 12)
+    texts = ["".join(state_chunks(st)) for st in ref]
+
+    def refuse(self):
+        raise AssertionError("a hot path rebuilt A or phi")
+
+    monkeypatch.setattr(ApproxState, "A_codes", property(refuse))
+    monkeypatch.setattr(ApproxState, "phi_codes", property(refuse))
+    monkeypatch.setattr(approximation, "_stage_cache", {})
+    states = run(1, 12)
+    assert states == ref and states[0] is not ref[0]
+    assert ["".join(state_chunks(st)) for st in states] == texts
+    assert check_lemma_53_54(states).ok and check_lemma_57(states).ok
+    assert cli.main(["approx", "--L", "1", "--depth", "12", "--out", str(tmp_path)]) == 0
+    assert [(tmp_path / f"stage_{lvl:03d}.json").read_text() for lvl in range(13)] == texts
+    assert f"l=12 |X|=3088 |B|={len(ref[12].B_src)} |E|=3072" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("size", [0, 1, CHUNK_ITEMS - 1, CHUNK_ITEMS, CHUNK_ITEMS + 1])
