@@ -30,7 +30,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property, partial
-from operator import itemgetter
+from operator import eq, itemgetter, lt, xor
 from types import MappingProxyType
 
 from .cylinders import SymbolicClopen
@@ -140,6 +140,39 @@ def _has(codes, code: int) -> bool:
     return i < len(codes) and codes[i] == code
 
 
+class _SplitSet(frozenset):
+    """The splitting words of a stage whose codes are too sparse for a byte
+    per code: `splits[c]` says whether c is one, as a bytearray's does."""
+
+    __getitem__ = frozenset.__contains__
+
+
+def _split_flags(state: ApproxState):
+    """The splitting words of `state`, the words of both X and E, as a
+    lookup indexed by code (splits[c] is true exactly for them), and their
+    count.
+
+    The lookup answers for every code a step reads: the words of X and the
+    endpoints of A and B, on X or off it.  It is a bytearray with one byte
+    per code up to the largest of them, or a `_SplitSet` when those codes
+    span more than 64 per word of X (a hand-made stage with a long word).
+    Stages fill about 37 % of their code range, so they take the bytearray.
+    """
+    X, E = state.X_sorted, state.E_sorted
+    top = max(itertools.chain(X[-1:], state.A_src[-1:], state.A_dst,
+                              state.B_src[-1:], state.B_dst), default=0)
+    if top >= 64 * (len(X) + 1):
+        splits = _SplitSet(set(X).intersection(E))
+        return splits, len(splits)
+    in_e = bytearray(top + 1)
+    for w in E[:bisect_right(E, top)]:
+        in_e[w] = 1
+    splits = bytearray(top + 1)
+    for w in X:
+        splits[w] = in_e[w]
+    return splits, splits.count(1)
+
+
 # Past every code: ends the merge walk of `_a_pairs`.
 _END = (math.inf, math.inf, None)
 
@@ -208,8 +241,8 @@ def _feasible(n, holds) -> bool:
 
 
 def _index_edges(family, n, words, max_len, phi):
-    """Add map index n's pairs to phi, walking the antichain once per
-    potential source.
+    """Add map index n's pairs to phi, walking the antichain (the sorted
+    word column `words`) once per potential source.
 
     A partner bit is forced wherever the map reads inside the source word
     (and at the stride coordinate), and branches freely beyond it.  At family
@@ -232,7 +265,7 @@ def _index_edges(family, n, words, max_len, phi):
         pop, push = stack.pop, stack.append
         while stack:
             c = pop()
-            if c in words:
+            if _has(words, c):
                 if family == 1 or graph_meets(ident, BinWord(y), BinWord(c)):
                     phi[(y, c)] = n
                 continue
@@ -249,8 +282,8 @@ def _index_edges(family, n, words, max_len, phi):
 
 def _carried_edges(prev: ApproxState, splits, max_len) -> dict:
     """The next stage's pairs of every map index feasible at prev, derived in
-    one pass over prev's pairs.  `splits` holds prev's splitting words; the
-    children of a word w are w + 0 and w + 1, the codes 2w and 2w + 1.
+    one pass over prev's pairs.  `splits` is prev's `_split_flags` lookup;
+    the children of a word w are w + 0 and w + 1, the codes 2w and 2w + 1.
 
     Each pair (y, x) with witness n proposes its child pairs: y or a child
     of y, against x or a child of x.  With reads[k] the coordinate the map
@@ -274,14 +307,14 @@ def _carried_edges(prev: ApproxState, splits, max_len) -> dict:
         reads, target_of, ident = plan
         ylen = y.bit_length() - 1
         xlen = x.bit_length() - 1
-        if y in splits:
+        if splits[y]:
             k = target_of.get(ylen)  # the target coordinate that reads y's new bit
             y <<= 1
             ylen += 1
             sources = (y, y | 1) if k is None or k >= xlen else (y | ((x >> (xlen - 1 - k)) & 1),)
         else:
             sources = (y,)
-        if x in splits:
+        if splits[x]:
             x <<= 1
             r = ylen - 1 - reads[xlen]  # shift to the source bit the new target bit copies, if >= 0
             candidates = [(yy, x | ((yy >> r) & 1)) for yy in sources] if r >= 0 else [
@@ -296,15 +329,16 @@ def _carried_edges(prev: ApproxState, splits, max_len) -> dict:
 
 def _stage_edges(prev: ApproxState, splits, words, level) -> dict:
     """The edge set of the stage after prev, as a dict (source, target) ->
-    witnessing map index, on word codes; `splits` holds prev's splitting
-    words.
+    witnessing map index, on word codes; `splits` is prev's `_split_flags`
+    lookup and `words` the new stage's sorted word column.
 
     A map index already feasible at prev has its pairs carried forward from
     prev's pairs, when prev came from init or step; every other index with a
-    stride below the level is walked afresh on the new words.
+    stride below the level is walked afresh on the new words.  A pair that
+    two indices reach keeps the last one's witness.
     """
     carry = prev._stepped
-    max_len = _max_len(words)
+    max_len = _max_len(words[-1:])
     phi = _carried_edges(prev, splits, max_len) if carry else {}
     for n in itertools.count():
         st = stride(n)
@@ -312,14 +346,14 @@ def _stage_edges(prev: ApproxState, splits, words, level) -> dict:
             return phi
         if carry and st < prev.level and _feasible(n, partial(_has, prev.X_sorted)):
             continue
-        if _feasible(n, words.__contains__):
+        if _feasible(n, partial(_has, words)):
             _index_edges(prev.family, n, words, max_len, phi)
 
 
 def _advanced_chain(state: ApproxState, splits):
     """The next stage's successor pairs, case by case on whether the two
     endpoints split, with the padded seed words handled by their own rule.
-    `splits` holds the stage's splitting words.
+    `splits` is the stage's `_split_flags` lookup.
 
     The distinct pairs come back as a dict's keys, in two runs that are
     each in pair order when no source branches: those whose source stayed
@@ -329,8 +363,8 @@ def _advanced_chain(state: ApproxState, splits):
     whole, halved = [], []
     theta = {}
     for y, x, n in _a_pairs(state):
-        split_y = y in splits
-        if x not in splits:
+        split_y = splits[y]
+        if not splits[x]:
             if not split_y:
                 whole.append((y, x))
             elif y not in anchors:
@@ -355,58 +389,71 @@ def _advanced_chain(state: ApproxState, splits):
             whole.append((y, x | ((y >> (code_len(y) - 1 - t)) & 1)))
     # A splitting padded seed word that is no source gets its children as a pair.
     halved += [(w << 1, (w << 1) | 1) for w in sorted(anchors)
-               if w in splits and not _has(state.A_src, w)]
+               if splits[w] and not _has(state.A_src, w)]
     return dict.fromkeys(itertools.chain(whole, halved)).keys()
 
 
-def _splitting_set(family, X, chain_pairs, phi) -> set:
-    """Decide which words of the stage's sorted word column X split, walking
-    words by their longest known distance from a chain-minimal word.
+def _splitting_column(state: ApproxState):
+    """The splitting set of a stage whose X, A and B columns are in place,
+    as a sorted column: X minus the words that stay whole.
 
-    A word with predecessors splits when every predecessor reads the word's
-    next coordinate strictly inside that predecessor's resolved length, and
+    A word splits when every predecessor y reads the word's next coordinate
+    strictly inside y's resolved length (|y|, plus one when y splits), and
     the word does not sit beyond the head of a padded-seed word's successor
     chain whose head splits at this same stage.  A pair that lost its edge
-    witness never certifies a split.  Every word's predecessors and every
-    word a chain head blocks lie at a strictly smaller, respectively larger,
-    distance, so the order among words at one distance does not matter.
+    witness never certifies a split.  So only A's targets can stay whole,
+    and they are few (192 of the 49,216 words of stage 16).  Three facts
+    turn the rule into one pass over A and a walk of a few pairs:
+    - a pair with a witness has its source on X, and a source that is no
+      target splits, so the pass decides the pairs from such sources, with
+      their witnesses from one merge walk, and skips the rest of a target's
+      pairs once it stays whole;
+    - every pair of B ends in a word that extends a seed word followed by a
+      1, never at a padded seed word, so a padded seed word with a
+      predecessor stays whole, and only those without one block a chain
+      (walked on the A columns, where a branching source's last target is
+      its largest);
+    - the pairs between targets hold every cycle of A, which `distances`
+      raises as StageRelationCycle, and the targets are decided in order of
+      that distance, each after its predecessors.
     """
-    table = SuccessorTable(chain_pairs)
-    succ, preds = table.succ, table.preds
-    position = table.distances()
-    # Words without predecessors sit at distance 1 and always split.
-    chosen = set(itertools.filterfalse(preds.__contains__, X))
-
-    anchors = _anchor_codes(_max_len(X[-1:]))
-    blocked = set()
-
-    def block_chain(head):
-        while head in succ:
-            head = succ[head]
-            blocked.add(head)
-
-    for x in chosen.intersection(anchors):
-        block_chain(x)
+    X, A_src, A_dst = state.X_sorted, state.A_src, state.A_dst
+    targets = set(A_dst)
+    whole = {x for x in targets if not _has(X, x)}  # with the targets off X
     theta = {}
-    for x in sorted(position.keys() & X, key=position.__getitem__):
-        if x in blocked:
-            continue
-        xlen = code_len(x)
-        for y in preds[x]:
-            n = phi.get((y, x))
-            if n is None:
-                break
-            key = (n, xlen)
-            t = theta.get(key)
-            if t is None:
-                t = theta[key] = stride_expand(family, n, xlen)
-            if t >= code_len(y) + (y in chosen):
-                break
-        else:
-            chosen.add(x)
-            if x in anchors:
-                block_chain(x)
-    return chosen
+
+    def keeps_whole(y, x, n, split_y):
+        """Whether the pair (y, x) with witness n keeps x whole."""
+        if n is None:
+            return True
+        key = (n, code_len(x))
+        t = theta.get(key)
+        if t is None:
+            t = theta[key] = stride_expand(state.family, n, key[1])
+        return t >= code_len(y) + split_y
+
+    between = []
+    for y, x, n in _a_pairs(state):
+        if y in targets:
+            between.append((y, x))
+        elif x not in whole and keeps_whole(y, x, n, True):
+            whole.add(x)
+    table = SuccessorTable(between)
+    distance = table.distances()
+    for head in _anchor_codes(_max_len(X[-1:])):
+        if head not in targets and _has(X, head):
+            i = bisect_right(A_src, head)
+            while i and A_src[i - 1] == head:
+                head = A_dst[i - 1]
+                whole.add(head)
+                i = bisect_right(A_src, head)
+    for x in sorted(targets - whole, key=lambda v: distance.get(v, 1)):
+        if any(keeps_whole(y, x, _witness(state, y, x), y not in whole)
+               for y in table.preds.get(x, ())):
+            whole.add(x)
+    splitting = itertools.filterfalse(whole.__contains__, X)
+    # X's form fits E, a part of X; the slice copy drops the slack of growth.
+    return array("q", splitting)[:] if isinstance(X, array) else tuple(splitting)
 
 
 # Default cap on a stage's word count |X|.  It keeps casual runs small;
@@ -435,30 +482,31 @@ def step(state: ApproxState, max_words: int = MAX_WORDS) -> ApproxState:
       graph_meets filter above family 1 stays exact on the candidates.
     Only stages that init or step returned are carried from; a stage built by
     hand has its edges walked afresh.  A splitting word w has the children
-    2w and 2w + 1, computed where they are read.  The next stage is worked
-    out as sets and dicts of codes, each packed into columns and dropped as
-    soon as nothing else reads it: the words once the edges are found (the
-    splits are decided on the word column), then the splits, pairs and
-    edges in turn, so the columns never sit beside all of them at once.
+    2w and 2w + 1, computed where they are read.
+
+    Beside the columns, the work holds one list or dict the size of a stage
+    at a time: the splits are a lookup indexed by code, the words a merge of
+    two sorted runs (those that stay whole, then the children), the edges
+    and then the chain pairs are packed as soon as they are found, and the
+    next splits are decided on the new stage's columns.
     """
-    words = set(state.X_sorted)
-    splits = words.intersection(state.E_sorted)
-    words.difference_update(splits)
-    words.update([w << 1 for w in splits])
-    words.update([(w << 1) | 1 for w in splits])
+    splits, split_count = _split_flags(state)
     level = state.level + 1
-    _check_word_cap(level, len(words), max_words)
-    phi = _stage_edges(state, splits, words, level)
-    X = _column(sorted(words))
+    _check_word_cap(level, len(state.X_sorted) + split_count, max_words)
+    words = [w for w in state.X_sorted if not splits[w]]
+    words += [c for w in state.X_sorted if splits[w] for c in (w << 1, (w << 1) | 1)]
+    words.sort()  # two sorted runs: one merge
+    X = _column(words)
     del words
+    phi = _stage_edges(state, splits, X, level)
+    B = _edge_columns(phi)
+    del phi
     chain = _advanced_chain(state, splits)
     del splits
-    splitting = _splitting_set(state.family, X, chain, phi)
-    E = _column(sorted(splitting))
-    del splitting
     A = _pair_columns(sorted(chain))
     del chain
-    out = ApproxState._from_columns(state.family, level, X, *A, E, *_edge_columns(phi))
+    out = ApproxState._from_columns(state.family, level, X, *A, None, *B)
+    out.E_sorted = _splitting_column(out)
     out._stepped = True
     return out
 
@@ -665,27 +713,36 @@ def check_lemma_58(states, n: int, alpha_prefix) -> CheckReport:
 
 
 def is_maximal_antichain_codes(codes) -> bool:
-    """Prefix-freeness plus exact total measure one, on word codes.
+    """Prefix-freeness plus exact total measure one, on word codes in any
+    order, with repeats.
 
     Those hold exactly when the words are the leaves of a full binary tree:
     merging sibling pairs into their parents, longest words first, must
-    always find both siblings, meet no word that is also a parent, and end
-    at the empty word.
+    always find both siblings and end at the empty word.  Each length's
+    parents, merged in order with the words of that length, must read as
+    sibling pairs: a repeat, or a word that is also a parent, breaks the
+    pattern, as the merged list is sorted.  A parent is kept as its
+    leftmost descendant of the longest length, p << shift, so the longest
+    words are never copied into new ints, and a sorted column or list (a
+    stage's X_sorted) is read in place; any other input is sorted first.
     """
-    cs = sorted(codes)
-    hi = len(cs)
-    parents = set()
-    for length in range(code_len(cs[-1]) if cs else 0, 0, -1):
-        lo = bisect_left(cs, 1 << length, 0, hi)
-        layer = set(cs[lo:hi])
-        if len(layer) != hi - lo or not layer.isdisjoint(parents):
+    if not isinstance(codes, (array, list, tuple)) or any(map(lt, codes[1:], codes)):
+        codes = sorted(codes)
+    hi = len(codes)
+    top = code_len(codes[-1]) if hi else 0
+    lo = bisect_left(codes, 1 << top, 0, hi)
+    nodes = codes[lo:hi]  # the words of the longest length
+    for shift in range(top):
+        # Siblings p, p ^ 1 sit at q and q ^ (1 << shift); in sorted order
+        # that is the next code only when q has that bit clear.
+        if len(nodes) & 1 or not all(map(eq, map(xor, nodes[::2], itertools.repeat(1 << shift)),
+                                         nodes[1::2])):
             return False
-        layer |= parents
-        parents = {c >> 1 for c in layer}
-        if 2 * len(parents) != len(layer):
-            return False
-        hi = lo
-    return cs[:hi] + list(parents) == [1]
+        nodes = nodes[::2]  # the parents
+        hi, lo = lo, bisect_left(codes, 1 << (top - shift - 1), 0, lo)
+        if lo < hi:  # words as long as the parents
+            nodes = sorted(itertools.chain([w << (shift + 1) for w in codes[lo:hi]], nodes))
+    return lo == 0 and list(nodes) == [1 << top]
 
 
 def is_maximal_antichain(words) -> bool:

@@ -5,7 +5,9 @@ import functools
 import hashlib
 import json
 import random
+import tracemalloc
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from cantorlab.approximation import (
     CHUNK_ITEMS,
     MAX_WORDS,
     ApproxState,
+    _split_flags,
     _stage_edges,
     anchor_index,
     check_lemma_53_54,
@@ -476,7 +479,7 @@ def walked_edges(prev, state):
     """The edge set of the stage after prev, walked afresh: step never
     carries edges from a stage built by hand."""
     hand = ApproxState._from_columns(*prev._fields())
-    return _stage_edges(hand, prev.X_codes & prev.E_codes, state.X_codes, state.level)
+    return _stage_edges(hand, _split_flags(prev)[0], state.X_sorted, state.level)
 
 
 @pytest.mark.parametrize("family,depth", [(1, 20), (2, 14), (3, 12)])
@@ -557,7 +560,7 @@ def _random_stage(rng, family, depth=11, max_pairs=500):
             else:
                 X.append(c)
         bare = ApproxState._from_codes(family, depth - 1, (), (), (), {})
-        phi = _stage_edges(bare, {}, set(X), depth)
+        phi = _stage_edges(bare, _split_flags(bare)[0], sorted(X), depth)
         if len(phi) <= max_pairs:
             break
     E = {c for c in X if rng.random() < 0.5}
@@ -636,6 +639,25 @@ def test_a_splitting_seed_word_keeps_its_successor_whole():
     assert nxt == binword_step(state)
     assert (W("00000000"), W("010")) in nxt.A and W("00000000") in nxt.E
     assert W("010") in nxt.X and W("010") not in nxt.E
+
+
+def test_a_whole_target_keeps_its_successor_whole():
+    """At a hand-made stage 5 with the successor chain 10000 -> 00000 -> 01
+    and all three words whole, the first pair has no edge witness, so
+    00000 stays whole at stage 6.  Index 0 reads the next coordinate of 01
+    at 5 = |00000|, inside its source only if that source splits, so 01
+    stays whole too; without the chain's first pair 00000 splits, and so
+    does 01.  The BinWord stepper agrees."""
+    base = run(1, 5)[5]
+    head, y, x = W("10000").code, W("00000").code, W("01").code
+    assert stride_expand(1, 0, code_len(x)) == code_len(y)
+    for chain in ({(head, y), (y, x)}, {(y, x)}):
+        state = ApproxState._from_codes(1, 5, base.X_codes, chain, base.E_codes - {head, y, x},
+                                        base.phi_codes)
+        nxt = step(state)
+        assert nxt == binword_step(state)
+        assert chain <= nxt.A_codes and x in nxt.X_codes
+        assert (x in nxt.E_codes) == (y in nxt.E_codes) == (len(chain) == 1)
 
 
 def test_step_reports_a_chain_cycle_as_a_broken_invariant():
@@ -1177,6 +1199,64 @@ def test_antichain_predicate_rejects_the_measure_trick():
     assert not is_maximal_antichain(words("0", "01", "011", "0100", "0101"))
 
 
+def kraft_antichain(codes):
+    """The definition, on a list of codes that may repeat: no word is a
+    prefix of another entry (a repeat is a prefix of itself), and the Kraft
+    sum of 2^-|w| over the entries is exactly 1."""
+    texts = [code_str(c) for c in codes]
+    prefix_free = not any(i != j and b.startswith(a)
+                          for i, a in enumerate(texts) for j, b in enumerate(texts))
+    return prefix_free and sum(Fraction(1, 2 ** len(t)) for t in texts) == 1
+
+
+def _random_code_list(rng):
+    """Codes of words up to 7 bits: the leaves of a random full binary tree,
+    often disturbed by one edit that may break maximality or bring in
+    repeats, or else a random handful of codes."""
+    if rng.random() < 0.2:
+        return [rng.randrange(1, 256) for _ in range(rng.randint(0, 12))]
+    leaves, todo = [], [1]
+    while todo:
+        c = todo.pop()
+        if code_len(c) < 7 and rng.random() < 0.6:
+            todo += [c << 1, (c << 1) | 1]
+        else:
+            leaves.append(c)
+    edit = rng.randrange(7)
+    c = rng.choice(leaves)
+    if edit == 1:
+        leaves.remove(c)
+    elif edit == 2:
+        leaves.append(c)
+    elif edit == 3 and c > 1:
+        leaves.append(c >> 1)
+    elif edit == 4:
+        leaves += [c << 1, (c << 1) | 1]
+    elif edit == 5:
+        leaves.append(rng.randrange(1, 256))
+    elif edit == 6:  # each pair of siblings becomes two copies of the 1-child
+        leaves = [c | 1 for c in leaves]
+    return leaves
+
+
+def test_antichain_predicate_matches_the_kraft_definition_on_random_sets():
+    """On 600 seeded random code lists the predicate agrees with the
+    definition, given as a sorted array (read in place), as a shuffled
+    tuple with an extra copy of some codes and as that tuple sorted, and as
+    a generator."""
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(600):
+        codes = _random_code_list(rng)
+        shuffled = rng.sample(codes, len(codes)) + rng.sample(codes, rng.randint(0, len(codes)) // 3)
+        for given, entries in ((array("q", sorted(codes)), codes), (tuple(shuffled), shuffled),
+                               (tuple(sorted(shuffled)), shuffled), ((c for c in codes), codes)):
+            expected = kraft_antichain(entries)
+            assert is_maximal_antichain_codes(given) == expected, (sorted(entries), type(given))
+            verdicts.append(expected)
+    assert 400 < sum(verdicts) < 2000, sum(verdicts)
+
+
 def test_state_json_frozen_stage_two():
     snap = state_json(run(1, 2)[2])
     assert snap == {
@@ -1344,6 +1424,54 @@ def test_the_column_store_keeps_a_hand_made_stage_at_its_edges(family, depth, bi
     assert nxt == step(shuffled) == binword_step(state)
     assert deep << 1 in nxt.X_codes and isinstance(nxt.X_sorted, tuple)
     _stored_as(nxt, nxt.X_codes, nxt.A_codes, nxt.E_codes, nxt.phi_codes)
+
+
+@pytest.mark.parametrize("case", ["endpoints off X past every word", "E words off X",
+                                  "63-bit word"])
+def test_the_split_lookup_answers_every_code_a_step_reads(case):
+    """`_split_flags` marks exactly the words of both X and E, for every
+    code a step reads: the words and the endpoints of A and B, on X or off
+    it.  A hand-made stage gets the bytearray with a chain pair out to a
+    word two bits longer than every word of X and back, or with E holding
+    the prefixes of words, their extensions and a code past every code of
+    the stage; a 63-bit word makes the codes too sparse, and the lookup a
+    set.  Each stage steps as the BinWord stepper does."""
+    base = run(1, 6)[6]
+    X, A, E, phi = base.X_codes, set(base.A_codes), set(base.E_codes), base.phi_codes
+    if case == "endpoints off X past every word":
+        far = max(X) << 2
+        w = min(X & E - {y for y, _ in A})
+        A |= {(w, far), (far, min(X - E))}
+    elif case == "E words off X":
+        E |= {c >> 1 for c in X} | {c << 1 for c in X} | {max(X) << 3}
+    else:
+        X, A, E, phi, _ = _deepened(base, 63)
+    state = ApproxState._from_codes(1, 6, X, A, E, phi)
+    splits, count = _split_flags(state)
+    assert type(splits) is (bytearray if case != "63-bit word" else approximation._SplitSet)
+    read = set(X).union(*A, *phi)
+    assert (read | E) - X and all(bool(splits[c]) == (c in X and c in E) for c in read)
+    assert count == len(X & E)
+    assert step(state) == binword_step(state)
+
+
+def test_step_peaks_near_the_size_of_the_stage_it_returns():
+    """Under tracemalloc, stepping stage 13 peaks at no more than 2.5 times
+    what the stage it returns holds: the step works in the columns it
+    returns, a lookup of a byte per code, and one dict at a time (it read
+    4.7 times while it kept the words, splits, edges and chain pairs in
+    sets and dicts of int objects)."""
+    state = run(1, 13)[13]
+    step(state)  # first use of the map-read tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = step(state)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == run(1, 14)[14]
+    assert peak - base <= 2.5 * (held - base), (peak - base, held - base)
 
 
 def test_stepped_stages_store_8_byte_columns():
