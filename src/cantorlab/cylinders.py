@@ -8,20 +8,22 @@ are all decidable through a parity union-find with no assignment enumeration.
 
 Normal form: constraints whose coordinates fall inside the base prefix are
 folded into the prefix (or produce the empty set), and forced bits right after
-the base extend it; each remaining class is keyed by its least coordinate.
-Two sets denote the same family of points iff their normal forms are equal.
+the base extend it.  What remains is one map from each constrained coordinate
+to (root, parity): a forced coordinate maps to (-1, its bit), one of two
+tuples every set shares, and a member of a free class maps to the class's
+least coordinate and its parity to it.  Two sets denote the same family of
+points iff their bases and maps are equal; the sorted atoms and the hash are
+derived from the map when asked for.
 
 The classes are built in one pass: each coordinate links straight to its
 class with a parity, and a union relabels the smaller class into the larger
 (weighted union with parity, Tarjan 1975).  intersect returns an operand
 that lies inside the other; otherwise it and with_atoms start from an
-operand's normalized classes and merge in only the other constraints.
-pinned copies the normal form when the pins only add constant classes.
+operand's map and merge in only the other constraints.  pinned copies the
+map when the pins only add forced coordinates.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .errors import EmptySet, InvalidArgument
 from .sequences import BinWord, code_bit, code_is_prefix
@@ -75,29 +77,32 @@ def atom_const(a, v):
     return ("const", a, v & 1)
 
 
+# the link entry of a forced coordinate, by its bit; every set shares these
+_PIN = ((-1, 0), (-1, 1))
+
+
 class SymbolicClopen:
-    __slots__ = ("base", "empty", "_link", "_const", "_atoms", "_hash")
+    __slots__ = ("base", "empty", "_link")
 
     def __init__(self, base=None, atoms=()):
         """The cylinder of `base` cut by `atoms`.
 
         `base` is a BinWord, its text, None for the whole space, or a
-        SymbolicClopen, whose normalized classes are then loaded as they stand
-        so that only `atoms` are merged in.
+        SymbolicClopen, whose normal form is then loaded as it stands so
+        that only `atoms` are merged in.
         """
         # link: coord -> (class id, parity to the class root); members lists
         # each class.  Class -1 is pinned to 0, so its members carry their
         # forced bits.  A union relabels the smaller class into the larger,
-        # and the pinned class keeps its id.
-        link, members = {-1: (-1, 0)}, {-1: []}
+        # and the pinned class keeps its id.  A normal form's link has this
+        # shape, with each free class keyed by its least coordinate.
+        link, members = {-1: _PIN[0]}, {-1: []}
         empty = False
         if isinstance(base, SymbolicClopen):
             empty, seed, base = base.empty, base, base.base
-            for x, (r, p) in seed._link.items():
-                v = seed._const[r]
-                c = r if v is None else -1
-                link[x] = (c, p if v is None else v)
-                members.setdefault(c, []).append(x)
+            link.update(seed._link)
+            for x, (r, _) in seed._link.items():
+                members.setdefault(r, []).append(x)
         elif isinstance(base, str):
             base = BinWord.from_str(base)
         elif base is None:
@@ -148,8 +153,7 @@ class SymbolicClopen:
                 members[dst].extend(moved)
         self.empty = empty
         if empty:
-            self.base, self._link, self._const, self._atoms = base, {}, {}, ()
-            self._hash = hash((True, 0, ()))
+            self.base, self._link = base, {}
             return
         del link[-1]
         # forced bits right after the base fold into it, so equal sets built
@@ -162,25 +166,15 @@ class SymbolicClopen:
             blen += 1
             nxt = link.get(blen)
         self.base = base if code == bcode else BinWord(code)
-        # each free class is rooted at its least coordinate
-        roots = {c: min(ms) for c, ms in members.items() if c != -1}
-        out, const, keys = {}, {}, []
-        for x, (c, p) in link.items():
-            if c == -1:
-                out[x] = (x, 0)
-                const[x] = p
-                keys.append((x, -1, p))
-            else:
-                r = roots[c]
-                p ^= link[r][1]
-                out[x] = (r, p)
-                const[r] = None
-                if x != r:
-                    keys.append((r, x, p))
-        keys.sort()
-        self._link, self._const = out, const
-        self._atoms = tuple(("const", x, p) if y < 0 else ("rel", x, y, p) for x, y, p in keys)
-        self._hash = hash((False, code, self._atoms))
+        # each free class is rerooted at its least coordinate
+        roots = {}
+        for c, ms in members.items():
+            if c != -1:
+                r = min(ms)
+                roots[c] = r, link[r][1]
+        self._link = {
+            x: _PIN[p] if c == -1 else (roots[c][0], p ^ roots[c][1]) for x, (c, p) in link.items()
+        }
 
     # -- basic protocol ----------------------------------------------------
 
@@ -189,10 +183,13 @@ class SymbolicClopen:
             return NotImplemented
         if self.empty or other.empty:
             return self.empty and other.empty
-        return self.base.code == other.base.code and self._atoms == other._atoms
+        return self.base.code == other.base.code and self._link == other._link
 
     def __hash__(self):
-        return self._hash
+        # all empty sets are equal, whatever their base
+        if self.empty:
+            return 0
+        return hash((self.base.code, frozenset(self._link.items())))
 
     def __repr__(self):
         return f"SymbolicClopen({self.render()!r})"
@@ -204,7 +201,7 @@ class SymbolicClopen:
         s = str(self.base)
         grouped = "_".join(s[i : i + 8] for i in range(0, len(s), 8))
         parts = [f"N={grouped}"]
-        for atom in self._atoms:
+        for atom in self.atoms:
             if atom[0] == "const":
                 parts.append(f"bit({atom[1]})={atom[2]}")
             else:
@@ -214,7 +211,12 @@ class SymbolicClopen:
 
     @property
     def atoms(self):
-        return self._atoms
+        """The normal form's constraints past the base, sorted by first
+        coordinate: bit(x)=v for each forced x and bit(r) xor bit(x) = p for
+        each other member x of a free class rooted at r."""
+        keys = [(x, -1, p) if r == -1 else (r, x, p) for x, (r, p) in self._link.items() if x != r]
+        keys.sort()
+        return tuple(("const", x, p) if y < 0 else ("rel", x, y, p) for x, y, p in keys)
 
     # -- queries -----------------------------------------------------------
 
@@ -229,11 +231,9 @@ class SymbolicClopen:
             raise EmptySet("no forced bits in the empty set")
         if i < len(self.base):
             return code_bit(self.base.code, i)
-        if i in self._link:
-            r, p = self._link[i]
-            v = self._const.get(r)
-            if v is not None:
-                return v ^ p
+        e = self._link.get(i)
+        if e is not None and e[0] == -1:
+            return e[1]
         return None
 
     def constrained_coords(self):
@@ -253,13 +253,12 @@ class SymbolicClopen:
         for i, b in enumerate(self.base.bits()):
             if p.eval(i) != b:
                 return False
-        for atom in self._atoms:
-            if atom[0] == "const":
-                if p.eval(atom[1]) != atom[2]:
+        for x, (r, q) in self._link.items():
+            if r == -1:
+                if p.eval(x) != q:
                     return False
-            else:
-                if (p.eval(atom[1]) ^ p.eval(atom[2])) != atom[3]:
-                    return False
+            elif (p.eval(r) ^ p.eval(x)) != q:
+                return False
         return True
 
     def witness_point(self) -> LazyPoint:
@@ -267,22 +266,22 @@ class SymbolicClopen:
         if self.empty:
             raise EmptySet("no witness in the empty set")
         bits = {i: b for i, b in enumerate(self.base.bits())}
-        for x, (r, p) in self._link.items():
-            bits[x] = (self._const.get(r) or 0) ^ p
+        for x, (_, p) in self._link.items():
+            bits[x] = p
         return LazyPoint(bits)
 
     # -- relational structure for transports -------------------------------
 
     def classes(self):
-        """[(forced bit or None, [(coord, parity relative to class root)])] sorted."""
+        """[(forced bit or None, [(coord, parity relative to class root)])] sorted;
+        each forced coordinate is a class of its own."""
         groups = {}
         for x, (r, p) in self._link.items():
-            groups.setdefault(r, []).append((x, p))
-        out = []
-        for r in sorted(groups):
-            members = sorted(groups[r])
-            out.append((self._const.get(r), members))
-        return out
+            if r == -1:
+                groups[x] = (p, [(x, 0)])
+            else:
+                groups.setdefault(r, (None, []))[1].append((x, p))
+        return [(v, sorted(ms)) for _, (v, ms) in sorted(groups.items())]
 
     # -- algebra -----------------------------------------------------------
 
@@ -293,11 +292,9 @@ class SymbolicClopen:
         """The subset with bit(c) = v for each c -> v of the mapping `bits`.
 
         A coordinate past the one right after the base, in no class, becomes
-        a constant class of its own: no union and no fold into the base.
-        When every pin is such a coordinate, the normal form is copied, the
-        constants added and the atoms merged in coordinate order (no old
-        atom starts at a pinned coordinate, so a stable sort by first
-        coordinate is the merge).  Any other pin goes through with_atoms.
+        a forced coordinate of its own: no union and no fold into the base.
+        When every pin is such a coordinate, the link is copied and the pins
+        added.  Any other pin goes through with_atoms.
         """
         blen, link = len(self.base), self._link
         if self.empty or any(c <= blen or c in link for c in bits):
@@ -305,14 +302,8 @@ class SymbolicClopen:
         out = object.__new__(SymbolicClopen)
         out.base, out.empty = self.base, False
         out._link = dict(link)
-        out._const = dict(self._const)
-        extra = []
         for c, v in bits.items():
-            out._link[c] = (c, 0)
-            out._const[c] = v & 1
-            extra.append(("const", c, v & 1))
-        out._atoms = tuple(sorted(self._atoms + tuple(extra), key=itemgetter(1)))
-        out._hash = hash((False, self.base.code, out._atoms))
+            out._link[c] = _PIN[v & 1]
         return out
 
     def intersect(self, other: "SymbolicClopen") -> "SymbolicClopen":
@@ -321,9 +312,10 @@ class SymbolicClopen:
         if other.empty:
             return other
         # seed from the operand with the longer base, on a tie the one with
-        # more atoms; the other's base is then a prefix or the sets are disjoint
+        # more constrained coordinates; the other's base is then a prefix or
+        # the sets are disjoint
         seed, rest = self, other
-        if (len(seed.base), len(seed._atoms)) < (len(rest.base), len(rest._atoms)):
+        if (len(seed.base), len(seed._link)) < (len(rest.base), len(rest._link)):
             seed, rest = rest, seed
         if not code_is_prefix(rest.base.code, seed.base.code):
             return EMPTY_SET
@@ -332,7 +324,7 @@ class SymbolicClopen:
             return seed
         if rest.subset(seed):
             return rest
-        return SymbolicClopen(seed, rest._atoms)
+        return SymbolicClopen(seed, rest.atoms)
 
     def implies_rel(self, a, b, parity) -> bool:
         """Does bit(a) xor bit(b) = parity hold for every member?"""
@@ -359,19 +351,18 @@ class SymbolicClopen:
         # be a prefix of it
         if not code_is_prefix(other.base.code, self.base.code):
             return False
-        for atom in other._atoms:
-            if atom[0] == "const":
-                if self.forced(atom[1]) != atom[2]:
+        for x, (r, p) in other._link.items():
+            if r == -1:
+                if self.forced(x) != p:
                     return False
-            else:
-                if not self.implies_rel(atom[1], atom[2], atom[3]):
-                    return False
+            elif x != r and not self.implies_rel(r, x, p):
+                return False
         return True
 
     def literals(self):
         """The defining constraints as a list of positive literals."""
         lits = [("const", i, b) for i, b in enumerate(self.base.bits())]
-        lits.extend(self._atoms)
+        lits.extend(self.atoms)
         return lits
 
     def minus(self, other: "SymbolicClopen"):
