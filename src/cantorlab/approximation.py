@@ -765,27 +765,101 @@ def state_json(state: ApproxState) -> dict:
 # Rendered items joined into one piece of a stage file.
 CHUNK_ITEMS = 4096
 
+# What a stage file puts between two words of a list, and between the two
+# words of a pair, laid out as json.dumps(..., indent=2) does.
+_WORD_SEP = '",\n    "'
+_PAIR_SEP = '",\n      "'
+
+
+def _words(codes):
+    """The 0/1 strings of word codes, one C call chain for the lot."""
+    return map(itemgetter(slice(3, None)), map(bin, codes))
+
+
+def _slices(size: int, *columns):
+    """The columns, of one length, cut into runs of `size` rows."""
+    return (tuple(c[i:i + size] for c in columns) for i in range(0, len(columns[0]), size))
+
+
+def _word_texts(codes, size: int) -> list:
+    """The text of each run of `size` words of the sorted column `codes`,
+    quoted and joined as in a stage file's word list."""
+    return [f'"{_WORD_SEP.join(_words(run))}"' for run, in _slices(size, codes)]
+
+
+class _EdgeEnds(dict):
+    """witness -> what closes a B item after its target word, made once."""
+
+    def __missing__(self, n):
+        self[n] = end = f'",\n      {n}\n    ]'
+        return end
+
+
+def _edge_texts(state: ApproxState, size: int):
+    """The text of each run of `size` pairs of B, with their witnesses."""
+    ends = _EdgeEnds()
+    for src, dst, wit in _slices(size, state.B_src, state.B_dst, state.B_wit):
+        yield '[\n      "' + ',\n    [\n      "'.join(map("".join, zip(
+            _words(src), itertools.repeat(_PAIR_SEP), _words(dst), map(ends.__getitem__, wit))))
+
+
+def _chain_texts(state: ApproxState, size: int):
+    """The text of each run of `size` pairs of A."""
+    for src, dst in _slices(size, state.A_src, state.A_dst):
+        yield ('[\n      "' + '"\n    ],\n    [\n      "'.join(map(_PAIR_SEP.join, zip(
+            _words(src), _words(dst)))) + '"\n    ]')
+
+
+def _split_texts(state: ApproxState, x_texts: list, size: int) -> list:
+    """E's texts, cut from X's: each run of X whose words are all in E gives
+    its text as it is, a run that holds fewer words of E is rendered again
+    through a filter, and a run with none of them gives nothing.  E is
+    rendered on its own when one of its words is not on X (a hand-made
+    stage)."""
+    X, E = state.X_sorted, state.E_sorted
+    texts, cut = [], 0
+    for text, (xs,) in zip(x_texts, _slices(size, X)):
+        lo = bisect_left(E, xs[0])
+        hi = bisect_right(E, xs[-1], lo)
+        es = E[lo:hi]
+        if es == xs:
+            texts.append(text)
+        elif es:
+            kept = list(filter(set(es).__contains__, xs))
+            if len(kept) < len(es):
+                return _word_texts(E, size)
+            texts.append(f'"{_WORD_SEP.join(_words(kept))}"')
+        cut += hi - lo
+    return texts if cut == len(E) else _word_texts(E, size)
+
+
+def _list_pieces(key: str, texts):
+    """One stage-file list from the texts of its runs of items.  No text is
+    kept past its piece, so a run rendered for one piece is freed before
+    the next one is rendered."""
+    heads = itertools.chain([f',\n  "{key}": [\n    '], itertools.repeat(",\n    "))
+    empty = True
+    for piece in map(str.__add__, heads, texts):
+        yield piece
+        empty = False
+    yield f',\n  "{key}": []' if empty else "\n  ]"
+
 
 def state_chunks(state: ApproxState):
     """The stage file, `json.dumps(state_json(state), indent=2)` and a
     newline, written straight from the columns, which are already in the
     file's order, in pieces of at most CHUNK_ITEMS items.  Words are 0/1
     strings and witnesses ints, so no item needs escaping, and json's
-    pure-Python indent encoder is skipped."""
+    pure-Python indent encoder is skipped.  Each piece is one str.join over
+    C iterators, with no Python frame per item; X's texts are kept until
+    E's are cut from them (1.1 MiB at stage 16)."""
+    size = CHUNK_ITEMS
+    x_texts = _word_texts(state.X_sorted, size)
     yield f'{{\n  "level": {state.level}'
-    for key, items in (
-        ("X", (f'"{bin(w)[3:]}"' for w in state.X_sorted)),
-        ("B", (f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}",\n      {n}\n    ]'
-               for y, x, n in zip(state.B_src, state.B_dst, state.B_wit))),
-        ("A", (f'[\n      "{bin(y)[3:]}",\n      "{bin(x)[3:]}"\n    ]'
-               for y, x in zip(state.A_src, state.A_dst))),
-        ("E", (f'"{bin(w)[3:]}"' for w in state.E_sorted)),
-    ):
-        head = f',\n  "{key}": [\n    '  # laid out as json.dumps(..., indent=2) does
-        for chunk in iter(lambda: list(itertools.islice(items, CHUNK_ITEMS)), []):
-            yield head + ",\n    ".join(chunk)
-            head = ",\n    "
-        yield "\n  ]" if head == ",\n    " else f',\n  "{key}": []'
+    yield from _list_pieces("X", x_texts)
+    yield from _list_pieces("B", _edge_texts(state, size))
+    yield from _list_pieces("A", _chain_texts(state, size))
+    yield from _list_pieces("E", _split_texts(state, x_texts, size))
     yield "\n}\n"
 
 

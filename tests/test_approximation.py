@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -1515,3 +1516,86 @@ def test_stage_chunks_hold_the_stage_text_at_each_chunk_boundary(size):
     chunks = list(state_chunks(state))
     assert "".join(chunks) == json.dumps(state_json(state), indent=2) + "\n"
     assert len(chunks) == 2 + 4 * (-(-size // CHUNK_ITEMS) + 1)
+
+
+@st.composite
+def hand_made_stages(draw):
+    """A stage of words of up to 10 bits and at most one of 62, 63 or 70
+    bits, so that array and tuple columns mix, with E a subset of X plus
+    words off X, and A and B drawn on X; any list may be empty."""
+    def words(lengths):
+        return lengths.flatmap(lambda k: st.integers(1 << k, (2 << k) - 1))
+
+    X = sorted(draw(st.sets(words(st.integers(0, 10)), max_size=24))
+               | draw(st.sets(words(st.sampled_from([62, 63, 70])), max_size=1)))
+    E = {w for w in X if draw(st.booleans())}
+    if X:
+        w = draw(st.sampled_from(X))
+        gaps = [(a, b) for a, b in zip(X, X[1:]) if b - a > 1]
+        off = {
+            "prefix": w >> draw(st.integers(1, max(code_len(w), 1))),
+            "extension": 2 * w + draw(st.integers(0, 1)),
+            "between": draw(st.sampled_from(gaps).flatmap(lambda g: st.integers(g[0] + 1, g[1] - 1)))
+                       if gaps else X[-1] + 1,
+            "past": X[-1] + draw(st.integers(1, 3)),
+        }
+        E |= {off[k] for k in draw(st.sets(st.sampled_from(sorted(off))))} - set(X) - {0}
+    pairs = st.tuples(st.sampled_from(X or [1]), st.sampled_from(X or [1]))
+    A = draw(st.lists(pairs, max_size=12 if X else 0))
+    phi = draw(st.dictionaries(pairs, st.integers(0, 6), max_size=12 if X else 0))
+    return ApproxState._from_codes(1, draw(st.integers(0, 30)), X, A, E, phi)
+
+
+def items_in(piece: str) -> int:
+    """The list items a stage-file piece holds: each starts a line at the
+    items' indent, with a quote or a bracket."""
+    return len(re.findall(r'\n    ["[]', piece))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4096])
+@settings(max_examples=80, deadline=None)
+@given(state=hand_made_stages())
+def test_stage_chunks_of_hand_made_stages_hold_the_stage_text(size, state):
+    """Whatever E holds, on X or off it, the pieces join to the stage text
+    and a newline, and none holds more than CHUNK_ITEMS items."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approximation, "CHUNK_ITEMS", size)
+        pieces = list(state_chunks(state))
+    assert "".join(pieces) == json.dumps(state_json(state), indent=2) + "\n"
+    assert max(map(items_in, pieces)) <= size
+
+
+def test_stage_chunks_cut_e_from_the_text_of_x():
+    """A stepped stage's E reuses X's texts: at each of stages 10 to 16 the
+    words of X off E (the whole targets of A, 192 at stage 16) fall in one
+    run of X, the only one rendered again."""
+    for state in run(1, 16)[10:]:
+        x_texts = approximation._word_texts(state.X_sorted, CHUNK_ITEMS)
+        e_texts = approximation._split_texts(state, x_texts, CHUNK_ITEMS)
+        again = [t is not x for t, x in zip(e_texts, x_texts)]
+        assert len(e_texts) == len(x_texts), state.level
+        assert again.count(True) == (len(state.E_sorted) < len(state.X_sorted)), state.level
+
+
+def test_writing_a_stage_peaks_below_stepping_into_it():
+    """Under tracemalloc, iterating state_chunks(stage 16) peaks at no more
+    than 0.8 times what step(stage 15) does: the writer holds X's joined
+    texts until E is cut from them, not a string per word (keeping X's
+    word strings until E was written read 1.55 times the step)."""
+    states = run(1, 16)
+
+    def peak(work):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            work()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def write():
+        for _ in state_chunks(states[16]):
+            pass
+
+    writing, stepping = peak(write), peak(lambda: step(states[15]))
+    assert writing <= 0.8 * stepping, (writing, stepping)
