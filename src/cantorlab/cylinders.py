@@ -8,25 +8,77 @@ are all decidable through a parity union-find with no assignment enumeration.
 
 Normal form: constraints whose coordinates fall inside the base prefix are
 folded into the prefix (or produce the empty set), and forced bits right after
-the base extend it.  What remains is one map from each constrained coordinate
-to (root, parity): a forced coordinate maps to (-1, its bit), one of two
-tuples every set shares, and a member of a free class maps to the class's
-least coordinate and its parity to it.  Two sets denote the same family of
-points iff their bases and maps are equal; the sorted atoms and the hash are
-derived from the map when asked for.
+the base extend it.  What remains is a set of forced coordinates and a set of
+free classes.  The normal form is kept in one of two stores, and which one is
+decided by the normal form alone, so two sets denote the same family of
+points iff they have the same store with equal contents:
 
-The classes are built in one pass: each coordinate links straight to its
-class with a parity, and a union relabels the smaller class into the larger
-(weighted union with parity, Tarjan 1975).  intersect returns an operand
-that lies inside the other; otherwise it and with_atoms start from an
-operand's map and merge in only the other constraints.  pinned copies the
-map when the pins only add forced coordinates.
+- A constant-only set (no free class) whose coordinates are dense is two
+  ints, mask and value, with coordinate i at bit i: mask marks the forced
+  coordinates and value holds their bits, so the base is the low run of ones
+  of mask.  Dense means that the largest coordinate plus one is at most
+  _DENSE times one more than the number of forced coordinates, the base
+  included; then each int takes a few bits per forced coordinate.  A union
+  of two dense masks is dense, so intersections stay in this store.
+  Intersect is a conflict test m1 & m2 & (v1 ^ v2) and an OR, subset a mask
+  containment and an agreement test, and contains one AND and one compare
+  against the point's bits read as an int (LazyPoint.low_bits).
+- Any other set keeps its base word and one map from each constrained
+  coordinate to (root, parity): a forced coordinate maps to (-1, its bit),
+  one of two tuples every set shares, and a member of a free class maps to
+  the class's least coordinate and its parity to it.  So a pin at coordinate
+  10**9 stays one dict entry, not a 125 MB int.
+
+render, atoms, classes and the hash are derived from either store when
+asked for, and read the same for both.  The classes are built in one pass:
+each coordinate links straight to its class with a parity, and a union
+relabels the smaller class into the larger (weighted union with parity,
+Tarjan 1975).  intersect returns an operand that lies inside the other;
+otherwise it and with_atoms start from an operand's normal form and merge in
+only the other constraints.  pinned ORs the pins into the ints, or copies
+the map when the pins only add forced coordinates to a set with a free
+class.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import EmptySet, InvalidArgument
 from .sequences import BinWord, code_bit, code_is_prefix
+
+# an int-form set spans at most this many coordinates per forced coordinate
+_DENSE = 64
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _dense(top, count) -> bool:
+    """May a constant-only set whose largest coordinate is top - 1, with
+    count forced coordinates, be kept as two ints?"""
+    return top <= _DENSE * (count + 1)
+
+
+def _mirror(x: int) -> int:
+    """x with the bits below its leading 1 in reverse order: it maps a word
+    code to the word's bits at coordinates 0, 1, ... over a 1 at its length,
+    and back."""
+    return int("1" + bin(x)[:2:-1], 2)
+
+
+def _run(mask: int) -> int:
+    """The length of the low run of ones of mask: the base length."""
+    return (mask ^ (mask + 1)).bit_length() - 1
+
+
+def _has_class(link) -> bool:
+    """Does the link map hold a free class?"""
+    return any(r != -1 for r, _ in link.values())
+
+
+def _digits(x: int, n: int) -> bytes:
+    """The bits of x below n as bytes of 0 and 1, coordinate i at index i."""
+    return bin(x | 1 << n)[:1:-1].encode().translate(_DIGITS)
 
 
 class LazyPoint:
@@ -34,16 +86,37 @@ class LazyPoint:
     constant default tail.
     """
 
-    __slots__ = ("explicit", "default")
+    __slots__ = ("explicit", "default", "_low")
 
     def __init__(self, explicit=None, default=0):
         self.explicit = dict(explicit or {})
         self.default = default & 1
+        self._low = None
 
     def eval(self, k) -> int:
         if k < 0:
             raise InvalidArgument("coordinates are natural numbers")
         return self.explicit.get(k, self.default)
+
+    def low_bits(self, n: int) -> int:
+        """An int whose bit i is the point's bit i at every coordinate
+        i < n; its bits at n and above are unspecified.
+
+        The bits are read from the explicit ones once, over at least _DENSE
+        coordinates per explicit bit, and cached until a longer read is
+        asked for, so a far explicit bit never makes a long int.
+        """
+        got = self._low
+        if got is None or got[0] < n:
+            n = max(n, _DENSE * (len(self.explicit) + 1))
+            flips = bytearray((n >> 3) + 1)
+            d = self.default
+            for k, v in self.explicit.items():
+                if k < n and v != d:
+                    flips[k >> 3] |= 1 << (k & 7)
+            bits = int.from_bytes(flips, "little")
+            got = self._low = (n, bits ^ ((1 << n) - 1) if d else bits)
+        return got[1]
 
     def with_bits(self, bits: dict) -> "LazyPoint":
         merged = dict(self.explicit)
@@ -81,8 +154,24 @@ def atom_const(a, v):
 _PIN = ((-1, 0), (-1, 1))
 
 
+def _ints(mask, value) -> "SymbolicClopen":
+    """The nonempty set stored as (mask, value)."""
+    out = object.__new__(SymbolicClopen)
+    out.empty, out._base, out._link, out._mask, out._value = False, None, None, mask, value
+    return out
+
+
+def _empty_on(base) -> "SymbolicClopen":
+    """The empty set, carrying the base a contradiction was found on."""
+    out = object.__new__(SymbolicClopen)
+    out.empty, out._base, out._link, out._mask, out._value = True, base, {}, None, None
+    return out
+
+
 class SymbolicClopen:
-    __slots__ = ("base", "empty", "_link")
+    # an int-form set has _mask and _value and no _base or _link; any other
+    # set, the empty ones included, has _base and _link and no ints
+    __slots__ = ("empty", "_base", "_link", "_mask", "_value")
 
     def __init__(self, base=None, atoms=()):
         """The cylinder of `base` cut by `atoms`.
@@ -100,9 +189,9 @@ class SymbolicClopen:
         empty = False
         if isinstance(base, SymbolicClopen):
             empty, seed, base = base.empty, base, base.base
-            link.update(seed._link)
-            for x, (r, _) in seed._link.items():
-                members.setdefault(r, []).append(x)
+            for x, e in seed._items():
+                link[x] = e
+                members.setdefault(e[0], []).append(x)
         elif isinstance(base, str):
             base = BinWord.from_str(base)
         elif base is None:
@@ -153,7 +242,7 @@ class SymbolicClopen:
                 members[dst].extend(moved)
         self.empty = empty
         if empty:
-            self.base, self._link = base, {}
+            self._base, self._link, self._mask, self._value = base, {}, None, None
             return
         del link[-1]
         # forced bits right after the base fold into it, so equal sets built
@@ -165,31 +254,70 @@ class SymbolicClopen:
             code = (code << 1) | nxt[1]
             blen += 1
             nxt = link.get(blen)
-        self.base = base if code == bcode else BinWord(code)
         # each free class is rerooted at its least coordinate
         roots = {}
         for c, ms in members.items():
             if c != -1:
                 r = min(ms)
                 roots[c] = r, link[r][1]
-        self._link = {
-            x: _PIN[p] if c == -1 else (roots[c][0], p ^ roots[c][1]) for x, (c, p) in link.items()
-        }
+        self._store(
+            base if code == bcode else BinWord(code),
+            {x: _PIN[p] if c == -1 else (roots[c][0], p ^ roots[c][1]) for x, (c, p) in link.items()},
+        )
+
+    def _store(self, base, link):
+        """Keep the nonempty normal form (base, link) as two ints when it is
+        constant-only and dense, and as it is otherwise."""
+        blen = len(base)
+        if _dense(max(link, default=blen - 1) + 1, blen + len(link)) and not _has_class(link):
+            mask, value = (1 << blen) - 1, _mirror(base.code) ^ (1 << blen)
+            for x, (_, p) in link.items():
+                bit = 1 << x
+                mask |= bit
+                if p:
+                    value |= bit
+            self._mask, self._value, self._base, self._link = mask, value, None, None
+        else:
+            self._mask, self._value, self._base, self._link = None, None, base, link
+
+    def _bits(self, start):
+        """(coordinate, bit) of each coordinate from `start` up that an
+        int-form set forces, in increasing order."""
+        n = self._mask.bit_length()
+        ms = _digits(self._mask, n)[start:n]
+        return zip(compress(range(start, n), ms), compress(_digits(self._value, n)[start:n], ms))
+
+    def _items(self):
+        """The (coordinate, link entry) pairs of the normal form past the
+        base, in the link-map shape; an int-form set lists its pins."""
+        if self._mask is None:
+            return self._link.items()
+        return ((x, _PIN[v]) for x, v in self._bits(_run(self._mask)))
 
     # -- basic protocol ----------------------------------------------------
+
+    @property
+    def base(self) -> BinWord:
+        mask = self._mask
+        if mask is None:
+            return self._base
+        n = _run(mask)
+        return BinWord(_mirror(self._value & ((1 << n) - 1) | 1 << n))
 
     def __eq__(self, other):
         if not isinstance(other, SymbolicClopen):
             return NotImplemented
         if self.empty or other.empty:
             return self.empty and other.empty
-        return self.base.code == other.base.code and self._link == other._link
+        if self._mask is not None or other._mask is not None:
+            return self._mask == other._mask and self._value == other._value
+        return self._base.code == other._base.code and self._link == other._link
 
     def __hash__(self):
         # all empty sets are equal, whatever their base
         if self.empty:
             return 0
-        return hash((self.base.code, frozenset(self._link.items())))
+        return hash((self.base.code, frozenset(self._items())))
 
     def __repr__(self):
         return f"SymbolicClopen({self.render()!r})"
@@ -214,7 +342,7 @@ class SymbolicClopen:
         """The normal form's constraints past the base, sorted by first
         coordinate: bit(x)=v for each forced x and bit(r) xor bit(x) = p for
         each other member x of a free class rooted at r."""
-        keys = [(x, -1, p) if r == -1 else (r, x, p) for x, (r, p) in self._link.items() if x != r]
+        keys = [(x, -1, p) if r == -1 else (r, x, p) for x, (r, p) in self._items() if x != r]
         keys.sort()
         return tuple(("const", x, p) if y < 0 else ("rel", x, y, p) for x, y, p in keys)
 
@@ -229,28 +357,39 @@ class SymbolicClopen:
             raise InvalidArgument("coordinates are natural numbers")
         if self.empty:
             raise EmptySet("no forced bits in the empty set")
-        if i < len(self.base):
-            return code_bit(self.base.code, i)
+        mask = self._mask
+        if mask is not None:
+            return (self._value >> i) & 1 if (mask >> i) & 1 else None
+        if i < len(self._base):
+            return code_bit(self._base.code, i)
         e = self._link.get(i)
         if e is not None and e[0] == -1:
             return e[1]
         return None
 
+    def forced_from(self, start):
+        """(coordinate, bit) for each coordinate from `start` up that an
+        int-form set forces, in increasing order; None for a set kept as a
+        link map, which may have free classes."""
+        return None if self._mask is None else list(self._bits(start))
+
     def constrained_coords(self):
-        return sorted(self._link)
+        return sorted(x for x, _ in self._items())
 
     def first_free_coord(self) -> int:
+        # forced bits right after the base fold into it
         if self.empty:
             raise EmptySet("the empty set has no free coordinate")
-        i = len(self.base)
-        while self.forced(i) is not None:
-            i += 1
-        return i
+        mask = self._mask
+        return len(self._base) if mask is None else _run(mask)
 
     def contains(self, p: LazyPoint) -> bool:
         if self.empty:
             return False
-        for i, b in enumerate(self.base.bits()):
+        mask = self._mask
+        if mask is not None:
+            return not (p.low_bits(mask.bit_length()) ^ self._value) & mask
+        for i, b in enumerate(self._base.bits()):
             if p.eval(i) != b:
                 return False
         for x, (r, q) in self._link.items():
@@ -265,7 +404,9 @@ class SymbolicClopen:
         """A member with default-0 tail; each free class root takes 0."""
         if self.empty:
             raise EmptySet("no witness in the empty set")
-        bits = {i: b for i, b in enumerate(self.base.bits())}
+        if self._mask is not None:
+            return LazyPoint(dict(self._bits(0)))
+        bits = {i: b for i, b in enumerate(self._base.bits())}
         for x, (_, p) in self._link.items():
             bits[x] = p
         return LazyPoint(bits)
@@ -276,7 +417,7 @@ class SymbolicClopen:
         """[(forced bit or None, [(coord, parity relative to class root)])] sorted;
         each forced coordinate is a class of its own."""
         groups = {}
-        for x, (r, p) in self._link.items():
+        for x, (r, p) in self._items():
             if r == -1:
                 groups[x] = (p, [(x, 0)])
             else:
@@ -291,31 +432,78 @@ class SymbolicClopen:
     def pinned(self, bits) -> "SymbolicClopen":
         """The subset with bit(c) = v for each c -> v of the mapping `bits`.
 
-        A coordinate past the one right after the base, in no class, becomes
-        a forced coordinate of its own: no union and no fold into the base.
-        When every pin is such a coordinate, the link is copied and the pins
-        added.  Any other pin goes through with_atoms.
+        On an int-form set the pins are ORed into the ints when the result
+        stays dense.  On a set with a free class, a coordinate past the one
+        right after the base, in no class, becomes a forced coordinate of
+        its own: no union and no fold into the base, so when every pin is
+        such a coordinate the link is copied and the pins added.  Any other
+        pin goes through with_atoms.
         """
-        blen, link = len(self.base), self._link
-        if self.empty or any(c <= blen or c in link for c in bits):
-            return self.with_atoms([atom_const(c, v) for c, v in bits.items()])
-        out = object.__new__(SymbolicClopen)
-        out.base, out.empty = self.base, False
-        out._link = dict(link)
-        for c, v in bits.items():
-            out._link[c] = _PIN[v & 1]
-        return out
+        mask = self._mask
+        if mask is not None:
+            if not bits:
+                return self
+            count = mask.bit_count() + len(bits)
+            if min(bits) >= 0 and _dense(max(bits) + 1, count):
+                pm = pv = 0
+                for c, v in bits.items():
+                    bit = 1 << c
+                    pm |= bit
+                    if v & 1:
+                        pv |= bit
+                value = self._value
+                if pm & mask & (pv ^ value):
+                    return _empty_on(self.base)
+                pm |= mask
+                if _dense(pm.bit_length(), pm.bit_count()):
+                    return _ints(pm, value | pv)
+        elif not self.empty and _has_class(self._link):
+            blen, link = len(self._base), self._link
+            if not any(c <= blen or c in link for c in bits):
+                out = object.__new__(SymbolicClopen)
+                out.empty = False
+                out._mask = out._value = None
+                out._base, out._link = self._base, dict(link)
+                for c, v in bits.items():
+                    out._link[c] = _PIN[v & 1]
+                return out
+        return self.with_atoms([atom_const(c, v) for c, v in bits.items()])
+
+    def meets(self, other: "SymbolicClopen") -> bool:
+        """Do the two sets share a point?  Two int-form sets meet unless
+        they force a coordinate to different bits, so nothing is built."""
+        if self.empty or other.empty:
+            return False
+        if self._mask is not None and other._mask is not None:
+            return not self._mask & other._mask & (self._value ^ other._value)
+        return not self.intersect(other).empty
 
     def intersect(self, other: "SymbolicClopen") -> "SymbolicClopen":
         if self.empty:
             return self
         if other.empty:
             return other
+        m1, m2 = self._mask, other._mask
+        if m1 is not None and m2 is not None:
+            v1, v2 = self._value, other._value
+            both = m1 & m2
+            if both & (v1 ^ v2):
+                # the empty set on the longer base, or on none when the
+                # bases are incomparable
+                b1, b2 = _run(m1), _run(m2)
+                if (v1 ^ v2) & ((1 << min(b1, b2)) - 1):
+                    return EMPTY_SET
+                return _empty_on((self if b1 >= b2 else other).base)
+            if both == m2:
+                return self
+            if both == m1:
+                return other
+            return _ints(m1 | m2, v1 | v2)
         # seed from the operand with the longer base, on a tie the one with
-        # more constrained coordinates; the other's base is then a prefix or
+        # more linked coordinates; the other's base is then a prefix or
         # the sets are disjoint
         seed, rest = self, other
-        if (len(seed.base), len(seed._link)) < (len(rest.base), len(rest._link)):
+        if (len(seed.base), len(seed._link or ())) < (len(rest.base), len(rest._link or ())):
             seed, rest = rest, seed
         if not code_is_prefix(rest.base.code, seed.base.code):
             return EMPTY_SET
@@ -331,7 +519,9 @@ class SymbolicClopen:
         fa, fb = self.forced(a), self.forced(b)
         if fa is not None and fb is not None:
             return (fa ^ fb) == parity
-        if fa is not None or fb is not None:
+        if a == b:
+            return parity == 0
+        if fa is not None or fb is not None or self._link is None:
             return False
         ra = self._link.get(a)
         rb = self._link.get(b)
@@ -346,12 +536,15 @@ class SymbolicClopen:
             return True
         if other.empty:
             return False
+        m1, m2 = self._mask, other._mask
+        if m1 is not None and m2 is not None:
+            return not (m2 & ~m1 or (self._value ^ other._value) & m2)
         # every constraint defining `other` must be implied here; a normalized
         # base takes in every bit forced right after it, so other's base must
         # be a prefix of it
         if not code_is_prefix(other.base.code, self.base.code):
             return False
-        for x, (r, p) in other._link.items():
+        for x, (r, p) in other._items():
             if r == -1:
                 if self.forced(x) != p:
                     return False

@@ -737,17 +737,17 @@ def _meeting_pairs(cells):
     are prefix-incomparable are disjoint.  One walk of the bases in text
     order, where a word comes right before its extensions, keeps the chain of
     bases that prefix the current one on a stack, and only those pairs are
-    intersected.  Empty cells meet nothing.
+    tested with meets.  Empty cells meet nothing.
     """
     pairs, chain = [], []
-    live = [(str(c.base), x, c) for x, c in cells.items() if not c.empty]
-    for _, x, cell in sorted(live, key=lambda t: t[0]):
-        while chain and not code_is_prefix(chain[-1][1].base.code, cell.base.code):
+    live = [(str(b), b.code, x, c) for x, c in cells.items() if not c.empty for b in (c.base,)]
+    for _, code, x, cell in sorted(live, key=lambda t: t[0]):
+        while chain and not code_is_prefix(chain[-1][0], code):
             chain.pop()
-        for y, other in chain:
-            if not cell.intersect(other).empty:
+        for _, y, other in chain:
+            if cell.meets(other):
                 pairs.append((y, x) if y.code < x.code else (x, y))
-        chain.append((x, cell))
+        chain.append((code, x, cell))
     pairs.sort(key=lambda p: (p[0].code, p[1].code))
     return pairs
 

@@ -15,8 +15,6 @@ stages on the seed word's distinguishing positions only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cylinders import (
     EMPTY_SET,
     LazyPoint,
@@ -41,18 +39,32 @@ EDGE_NO = "no"
 EDGE_UNKNOWN = "unknown-at-this-precision"
 
 
-@dataclass(frozen=True)
 class MapId:
     """Names one map of the family: level L >= 1 and index n >= 0."""
 
-    L: int
-    n: int
+    __slots__ = ("L", "n")
 
-    def __post_init__(self):
-        if self.L < 1:
+    def __init__(self, L: int, n: int):
+        if L < 1:
             raise InvalidArgument("family level must be >= 1")
-        if self.n < 0:
+        if n < 0:
             raise InvalidArgument("map index must be a natural")
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name} to {value!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.L, self.n) == (other.L, other.n)
+
+    def __hash__(self):
+        return hash((self.L, self.n))
+
+    def __repr__(self):
+        return f"MapId(L={self.L!r}, n={self.n!r})"
 
 
 def _as_word(w) -> BinWord:
@@ -71,12 +83,26 @@ def domain_D(ident: MapId) -> SymbolicClopen:
     """The clopen domain of map (L, n): the seed-word-then-0 cylinder, plus at
     levels >= 2 the n+1 inequality atoms along the powers-of-three ladder.
     """
-    base = anchor_word(ident.n).append(0)
-    if ident.L == 1:
-        return SymbolicClopen(base)
-    st = stride(ident.n)
-    atoms = [atom_ne(st * 3**m, st * 3 ** (m + 1)) for m in range(ident.n + 1)]
-    return SymbolicClopen(base, atoms)
+    return _map_sets(ident.L, ident.n)[0]
+
+
+# (L, n) -> (domain, range cylinder, seed cylinder) of map (L, n)
+_MAP_SETS = {}
+
+
+def _map_sets(L, n):
+    """The domain of map (L, n), the cylinder of its seed word then 1 that
+    holds its range, and the cylinder of its seed word then 0.  Clopen sets
+    are immutable, so each is built once per (L, n)."""
+    sets = _MAP_SETS.get((L, n))
+    if sets is None:
+        seed = SymbolicClopen(anchor_word(n).append(0))
+        domain = seed
+        if L >= 2:
+            st = stride(n)
+            domain = seed.with_atoms([atom_ne(st * 3**m, st * 3 ** (m + 1)) for m in range(n + 1)])
+        sets = _MAP_SETS[L, n] = (domain, SymbolicClopen(anchor_word(n).append(1)), seed)
+    return sets
 
 
 def _point_in_seed(n: int, p: LazyPoint) -> bool:
@@ -276,14 +302,24 @@ def image_clopen(ident: MapId, C: SymbolicClopen) -> SymbolicClopen:
     levels >= 2); a disjoint input yields the empty set.  Constraints of the
     restriction survive exactly when their coordinates are read by some output
     coordinate, and transport along the inverse expansion; constraint classes
-    project member by member, so derived equalities carry over.
+    project member by member, so derived equalities carry over.  A
+    restriction kept as two ints has no class, so its forced bits move one
+    coordinate at a time straight onto the range cylinder's ints.
     """
-    D = domain_D(ident)
-    C1 = C.intersect(D)
+    L, n = ident.L, ident.n
+    domain, range_cyl, _ = _map_sets(L, n)
+    C1 = C.intersect(domain)
     if C1.is_empty():
         return EMPTY_SET
-    L, n = ident.L, ident.n
     st = stride(n)
+    forced = C1.forced_from(st)
+    if forced is not None:
+        pins = {}
+        for c, v in forced:
+            k = _read_inverse(L, n, c)
+            if k is not None:
+                pins[k] = v
+        return range_cyl.pinned(pins)
     atoms = []
     for c in range(st, len(C1.base)):
         k = _read_inverse(L, n, c)
@@ -302,7 +338,7 @@ def image_clopen(ident: MapId, C: SymbolicClopen) -> SymbolicClopen:
         else:
             k0, p0 = kept[0]
             atoms.extend(("rel", k0, k, p0 ^ parity) for k, parity in kept[1:])
-    return SymbolicClopen(anchor_word(n).append(1), atoms)
+    return range_cyl.with_atoms(atoms)
 
 
 def preimage_clopen(ident: MapId, C: SymbolicClopen) -> SymbolicClopen:
@@ -310,14 +346,18 @@ def preimage_clopen(ident: MapId, C: SymbolicClopen) -> SymbolicClopen:
 
     Output-side constraints pull back along the expansion; the forced 1 at the
     stride coordinate either holds in C (no input constraint) or empties the
-    preimage outright.
+    preimage outright.  As in image_clopen, the forced bits of a restriction
+    kept as two ints move straight onto the seed cylinder's ints.
     """
     L, n = ident.L, ident.n
-    st = stride(n)
-    range_cyl = SymbolicClopen(anchor_word(n).append(1))
+    domain, range_cyl, seed_cyl = _map_sets(L, n)
     C1 = C.intersect(range_cyl)
     if C1.is_empty():
         return EMPTY_SET
+    st = stride(n)
+    forced = C1.forced_from(st + 1)
+    if forced is not None:
+        return seed_cyl.pinned({stride_expand(L, n, c): v for c, v in forced}).intersect(domain)
     atoms = []
     for c in range(st + 1, len(C1.base)):
         atoms.append(atom_const(stride_expand(L, n, c), C1.base.bit(c)))
@@ -328,8 +368,7 @@ def preimage_clopen(ident: MapId, C: SymbolicClopen) -> SymbolicClopen:
         else:
             k0, p0 = mapped[0]
             atoms.extend(("rel", k0, k, p0 ^ parity) for k, parity in mapped[1:])
-    pre = SymbolicClopen(anchor_word(n).append(0), atoms)
-    return pre.intersect(domain_D(ident))
+    return seed_cyl.with_atoms(atoms).intersect(domain)
 
 
 # ---------------------------------------------------------------------------

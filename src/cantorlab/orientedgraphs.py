@@ -13,7 +13,6 @@ raising form, and validate_uogas explains a relation it rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from .errors import BadEnumeration, CapExceeded, InvalidArgument, NotConnected, StageRelationCycle
@@ -25,7 +24,6 @@ from .errors import BadEnumeration, CapExceeded, InvalidArgument, NotConnected, 
 DUPLICATION_CAP = 200_000
 
 
-@dataclass(frozen=True)
 class LabeledVertex:
     """A base vertex id together with a finite label sequence.
 
@@ -33,13 +31,21 @@ class LabeledVertex:
     `duplicate` returns looks each of its vertices up many times.
     """
 
-    base: object
-    label: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "label", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "label", tuple(self.label))
-        object.__setattr__(self, "_hash", hash((self.base, self.label)))
+    def __init__(self, base, label):
+        label = tuple(label)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_hash", hash((base, label)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name} to {value!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.label) == (other.base, other.label)
 
     def __hash__(self):
         return self._hash
@@ -145,11 +151,23 @@ def _components(verts, adj):
     return out
 
 
-@dataclass
 class CheckReport:
     """Outcome of a validation or lemma suite; violations carry witnesses."""
 
-    violations: list = field(default_factory=list)
+    __slots__ = ("violations",)
+
+    def __init__(self, violations=None):
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.violations == other.violations
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"CheckReport(violations={self.violations!r})"
 
     @property
     def ok(self) -> bool:

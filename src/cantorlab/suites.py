@@ -7,7 +7,6 @@ the command line leaves the parameter at its default, so every default
 lives in the suite's signature.
 """
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -45,16 +44,29 @@ from .sequences import (
     tower_exp,
 )
 
-@dataclasses.dataclass
 class SuiteResult:
     """Outcome of one named check suite: verdict, witnesses, timing, seed."""
 
-    suite: str
-    ok: bool
-    violations: list
-    seconds: float
-    params: dict
-    seed: int | None = None
+    __slots__ = ("suite", "ok", "violations", "seconds", "params", "seed")
+
+    def __init__(self, suite: str, ok: bool, violations: list, seconds: float, params: dict,
+                 seed: int | None = None):
+        self.suite, self.ok, self.violations = suite, ok, violations
+        self.seconds, self.params, self.seed = seconds, params, seed
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"SuiteResult({shown})"
 
     def to_json(self) -> dict:
         out = {

@@ -21,7 +21,8 @@ from cantorlab.cylinders import (
 )
 from cantorlab.embedding import CantorInstance, build_scheme
 from cantorlab.errors import EmptySet, InvalidArgument
-from cantorlab.sequences import BinWord, code_bit
+from cantorlab.maps import MapId, _read_inverse, domain_D, image_clopen, preimage_clopen
+from cantorlab.sequences import BinWord, anchor_word, code_bit, stride, stride_expand
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +599,12 @@ def test_intersect_returns_an_operand_inside_the_other_exhaustive():
 
 
 def test_build_scheme_skips_intersections_equal_to_an_operand(monkeypatch):
-    """The depth-7 scheme runs the clopen constructor at most 798 times
-    (5,121 when every intersection was rebuilt, even one equal to an
-    operand; 1,810 when each split copy built its own split cells, each
-    through the constructor)."""
+    """The depth-7 scheme runs the clopen constructor at most 10 times:
+    its cells are int-form sets, and intersect, pinned and the transports
+    build those with no constructor call (798 calls when every cell went
+    through the union-find; 5,121 when every intersection was rebuilt, even
+    one equal to an operand; 1,810 when each split copy built its own split
+    cells, each through the constructor)."""
     built = []
     real = SymbolicClopen.__init__
 
@@ -611,7 +614,7 @@ def test_build_scheme_skips_intersections_equal_to_an_operand(monkeypatch):
 
     monkeypatch.setattr(SymbolicClopen, "__init__", counted)
     build_scheme(CantorInstance(), 7)
-    assert len(built) <= 798
+    assert len(built) <= 10
 
 
 def test_scheme_cells_hold_at_most_1200_bytes_each():
@@ -636,10 +639,11 @@ def test_scheme_cells_hold_at_most_1200_bytes_each():
 
 
 def assert_same_construction(got, want):
-    """Equal normal form down to the link table and the hash."""
+    """Equal normal form down to the store (link table or ints) and the hash."""
     assert got.empty == want.empty
     assert got.base == want.base
     assert got._link == want._link
+    assert (got._mask, got._value) == (want._mask, want._value)
     assert got.atoms == want.atoms
     assert hash(got) == hash(want)
     assert got.render() == want.render()
@@ -712,3 +716,215 @@ def test_cell_pinned_and_cell_around_match_with_atoms():
         for d in range(12):
             bits = {i: p.eval(i) for i in range(d) if C.forced(i) is None}
             assert_same_construction(inst.cell_pinned(C, p, range(d)), C.with_atoms(pin_atoms(bits)))
+
+
+# ---------------------------------------------------------------------------
+# the two stores: a constant-only dense set is two ints, any other a link map
+
+# small coordinates fold into the base; the others straddle bit 64 and the
+# 30-bit digits of the ints
+wide_coord_st = st.one_of(st.integers(0, 5), st.integers(58, 70), st.integers(120, 130))
+wide_const_st = st.tuples(st.just("const"), wide_coord_st, st.integers(0, 1))
+wide_atom_st = st.one_of(
+    wide_const_st, st.tuples(st.just("rel"), wide_coord_st, wide_coord_st, st.integers(0, 1))
+)
+short_base_st = st.text(alphabet="01", max_size=3)
+wide_raw_st = st.one_of(
+    st.tuples(short_base_st, st.lists(wide_atom_st, max_size=3)),
+    st.tuples(short_base_st, st.lists(wide_const_st, max_size=3)),
+)
+wide_pins_st = st.dictionaries(wide_coord_st, st.integers(0, 1), max_size=3)
+
+
+def is_int_form(C):
+    return C._mask is not None
+
+
+def oracle_forced(raw, coords, i):
+    """The bit every member has at i (a coordinate in coords), or None."""
+    seen = {bits[i] for bits in all_assignments(coords) if oracle_member(*raw, bits)}
+    return seen.pop() if len(seen) == 1 else None
+
+
+@given(wide_raw_st, wide_pins_st)
+@settings(max_examples=200, deadline=None)
+def test_wide_coordinates_match_oracle(raw, pins):
+    """render, is_empty and the store against the rebuild-until-stable
+    constructor, and forced, contains and pinned against the brute-force
+    oracle, on coordinates across the 64-bit boundary."""
+    C = assert_matches_reference(*raw)
+    if not C.empty:
+        constant = all(a[0] == "const" for a in C.atoms)
+        top = max([len(C.base) - 1] + [a[-2] for a in C.atoms]) + 1
+        assert is_int_form(C) == (constant and top <= 64 * (len(C.base) + len(C.atoms) + 1))
+    coords = mentioned_coords(*raw) | set(pins)
+    pin_raw = (raw[0], raw[1] + pin_atoms(pins))
+    P = C.pinned(pins)
+    assert_same_construction(P, C.with_atoms(pin_atoms(pins)))
+    # an empty result keeps the base it was found on, which may be C's longer one
+    ref = ReferenceClopen(*pin_raw)
+    assert P.empty == ref.empty and (P.empty or normal_form(P) == normal_form(ref))
+    for bits in all_assignments(coords):
+        p = LazyPoint(bits)
+        assert C.contains(p) == oracle_member(*raw, bits)
+        assert P.contains(p) == oracle_member(*pin_raw, bits)
+    if not C.empty:
+        for i in sorted(coords):
+            assert C.forced(i) == oracle_forced(raw, coords, i), i
+        assert C.forced(max(coords, default=-1) + 1) is None
+        assert C.first_free_coord() == len(C.base)
+
+
+@given(wide_raw_st, st.tuples(short_base_st, st.lists(wide_atom_st, max_size=2)))
+@settings(max_examples=200, deadline=None)
+def test_wide_set_ops_match_oracle(raw_c, raw_d):
+    """intersect against the from-scratch build and the oracle, subset and
+    meets against the oracle, on coordinates across the 64-bit boundary."""
+    C, D = SymbolicClopen(*raw_c), SymbolicClopen(*raw_d)
+    coords = mentioned_coords(*raw_c) | mentioned_coords(*raw_d)
+    for X, Y in ((C, D), (D, C)):
+        assert normal_form(X.intersect(Y)) == normal_form(scratch_intersect(X, Y))
+    inter = C.intersect(D)
+    c_in_d = d_in_c = True
+    meet = False
+    for bits in all_assignments(coords):
+        in_c, in_d = oracle_member(*raw_c, bits), oracle_member(*raw_d, bits)
+        assert inter.contains(LazyPoint(bits)) == (in_c and in_d)
+        c_in_d = c_in_d and (in_d or not in_c)
+        d_in_c = d_in_c and (in_c or not in_d)
+        meet = meet or (in_c and in_d)
+    assert C.subset(D) == c_in_d and D.subset(C) == d_in_c
+    assert C.meets(D) == D.meets(C) == meet
+
+
+@given(st.one_of(st.tuples(clopen_raw_st, clopen_raw_st), st.tuples(wide_raw_st, wide_raw_st)))
+@settings(max_examples=300)
+def test_meets_is_a_nonempty_intersection(pair):
+    C, D = (SymbolicClopen(*raw) for raw in pair)
+    for X, Y in ((C, D), (D, C), (C, C), (C, C.intersect(D))):
+        assert X.meets(Y) == (not X.intersect(Y).empty)
+
+
+def test_meets_of_two_int_form_sets_builds_nothing(monkeypatch):
+    C = SymbolicClopen("01", [atom_const(70, 1), atom_const(9, 0)])
+    D = SymbolicClopen("0", [atom_const(70, 0)])
+    E = SymbolicClopen("", [atom_const(130, 1), atom_const(3, 1)])
+    assert all(is_int_form(X) for X in (C, D, E))
+    built = counted_constructions(monkeypatch)
+    assert not C.meets(D) and C.meets(E) and D.meets(E)
+    assert built == []
+
+
+@given(clopen_raw_st, coord_st, st.one_of(st.none(), coord_st), st.integers(0, 1))
+@settings(max_examples=300)
+def test_implies_rel_matches_brute_force(raw, a, b, parity):
+    """implies_rel(a, b, parity) holds iff every member has bit(a) xor bit(b)
+    = parity; b is None draws b = a, free or forced."""
+    b = a if b is None else b
+    C = SymbolicClopen(*raw)
+    if C.empty:
+        return
+    coords = mentioned_coords(*raw) | {a, b}
+    want = all(
+        bits[a] ^ bits[b] == parity for bits in all_assignments(coords) if oracle_member(*raw, bits)
+    )
+    assert C.implies_rel(a, b, parity) == want
+
+
+def test_implies_rel_of_a_coordinate_with_itself():
+    for C in (FULL_SPACE, SymbolicClopen("01"), SymbolicClopen("", [atom_ne(2, 5)])):
+        for a in (0, 2, 5, 9):
+            assert C.implies_rel(a, a, 0) and not C.implies_rel(a, a, 1)
+
+
+def test_a_far_pin_stays_a_link_entry():
+    """A pin at coordinate 10**9 is one link entry, never a 125 MB int:
+    building the set and crossing it with a short cylinder stays under
+    1 MiB."""
+    far_atom = atom_const(10**9, 1)
+    tracemalloc.start()
+    try:
+        far, short = SymbolicClopen(atoms=[far_atom]), cylinder("01")
+        p = far.witness_point()
+        meet = (far.intersect(short), short.intersect(far), short.pinned({10**9: 1}))
+        subsets = (far.subset(short), short.subset(far), meet[0].subset(far), meet[1].subset(short))
+        pinned = far.pinned({0: 0, 1: 1})
+        members = (far.contains(p), short.contains(p), meet[0].contains(p.with_bits({1: 1})))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    want = SymbolicClopen("01", [far_atom])
+    assert all(X == want and X.render() == "N=01; bit(1000000000)=1" for X in meet + (pinned,))
+    assert not is_int_form(far) and not is_int_form(want) and is_int_form(short)
+    assert subsets == (False, False, True, True)
+    assert members == (True, False, True)
+
+
+def test_points_read_their_bits_once_per_length():
+    p = LazyPoint({3: 1, 200: 1, 10**9: 1})
+    bits = p.low_bits(10)
+    assert bits & 1023 == 8 and p.low_bits(5) is bits
+    assert (p.low_bits(300) >> 200) & 1 == 1
+    q = LazyPoint({1: 0, 70: 0}, default=1)
+    assert all((q.low_bits(100) >> i) & 1 == q.eval(i) for i in range(100))
+
+
+# ---------------------------------------------------------------------------
+# the transports against the constructor route they replaced
+
+
+def atom_image(ident, C):
+    """image_clopen as an atom list fed to the constructor."""
+    L, n = ident.L, ident.n
+    C1 = C.intersect(domain_D(ident))
+    if C1.is_empty():
+        return EMPTY_SET
+    atoms = []
+    for c in range(stride(n), len(C1.base)):
+        if _read_inverse(L, n, c) is not None:
+            atoms.append(atom_const(_read_inverse(L, n, c), C1.base.bit(c)))
+    for v, members in C1.classes():
+        kept = [(_read_inverse(L, n, c), p) for c, p in members if _read_inverse(L, n, c) is not None]
+        if v is not None:
+            atoms.extend(atom_const(k, v ^ p) for k, p in kept)
+        elif kept:
+            atoms.extend(("rel", kept[0][0], k, kept[0][1] ^ p) for k, p in kept[1:])
+    return SymbolicClopen(anchor_word(n).append(1), atoms)
+
+
+def atom_preimage(ident, C):
+    """preimage_clopen as an atom list fed to the constructor."""
+    L, n = ident.L, ident.n
+    C1 = C.intersect(SymbolicClopen(anchor_word(n).append(1)))
+    if C1.is_empty():
+        return EMPTY_SET
+    atoms = [atom_const(stride_expand(L, n, c), C1.base.bit(c)) for c in range(stride(n) + 1, len(C1.base))]
+    for v, members in C1.classes():
+        mapped = [(stride_expand(L, n, c), p) for c, p in members]
+        if v is not None:
+            atoms.extend(atom_const(k, v ^ p) for k, p in mapped)
+        else:
+            atoms.extend(("rel", mapped[0][0], k, mapped[0][1] ^ p) for k, p in mapped[1:])
+    return SymbolicClopen(anchor_word(n).append(0), atoms).intersect(domain_D(ident))
+
+
+@given(
+    st.integers(1, 2), st.integers(0, 1), st.sampled_from(("", "seed", "range")),
+    st.one_of(wide_raw_st, st.tuples(short_base_st, st.lists(wide_const_st, max_size=8))),
+)
+@settings(max_examples=300, deadline=None)
+def test_transports_match_the_atom_route(L, n, prefix, raw):
+    """Images and preimages of constant-only and mixed cells, on a seed or
+    range word or on none, equal the constructor's from the atom list,
+    down to the base an empty result keeps."""
+    ident = MapId(L, n)
+    word = {"": "", "seed": str(anchor_word(n)) + "0", "range": str(anchor_word(n)) + "1"}[prefix]
+    C = SymbolicClopen(word + raw[0], raw[1])
+    assert normal_form(image_clopen(ident, C)) == normal_form(atom_image(ident, C))
+    assert normal_form(preimage_clopen(ident, C)) == normal_form(atom_preimage(ident, C))
+
+
+def test_map_domains_are_built_once():
+    for L, n in ((1, 0), (1, 1), (2, 1)):
+        assert domain_D(MapId(L, n)) is domain_D(MapId(L, n))

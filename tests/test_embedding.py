@@ -1317,7 +1317,7 @@ def test_build_scheme_orders_copies_without_repr(monkeypatch):
     def called(*args):
         raise AssertionError("called")
 
-    monkeypatch.setattr(LabeledVertex, "__post_init__", called)
+    monkeypatch.setattr(LabeledVertex, "__init__", called)
     monkeypatch.setattr(LabeledVertex, "__repr__", called)
     assert [st_.cells for st_ in build_scheme(INST, 7)] == want
 

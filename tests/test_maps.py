@@ -1,5 +1,7 @@
 """Map family: frozen examples plus raw-definition oracles for every operation."""
 
+import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -437,6 +439,27 @@ def test_image_contains_mapped_witness(L, n, extra):
     p = domain_point(MapId(L, n), extra)
     assert point_in_domain(MapId(L, n), p)
     assert img.contains(g_point(MapId(L, n), p))
+
+
+def test_index_2_domain_decides_within_budget():
+    """domain_D(MapId(1, 2)) has a base of 2^24 + 1 bits, held as two ints:
+    contains on a point and subset against cylinders stay within the scale
+    budget and 200 MiB."""
+    from test_orientedgraphs import SCALE_BUDGET_S
+
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        D = domain_D(MapId(1, 2))
+        members = (D.contains(LazyPoint()), D.contains(LazyPoint({0: 1})))
+        subsets = (D.subset(SymbolicClopen("1")), SymbolicClopen("1").subset(D), D.subset(D))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert members == (False, True) and subsets == (True, False, True)
+    assert elapsed < SCALE_BUDGET_S, elapsed
+    assert peak < 200 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

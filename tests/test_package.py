@@ -126,3 +126,19 @@ def test_every_benchmark_span_names_a_live_attribute():
         if not callable(target):
             missing.append(f"{module}.{attr}")
     assert spans and missing == []
+
+
+def test_no_module_imports_dataclasses():
+    """Importing dataclasses pulls in inspect, which costs every fresh
+    process several milliseconds; the package's records are __slots__
+    classes."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
